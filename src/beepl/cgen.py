@@ -19,16 +19,14 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .core import (
-    App, ArrayTy, Assign, BoolTy, Bop, BopKind, BYTES, BytesTy, Cast,
+    App, ArrayTy, Assign, BOOL, BoolTy, Bop, BopKind, BYTES, BytesTy, Cast,
     Cond, ConstBool, ConstInt, ConstLong, Deref, Direction, Expr,
     ExtDecl, Field, For, FunDecl, GlobDecl, INT, IntTy, Let, LONG, LongTy,
     Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild,
-    RefOp, RefTy, Sign, SomeLit, StructInit, StructTy, Ty, UnitTy,
+    RefOp, RefTy, Sign, SomeLit, StructInit, StructTy, Ty, UNIT, UnitTy,
     UnitLit, Uop, UopKind, VBool, VInt, VLong, VOption, Var,
 )
-from .typecheck import (
-    TypedProgram, TypingContext, infer_expr, lane_type,
-)
+from .typecheck import TypedProgram, lane_type
 
 
 class CgenError(Exception):
@@ -146,6 +144,10 @@ def _p(c: str) -> str:
     return c if c.replace("_", "").isalnum() else f"({c})"
 
 
+_LITERAL_TYPES = {ConstInt: INT, ConstLong: LONG, ConstBool: BOOL,
+                  UnitLit: UNIT}
+
+
 @dataclass
 class _Frag:
     stmts: list[str]
@@ -177,10 +179,16 @@ class FunctionEmitter:
 
     # -- helpers ---------------------------------------------------------
 
-    def type_of(self, e: Expr) -> Ty:
-        ctx = TypingContext(dict(self.env), {}, self.gen.tp.composites,
-                            self.gen.tp.psi, self.gen.tp.fun_sigs, {})
-        return infer_expr(ctx, e)[0]
+    def ty_of(self, e: Expr) -> Ty:
+        """The checker's type of an elaborated subterm: a variable's comes
+        from its binder, a literal's from its class, and a compound node
+        carries the type that elaboration recorded on it."""
+        if isinstance(e, Var):
+            return self.env[e.name]
+        ty = _LITERAL_TYPES.get(type(e)) or e.ty
+        if ty is None:
+            raise CgenError(f"{type(e).__name__} carries no checked type")
+        return ty
 
     def hoist(self, ty: Ty, prefix: str = "tmp") -> str:
         name = self.names.fresh(prefix)
@@ -335,19 +343,19 @@ class FunctionEmitter:
         op = e.op
         if isinstance(op, RefOp):
             inner = e.operands[0]
-            ty = self.type_of(inner)
+            ty = self.ty_of(inner)
             frag = self.emit_value(inner)
             t = self.hoist(ty)
             return _Frag(frag.stmts + [f"{t} = {frag.cexpr};"], f"(&{t})", True)
         if isinstance(op, Deref):
             inner = e.operands[0]
-            ity = self.type_of(inner)
+            ity = self.ty_of(inner)
             assert isinstance(ity, RefTy), "deref operand must be a ref"
             frag = self.emit_value(inner)
             return _Frag(frag.stmts, f"(*{_p(frag.cexpr)})", False)
         if isinstance(op, Assign):
             lhs = self.emit_value(e.operands[0])
-            lty = self.type_of(e.operands[0])
+            lty = self.ty_of(e.operands[0])
             assert isinstance(lty, RefTy), "assignment goes through a ref"
             rhs = self.emit_value(e.operands[1])
             if rhs.stmts:
@@ -361,7 +369,7 @@ class FunctionEmitter:
             c = _p(frag.cexpr)
             if op.kind is UopKind.LOGNOT:
                 return _Frag(frag.stmts, f"(!{c})", frag.pure)
-            lane = self.type_of(inner)
+            lane = self.ty_of(inner)
             u, s = ("u64", "i64") if isinstance(lane, LongTy) else ("u32", "i32")
             suffix = "uLL" if u == "u64" else "u"
             if op.kind is UopKind.NEG:
@@ -381,7 +389,7 @@ class FunctionEmitter:
 
     def emit_bop(self, e: Prim, kind: BopKind) -> _Frag:
         lhs_e, rhs_e = e.operands
-        lty = self.type_of(lhs_e)
+        lty = self.ty_of(lhs_e)
         lhs = self.emit_value(lhs_e)
         rhs = self.emit_value(rhs_e)
         if rhs.stmts:
@@ -389,10 +397,7 @@ class FunctionEmitter:
         stmts = lhs.stmts + rhs.stmts
         pure = lhs.pure and rhs.pure and not stmts
         a, b = lhs.cexpr, rhs.cexpr
-        is_long = isinstance(lty, LongTy)
-        u, s = ("u64", "i64") if is_long else ("u32", "i32")
-        width = 64 if is_long else 32
-        tmin = "BPL_LONG_MIN" if is_long else "BPL_INT_MIN"
+        u, s = ("u64", "i64") if isinstance(lty, LongTy) else ("u32", "i32")
         if kind in (BopKind.EQ, BopKind.NE, BopKind.LT, BopKind.LE,
                     BopKind.GT, BopKind.GE):
             return _Frag(stmts, f"({_p(a)} {kind.value} {_p(b)})", pure)
@@ -450,21 +455,18 @@ class FunctionEmitter:
         u, s = ("u64", "i64") if is_long else ("u32", "i32")
         width = 64 if is_long else 32
         bval = self._const_int_value(e.operands[1])
+        safe = bval is not None and 0 <= bval < width
+        if not safe and not (rhs.pure and _is_simple(b)):
+            t = self.hoist(lty)
+            stmts = stmts + [f"{t} = {b};"]
+            b = t
         if kind is BopKind.SHL:
             body = f"({s})(({u}){_p(a)} << {_p(b)})"
         else:
             body = f"({_p(a)} >> {_p(b)})"
-        if bval is not None and 0 <= bval < width:
+        if safe:
             self.gen.const_safe_ops += 1
             return _Frag(stmts, body, lhs.pure and rhs.pure and not stmts)
-        if not (rhs.pure and _is_simple(b)):
-            t = self.hoist(lty)
-            stmts = stmts + [f"{t} = {b};"]
-            b = t
-            if kind is BopKind.SHL:
-                body = f"({s})(({u}){_p(a)} << {_p(b)})"
-            else:
-                body = f"({_p(a)} >> {_p(b)})"
         self.gen.guarded_ops += 1
         return _Frag(stmts, f"(({u}){_p(b)} >= {width} ? 0 : {body})", False)
 
@@ -473,11 +475,9 @@ class FunctionEmitter:
     def emit_app(self, e: App) -> _Frag:
         assert isinstance(e.callee, Var)
         name = e.callee.name
-        sig = self.gen.tp.fun_sigs.get(name) or self.gen.tp.psi.get(name)
-        frags = []
-        arg_tys = sig.arg_types if sig is not None else [INT] * len(e.args)
-        for a, ty in zip(e.args, arg_tys):
-            frags.append((self.emit_value(a), ty))
+        sig = self.gen.tp.fun_sigs.get(name) or self.gen.tp.psi[name]
+        frags = [(self.emit_value(a), ty)
+                 for a, ty in zip(e.args, sig.arg_types)]
         # Pin earlier arguments whenever a later one needs statements.
         need_pin = False
         for i in range(len(frags) - 1, -1, -1):
@@ -489,14 +489,13 @@ class FunctionEmitter:
         stmts = [st for frag, _ in frags for st in frag.stmts]
         args = ", ".join(frag.cexpr for frag, _ in frags)
         call = f"{c_fun_name(name, self.gen.mode)}({args})"
-        res = sig.res_type if sig is not None else INT
-        if isinstance(res, UnitTy):
+        if isinstance(e.ty, UnitTy):
             return _Frag(stmts + [call + ";"], None, False)
-        t = self.hoist(res, "r")
+        t = self.hoist(e.ty, "r")
         return _Frag(stmts + [f"{t} = {call};"], t, True)
 
     def emit_field(self, e: Field) -> _Frag:
-        tty = self.type_of(e.target)
+        tty = self.ty_of(e.target)
         frag = self.emit_value(e.target)
         sid = None
         deref = False
@@ -538,7 +537,7 @@ class FunctionEmitter:
         g = self.emit_value(e.guard)
         then = self.emit_value(e.then)
         other = self.emit_value(e.otherwise)
-        rty = self.type_of(e)
+        rty = self.ty_of(e)
         if not then.stmts and not other.stmts and then.cexpr is not None \
                 and other.cexpr is not None:
             return _Frag(g.stmts,
@@ -556,7 +555,7 @@ class FunctionEmitter:
         lo = self.emit_value(e.lo)
         hi = self.emit_value(e.hi)
         if hi.stmts:
-            lo = self.materialize(lo, self.type_of(e.lo))
+            lo = self.materialize(lo, self.ty_of(e.lo))
         l = self.hoist(LONG, "l")
         h = self.hoist(LONG, "h")
         i = self.hoist(LONG, "i")
@@ -579,7 +578,7 @@ class FunctionEmitter:
 
     def emit_match(self, e: Match,
                    tail: bool) -> tuple[list[str], Optional[_Frag]]:
-        sty = self.type_of(e.scrutinee)
+        sty = self.ty_of(e.scrutinee)
         if isinstance(sty, OptionTy):
             return self.emit_match_option(e, sty, tail)
         return self.emit_match_bytes(e, tail)
@@ -593,7 +592,7 @@ class FunctionEmitter:
                         None)
         if some_arm is None:
             some_arm = next((p, b) for p, b in e.arms if isinstance(p, Pwild))
-        rty = self.type_of(e)
+        rty = self.ty_of(e)
         t = None
         if not tail and not isinstance(rty, UnitTy):
             t = self.hoist(rty)
@@ -635,7 +634,7 @@ class FunctionEmitter:
         pat: Pbytes = e.arms[0][0]
         body = e.arms[0][1]
         fallback = e.arms[1][1]
-        rty = self.type_of(e)
+        rty = self.ty_of(e)
         t = None
         if not tail and not isinstance(rty, UnitTy):
             t = self.hoist(rty)
@@ -768,7 +767,13 @@ class ProgramEmitter:
             return "/* no entry point; translation unit is a library */"
         args = []
         for _, ty in entry.args:
-            if isinstance(ty, (OptionTy, RefTy)):
+            if isinstance(ty, OptionTy) and \
+                    isinstance(ty.inner.target, StructTy) and \
+                    ty.inner.target.sid != "bpf_map":  # opaque in C
+                # Like the interpreter's entry call, pass a context that is
+                # never null: a zeroed struct, which holds an empty packet.
+                args.append(f"&(struct {ty.inner.target.sid}){{0}}")
+            elif isinstance(ty, (OptionTy, RefTy)):
                 args.append(f"({ctype(ty)}) 0")
             else:
                 args.append("0")

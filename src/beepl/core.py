@@ -27,8 +27,12 @@ class Span:
     end: int = 0
 
 
-# A keyword-only, comparison-exempt span slot shared by AST nodes.
-def _span_field():
+# A keyword-only, comparison-exempt slot shared by AST nodes.  Every node has
+# a ``span``.  Compound nodes also have a ``ty``: the checker's type, recorded
+# by elaboration and read by the C backend.  Leaves carry no ``ty``, since a
+# literal's type follows from its class and a variable's from its binder.
+# Nodes built during evaluation leave ``ty`` unset.
+def _aux_field():
     return field(default=None, kw_only=True, compare=False, repr=False)
 
 
@@ -163,27 +167,13 @@ class RefTy(Ty):
 
 
 @dataclass(frozen=True)
-class FunTy(Ty):
-    args: tuple[Ty, ...]
-    eff: Effect
-    ret: Ty
-
-
-@dataclass(frozen=True)
-class FunPtrTy(Ty):
-    args: tuple[Ty, ...]
-    eff: Effect
-    ret: Ty
-
-
-@dataclass(frozen=True)
 class OptionTy(Ty):
     """Nullable pointer; wraps only pointer-kind types and never nests."""
 
     inner: Ty
 
     def __post_init__(self):
-        if not isinstance(self.inner, (RefTy, FunPtrTy)):
+        if not isinstance(self.inner, RefTy):
             raise CoreError(f"option of non-pointer type {self.inner}")
 
 
@@ -209,11 +199,7 @@ def is_basic(ty: Ty) -> bool:
 
 
 def is_pointer(ty: Ty) -> bool:
-    return isinstance(ty, (RefTy, FunPtrTy, OptionTy))
-
-
-def is_numeric(ty: Ty) -> bool:
-    return isinstance(ty, (IntTy, LongTy))
+    return isinstance(ty, (RefTy, OptionTy))
 
 
 def int_lane(ty: Ty) -> Optional[str]:
@@ -252,7 +238,7 @@ def size_align(ty: Ty, composites: "Composites") -> tuple[int, int]:
         return n, n
     if isinstance(ty, LongTy):
         return 8, 8
-    if isinstance(ty, (RefTy, FunPtrTy, OptionTy)):
+    if isinstance(ty, (RefTy, OptionTy)):
         return 8, 8
     if isinstance(ty, BytesTy):
         return 16, 8  # {start, end} pointer pair
@@ -324,8 +310,6 @@ class UopKind(Enum):
     BITNOT = "~"
 
 
-ARITH_BOPS = {BopKind.ADD, BopKind.SUB, BopKind.MUL, BopKind.DIV, BopKind.MOD,
-              BopKind.AND, BopKind.OR, BopKind.XOR, BopKind.SHL, BopKind.SHR}
 COMPARE_BOPS = {BopKind.EQ, BopKind.NE, BopKind.LT, BopKind.LE, BopKind.GT, BopKind.GE}
 LOGIC_BOPS = {BopKind.LAND, BopKind.LOR}
 
@@ -375,44 +359,46 @@ class Expr:
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
 
 
 @dataclass(frozen=True)
 class ConstInt(Expr):
     value: int
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
 
 
 @dataclass(frozen=True)
 class ConstLong(Expr):
     value: int
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
 
 
 @dataclass(frozen=True)
 class ConstBool(Expr):
     value: bool
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
 
 
 @dataclass(frozen=True)
 class UnitLit(Expr):
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
 
 
 @dataclass(frozen=True)
 class App(Expr):
     callee: Expr
     args: tuple[Expr, ...]
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
 
 @dataclass(frozen=True)
 class Prim(Expr):
     op: PrimOp
     operands: tuple[Expr, ...]
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
 
 @dataclass(frozen=True)
@@ -421,7 +407,8 @@ class Let(Expr):
     declared: Ty
     bound: Expr
     body: Expr
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
 
 @dataclass(frozen=True)
@@ -429,36 +416,39 @@ class Cond(Expr):
     guard: Expr
     then: Expr
     otherwise: Expr
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
 
 @dataclass(frozen=True)
 class StructInit(Expr):
     name: str  # a declared struct-reference variable being initialized
     fields: tuple[tuple[str, Expr], ...]
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
 
 @dataclass(frozen=True)
 class Field(Expr):
     target: Expr
     fname: str
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
 
 @dataclass(frozen=True)
 class NoneLit(Expr):
-    span: Optional[Span] = _span_field()
-    # Inference hint filled in by elaboration or by evaluation when a null
-    # option value re-enters expression position; never compared.
-    ty: Optional["Ty"] = field(default=None, kw_only=True, compare=False,
-                               repr=False)
+    span: Optional[Span] = _aux_field()
+    # Also set by evaluation when a null option value re-enters expression
+    # position, so that re-inference can type it.
+    ty: Optional[Ty] = _aux_field()
 
 
 @dataclass(frozen=True)
 class SomeLit(Expr):
     value: Expr
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
 
 class Direction(Enum):
@@ -472,14 +462,16 @@ class For(Expr):
     hi: Expr
     direction: Direction
     body: Expr
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
 
 @dataclass(frozen=True)
 class Match(Expr):
     scrutinee: Expr
     arms: tuple[tuple["Pattern", Expr], ...]
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
     def __post_init__(self):
         if not self.arms:
@@ -492,7 +484,7 @@ class Match(Expr):
 class Loc(Expr):
     block: int
     offset: int = 0
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
 
 
 @dataclass(frozen=True)
@@ -502,7 +494,7 @@ class BytesView(Expr):
     block: int
     offset: int
     length: int
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
 
 
 @dataclass(frozen=True)
@@ -510,7 +502,8 @@ class Seq(Expr):
     """Evaluation-order sequence created by for-loop unrolling."""
 
     parts: tuple[Expr, ...]
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
 
 @dataclass(frozen=True)
@@ -519,7 +512,8 @@ class Repeat(Expr):
 
     body: Expr
     count: int
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
+    ty: Optional[Ty] = _aux_field()
 
 
 INTERNAL_EXPRS = (Loc, BytesView, Seq, Repeat)
@@ -648,29 +642,25 @@ def value_to_expr(v: Value) -> Expr:
     raise CoreError(f"value {v} has no expression form")
 
 
+# Value forms by node class.  The interpreter asks this of every node on the
+# path to each redex, so one lookup answers the common case, a non-value.
+_VALUE_FORMS = {
+    UnitLit: lambda e: VUnit(),
+    ConstBool: lambda e: VBool(e.value),
+    ConstInt: lambda e: VInt(e.value),
+    ConstLong: lambda e: VLong(e.value),
+    Loc: lambda e: VLoc(e.block, e.offset),
+    NoneLit: lambda e: VOption(None),
+    SomeLit: lambda e: (VOption(VLoc(e.value.block, e.value.offset))
+                        if isinstance(e.value, Loc) else None),
+    BytesView: lambda e: VBytes(e.block, e.offset, e.length),
+}
+
+
 def expr_to_value(e: Expr) -> Optional[Value]:
     """The value denoted by a fully-evaluated expression, else None."""
-    if isinstance(e, UnitLit):
-        return VUnit()
-    if isinstance(e, ConstBool):
-        return VBool(e.value)
-    if isinstance(e, ConstInt):
-        return VInt(e.value)
-    if isinstance(e, ConstLong):
-        return VLong(e.value)
-    if isinstance(e, Loc):
-        return VLoc(e.block, e.offset)
-    if isinstance(e, NoneLit):
-        return VOption(None)
-    if isinstance(e, SomeLit) and isinstance(e.value, Loc):
-        return VOption(VLoc(e.value.block, e.value.offset))
-    if isinstance(e, BytesView):
-        return VBytes(e.block, e.offset, e.length)
-    return None
-
-
-def is_value_expr(e: Expr) -> bool:
-    return expr_to_value(e) is not None
+    form = _VALUE_FORMS.get(type(e))
+    return form(e) if form is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +678,7 @@ class FunDecl:
     sec: Optional[str] = None
     cc: str = "default"  # opaque calling-convention tag
     flag: bool = False  # marks an eBPF entry point
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
 
     def __post_init__(self):
         arg_names = {x for x, _ in self.args}
@@ -704,7 +694,7 @@ class ExtDecl:
     res_type: Ty
     ef: Effect = EMPTY_EFFECT
     cc: str = "default"
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
 
 
 @dataclass(frozen=True)
@@ -713,7 +703,7 @@ class GlobDecl:
     ty: Ty
     init: Union[Value, bytes]  # bytes for string initializers
     sec: Optional[str] = None
-    span: Optional[Span] = _span_field()
+    span: Optional[Span] = _aux_field()
 
 
 Decl = Union[FunDecl, ExtDecl, GlobDecl]
@@ -730,9 +720,6 @@ class Program:
             if d.name in seen:
                 raise CoreError(f"duplicate declaration name {d.name}")
             seen.add(d.name)
-
-    def composite_map(self) -> Composites:
-        return {c.sid: c for c in self.composites}
 
     def fun_decls(self) -> dict[str, FunDecl]:
         return {d.name: d for d in self.decls if isinstance(d, FunDecl)}

@@ -22,13 +22,14 @@ from typing import Callable, Iterable, Optional
 
 from .cgen import emit_program
 from .core import (
-    EffectAtom, Program, VInt, VLong, VUndef, Value, effect_subset,
+    EffectAtom, Expr, Program, RefTy, StructTy, VInt, VLong, VUndef, Value,
+    effect_subset,
 )
 from .frontend import parse_program, print_program
 from .gen import GenConfig, generate_well_typed, shrink_program
 from .interp import (
-    DEFAULT_FUEL, ExternalWorld, IsValue, State, Stuck, entry_call,
-    eval_multi, init_state, runtime_gamma, step, well_formed,
+    DEFAULT_FUEL, ExternalWorld, FuelExhausted, State, StuckState,
+    entry_call, eval_multi, init_state, runtime_gamma, well_formed,
 )
 from .typecheck import (
     TypeCheckError, TypedProgram, TypingContext, check_program, infer_expr,
@@ -88,7 +89,6 @@ class AuditResult:
 
 
 def _audit_ctx(tp: TypedProgram, s: State) -> TypingContext:
-    from beepl.core import RefTy, StructTy
     struct_vars = frozenset(
         x for x, (_, ty) in s.omega.items()
         if isinstance(ty, RefTy) and isinstance(ty.target, StructTy))
@@ -96,10 +96,15 @@ def _audit_ctx(tp: TypedProgram, s: State) -> TypingContext:
                          tp.fun_sigs, {}, struct_vars)
 
 
+class _Violation(Exception):
+    """Stops an audited evaluation at its first violation."""
+
+
 def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
                         fuel: int = DEFAULT_FUEL,
-                        guard_unsafe: bool = True,
-                        check_each_step: bool = True) -> AuditResult:
+                        guard_unsafe: bool = True) -> AuditResult:
+    """Evaluate the entry point, re-checking the term and the state after
+    every step through ``eval_multi``'s step hook."""
     violations: list[str] = []
     for name, tf in tp.funs.items():
         if EffectAtom.DIVERGENCE in tf.inferred.atoms():
@@ -115,43 +120,36 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         return AuditResult([f"initial call untypeable: {exc}"], 0)
     steps = 0
     value = None
-    while True:
-        out = step(s, world, expr, guard_unsafe)
-        if isinstance(out, IsValue):
-            value = out.value
-            if isinstance(value, VUndef):
-                violations.append("evaluation produced undef")
-            break
-        if isinstance(out, Stuck):
-            violations.append(f"stuck after {steps} steps: {out.reason}")
-            break
-        expr = out.expr
+
+    def recheck(s: State, expr: Expr, rule: str) -> None:
+        nonlocal steps, eff
         steps += 1
-        if steps >= fuel:
-            violations.append(f"fuel exhausted at {fuel} steps")
-            break
-        if check_each_step:
-            ctx = _audit_ctx(tp, s)
-            try:
-                ty_i, eff_i = infer_expr(ctx, expr)
-            except TypeCheckError as exc:
-                violations.append(f"step {steps} untypeable ({out.rule}): "
-                                  f"{exc}")
-                break
-            if ty_i != ty0:
-                violations.append(f"step {steps} changed type "
-                                  f"{ty0} -> {ty_i} ({out.rule})")
-                break
-            if not effect_subset(eff_i, eff):
-                violations.append(f"step {steps} grew effects "
-                                  f"{eff} -> {eff_i} ({out.rule})")
-                break
-            eff = eff_i
-            ok, clauses = well_formed(ctx.gamma, s.sigma, s)
-            if not ok:
-                violations.append(f"step {steps} ill-formed state: "
-                                  f"{clauses[0]}")
-                break
+        ctx = _audit_ctx(tp, s)
+        try:
+            ty_i, eff_i = infer_expr(ctx, expr)
+        except TypeCheckError as exc:
+            raise _Violation(f"step {steps} untypeable ({rule}): {exc}")
+        if ty_i != ty0:
+            raise _Violation(f"step {steps} changed type "
+                             f"{ty0} -> {ty_i} ({rule})")
+        if not effect_subset(eff_i, eff):
+            raise _Violation(f"step {steps} grew effects "
+                             f"{eff} -> {eff_i} ({rule})")
+        eff = eff_i
+        ok, clauses = well_formed(ctx.gamma, s.sigma, s)
+        if not ok:
+            raise _Violation(f"step {steps} ill-formed state: {clauses[0]}")
+
+    try:
+        value = eval_multi(s, world, expr, fuel, guard_unsafe, recheck).value
+        if isinstance(value, VUndef):
+            violations.append("evaluation produced undef")
+    except StuckState as exc:
+        violations.append(f"stuck after {steps} steps: {exc.reason}")
+    except FuelExhausted:
+        violations.append(f"fuel exhausted at {fuel} steps")
+    except _Violation as exc:
+        violations.append(str(exc))
     if not s.monitors.clean():
         m = s.monitors
         violations.append(
@@ -234,10 +232,6 @@ def _still_fails(program: Program, seed: int, fuel: int,
 # ---------------------------------------------------------------------------
 # Differential testing against a C compiler
 # ---------------------------------------------------------------------------
-
-class CompilerUnavailable(Exception):
-    pass
-
 
 def find_cc(explicit: Optional[str] = None) -> Optional[str]:
     for cand in (explicit, os.environ.get("BEEPLC_CC"), "cc", "gcc", "clang"):

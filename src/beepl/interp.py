@@ -355,7 +355,6 @@ def extract(v: VBytes, target: Ty, theta: Memory,
 
 @dataclass
 class Stepped:
-    state: State
     expr: Expr
     rule: str
 
@@ -394,17 +393,13 @@ def step(s: State, w: ExternalWorld, e: Expr,
         return IsValue(v)
     try:
         expr, rule = _step(s, w, e, guard_unsafe)
-        return Stepped(s, expr, rule)
+        return Stepped(expr, rule)
     except _StuckSignal as sig:
         return Stuck(sig.reason)
 
 
 def _stuck(reason: str):
     raise _StuckSignal(reason)
-
-
-def _value_of(e: Expr) -> Optional[Value]:
-    return expr_to_value(e)
 
 
 def _step(s: State, w: ExternalWorld, e: Expr,
@@ -414,7 +409,7 @@ def _step(s: State, w: ExternalWorld, e: Expr,
     if isinstance(e, Prim):
         return _step_prim(s, w, e, guard)
     if isinstance(e, Let):
-        bv = _value_of(e.bound)
+        bv = expr_to_value(e.bound)
         if bv is None:
             bound, rule = _step(s, w, e.bound, guard)
             return Let(e.name, e.declared, bound, e.body), rule
@@ -422,7 +417,7 @@ def _step(s: State, w: ExternalWorld, e: Expr,
             return e.body, "LETV"
         return subst(e.body, e.name, e.bound), "LETV"
     if isinstance(e, Cond):
-        gv = _value_of(e.guard)
+        gv = expr_to_value(e.guard)
         if gv is None:
             g, rule = _step(s, w, e.guard, guard)
             return Cond(g, e.then, e.otherwise), rule
@@ -441,7 +436,7 @@ def _step(s: State, w: ExternalWorld, e: Expr,
         return _step_match(s, w, e, guard)
     if isinstance(e, Seq):
         head = e.parts[0]
-        if _value_of(head) is None:
+        if expr_to_value(head) is None:
             h, rule = _step(s, w, head, guard)
             return Seq((h, *e.parts[1:])), rule
         if len(e.parts) == 1:
@@ -480,7 +475,7 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
     op = e.op
     if isinstance(op, RefOp):
         inner = e.operands[0]
-        v = _value_of(inner)
+        v = expr_to_value(inner)
         if v is None:
             stepped, rule = _step(s, w, inner, guard)
             return Prim(RefOp(), (stepped,)), rule
@@ -491,7 +486,7 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
         return Loc(bid, 0), "REFV"
     if isinstance(op, Deref):
         inner = e.operands[0]
-        v = _value_of(inner)
+        v = expr_to_value(inner)
         if v is None:
             stepped, rule = _step(s, w, inner, guard)
             return Prim(Deref(), (stepped,)), rule
@@ -507,11 +502,11 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
         return value_to_expr(cell), "DREFV"
     if isinstance(op, Assign):
         lhs, rhs = e.operands
-        lv = _value_of(lhs)
+        lv = expr_to_value(lhs)
         if lv is None:
             stepped, rule = _step(s, w, lhs, guard)
             return Prim(Assign(), (stepped, rhs)), rule
-        rv = _value_of(rhs)
+        rv = expr_to_value(rhs)
         if rv is None:
             stepped, rule = _step(s, w, rhs, guard)
             return Prim(Assign(), (lhs, stepped)), rule
@@ -525,7 +520,7 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
         return UnitLit(), "MASSGNV"
     if isinstance(op, (Uop, Cast)):
         inner = e.operands[0]
-        v = _value_of(inner)
+        v = expr_to_value(inner)
         if v is None:
             stepped, rule = _step(s, w, inner, guard)
             return Prim(op, (stepped,)), rule
@@ -536,11 +531,11 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
         return value_to_expr(result), "UOPV"
     if isinstance(op, Bop):
         lhs, rhs = e.operands
-        lv = _value_of(lhs)
+        lv = expr_to_value(lhs)
         if lv is None:
             stepped, rule = _step(s, w, lhs, guard)
             return Prim(op, (stepped, rhs)), "BOP1" if rule == "BOP1" else rule
-        rv = _value_of(rhs)
+        rv = expr_to_value(rhs)
         if rv is None:
             stepped, rule = _step(s, w, rhs, guard)
             return Prim(op, (lhs, stepped)), rule
@@ -584,11 +579,11 @@ def _step_app(s: State, w: ExternalWorld, e: App,
         _stuck("callee is not a function name")
     name = e.callee.name
     for i, a in enumerate(e.args):
-        if _value_of(a) is None:
+        if expr_to_value(a) is None:
             stepped, rule = _step(s, w, a, guard)
             args = (*e.args[:i], stepped, *e.args[i + 1:])
             return App(e.callee, args), rule
-    values = [_value_of(a) for a in e.args]
+    values = [expr_to_value(a) for a in e.args]
     target = s.delta.get(name)
     if isinstance(target, FunDecl):
         return _apply_fun(s, target, values), "APP3"
@@ -636,7 +631,7 @@ def _apply_fun(s: State, fd: FunDecl, values: list[Value]) -> Expr:
 def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
                       guard: bool) -> tuple[Expr, str]:
     for i, (fname, fe) in enumerate(e.fields):
-        if _value_of(fe) is None:
+        if expr_to_value(fe) is None:
             stepped, rule = _step(s, w, fe, guard)
             fields = (*e.fields[:i], (fname, stepped), *e.fields[i + 1:])
             return StructInit(e.name, fields), rule
@@ -658,13 +653,13 @@ def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
         s.theta.store(var_block, 0, VLoc(sb, 0))
     offsets, _, _ = struct_layout(co, s.composites)
     for fname, fe in e.fields:
-        s.theta.store(sb, offsets[fname], _value_of(fe))
+        s.theta.store(sb, offsets[fname], expr_to_value(fe))
     return Loc(sb, 0), "STRUCTV"
 
 
 def _step_field(s: State, w: ExternalWorld, e: Field,
                 guard: bool) -> tuple[Expr, str]:
-    tv = _value_of(e.target)
+    tv = expr_to_value(e.target)
     if tv is None:
         stepped, rule = _step(s, w, e.target, guard)
         return Field(stepped, e.fname), rule
@@ -693,11 +688,11 @@ def _step_field(s: State, w: ExternalWorld, e: Field,
 
 def _step_for(s: State, w: ExternalWorld, e: For,
               guard: bool) -> tuple[Expr, str]:
-    lv = _value_of(e.lo)
+    lv = expr_to_value(e.lo)
     if lv is None:
         stepped, rule = _step(s, w, e.lo, guard)
         return For(stepped, e.hi, e.direction, e.body), rule
-    hv = _value_of(e.hi)
+    hv = expr_to_value(e.hi)
     if hv is None:
         stepped, rule = _step(s, w, e.hi, guard)
         return For(e.lo, stepped, e.direction, e.body), rule
@@ -709,7 +704,7 @@ def _step_for(s: State, w: ExternalWorld, e: For,
 
 def _step_match(s: State, w: ExternalWorld, e: Match,
                 guard: bool) -> tuple[Expr, str]:
-    sv = _value_of(e.scrutinee)
+    sv = expr_to_value(e.scrutinee)
     if sv is None:
         stepped, rule = _step(s, w, e.scrutinee, guard)
         return Match(stepped, e.arms), rule

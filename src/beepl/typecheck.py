@@ -13,21 +13,17 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .core import (
-    App, ArrayTy, Assign, BOOL, Bop, BopKind, BYTES, BytesTy, BytesView,
-    COMPARE_BOPS, Cast, Composite, Cond, ConstBool, ConstInt, ConstLong,
-    Deref, EMPTY_EFFECT, Effect, EffectAtom, Expr, ExtDecl, Field, For,
-    FunDecl, FunPtrTy, GlobDecl, INT, IntTy, LOGIC_BOPS, LONG, Let, Loc,
-    LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim, Psome,
-    Pwild, RefOp, RefTy, Repeat, Seq, Sign, SomeLit, Span, StructInit,
+    ALLOC, App, ArrayTy, Assign, BOOL, Bop, BopKind, BYTES, BytesTy,
+    BytesView, COMPARE_BOPS, Cast, Composite, Cond, ConstBool, ConstInt,
+    ConstLong, Deref, EMPTY_EFFECT, Effect, Expr, ExtDecl, Field, For,
+    FunDecl, GlobDecl, INT, IO, IntTy, LOGIC_BOPS, LONG, Let, Loc, LongTy,
+    Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim, Psome, Pwild,
+    READ, RefOp, RefTy, Repeat, Seq, Sign, SomeLit, Span, StructInit,
     StructTy, Ty, UNIT, UnitLit, Uop, UopKind, VBool, VInt, VLong, VOption,
-    Var, effect_concat, effect_subset, fvar, int_lane, is_pointer, is_prim,
-    struct_layout,
+    Var, WRITE, effect_concat, effect_subset, fvar, int_lane, is_pointer,
+    is_prim, struct_layout,
 )
 from .frontend import Diagnostic
-
-ALLOC_E = Effect((EffectAtom.ALLOC,))
-READ_E = Effect((EffectAtom.READ,))
-WRITE_E = Effect((EffectAtom.WRITE,))
 
 
 class TypeCheckError(Exception):
@@ -45,14 +41,9 @@ class TypeCheckError(Exception):
 
 
 @dataclass(frozen=True)
-class ExtSig:
-    arg_types: tuple[Ty, ...]
-    eff: Effect
-    res_type: Ty
+class Signature:
+    """The signature of a declared function or an external helper."""
 
-
-@dataclass(frozen=True)
-class FunSig:
     arg_types: tuple[Ty, ...]
     eff: Effect
     res_type: Ty
@@ -62,11 +53,11 @@ class FunSig:
 class HelperRegistry:
     """External helper signatures and named constants preloaded into psi."""
 
-    entries: dict[str, ExtSig] = field(default_factory=dict)
+    entries: dict[str, Signature] = field(default_factory=dict)
     constants: dict[str, int] = field(default_factory=dict)
     composites: tuple[Composite, ...] = ()
 
-    def lookup(self, name: str) -> Optional[ExtSig]:
+    def lookup(self, name: str) -> Optional[Signature]:
         return self.entries.get(name)
 
 
@@ -80,12 +71,11 @@ BPF_MAP_PTR = OptionTy(RefTy(StructTy("bpf_map")))
 
 def default_helper_registry() -> HelperRegistry:
     entries = {
-        "bpf_map_lookup_elem": ExtSig(
+        "bpf_map_lookup_elem": Signature(
             (BPF_MAP_PTR, OptionTy(RefTy(LONG))),
-            Effect((EffectAtom.READ, EffectAtom.IO)),
+            effect_concat(READ, IO),
             OptionTy(RefTy(LONG))),
-        "bpf_get_current_uid_gid": ExtSig(
-            (), Effect((EffectAtom.IO,)), LONG),
+        "bpf_get_current_uid_gid": Signature((), IO, LONG),
     }
     constants = {
         "XDP_ABORTED": XDP_ABORTED,
@@ -106,8 +96,8 @@ class TypingContext:
     gamma: dict[str, Ty] = field(default_factory=dict)
     sigma: dict[int, Ty] = field(default_factory=dict)
     pi: dict[str, Composite] = field(default_factory=dict)
-    psi: dict[str, ExtSig] = field(default_factory=dict)
-    funs: dict[str, FunSig] = field(default_factory=dict)
+    psi: dict[str, Signature] = field(default_factory=dict)
+    funs: dict[str, Signature] = field(default_factory=dict)
     consts: dict[str, int] = field(default_factory=dict)
     # Declared locals eligible as struct-initialization targets; shadowing
     # binders knock names out of this set.
@@ -194,10 +184,10 @@ def infer_elab(ctx: TypingContext, e: Expr,
             ty, pe, pelab = infer_elab(ctx, p)
             eff = effect_concat(eff, pe)
             parts.append(pelab)
-        return ty, eff, Seq(tuple(parts))
+        return ty, eff, Seq(tuple(parts), ty=ty)
     if isinstance(e, Repeat):
         _, beff, belab = infer_elab(ctx, e.body)
-        return UNIT, beff, Repeat(belab, e.count)
+        return UNIT, beff, Repeat(belab, e.count, ty=UNIT)
     if isinstance(e, NoneLit):
         if isinstance(expected, OptionTy):
             return expected, EMPTY_EFFECT, NoneLit(span=e.span, ty=expected)
@@ -208,10 +198,11 @@ def infer_elab(ctx: TypingContext, e: Expr,
     if isinstance(e, SomeLit):
         inner_exp = expected.inner if isinstance(expected, OptionTy) else None
         vty, veff, velab = infer_elab(ctx, e.value, inner_exp)
-        if not isinstance(vty, (RefTy, FunPtrTy)):
+        if not isinstance(vty, RefTy):
             _err("SomeOfNonPointer",
                  f"'some' wraps pointers, got {vty}", e.span, "TSOME")
-        return OptionTy(vty), veff, SomeLit(velab, span=e.span)
+        ty = OptionTy(vty)
+        return ty, veff, SomeLit(velab, span=e.span, ty=ty)
     if isinstance(e, Prim):
         return _infer_prim(ctx, e, expected)
     if isinstance(e, App):
@@ -225,7 +216,7 @@ def infer_elab(ctx: TypingContext, e: Expr,
         inner = ctx if e.name == "_" else ctx.extended(**{e.name: e.declared})
         tty, teff, telab = infer_elab(inner, e.body, expected)
         return tty, effect_concat(beff, teff), \
-            Let(e.name, e.declared, belab, telab, span=e.span)
+            Let(e.name, e.declared, belab, telab, span=e.span, ty=tty)
     if isinstance(e, Cond):
         gty, geff, gelab = infer_elab(ctx, e.guard)
         if gty != BOOL:
@@ -237,7 +228,7 @@ def infer_elab(ctx: TypingContext, e: Expr,
             _err("BranchTypeMismatch",
                  f"branches have types {tty} and {oty}", e.span, "TCOND")
         return tty, effect_concat(geff, teff, oeff), \
-            Cond(gelab, telab, oelab, span=e.span)
+            Cond(gelab, telab, oelab, span=e.span, ty=tty)
     if isinstance(e, StructInit):
         return _infer_struct_init(ctx, e)
     if isinstance(e, Field):
@@ -279,8 +270,9 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
         if not (is_prim(ity) or isinstance(ity, (StructTy, ArrayTy))):
             _err("RefOfNonBasic", f"ref of non-basic type {ity}",
                  e.span, "TREF")
-        return RefTy(ity), effect_concat(ALLOC_E, ieff), \
-            Prim(RefOp(), (ielab,), span=e.span)
+        ty = RefTy(ity)
+        return ty, effect_concat(ALLOC, ieff), \
+            Prim(RefOp(), (ielab,), span=e.span, ty=ty)
     if isinstance(op, Deref):
         ity, ieff, ielab = infer_elab(ctx, e.operands[0])
         if isinstance(ity, OptionTy):
@@ -293,8 +285,8 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
             _err("DerefOfAggregate",
                  "aggregates are read through field access, not '!'",
                  e.span, "TDEREF")
-        return ity.target, effect_concat(READ_E, ieff), \
-            Prim(Deref(), (ielab,), span=e.span)
+        return ity.target, effect_concat(READ, ieff), \
+            Prim(Deref(), (ielab,), span=e.span, ty=ity.target)
     if isinstance(op, Assign):
         lty, leff, lelab = infer_elab(ctx, e.operands[0])
         if isinstance(lty, OptionTy):
@@ -314,8 +306,8 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
             _err("AssignTypeMismatch",
                  f"assigning {rty} into a {lty.target} cell",
                  e.span, "TMASSGN")
-        return UNIT, effect_concat(leff, reff, WRITE_E), \
-            Prim(Assign(), (lelab, relab), span=e.span)
+        return UNIT, effect_concat(leff, reff, WRITE), \
+            Prim(Assign(), (lelab, relab), span=e.span, ty=UNIT)
     if isinstance(op, Uop):
         ity, ieff, ielab = infer_elab(ctx, e.operands[0])
         if op.kind is UopKind.LOGNOT:
@@ -330,7 +322,7 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
                 _err("UopTypeMismatch",
                      f"unary {op.kind.value!r} needs int or long, got {ity}",
                      e.span, "TUOP")
-        return ity, ieff, Prim(op, (ielab,), span=e.span)
+        return ity, ieff, Prim(op, (ielab,), span=e.span, ty=ity)
     if isinstance(op, Cast):
         if op.target not in (INT, LONG):
             _err("BadCastTarget", "casts target int or long only",
@@ -338,7 +330,7 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
         ity, ieff, ielab = infer_elab(ctx, e.operands[0])
         if int_lane(ity) is None:
             _err("UopTypeMismatch", f"cannot cast {ity}", e.span, "TUOP")
-        return op.target, ieff, Prim(op, (ielab,), span=e.span)
+        return op.target, ieff, Prim(op, (ielab,), span=e.span, ty=op.target)
     if isinstance(op, Bop):
         return _infer_bop(ctx, e, op.kind)
     _err("UnsupportedExpr", f"unknown primitive {op!r}", e.span, None)
@@ -351,15 +343,13 @@ def _infer_bop(ctx: TypingContext, e: Prim, kind: BopKind):
         _err("PointerArithmetic", "arithmetic on pointers is not allowed",
              e.span, "TBOP")
     lty, lelab, rty, relab = _coerce_pair(lty, lelab, rty, relab)
-    eff = effect_concat(leff, reff)
-    elab = Prim(Bop(kind), (lelab, relab), span=e.span)
     if kind in LOGIC_BOPS:
         if lty != BOOL or rty != BOOL:
             _err("BopTypeMismatch",
                  f"{kind.value!r} needs bool operands, got {lty} and {rty}",
                  e.span, "TBOP")
-        return BOOL, eff, elab
-    if kind in COMPARE_BOPS:
+        ty = BOOL
+    elif kind in COMPARE_BOPS:
         if kind in (BopKind.EQ, BopKind.NE):
             ok = (int_lane(lty) is not None and int_lane(lty) == int_lane(rty))
         else:
@@ -367,13 +357,16 @@ def _infer_bop(ctx: TypingContext, e: Prim, kind: BopKind):
         if not ok:
             _err("BopTypeMismatch",
                  f"cannot compare {lty} with {rty}", e.span, "TBOP")
-        return BOOL, eff, elab
-    # arithmetic, bitwise and shifts: signed int or long, both sides alike
-    if lty != rty or lty not in (INT, LONG):
-        _err("BopTypeMismatch",
-             f"{kind.value!r} needs matching int or long operands, "
-             f"got {lty} and {rty}", e.span, "TBOP")
-    return lty, eff, elab
+        ty = BOOL
+    else:
+        # arithmetic, bitwise and shifts: signed int or long, both sides alike
+        if lty != rty or lty not in (INT, LONG):
+            _err("BopTypeMismatch",
+                 f"{kind.value!r} needs matching int or long operands, "
+                 f"got {lty} and {rty}", e.span, "TBOP")
+        ty = lty
+    return ty, effect_concat(leff, reff), \
+        Prim(Bop(kind), (lelab, relab), span=e.span, ty=ty)
 
 
 def _infer_app(ctx: TypingContext, e: App):
@@ -384,7 +377,7 @@ def _infer_app(ctx: TypingContext, e: App):
     if name == "htons" and name not in ctx.funs and name not in ctx.psi:
         return _fold_htons(ctx, e)
     if name in ctx.funs:
-        sig: FunSig | ExtSig = ctx.funs[name]
+        sig = ctx.funs[name]
     elif name in ctx.psi:
         sig = ctx.psi[name]
     else:
@@ -401,7 +394,7 @@ def _infer_app(ctx: TypingContext, e: App):
         if isinstance(want, OptionTy) and aty == want.inner:
             # A ref is always valid, so it passes where an optional pointer
             # is expected (helpers take option-typed pointer arguments).
-            aty, aelab = want, SomeLit(aelab, span=e.span)
+            aty, aelab = want, SomeLit(aelab, span=e.span, ty=want)
         if aty != want:
             _err("ArgTypeMismatch",
                  f"argument {i + 1} of {name} has type {aty}, expected {want}",
@@ -409,7 +402,8 @@ def _infer_app(ctx: TypingContext, e: App):
         eff = effect_concat(eff, aeff)
         elab_args.append(aelab)
     eff = effect_concat(eff, sig.eff)
-    return sig.res_type, eff, App(e.callee, tuple(elab_args), span=e.span)
+    return sig.res_type, eff, \
+        App(e.callee, tuple(elab_args), span=e.span, ty=sig.res_type)
 
 
 def _fold_htons(ctx: TypingContext, e: App):
@@ -455,7 +449,8 @@ def _infer_struct_init(ctx: TypingContext, e: StructInit):
                  e.span, "TSINIT")
         eff = effect_concat(eff, feff)
         elab_fields.append((fname, felab))
-    return tty, eff, StructInit(e.name, tuple(elab_fields), span=e.span)
+    return tty, eff, \
+        StructInit(e.name, tuple(elab_fields), span=e.span, ty=tty)
 
 
 def _infer_field(ctx: TypingContext, e: Field):
@@ -487,7 +482,7 @@ def _infer_field(ctx: TypingContext, e: Field):
     # Narrow integer fields promote to their value lane on read, like C.
     if is_prim(fty):
         fty = lane_type(fty)
-    return fty, teff, Field(telab, e.fname, span=e.span)
+    return fty, teff, Field(telab, e.fname, span=e.span, ty=fty)
 
 
 def _infer_for(ctx: TypingContext, e: For):
@@ -508,7 +503,7 @@ def _infer_for(ctx: TypingContext, e: For):
              e.span, "TFOR")
     _, beff, belab = infer_elab(ctx, e.body)
     return UNIT, effect_concat(leff, heff, beff), \
-        For(lelab, helab, e.direction, belab, span=e.span)
+        For(lelab, helab, e.direction, belab, span=e.span, ty=UNIT)
 
 
 def _infer_match(ctx: TypingContext, e: Match, expected: Optional[Ty]):
@@ -553,7 +548,7 @@ def _infer_match_option(ctx, e: Match, sty: OptionTy, seff, selab, expected):
              f"match arms have types {t1} and {t2}", e.span, "TMATCHO")
     elab_arms = [(elab_arms[0][0], e1), (elab_arms[1][0], e2)]
     return t1, effect_concat(seff, *arm_effs), \
-        Match(selab, tuple(elab_arms), span=e.span)
+        Match(selab, tuple(elab_arms), span=e.span, ty=t1)
 
 
 def lane_type(ty: Ty) -> Ty:
@@ -609,7 +604,7 @@ def _infer_match_bytes(ctx, e: Match, seff, selab, expected):
         _err("BranchTypeMismatch",
              f"match arms have types {t1} and {t2}", e.span, "TMATCHB")
     return t1, effect_concat(seff, ef1, ef2), \
-        Match(selab, ((pat, b1), (e.arms[1][0], b2)), span=e.span)
+        Match(selab, ((pat, b1), (e.arms[1][0], b2)), span=e.span, ty=t1)
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +636,9 @@ class TypedProgram:
     program: Program  # elaborated declarations
     composites: dict[str, Composite]
     funs: dict[str, TypedFunDecl]
-    fun_sigs: dict[str, FunSig]
-    psi: dict[str, ExtSig]
+    fun_sigs: dict[str, Signature]
+    psi: dict[str, Signature]
     consts: dict[str, int]
-
-    def fun_effects(self) -> dict[str, Effect]:
-        return {name: tf.effect for name, tf in self.funs.items()}
 
     def entry_point(self, name: Optional[str] = None) -> Optional[FunDecl]:
         decls = self.program.fun_decls()
@@ -734,7 +726,7 @@ def check_program(p: Program,
 
     psi = dict(registry.entries)
     globals_gamma: dict[str, Ty] = {}
-    funs: dict[str, FunSig] = {}
+    funs: dict[str, Signature] = {}
     names: set[str] = set(psi) | set(registry.constants)
     for d in p.decls:
         if d.name in names:
@@ -742,7 +734,7 @@ def check_program(p: Program,
                  d.span, "TPROG")
         names.add(d.name)
         if isinstance(d, ExtDecl):
-            psi[d.name] = ExtSig(d.arg_types, d.ef, d.res_type)
+            psi[d.name] = Signature(d.arg_types, d.ef, d.res_type)
         elif isinstance(d, GlobDecl):
             check_glob_decl(d, pi)
             globals_gamma[d.name] = d.ty
@@ -763,7 +755,8 @@ def check_program(p: Program,
                                 dict(registry.constants))
             tf = check_fun_decl(ctx, d)
             typed_funs[d.name] = tf
-            funs[d.name] = FunSig(tuple(t for _, t in d.args), tf.effect, d.rt)
+            funs[d.name] = Signature(tuple(t for _, t in d.args), tf.effect,
+                                     d.rt)
             elaborated.append(tf.decl)
         else:
             elaborated.append(d)

@@ -3,6 +3,7 @@ import subprocess
 
 import pytest
 
+from beepl import typecheck
 from beepl.cgen import audit_guards, cdecl, ctype, emit_program, mangle
 from beepl.core import (
     ArrayTy, BOOL, BYTES, INT, LONG, OptionTy, RefTy, StructTy, U16, U8,
@@ -20,6 +21,9 @@ def emit_src(src, mode="host"):
 
 def norm(text):
     return re.sub(r"\s+", " ", text)
+
+
+ACCEPTED_CORPUS = ["bprog1.bpl", "bprog3.bpl", "bprog4.bpl", "shift64.bpl"]
 
 
 # --- shapes from the translation rules ---------------------------------------------
@@ -185,6 +189,25 @@ def test_audit_flags_unguarded_output():
     assert audit_guards(broken)
 
 
+# --- typed AST -----------------------------------------------------------------------
+
+def test_emission_reads_the_checkers_types(monkeypatch):
+    """Emission uses the types that checking recorded and infers none."""
+    tps = [check_program(load_corpus(name)) for name in ACCEPTED_CORPUS]
+    tps += [check_program(generate_well_typed(
+                GenConfig(seed=seed, bytes_match=seed % 2 == 1,
+                          externals=seed % 2 == 1)))
+            for seed in range(50)]
+
+    def no_inference(*args, **kwargs):
+        raise AssertionError("cgen re-inferred a type")
+
+    monkeypatch.setattr(typecheck, "infer_elab", no_inference)
+    for tp in tps:
+        for mode in ("ebpf", "host"):
+            assert emit_program(tp, mode).text
+
+
 # --- compile-and-run smoke --------------------------------------------------------------
 
 needs_cc = pytest.mark.skipif(find_cc() is None, reason="no C compiler")
@@ -197,6 +220,10 @@ def test_host_output_compiles_and_matches(tmp_path):
         "fun main() : int { 7 % 0 }": 0,
         "fun main() : int { let a : int = -5 in a / 3 }": -1,
         "fun main() : int { (int)(1099511627776L >> 38) }": 4,
+        # A struct initialization inside a value-position conditional.
+        "struct pt { a : int, b : int } "
+        "fun main() : int vars (struct pt* q) { let r : struct pt* = "
+        "if true then q { a = 1, b = 2 } else q { a = 3, b = 4 } in r.a }": 1,
     }
     cc = find_cc()
     for i, (src, expected) in enumerate(cases.items()):
@@ -211,6 +238,26 @@ def test_host_output_compiles_and_matches(tmp_path):
         out = subprocess.run([str(exe)], capture_output=True, text=True)
         assert out.stdout.strip() == str(expected), src
         assert out.returncode == expected & 0xFF
+
+
+@needs_cc
+def test_corpus_host_binaries_match_interpreter(tmp_path):
+    """The host shim passes a zeroed, never-null context (an empty packet),
+    as the interpreter's entry call does with an empty world."""
+    cc = find_cc()
+    for name in ACCEPTED_CORPUS:
+        tp = check_program(load_corpus(name))
+        expected = run_program(tp, ExternalWorld()).value.value
+        cfile = tmp_path / f"{name}.c"
+        cfile.write_text(emit_program(tp, "host").text)
+        exe = tmp_path / name[:-4]
+        r = subprocess.run([cc, "-std=c11", "-O1", "-o", str(exe),
+                            str(cfile)], capture_output=True, text=True)
+        assert r.returncode == 0, f"{name}: {r.stderr}"
+        out = subprocess.run([str(exe)], capture_output=True, text=True,
+                             timeout=30)
+        assert out.stdout.strip() == str(expected), name
+        assert out.returncode == expected & 0xFF, name
 
 
 @needs_cc

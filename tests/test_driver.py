@@ -8,7 +8,8 @@ from beepl.frontend import parse_program, print_program
 from beepl.gen import (
     GenConfig, expr_size, generate_well_typed, shrink_program,
 )
-from beepl.typecheck import TypeCheckError, check_program
+from beepl.interp import run_program
+from beepl.typecheck import TypeCheckError, check_program, check_source
 
 
 # --- generator ------------------------------------------------------------------
@@ -92,6 +93,26 @@ def test_shrinking_preserves_violation():
     old = [d for d in program.decls if hasattr(d, "body")][0].body
     new = [d for d in shrunk.decls if hasattr(d, "body")][0].body
     assert expr_size(new) < expr_size(old)
+
+
+def test_audit_agrees_with_plain_evaluation():
+    for seed in range(50):
+        tp = check_program(generate_well_typed(
+            GenConfig(seed=seed, bytes_match=True, externals=True)))
+        audit = evaluate_with_audit(tp, world_for_seed(seed))
+        plain = run_program(tp, world_for_seed(seed))
+        assert audit.violations == [], seed
+        assert (audit.value, audit.steps) == (plain.value, plain.steps), seed
+
+
+def test_audit_stops_at_the_fuel_limit():
+    tp = check_source(
+        "fun main() : int { let x : int* = ref(0) in "
+        "let _ = for (1 ... 50, Up) { x := !x + 1 } in !x }")
+    assert run_program(tp).steps > 40
+    audit = evaluate_with_audit(tp, world_for_seed(0), fuel=40)
+    assert audit.violations == ["fuel exhausted at 40 steps"]
+    assert audit.steps == 40 and audit.value is None
 
 
 def test_audit_reports_monitor_events():

@@ -6,7 +6,7 @@ from beepl.core import (
     Program, RefOp, RefTy, StructTy, UNIT, Var, effect_of, effect_subset,
     expr_children, fvar,
 )
-from beepl.frontend import parse_expr, parse_program
+from beepl.frontend import parse_expr, parse_program, print_program
 from beepl.gen import GenConfig, generate_well_typed
 from beepl.typecheck import (
     TypeCheckError, TypingContext, check_fun_decl, check_program,
@@ -368,3 +368,17 @@ def test_rule_audit_recomputes_conclusions():
         got = infer_expr(ctx, e)
         subs = [infer_expr(ctx, c) for c in expr_children(e)]
         assert got == conclusion(subs), src
+
+
+def test_elaboration_records_node_types():
+    tp = check_source("fun main() : long { let p : int* = ref(3) in "
+                      "if !p < 2 then 1 else (long)!p }")
+    body = tp.program.fun_decls()["main"].body
+    assert (body.ty, body.bound.ty) == (LONG, RefTy(INT))
+    cond = body.body
+    assert (cond.ty, cond.guard.ty, cond.guard.operands[0].ty) == \
+        (LONG, BOOL, INT)
+    assert cond.otherwise.ty == LONG
+    # The recorded types take no part in equality, so printing and
+    # re-parsing the elaborated program still gives an equal program.
+    assert parse_program(print_program(tp.program)) == tp.program
