@@ -31,9 +31,24 @@ EXIT_USAGE = 3
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("file")
     r.add_argument("--entry", default=None,
                    help="entry function (default: main or the flagged one)")
-    r.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    r.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL)
     r.add_argument("--trace", action="store_true",
                    help="print rule name, redex and block count per step")
     r.add_argument("--packet", default=None,
@@ -63,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selftest",
                        help="metatheory, corpus and differential suites")
-    s.add_argument("--n", type=int, default=1000,
+    s.add_argument("--n", type=_positive_int, default=1000,
                    help="number of generated programs")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--cc", default=None,
@@ -74,7 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_checked(path: str, as_json: bool = False):
-    source = Path(path).read_text()
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        _usage_error(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                     f"{exc.start}")
     try:
         program = parse_program(source, path)
         return check_program(program)
@@ -121,8 +140,13 @@ def cmd_run(args) -> int:
     tp = _load_checked(args.file)
     world = ExternalWorld()
     if args.packet:
-        hexstr = "".join(Path(args.packet).read_text().split())
-        world.packet = bytes.fromhex(hexstr)
+        try:
+            hexstr = "".join(Path(args.packet).read_text(encoding="utf-8")
+                             .split())
+            world.packet = bytes.fromhex(hexstr)
+        except ValueError as exc:
+            _usage_error(f"packet file {args.packet} does not hold hex "
+                         f"bytes: {exc}")
     on_step = None
     if args.trace:
         def on_step(state, expr, rule):

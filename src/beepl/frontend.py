@@ -7,6 +7,7 @@ JSON.  Parsing is deterministic and stops at the first error.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,8 +86,7 @@ KEYWORDS = {
 }
 
 PUNCT = [
-    "...", "<<=",  # "<<=" never valid; listed so "<<" + "=" cannot mis-merge
-    ":=", "=>", "==", "!=", "<=", ">=", "<<", ">>", "&&", "||",
+    "...", ":=", "=>", "==", "!=", "<=", ">=", "<<", ">>", "&&", "||",
     "(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "|", "!", "=",
     "<", ">", "+", "-", "*", "/", "%", "&", "^", "~", "_", "#",
 ]
@@ -101,102 +101,83 @@ class Token:
     is_long: bool = False  # literal carried an explicit L suffix
 
 
+# One alternative per token class, tried in order.  Digits are ASCII only.
+# A word may start with any letter or '_' and continue with any letter,
+# digit, '_' or "'"; the pattern also lets a non-ASCII numeral start one,
+# which tokenize rejects.  Punctuation is tried longest first.
+_TOKEN_RE = re.compile("|".join((
+    r"(?P<newline>\n)",
+    r"(?P<space>[ \t\r]+)",
+    r"(?P<comment>//[^\n]*)",
+    r'(?P<string>"[^"\n]*")',
+    r'(?P<open_string>"[^"\n]*)',
+    r"(?P<int>(?:0[xX][0-9a-fA-F]*|[0-9]+)L?)",
+    r"(?P<word>[^\W\d][\w']*)",
+    "(?P<punct>" + "|".join(
+        map(re.escape, sorted(PUNCT, key=len, reverse=True))) + ")",
+    r"(?P<illegal>.)",
+)))
+
+
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def span(start: int, end: int, l: int, c: int) -> Span:
-        return Span(l, c, start, end)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    append = tokens.append
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "space" or kind == "comment":
+            continue
+        start, end = m.span()
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = end
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start, l0, c0 = i, line, col
-        if ch == '"':
-            i += 1
-            buf = []
-            while i < n and source[i] != '"':
-                if source[i] == "\n":
-                    raise LexError(Diagnostic(
-                        "error", "L002", "unterminated string literal",
-                        span(start, i, l0, c0), filename=filename))
-                buf.append(source[i])
-                i += 1
-            if i >= n:
-                raise LexError(Diagnostic(
-                    "error", "L002", "unterminated string literal",
-                    span(start, i, l0, c0), filename=filename))
-            i += 1
-            col += i - start
-            tokens.append(Token("string", "".join(buf), span(start, i, l0, c0)))
-            continue
-        if ch.isdigit():
-            j = i
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and source[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                text = source[i:j]
-                value = int(text, 16)
+        text = m.group()
+        span = Span(line, start - line_start + 1, start, end)
+        if kind == "punct":
+            append(Token("punct", text, span))
+        elif kind == "word":
+            if text in KEYWORDS:
+                append(Token("kw", text, span))
+            elif text == "_":
+                append(Token("punct", text, span))
+            elif not (text[0].isalpha() or text[0] == "_"):
+                _lex_error("L001", f"illegal character {text[0]!r}",
+                           Span(span.line, span.col, start, start + 1),
+                           filename)
+            elif text.startswith("__bpl_"):
+                _lex_error("L003",
+                           "identifiers starting with '__bpl_' are reserved",
+                           span, filename)
             else:
-                while j < n and source[j].isdigit():
-                    j += 1
-                text = source[i:j]
-                value = int(text)
-            is_long = j < n and source[j] == "L"
-            if is_long:
-                j += 1
-                text = source[i:j]
-            tokens.append(Token("int", text, span(i, j, l0, c0), value, is_long))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            text = source[i:j]
-            if text.startswith("__bpl_"):
-                raise LexError(Diagnostic(
-                    "error", "L003",
-                    "identifiers starting with '__bpl_' are reserved",
-                    span(i, j, l0, c0), filename=filename))
-            if text == "_":
-                tokens.append(Token("punct", "_", span(i, j, l0, c0)))
-            elif text in KEYWORDS:
-                tokens.append(Token("kw", text, span(i, j, l0, c0)))
+                append(Token("ident", text, span))
+        elif kind == "int":
+            is_long = text[-1] == "L"
+            digits = text[:-1] if is_long else text
+            if digits[1:2] in ("x", "X"):
+                if len(digits) == 2:
+                    _lex_error("L004", "hexadecimal literal has no digits",
+                               span, filename)
+                value = int(digits, 16)
             else:
-                tokens.append(Token("ident", text, span(i, j, l0, c0)))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, span(i, i + len(p), l0, c0)))
-                i += len(p)
-                col += len(p)
-                break
+                value = int(digits)
+            append(Token("int", text, span, value, is_long))
+        elif kind == "string":
+            append(Token("string", text[1:-1], span))
+        elif kind == "open_string":
+            _lex_error("L002", "unterminated string literal", span, filename)
         else:
-            raise LexError(Diagnostic(
-                "error", "L001", f"illegal character {ch!r}",
-                span(i, i + 1, l0, c0), filename=filename))
-    tokens.append(Token("eof", "", Span(line, col, n, n)))
+            _lex_error("L001", f"illegal character {text!r}", span, filename)
+    # A trailing comment does not advance the end-of-input column.
+    n = len(source)
+    end = m.start() if m is not None and m.lastgroup == "comment" else n
+    append(Token("eof", "", Span(line, end - line_start + 1, n, n)))
     return tokens
+
+
+def _lex_error(code: str, message: str, span: Span, filename: str):
+    raise LexError(Diagnostic("error", code, message, span, filename=filename))
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +201,44 @@ PRIM_TYPE_NAMES = {
 INT_MAX = (1 << 31) - 1
 LONG_MAX = (1 << 63) - 1
 
+# Operator precedence, read by both the parser and the printer.  Binary
+# operators come one level per row, loosest first; all of them associate to
+# the left, and each one's lexeme is its BopKind's value.
+BINARY_OPS: dict[str, tuple[BopKind, int]] = {
+    kind.value: (kind, bp)
+    for bp, level in enumerate((
+        (BopKind.LOR,),
+        (BopKind.LAND,),
+        (BopKind.OR,),
+        (BopKind.XOR,),
+        (BopKind.AND,),
+        (BopKind.EQ, BopKind.NE),
+        (BopKind.LT, BopKind.LE, BopKind.GT, BopKind.GE),
+        (BopKind.SHL, BopKind.SHR),
+        (BopKind.ADD, BopKind.SUB),
+        (BopKind.MUL, BopKind.DIV, BopKind.MOD),
+    ), start=1)
+    for kind in level
+}
+_BOP_PREC = {kind: bp for kind, bp in BINARY_OPS.values()}
+_LOW_PREC = 0  # ':=', which associates to the right, and let/if/match bodies
+_UNARY_PREC = max(_BOP_PREC.values()) + 1  # prefix operators and casts
+_POSTFIX_PREC = _UNARY_PREC + 1  # calls and field access
+
+_PREFIX_OPS = {"!": Deref(), **{k.value: Uop(k) for k in UopKind}}
+
+# The tallest expression tree the parser accepts (P005).  Every later stage
+# walks expressions recursively; README says how the limit was sized.
+MAX_EXPR_DEPTH = 200
+
 
 class Parser:
     def __init__(self, source: str, filename: str = "<input>"):
         self.filename = filename
         self.tokens = tokenize(source, filename)
         self.pos = 0
+        self._depth = 0  # parse_expr calls now open
+        self._height = 0  # see parse_expr
 
     # -- token plumbing ------------------------------------------------------
 
@@ -475,29 +488,65 @@ class Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self.parse_assign()
+    def parse_expr(self, min_bp: int = _LOW_PREC) -> Expr:
+        """Parse an expression whose infix operators bind at least as tightly
+        as ``min_bp`` (Pratt's top-down operator precedence).
 
-    def parse_assign(self) -> Expr:
-        lhs = self.parse_lor()
-        if self.at("punct", ":="):
-            op = self.next()
-            rhs = self.parse_assign()
-            return Prim(Assign(), (lhs, rhs), span=op.span)
+        Tree heights travel up in ``self._height``: after a call returns, it
+        holds the height of the tallest expression parsed since the caller
+        last cleared it.  Parentheses count as one level.
+        """
+        siblings = self._height
+        self._depth += 1
+        if self._depth > MAX_EXPR_DEPTH:
+            self._too_deep(self.peek())
+        self._height = 0
+        lhs = self.parse_prefix()
+        height = self._height + 1
+        tokens = self.tokens
+        while True:
+            t = tokens[self.pos]
+            if t.kind != "punct":
+                break
+            lexeme = t.lexeme
+            self._height = 0
+            if lexeme in BINARY_OPS:
+                kind, bp = BINARY_OPS[lexeme]
+                if bp < min_bp or (kind is BopKind.OR
+                                   and self._bar_starts_pattern()):
+                    break
+                self.pos += 1
+                lhs = Prim(Bop(kind), (lhs, self.parse_expr(bp + 1)),
+                           span=t.span)
+            elif lexeme == "(":
+                self.pos += 1
+                args = []
+                while not self.at("punct", ")"):
+                    args.append(self.parse_expr())
+                    if not self.accept("punct", ","):
+                        break
+                self.expect("punct", ")")
+                lhs = App(lhs, tuple(args), span=t.span)
+            elif lexeme == ".":
+                self.pos += 1
+                fname = self.expect("ident", what="field name")
+                lhs = Field(lhs, fname.lexeme, span=fname.span)
+            elif lexeme == ":=" and min_bp == _LOW_PREC:
+                self.pos += 1
+                lhs = Prim(Assign(), (lhs, self.parse_expr(_LOW_PREC)),
+                           span=t.span)
+            else:
+                break
+            height = max(height, self._height) + 1
+            if height > MAX_EXPR_DEPTH:
+                self._too_deep(t)
+        self._depth -= 1
+        self._height = max(siblings, height)
         return lhs
 
-    def _binop_level(self, sub, table: dict[str, BopKind],
-                     stop_bitor: bool = False) -> Expr:
-        e = sub()
-        while True:
-            t = self.peek()
-            if t.kind != "punct" or t.lexeme not in table:
-                return e
-            if t.lexeme == "|" and self._bar_starts_pattern():
-                return e
-            self.next()
-            rhs = sub()
-            e = Prim(Bop(table[t.lexeme]), (e, rhs), span=t.span)
+    def _too_deep(self, t: Token):
+        self.fail(f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
+                  t.span, code="P005")
 
     def _bar_starts_pattern(self) -> bool:
         nxt = self.peek(1)
@@ -511,138 +560,72 @@ class Parser:
                 return True
         return False
 
-    def parse_lor(self) -> Expr:
-        return self._binop_level(self.parse_land, {"||": BopKind.LOR})
-
-    def parse_land(self) -> Expr:
-        return self._binop_level(self.parse_bitor, {"&&": BopKind.LAND})
-
-    def parse_bitor(self) -> Expr:
-        return self._binop_level(self.parse_bitxor, {"|": BopKind.OR})
-
-    def parse_bitxor(self) -> Expr:
-        return self._binop_level(self.parse_bitand, {"^": BopKind.XOR})
-
-    def parse_bitand(self) -> Expr:
-        return self._binop_level(self.parse_equality, {"&": BopKind.AND})
-
-    def parse_equality(self) -> Expr:
-        return self._binop_level(self.parse_rel,
-                                 {"==": BopKind.EQ, "!=": BopKind.NE})
-
-    def parse_rel(self) -> Expr:
-        return self._binop_level(self.parse_shift,
-                                 {"<": BopKind.LT, "<=": BopKind.LE,
-                                  ">": BopKind.GT, ">=": BopKind.GE})
-
-    def parse_shift(self) -> Expr:
-        return self._binop_level(self.parse_additive,
-                                 {"<<": BopKind.SHL, ">>": BopKind.SHR})
-
-    def parse_additive(self) -> Expr:
-        return self._binop_level(self.parse_mult,
-                                 {"+": BopKind.ADD, "-": BopKind.SUB})
-
-    def parse_mult(self) -> Expr:
-        return self._binop_level(self.parse_unary,
-                                 {"*": BopKind.MUL, "/": BopKind.DIV,
-                                  "%": BopKind.MOD})
-
-    def parse_unary(self) -> Expr:
-        t = self.peek()
-        if self.at("punct", "!"):
-            self.next()
-            return Prim(Deref(), (self.parse_unary(),), span=t.span)
-        if self.at("punct", "-"):
-            self.next()
-            operand = self.parse_unary()
-            # Fold negated literals so printed constants re-parse structurally.
-            if isinstance(operand, ConstInt):
-                return ConstInt(-operand.value, span=t.span)
-            if isinstance(operand, ConstLong):
-                if operand.value == (1 << 31):  # INT_MIN is an int literal
-                    return ConstInt(-operand.value, span=t.span)
-                return ConstLong(-operand.value, span=t.span)
-            return Prim(Uop(UopKind.NEG), (operand,), span=t.span)
-        if self.at("punct", "~"):
-            self.next()
-            return Prim(Uop(UopKind.BITNOT), (self.parse_unary(),), span=t.span)
-        if self.at("kw", "not"):
-            self.next()
-            return Prim(Uop(UopKind.LOGNOT), (self.parse_unary(),), span=t.span)
-        if (self.at("punct", "(") and self.peek(1).kind == "kw"
-                and self.peek(1).lexeme in PRIM_TYPE_NAMES
-                and self.at("punct", ")", ahead=2)):
-            self.next()
-            target = PRIM_TYPE_NAMES[self.next().lexeme]
-            self.next()
-            return Prim(Cast(target), (self.parse_unary(),), span=t.span)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
-        e = self.parse_primary()
-        while True:
-            if self.at("punct", "("):
-                op = self.next()
-                args = []
-                while not self.at("punct", ")"):
-                    args.append(self.parse_expr())
-                    if not self.accept("punct", ","):
-                        break
-                self.expect("punct", ")")
-                e = App(e, tuple(args), span=op.span)
-            elif self.at("punct", ".") :
-                self.next()
-                fname = self.expect("ident", what="field name")
-                e = Field(e, fname.lexeme, span=fname.span)
-            else:
-                return e
-
-    def parse_primary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
+    def parse_prefix(self) -> Expr:
+        """A prefix operator or cast with its operand, or a primary."""
+        t = self.tokens[self.pos]
+        kind, lexeme = t.kind, t.lexeme
+        if kind == "ident":
+            self.pos += 1
+            if self.at("punct", "{"):
+                return self.parse_struct_init(t)
+            return Var(lexeme, span=t.span)
+        if kind == "int":
+            self.pos += 1
             if t.value > LONG_MAX:
                 self.fail("integer literal exceeds 64 bits", t.span, code="P003")
             if t.is_long or t.value > INT_MAX:
                 return ConstLong(t.value, span=t.span)
             return ConstInt(t.value, span=t.span)
-        if self.accept("kw", "true"):
-            return ConstBool(True, span=t.span)
-        if self.accept("kw", "false"):
-            return ConstBool(False, span=t.span)
-        if self.accept("kw", "none"):
-            return NoneLit(span=t.span)
-        if self.accept("kw", "some"):
-            self.expect("punct", "(")
-            inner = self.parse_expr()
-            self.expect("punct", ")")
-            return SomeLit(inner, span=t.span)
-        if self.accept("kw", "ref"):
-            self.expect("punct", "(")
-            inner = self.parse_expr()
-            self.expect("punct", ")")
-            return Prim(RefOp(), (inner,), span=t.span)
-        if self.at("kw", "let"):
-            return self.parse_let()
-        if self.at("kw", "if"):
-            return self.parse_if()
-        if self.at("kw", "match"):
-            return self.parse_match()
-        if self.at("kw", "for"):
-            return self.parse_for()
-        if self.at("punct", "("):
-            self.next()
+        if kind == "punct" and lexeme == "(":
+            self.pos += 1
+            ty = self.peek()
+            if (ty.kind == "kw" and ty.lexeme in PRIM_TYPE_NAMES
+                    and self.at("punct", ")", ahead=1)):
+                self.pos += 2
+                return Prim(Cast(PRIM_TYPE_NAMES[ty.lexeme]),
+                            (self.parse_expr(_UNARY_PREC),), span=t.span)
             if self.accept("punct", ")"):
                 return UnitLit(span=t.span)
             inner = self.parse_expr()
             self.expect("punct", ")")
             return inner
-        if t.kind == "ident":
-            self.next()
-            if self.at("punct", "{"):
-                return self.parse_struct_init(t)
-            return Var(t.lexeme, span=t.span)
+        if kind == "punct" or kind == "kw":
+            op = _PREFIX_OPS.get(lexeme)
+            if op is not None:
+                self.pos += 1
+                operand = self.parse_expr(_UNARY_PREC)
+                # Fold negated literals so printed constants re-parse
+                # structurally; INT_MIN is an int literal.
+                if lexeme == "-" and isinstance(operand,
+                                                (ConstInt, ConstLong)):
+                    value = -operand.value
+                    if isinstance(operand, ConstInt) or value == -(1 << 31):
+                        return ConstInt(value, span=t.span)
+                    return ConstLong(value, span=t.span)
+                return Prim(op, (operand,), span=t.span)
+        if kind == "kw":
+            if lexeme == "let":
+                return self.parse_let()
+            if lexeme == "if":
+                return self.parse_if()
+            if lexeme == "match":
+                return self.parse_match()
+            if lexeme == "for":
+                return self.parse_for()
+            if lexeme in ("true", "false"):
+                self.pos += 1
+                return ConstBool(lexeme == "true", span=t.span)
+            if lexeme == "none":
+                self.pos += 1
+                return NoneLit(span=t.span)
+            if lexeme in ("some", "ref"):
+                self.pos += 1
+                self.expect("punct", "(")
+                inner = self.parse_expr()
+                self.expect("punct", ")")
+                if lexeme == "some":
+                    return SomeLit(inner, span=t.span)
+                return Prim(RefOp(), (inner,), span=t.span)
         self.fail("expected an expression")
 
     def parse_struct_init(self, name: Token) -> Expr:
@@ -810,20 +793,6 @@ def print_type(ty: Ty) -> str:
     raise UnprintableInternalNode(f"type {ty} has no surface syntax")
 
 
-# Precedence levels for minimal parenthesization; higher binds tighter.
-_BOP_PREC = {
-    BopKind.LOR: 1, BopKind.LAND: 2, BopKind.OR: 3, BopKind.XOR: 4,
-    BopKind.AND: 5, BopKind.EQ: 6, BopKind.NE: 6,
-    BopKind.LT: 7, BopKind.LE: 7, BopKind.GT: 7, BopKind.GE: 7,
-    BopKind.SHL: 8, BopKind.SHR: 8,
-    BopKind.ADD: 9, BopKind.SUB: 9,
-    BopKind.MUL: 10, BopKind.DIV: 10, BopKind.MOD: 10,
-}
-_UNARY_PREC = 11
-_POSTFIX_PREC = 12
-_LOW_PREC = 0
-
-
 def print_expr(e: Expr) -> str:
     return _pe(e, _LOW_PREC)
 
@@ -864,7 +833,7 @@ def _pe(e: Expr, ctx: int) -> str:
         return (f"for ({_pe(e.lo, _LOW_PREC)} ... {_pe(e.hi, _LOW_PREC)}, "
                 f"{e.direction.value}) {{ {_pe(e.body, _LOW_PREC)} }}")
     if isinstance(e, Match):
-        arms = " ".join(f"| {_print_pattern(p)} => {_pe(b, 1)}"
+        arms = " ".join(f"| {_print_pattern(p)} => {_pe(b, _LOW_PREC + 1)}"
                         for p, b in e.arms)
         txt = f"match {_pe(e.scrutinee, _LOW_PREC)} with {arms}"
         return _paren(txt, ctx) if ctx > _LOW_PREC else txt
@@ -882,11 +851,11 @@ def _print_prim(e: Prim, ctx: int) -> str:
         return _paren(f"!{_pe(e.operands[0], _UNARY_PREC)}", ctx,
                       when=ctx > _UNARY_PREC)
     if isinstance(op, Assign):
-        txt = (f"{_pe(e.operands[0], 1)} := {_pe(e.operands[1], _LOW_PREC)}")
+        txt = (f"{_pe(e.operands[0], _LOW_PREC + 1)} := "
+               f"{_pe(e.operands[1], _LOW_PREC)}")
         return _paren(txt, ctx) if ctx > _LOW_PREC else txt
     if isinstance(op, Uop):
-        spelling = {UopKind.NEG: "-", UopKind.BITNOT: "~",
-                    UopKind.LOGNOT: "not "}[op.kind]
+        spelling = "not " if op.kind is UopKind.LOGNOT else op.kind.value
         return _paren(f"{spelling}{_pe(e.operands[0], _UNARY_PREC)}", ctx,
                       when=ctx > _UNARY_PREC)
     if isinstance(op, Cast):

@@ -1,7 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import beepl
 from beepl.cli import main
 from beepl.driver import corpus_path
+from beepl.frontend import KEYWORDS, MAX_EXPR_DEPTH, PUNCT
+from test_frontend import NESTED, NESTED_VALUE, nested_program
 
 
 def run_cli(capsys, *argv):
@@ -100,3 +112,146 @@ def test_usage_error_exit_3(capsys):
 def test_missing_file_exit_usage(capsys):
     code, _, err = run_cli(capsys, "check", "/nonexistent/prog.bpl")
     assert code == 3
+
+
+# --- input errors: exit 3 and one line on stderr ------------------------------------
+
+def _ok_program(tmp_path):
+    f = tmp_path / "ok.bpl"
+    f.write_text("fun main() : int { 1 }\n")
+    return f
+
+
+def test_run_bad_packet_hex_exit_3(tmp_path, capsys):
+    pkt = tmp_path / "bad.hex"
+    pkt.write_text("zz 00\n")
+    code, out, err = run_cli(capsys, "run", str(_ok_program(tmp_path)),
+                             "--packet", str(pkt))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "bad.hex" in err
+
+
+def test_check_non_utf8_source_exit_3(tmp_path, capsys):
+    f = tmp_path / "latin1.bpl"
+    f.write_bytes("fun main() : int { 1 } // café\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "UTF-8" in err
+
+
+def test_run_fuel_must_be_positive(tmp_path, capsys):
+    for fuel in ("0", "-3", "many"):
+        code, out, err = run_cli(capsys, "run", str(_ok_program(tmp_path)),
+                                 "--fuel", fuel)
+        assert code == 3, fuel
+        assert len(err.splitlines()) == 1 and "--fuel" in err
+
+
+def test_selftest_n_must_be_positive(capsys):
+    code, out, err = run_cli(capsys, "selftest", "--n", "-1")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "--n" in err
+
+
+def test_nesting_limit_through_the_cli(tmp_path, capsys):
+    f = tmp_path / "deep.bpl"
+    for shape in NESTED:
+        f.write_text(nested_program(shape, MAX_EXPR_DEPTH))
+        code, out, err = run_cli(capsys, "run", str(f))
+        assert (code, out.strip()) == (0, str(NESTED_VALUE[shape])), shape
+        for n in (MAX_EXPR_DEPTH + 1, 1000):
+            f.write_text(nested_program(shape, n))
+            code, out, err = run_cli(capsys, "run", str(f))
+            assert code == 1 and "error[P005]" in err, (shape, n)
+            assert "Traceback" not in err
+
+
+def test_known_bad_inputs_print_no_traceback(tmp_path):
+    ok = _ok_program(tmp_path)
+    bad_hex = tmp_path / "bad.hex"
+    bad_hex.write_text("0g\n")
+    latin = tmp_path / "latin1.bpl"
+    latin.write_bytes(b"fun main() : int { 1 } // caf\xe9\n")
+    deep = tmp_path / "deep.bpl"
+    deep.write_text(nested_program("parens", 1000))
+    numeral = tmp_path / "numeral.bpl"
+    numeral.write_text("fun main() : int { 0x + ² }\n")
+    cases = [
+        (["run", ok, "--packet", bad_hex], 3),
+        (["check", latin], 3),
+        (["run", ok, "--fuel", "0"], 3),
+        (["run", ok, "--fuel", "-3"], 3),
+        (["selftest", "--n", "-1"], 3),
+        (["emit-c", deep, "-o", tmp_path / "deep.c"], 1),
+        (["check", numeral], 1),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(beepl.__file__).parent.parent))
+    for argv, want in cases:
+        proc = subprocess.run([sys.executable, "-m", "beepl.cli",
+                               *map(str, argv)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == want, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        assert len(proc.stderr.splitlines()) == 1, (argv, proc.stderr)
+
+
+# --- hostile inputs ------------------------------------------------------------------
+
+_WORDS = sorted(KEYWORDS) + PUNCT + ["x", "main", "7", "0x1f", '"s"']
+_soup = st.lists(st.sampled_from(_WORDS), max_size=60).map(" ".join)
+
+# Int-typed contexts that each nest their argument one or more levels.
+_WRAPPERS = ["({})", "let y : int = {} in y", "let y : int = 1 in {}",
+             "if true then {} else 0", "~{}", "-{}", "{} + 1", "1 * {}",
+             "f({})", "(int){}",
+             "(let o : option(int*) = none in "
+             "match o with | pnone => {} | psome p => !p)"]
+
+
+def _wrap(wrappers):
+    text = "1"
+    for w in wrappers:
+        text = w.format(text)
+    return text
+
+
+_sources = st.one_of(
+    st.binary(max_size=200),
+    _soup.map(str.encode),
+    _soup.map(lambda s: f"fun main() : int {{ {s} }}".encode()),
+    st.tuples(st.sampled_from(sorted(NESTED)),
+              st.integers(1, 1000) | st.integers(MAX_EXPR_DEPTH - 3,
+                                                 MAX_EXPR_DEPTH + 3))
+      .map(lambda t: nested_program(*t).encode()),
+    st.integers(0, 120)
+      .flatmap(lambda n: st.lists(st.sampled_from(_WRAPPERS),
+                                  min_size=n, max_size=n))
+      .map(lambda ws: ("fun f(int a) : int { a }\n"
+                       f"fun main() : int {{ {_wrap(ws)} }}\n").encode()),
+)
+_flags = st.lists(st.sampled_from(
+    ["--json", "--mode=ebpf", "--mode=host", "--mode=wasm", "--fuel", "0",
+     "-3", "--n", "--entry", "main", "--bogus", "-o", ""]), max_size=3)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+# Two examples in three take no flags, so that most sources reach the parser
+# and the checker instead of stopping at a usage error.
+@settings(max_examples=150, deadline=None)
+@given(source=_sources, command=st.sampled_from(["check", "emit-c"]),
+       flags=st.one_of(st.just([]), st.just([]), _flags))
+def test_hostile_inputs_exit_cleanly(workdir, source, command, flags):
+    src = workdir / "input.bpl"
+    src.write_bytes(source)
+    argv = [command, str(src)] + flags
+    if command == "emit-c":
+        argv += ["-o", str(workdir / "out.c")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3), err.getvalue()

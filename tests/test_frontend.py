@@ -1,8 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from beepl import frontend
+from beepl.cgen import emit_program
 from beepl.core import (
     App, Assign, Bop, BopKind, BOOL, Cast, Cond, ConstBool, ConstInt,
     ConstLong, Deref, Direction, Expr, For, FunDecl, GlobDecl, INT, Let,
@@ -10,11 +12,15 @@ from beepl.core import (
     RefOp, RefTy, Seq, SomeLit, StructTy, U16, UNIT, UnitLit, Uop, UopKind,
     Var, contains_internal,
 )
+from beepl.driver import corpus_path, evaluate_with_audit
 from beepl.frontend import (
-    Diagnostic, LexError, ParseError, Parser, UnprintableInternalNode,
-    parse_expr, parse_program, print_expr, print_program, tokenize,
+    MAX_EXPR_DEPTH, PRIM_TYPE_NAMES, Diagnostic, LexError, ParseError, Parser,
+    UnprintableInternalNode, parse_expr, parse_program, print_expr,
+    print_program, tokenize,
 )
 from beepl.gen import GenConfig, generate_well_typed
+from beepl.interp import ExternalWorld, run_program
+from beepl.typecheck import check_program
 
 
 # --- tokenizer -----------------------------------------------------------------
@@ -54,15 +60,22 @@ def test_tokenize_spans_cover_input():
 
 
 def test_lex_error_illegal_char():
-    with pytest.raises(LexError) as err:
-        tokenize("let $x = 1")
-    assert err.value.diagnostic.code == "L001"
+    # Digits are ASCII: other numerals are illegal characters, even where
+    # int() would read them.  A hex prefix needs a digit after it.
+    for src, code, col in [("let $x = 1", "L001", 5), ("\u00b2", "L001", 1),
+                           ("1\u00b2", "L001", 2), ("\u0663", "L001", 1),
+                           ("x = 0x", "L004", 5), ("0XL", "L004", 1)]:
+        with pytest.raises(LexError) as err:
+            tokenize(src)
+        d = err.value.diagnostic
+        assert (d.code, d.span.col) == (code, col), src
 
 
 def test_lex_error_unterminated_string():
-    with pytest.raises(LexError) as err:
-        tokenize('char L[] = "GPL')
-    assert err.value.diagnostic.code == "L002"
+    for src in ['char L[] = "GPL', '"GPL\n"']:
+        with pytest.raises(LexError) as err:
+            tokenize(src)
+        assert err.value.diagnostic.code == "L002", src
 
 
 def test_reserved_prefix_rejected():
@@ -225,18 +238,18 @@ _leaf = st.one_of(
     _names.map(Var),
 )
 
-_arith = st.sampled_from([BopKind.ADD, BopKind.MUL, BopKind.DIV,
-                          BopKind.MOD, BopKind.SHR, BopKind.AND,
-                          BopKind.OR, BopKind.LT, BopKind.LAND])
+_bops = st.sampled_from(list(BopKind))
+# Every one-operand operator but NEG, which folds into negative literals.
+_UOPS = ([Deref(), RefOp(), Uop(UopKind.BITNOT), Uop(UopKind.LOGNOT)]
+         + [Cast(ty) for ty in sorted(set(PRIM_TYPE_NAMES.values()), key=str)])
+_uops = st.sampled_from(_UOPS)
 
 
 def _compose(children):
     return st.one_of(
-        st.tuples(_arith, children, children)
+        st.tuples(_bops, children, children)
           .map(lambda t: Prim(Bop(t[0]), (t[1], t[2]))),
-        children.map(lambda e: Prim(Deref(), (e,))),
-        children.map(lambda e: Prim(RefOp(), (e,))),
-        children.map(lambda e: Prim(Uop(UopKind.BITNOT), (e,))),
+        st.tuples(_uops, children).map(lambda t: Prim(t[0], (t[1],))),
         children.filter(lambda e: not isinstance(e, (ConstInt, ConstLong)))
                 .map(lambda e: Prim(Uop(UopKind.NEG), (e,))),
         st.tuples(children, children)
@@ -263,8 +276,26 @@ def _compose(children):
 _exprs = st.recursive(_leaf, _compose, max_leaves=20)
 
 
+def _every_operator_pair() -> Expr:
+    """Each binary operator under each other one and under ':=', on both
+    sides, and under and over each one-operand operator."""
+    a, b, c = Var("a"), Var("b"), Var("c")
+    bops = [lambda x, y, k=k: Prim(Bop(k), (x, y)) for k in BopKind]
+    bops.append(lambda x, y: Prim(Assign(), (x, y)))
+    terms = []
+    for outer in bops:
+        for inner in bops:
+            terms += [outer(inner(a, b), c), outer(a, inner(b, c))]
+    for u in _UOPS + [Uop(UopKind.NEG)]:
+        for k in BopKind:
+            terms += [Prim(u, (Prim(Bop(k), (a, b)),)),
+                      Prim(Bop(k), (Prim(u, (a,)), Prim(u, (b,))))]
+    return App(Var("f"), tuple(terms))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_exprs)
+@example(_every_operator_pair())
 def test_round_trip_generated_exprs(e):
     assert parse_expr(print_expr(e)) == e
 
@@ -275,6 +306,54 @@ def test_round_trip_generated_programs():
                                           externals=True))
         text = print_program(p)
         assert parse_program(text) == p, f"seed {seed}\n{text}"
+
+
+# --- nesting limit ----------------------------------------------------------------
+
+# Each builds an int expression whose tree, as the parser counts it, is n
+# levels tall: a parenthesized expression counts one level above its contents.
+NESTED = {
+    "parens": lambda n: "(" * (n - 1) + "1" + ")" * (n - 1),
+    "let": lambda n: "let x : int = " * (n - 1) + "1" + " in x" * (n - 1),
+    "if": lambda n: "if true then " * (n - 1) + "1" + " else 0" * (n - 1),
+    "plus": lambda n: " + ".join(["1"] * n),
+}
+NESTED_VALUE = {"parens": 1, "let": 1, "if": 1, "plus": MAX_EXPR_DEPTH}
+
+
+def nested_program(shape: str, n: int) -> str:
+    return f"fun main() : int {{ {NESTED[shape](n)} }}\n"
+
+
+def test_nesting_limit_is_a_diagnostic():
+    for shape in NESTED:
+        parse_program(nested_program(shape, MAX_EXPR_DEPTH))
+        for n in (MAX_EXPR_DEPTH + 1, 1000):
+            with pytest.raises(ParseError) as err:
+                parse_program(nested_program(shape, n))
+            assert err.value.diagnostic.code == "P005", (shape, n)
+
+
+def test_every_stage_runs_at_the_nesting_limit():
+    for shape in NESTED:
+        p = parse_program(nested_program(shape, MAX_EXPR_DEPTH))
+        tp = check_program(p)
+        assert run_program(tp).value.value == NESTED_VALUE[shape], shape
+        audit = evaluate_with_audit(tp, ExternalWorld())
+        assert audit.violations == [], shape
+        assert parse_program(print_program(p)) == p, shape
+        for mode in ("ebpf", "host"):
+            emit_program(tp, mode)
+
+
+def test_programs_stay_well_under_the_nesting_limit(monkeypatch):
+    monkeypatch.setattr(frontend, "MAX_EXPR_DEPTH", MAX_EXPR_DEPTH // 4)
+    for name in ("bprog1", "bprog2", "bprog3", "bprog4", "shift64"):
+        parse_program(corpus_path(f"{name}.bpl").read_text())
+    for seed in range(100):
+        for cfg in (GenConfig(seed=seed),
+                    GenConfig(seed=seed, bytes_match=True, externals=True)):
+            parse_program(print_program(generate_well_typed(cfg)))
 
 
 # --- diagnostics -----------------------------------------------------------------
