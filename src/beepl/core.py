@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class CoreError(Exception):
@@ -726,99 +726,125 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Free variables and substitution
+# The shape of the AST: children, rebuilds and binders
 # ---------------------------------------------------------------------------
+
+class Shape(NamedTuple):
+    """How a compound node comes apart and goes back together.
+
+    ``children`` lists its subexpressions in a fixed order, which paths and
+    evaluation contexts index.  ``rebuild`` makes the node anew from a
+    sequence of that length and leaves ``span`` and ``ty`` unset.  ``binds``
+    is set only on binder nodes: for each child, the names the node binds
+    in it.
+    """
+
+    children: Callable[[Expr], tuple[Expr, ...]]
+    rebuild: Callable[[Expr, Sequence[Expr]], Expr]
+    binds: Optional[Callable[[Expr], tuple[frozenset[str], ...]]] = None
+
+
+_NO_NAMES: frozenset[str] = frozenset()
+
+SHAPES: dict[type, Shape] = {
+    SomeLit: Shape(lambda e: (e.value,),
+                   lambda e, c: SomeLit(c[0])),
+    App: Shape(lambda e: (e.callee, *e.args),
+               lambda e, c: App(c[0], tuple(c[1:]))),
+    Prim: Shape(lambda e: e.operands,
+                lambda e, c: Prim(e.op, tuple(c))),
+    Let: Shape(lambda e: (e.bound, e.body),
+               lambda e, c: Let(e.name, e.declared, c[0], c[1]),
+               lambda e: (_NO_NAMES, frozenset((e.name,)))),
+    Cond: Shape(lambda e: (e.guard, e.then, e.otherwise),
+                lambda e, c: Cond(c[0], c[1], c[2])),
+    StructInit: Shape(lambda e: tuple(fe for _, fe in e.fields),
+                      lambda e, c: StructInit(e.name, tuple(
+                          (f, fe) for (f, _), fe in zip(e.fields, c)))),
+    Field: Shape(lambda e: (e.target,),
+                 lambda e, c: Field(c[0], e.fname)),
+    Match: Shape(lambda e: (e.scrutinee, *(b for _, b in e.arms)),
+                 lambda e, c: Match(c[0], tuple(
+                     (p, b) for (p, _), b in zip(e.arms, c[1:]))),
+                 lambda e: (_NO_NAMES,
+                            *(pattern_binders(p) for p, _ in e.arms))),
+    For: Shape(lambda e: (e.lo, e.hi, e.body),
+               lambda e, c: For(c[0], c[1], e.direction, c[2])),
+    Seq: Shape(lambda e: e.parts,
+               lambda e, c: Seq(tuple(c))),
+    Repeat: Shape(lambda e: (e.body,),
+                  lambda e, c: Repeat(c[0], e.count)),
+}
+
+LEAVES = frozenset({Var, ConstInt, ConstLong, ConstBool, UnitLit, NoneLit,
+                    Loc, BytesView})
+
+
+def _shape(e: Expr) -> Optional[Shape]:
+    """The shape of a compound node; None for a leaf."""
+    shape = SHAPES.get(type(e))
+    if shape is None and type(e) not in LEAVES:
+        raise CoreError(f"unknown expression {e!r}")
+    return shape
+
+
+def expr_children(e: Expr) -> tuple[Expr, ...]:
+    shape = _shape(e)
+    return () if shape is None else shape.children(e)
+
+
+def with_children(e: Expr, children: Sequence[Expr]) -> Expr:
+    """e rebuilt from new children, given in expr_children order."""
+    shape = _shape(e)
+    return e if shape is None else shape.rebuild(e, children)
+
 
 def fvar(e: Expr) -> frozenset[str]:
     """Free variables of an expression; binders shadow their bodies."""
-    if isinstance(e, Var):
+    if type(e) is Var:
         return frozenset((e.name,))
-    if isinstance(e, (ConstInt, ConstLong, ConstBool, UnitLit, NoneLit,
-                      Loc, BytesView)):
-        return frozenset()
-    if isinstance(e, SomeLit):
-        return fvar(e.value)
-    if isinstance(e, App):
-        out = fvar(e.callee)
-        for a in e.args:
-            out |= fvar(a)
-        return out
-    if isinstance(e, Prim):
-        out = frozenset()
-        for a in e.operands:
-            out |= fvar(a)
-        return out
-    if isinstance(e, Let):
-        return fvar(e.bound) | (fvar(e.body) - {e.name})
-    if isinstance(e, Cond):
-        return fvar(e.guard) | fvar(e.then) | fvar(e.otherwise)
-    if isinstance(e, StructInit):
-        out = frozenset((e.name,))
-        for _, fe in e.fields:
-            out |= fvar(fe)
-        return out
-    if isinstance(e, Field):
-        return fvar(e.target)
-    if isinstance(e, Match):
-        out = fvar(e.scrutinee)
-        for p, body in e.arms:
-            out |= fvar(body) - pattern_binders(p)
-        return out
-    if isinstance(e, For):
-        return fvar(e.lo) | fvar(e.hi) | fvar(e.body)
-    if isinstance(e, Seq):
-        out = frozenset()
-        for p in e.parts:
-            out |= fvar(p)
-        return out
-    if isinstance(e, Repeat):
-        return fvar(e.body)
-    raise CoreError(f"fvar: unknown expression {e!r}")
+    shape = _shape(e)
+    if shape is None:
+        return _NO_NAMES
+    # A struct initialization names the variable it initializes.
+    out = frozenset((e.name,)) if type(e) is StructInit else _NO_NAMES
+    if shape.binds is None:
+        for c in shape.children(e):
+            out |= fvar(c)
+    else:
+        for c, bound in zip(shape.children(e), shape.binds(e)):
+            out |= fvar(c) - bound
+    return out
+
+
+def _replace_free(e: Expr, x: str, v: Expr, rename: Optional[str]) -> Expr:
+    """The walk behind subst and rename_var: free ``Var(x)`` becomes v.
+
+    The two differ only at a struct initialization of x: substitution stops
+    there, since the initialized variable shadows it, while renaming (when
+    ``rename`` is the new name) renames the target and goes on into the
+    fields.
+    """
+    if type(e) is Var:
+        return v if e.name == x else e
+    shape = _shape(e)
+    if shape is None:
+        return e
+    if type(e) is StructInit and e.name == x:
+        if rename is None:
+            return e
+        e = StructInit(rename, e.fields)
+    if shape.binds is None:
+        return shape.rebuild(e, [_replace_free(c, x, v, rename)
+                                 for c in shape.children(e)])
+    return shape.rebuild(e, [
+        c if x in bound else _replace_free(c, x, v, rename)
+        for c, bound in zip(shape.children(e), shape.binds(e))])
 
 
 def subst(e: Expr, x: str, v: Expr) -> Expr:
     """Capture-avoiding substitution e[x <- v]; same-named binders shadow."""
-    if isinstance(e, Var):
-        return v if e.name == x else e
-    if isinstance(e, (ConstInt, ConstLong, ConstBool, UnitLit, NoneLit,
-                      Loc, BytesView)):
-        return e
-    if isinstance(e, SomeLit):
-        return SomeLit(subst(e.value, x, v))
-    if isinstance(e, App):
-        return App(subst(e.callee, x, v),
-                   tuple(subst(a, x, v) for a in e.args))
-    if isinstance(e, Prim):
-        return Prim(e.op, tuple(subst(a, x, v) for a in e.operands))
-    if isinstance(e, Let):
-        bound = subst(e.bound, x, v)
-        body = e.body if e.name == x else subst(e.body, x, v)
-        return Let(e.name, e.declared, bound, body)
-    if isinstance(e, Cond):
-        return Cond(subst(e.guard, x, v), subst(e.then, x, v),
-                    subst(e.otherwise, x, v))
-    if isinstance(e, StructInit):
-        if e.name == x:  # the initialized variable shadows the substitution
-            return e
-        return StructInit(e.name, tuple((f, subst(fe, x, v)) for f, fe in e.fields))
-    if isinstance(e, Field):
-        return Field(subst(e.target, x, v), e.fname)
-    if isinstance(e, Match):
-        arms = []
-        for p, body in e.arms:
-            if x in pattern_binders(p):
-                arms.append((p, body))
-            else:
-                arms.append((p, subst(body, x, v)))
-        return Match(subst(e.scrutinee, x, v), tuple(arms))
-    if isinstance(e, For):
-        return For(subst(e.lo, x, v), subst(e.hi, x, v), e.direction,
-                   subst(e.body, x, v))
-    if isinstance(e, Seq):
-        return Seq(tuple(subst(p, x, v) for p in e.parts))
-    if isinstance(e, Repeat):
-        return Repeat(subst(e.body, x, v), e.count)
-    raise CoreError(f"subst: unknown expression {e!r}")
+    return _replace_free(e, x, v, None)
 
 
 def rename_var(e: Expr, old: str, new: str) -> Expr:
@@ -827,45 +853,7 @@ def rename_var(e: Expr, old: str, new: str) -> Expr:
     Used when a call binds parameters and locals apart; unlike subst, the
     name slot of a struct initialization is an occurrence to rename.
     """
-    if isinstance(e, Var):
-        return Var(new) if e.name == old else e
-    if isinstance(e, StructInit):
-        name = new if e.name == old else e.name
-        return StructInit(name, tuple((f, rename_var(fe, old, new))
-                                      for f, fe in e.fields))
-    if isinstance(e, Let):
-        bound = rename_var(e.bound, old, new)
-        body = e.body if e.name == old else rename_var(e.body, old, new)
-        return Let(e.name, e.declared, bound, body)
-    if isinstance(e, Match):
-        arms = tuple((p, body if old in pattern_binders(p)
-                      else rename_var(body, old, new))
-                     for p, body in e.arms)
-        return Match(rename_var(e.scrutinee, old, new), arms)
-    if isinstance(e, (ConstInt, ConstLong, ConstBool, UnitLit, NoneLit,
-                      Loc, BytesView)):
-        return e
-    if isinstance(e, SomeLit):
-        return SomeLit(rename_var(e.value, old, new))
-    if isinstance(e, App):
-        return App(rename_var(e.callee, old, new),
-                   tuple(rename_var(a, old, new) for a in e.args))
-    if isinstance(e, Prim):
-        return Prim(e.op, tuple(rename_var(a, old, new) for a in e.operands))
-    if isinstance(e, Cond):
-        return Cond(rename_var(e.guard, old, new),
-                    rename_var(e.then, old, new),
-                    rename_var(e.otherwise, old, new))
-    if isinstance(e, Field):
-        return Field(rename_var(e.target, old, new), e.fname)
-    if isinstance(e, For):
-        return For(rename_var(e.lo, old, new), rename_var(e.hi, old, new),
-                   e.direction, rename_var(e.body, old, new))
-    if isinstance(e, Seq):
-        return Seq(tuple(rename_var(p, old, new) for p in e.parts))
-    if isinstance(e, Repeat):
-        return Repeat(rename_var(e.body, old, new), e.count)
-    raise CoreError(f"rename_var: unknown expression {e!r}")
+    return _replace_free(e, old, Var(new), new)
 
 
 def contains_internal(e: Expr) -> bool:
@@ -876,32 +864,3 @@ def contains_internal(e: Expr) -> bool:
         if contains_internal(child):
             return True
     return False
-
-
-def expr_children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Var, ConstInt, ConstLong, ConstBool, UnitLit, NoneLit,
-                      Loc, BytesView)):
-        return ()
-    if isinstance(e, SomeLit):
-        return (e.value,)
-    if isinstance(e, App):
-        return (e.callee, *e.args)
-    if isinstance(e, Prim):
-        return e.operands
-    if isinstance(e, Let):
-        return (e.bound, e.body)
-    if isinstance(e, Cond):
-        return (e.guard, e.then, e.otherwise)
-    if isinstance(e, StructInit):
-        return tuple(fe for _, fe in e.fields)
-    if isinstance(e, Field):
-        return (e.target,)
-    if isinstance(e, Match):
-        return (e.scrutinee, *(b for _, b in e.arms))
-    if isinstance(e, For):
-        return (e.lo, e.hi, e.body)
-    if isinstance(e, Seq):
-        return e.parts
-    if isinstance(e, Repeat):
-        return (e.body,)
-    raise CoreError(f"expr_children: unknown expression {e!r}")

@@ -29,7 +29,8 @@ from .frontend import parse_program, print_program
 from .gen import GenConfig, generate_well_typed, shrink_program
 from .interp import (
     DEFAULT_FUEL, ExternalWorld, FuelExhausted, State, StuckState,
-    entry_call, eval_multi, init_state, runtime_gamma, well_formed,
+    entry_call, eval_multi, init_state, run_program, runtime_gamma,
+    well_formed,
 )
 from .typecheck import (
     TypeCheckError, TypedProgram, TypingContext, check_program, infer_expr,
@@ -378,9 +379,7 @@ def _check_bprog3() -> Optional[str]:
     text = _normalize_c(emit_program(tp, "ebpf").text)
     if not NULL_GUARD.search(text):
         return "emitted C lacks a NULL guard on the looked-up pointer"
-    w = ExternalWorld()
-    s = init_state(tp, w)
-    r = eval_multi(s, w, entry_call(tp, s, w, tp.entry_point()))
+    r = run_program(tp)
     if r.value != VInt(-1):
         return f"lookup miss returned {r.value}, expected -1"
     return None
@@ -396,16 +395,13 @@ if r0 != 0 then w1 % w0 else w1
 
 def _check_bprog1() -> Optional[str]:
     tp = check_program(load_corpus("bprog1.bpl"))
-    w = ExternalWorld()
-    s = init_state(tp, w)
-    r = eval_multi(s, w, entry_call(tp, s, w, tp.entry_point()))
+    r = run_program(tp)
     if r.value != VInt(2):
         return f"bprog1 returned {r.value}, expected XDP_PASS (2)"
     # The mod itself: truncation makes the divisor zero, the guard yields 0.
     from .typecheck import check_source
     probe = check_source("fun main() : int { %s }" % FIG2_ANALOG_EXPR)
-    s2 = init_state(probe, w2 := ExternalWorld())
-    r2 = eval_multi(s2, w2, entry_call(probe, s2, w2, probe.entry_point()))
+    r2 = run_program(probe)
     if r2.value != VInt(0):
         return f"w1 % w0 evaluated to {r2.value}, expected 0"
     text = _normalize_c(emit_program(tp, "ebpf").text)
@@ -423,9 +419,8 @@ def _check_bprog4() -> Optional[str]:
     field_read = text.find("->h_proto")
     if field_read != -1 and field_read < m.start():
         return "field access appears before the bounds check"
-    w = ExternalWorld(packet=bytes(12) + bytes([0x86, 0xDD]) + bytes(4))
-    s = init_state(tp, w)
-    r = eval_multi(s, w, entry_call(tp, s, w, tp.entry_point()))
+    r = run_program(tp, ExternalWorld(
+        packet=bytes(12) + bytes([0x86, 0xDD]) + bytes(4)))
     if r.value != VInt(1):
         return f"IPv6 packet gave {r.value}, expected XDP_DROP (1)"
     return None
@@ -433,9 +428,7 @@ def _check_bprog4() -> Optional[str]:
 
 def _check_shift() -> Optional[str]:
     tp = check_program(load_corpus("shift64.bpl"))
-    w = ExternalWorld()
-    s = init_state(tp, w)
-    r = eval_multi(s, w, entry_call(tp, s, w, tp.entry_point()))
+    r = run_program(tp)
     if r.value != VLong(0):
         return f"oversized shift gave {r.value}, expected 0"
     return None

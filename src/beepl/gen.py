@@ -16,7 +16,8 @@ from .core import (
     ConstInt, ConstLong, Deref, Direction, Expr, Field, For, FunDecl,
     GlobDecl, INT, Let, LONG, LongTy, Match, NoneLit, OptionTy, Pbytes,
     Pnone, Prim, Program, Psome, Pwild, RefOp, RefTy, SomeLit, StructTy, Ty,
-    U16, U32, U8, UNIT, UnitLit, Uop, UopKind, VOption, Var, fvar,
+    U16, U32, U8, UNIT, UnitLit, Uop, UopKind, VOption, Var, expr_children,
+    fvar, pattern_binders, with_children,
 )
 from .typecheck import TypeCheckError, check_program
 
@@ -279,11 +280,7 @@ def _p_loop(env, ty, depth):
     lo = ConstInt(rng.randint(env.cfg.loop_lo, env.cfg.loop_hi))
     hi = ConstInt(rng.randint(env.cfg.loop_lo, env.cfg.loop_hi))
     d = rng.choice([Direction.UP, Direction.DOWN])
-    body = _gen_expr(env, UNIT, depth - 1)
-    if fvar(body):
-        # Bounds are literals, so any body is disjoint from them; loop away.
-        pass
-    return For(lo, hi, d, body)
+    return For(lo, hi, d, _gen_expr(env, UNIT, depth - 1))
 
 
 def _p_loop_then(env, ty, depth):
@@ -389,11 +386,7 @@ def shrink_candidates(e: Expr) -> list[Expr]:
         out.append(e.body)
     if isinstance(e, Match):
         for p, body in e.arms:
-            binders = getattr(p, "binder", None)
-            names = {binders} if binders else set()
-            if isinstance(p, Pbytes):
-                names |= {y for y, _ in p.fields}
-            if not (names & fvar(body)):
+            if not (pattern_binders(p) & fvar(body)):
                 out.append(body)
     if isinstance(e, Prim) and isinstance(e.op, Bop) \
             and e.op.kind in ARITH:
@@ -413,61 +406,19 @@ def shrink_candidates(e: Expr) -> list[Expr]:
 def _replace_at(e: Expr, path: tuple[int, ...], new: Expr) -> Expr:
     if not path:
         return new
-    from .core import expr_children
     idx, rest = path[0], path[1:]
-
-    def rebuild(node, i, child):
-        if isinstance(node, App):
-            if i == 0:
-                return App(child, node.args)
-            return App(node.callee, tuple(child if j == i - 1 else a
-                                          for j, a in enumerate(node.args)))
-        if isinstance(node, Prim):
-            return Prim(node.op, tuple(child if j == i else a
-                                       for j, a in enumerate(node.operands)))
-        if isinstance(node, Let):
-            return Let(node.name, node.declared,
-                       child if i == 0 else node.bound,
-                       child if i == 1 else node.body)
-        if isinstance(node, Cond):
-            parts = [node.guard, node.then, node.otherwise]
-            parts[i] = child
-            return Cond(*parts)
-        if isinstance(node, SomeLit):
-            return SomeLit(child)
-        if isinstance(node, Field):
-            return Field(child, node.fname)
-        if isinstance(node, Match):
-            if i == 0:
-                return Match(child, node.arms)
-            arms = list(node.arms)
-            p, _ = arms[i - 1]
-            arms[i - 1] = (p, child)
-            return Match(node.scrutinee, tuple(arms))
-        if isinstance(node, For):
-            parts = [node.lo, node.hi, node.body]
-            parts[i] = child
-            return For(parts[0], parts[1], node.direction, parts[2])
-        if isinstance(node, StructInit):
-            fields = list(node.fields)
-            fname, _ = fields[i]
-            fields[i] = (fname, child)
-            return StructInit(node.name, tuple(fields))
-        raise ValueError(f"cannot rebuild {type(node).__name__}")
-
-    children = expr_children(e)
-    return rebuild(e, idx, _replace_at(children[idx], rest, new))
+    children = list(expr_children(e))
+    children[idx] = _replace_at(children[idx], rest, new)
+    return with_children(e, children)
 
 
 def _positions(e: Expr, prefix: tuple[int, ...] = ()):
-    from .core import expr_children
     yield prefix, e
     for i, c in enumerate(expr_children(e)):
         yield from _positions(c, prefix + (i,))
 
 
 def expr_size(e: Expr) -> int:
-    from .core import expr_children
     return 1 + sum(expr_size(c) for c in expr_children(e))
 
 

@@ -21,7 +21,8 @@ from .core import (
     Pbytes, Pnone, Prim, Psome, Pwild, RefOp, RefTy, Repeat, Seq, Sign,
     SomeLit, StructInit, StructTy, Ty, UNIT, UnitLit, Uop, UopKind, VBool,
     VBytes, VInt, VLoc, VLong, VOption, VUndef, VUnit, Value, Var,
-    expr_to_value, rename_var, sizeof, struct_layout, subst, value_to_expr,
+    SHAPES, expr_to_value, rename_var, sizeof, struct_layout, subst,
+    value_to_expr,
 )
 from .typecheck import TypedProgram
 
@@ -402,57 +403,96 @@ def _stuck(reason: str):
     raise _StuckSignal(reason)
 
 
+# Evaluation contexts as data: for each node class, the children (as
+# positions in expr_children order, stop None meaning to the last child) that
+# evaluate, left to right, before the node's own rule fires.  Classes not
+# listed reduce at once.
+EVAL_POSITIONS: dict[type, tuple[int, Optional[int]]] = {
+    Let: (0, 1),            # the bound expression
+    Cond: (0, 1),           # the guard
+    App: (1, None),         # the arguments, never the callee
+    Prim: (0, None),        # every operand
+    StructInit: (0, None),  # every field
+    Field: (0, 1),          # the target
+    For: (0, 2),            # lo, then hi
+    Match: (0, 1),          # the scrutinee
+    Seq: (0, 1),            # the head only
+    SomeLit: (0, 1),        # the wrapped value
+}
+
+# The same table with each class's shape attached, so that a step down the
+# path to the redex costs one lookup.
+_CONTEXTS = {cls: (SHAPES[cls], start, stop)
+             for cls, (start, stop) in EVAL_POSITIONS.items()}
+
+
 def _step(s: State, w: ExternalWorld, e: Expr,
           guard: bool) -> tuple[Expr, str]:
-    if isinstance(e, Var):
-        return _step_var(s, e)
-    if isinstance(e, Prim):
-        return _step_prim(s, w, e, guard)
-    if isinstance(e, Let):
-        bv = expr_to_value(e.bound)
-        if bv is None:
-            bound, rule = _step(s, w, e.bound, guard)
-            return Let(e.name, e.declared, bound, e.body), rule
-        if e.name == "_":
-            return e.body, "LETV"
-        return subst(e.body, e.name, e.bound), "LETV"
-    if isinstance(e, Cond):
-        gv = expr_to_value(e.guard)
-        if gv is None:
-            g, rule = _step(s, w, e.guard, guard)
-            return Cond(g, e.then, e.otherwise), rule
-        if not isinstance(gv, VBool):
-            _stuck("condition guard is not a boolean")
-        return (e.then, "CONDT") if gv.value else (e.otherwise, "CONDF")
-    if isinstance(e, App):
-        return _step_app(s, w, e, guard)
-    if isinstance(e, StructInit):
-        return _step_struct_init(s, w, e, guard)
-    if isinstance(e, Field):
-        return _step_field(s, w, e, guard)
-    if isinstance(e, For):
-        return _step_for(s, w, e, guard)
-    if isinstance(e, Match):
-        return _step_match(s, w, e, guard)
-    if isinstance(e, Seq):
-        head = e.parts[0]
-        if expr_to_value(head) is None:
-            h, rule = _step(s, w, head, guard)
-            return Seq((h, *e.parts[1:])), rule
-        if len(e.parts) == 1:
-            return head, "SEQT"
-        return Seq(e.parts[1:]), "SEQT"
-    if isinstance(e, Repeat):
-        if e.count <= 0:
-            return UnitLit(), "FORV0"
-        return Seq((e.body, Repeat(e.body, e.count - 1))), "FORVN"
-    if isinstance(e, SomeLit):
-        inner, rule = _step(s, w, e.value, guard)
-        return SomeLit(inner), rule
-    _stuck(f"no rule applies to {type(e).__name__}")
+    """Split e into an evaluation context and a redex, reduce the redex by
+    its class's rule, and plug the result back into the context.
+
+    The descent goes, at each node, into the first child in evaluation
+    position that is not a value; the redex is the node whose children in
+    evaluation position are all values, and its rule receives those values.
+    """
+    frames = []  # (node, shape, children, hole index), outermost first
+    while True:
+        values: list[Value] = []
+        hole = None
+        context = _CONTEXTS.get(type(e))
+        if context is not None:
+            shape, start, stop = context
+            children = shape.children(e)
+            for i in range(start, len(children) if stop is None else stop):
+                v = expr_to_value(children[i])
+                if v is None:
+                    hole = i
+                    break
+                values.append(v)
+        if hole is None:
+            break
+        frames.append((e, shape, children, hole))
+        e = children[hole]
+    rule = _REDEX_RULES.get(type(e))
+    if rule is None:
+        _stuck(f"no rule applies to {type(e).__name__}")
+    out, name = rule(s, w, e, values, guard)
+    for node, shape, children, i in reversed(frames):
+        out = shape.rebuild(node, (*children[:i], out, *children[i + 1:]))
+    return out, name
 
 
-def _step_var(s: State, e: Var) -> tuple[Expr, str]:
+def _step_let(s: State, w: ExternalWorld, e: Let, values: list[Value],
+              guard: bool) -> tuple[Expr, str]:
+    if e.name == "_":
+        return e.body, "LETV"
+    return subst(e.body, e.name, e.bound), "LETV"
+
+
+def _step_cond(s: State, w: ExternalWorld, e: Cond, values: list[Value],
+               guard: bool) -> tuple[Expr, str]:
+    gv, = values
+    if not isinstance(gv, VBool):
+        _stuck("condition guard is not a boolean")
+    return (e.then, "CONDT") if gv.value else (e.otherwise, "CONDF")
+
+
+def _step_seq(s: State, w: ExternalWorld, e: Seq, values: list[Value],
+              guard: bool) -> tuple[Expr, str]:
+    if len(e.parts) == 1:
+        return e.parts[0], "SEQT"
+    return Seq(e.parts[1:]), "SEQT"
+
+
+def _step_repeat(s: State, w: ExternalWorld, e: Repeat, values: list[Value],
+                 guard: bool) -> tuple[Expr, str]:
+    if e.count <= 0:
+        return UnitLit(), "FORV0"
+    return Seq((e.body, Repeat(e.body, e.count - 1))), "FORVN"
+
+
+def _step_var(s: State, w: ExternalWorld, e: Var, values: list[Value],
+              guard: bool) -> tuple[Expr, str]:
     if e.name in s.omega:
         block, ty = s.omega[e.name]
         v = s.theta.load(block, 0)
@@ -470,26 +510,18 @@ def _step_var(s: State, e: Var) -> tuple[Expr, str]:
     _stuck(f"unbound variable {e.name!r}")
 
 
-def _step_prim(s: State, w: ExternalWorld, e: Prim,
+def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Value],
                guard: bool) -> tuple[Expr, str]:
     op = e.op
     if isinstance(op, RefOp):
-        inner = e.operands[0]
-        v = expr_to_value(inner)
-        if v is None:
-            stepped, rule = _step(s, w, inner, guard)
-            return Prim(RefOp(), (stepped,)), rule
+        v, = values
         ty = _typeof_value(s, v)
         bid = s.theta.alloc(sizeof(ty, s.composites))
         s.theta.store(bid, 0, v)
         s.sigma[bid] = ty
         return Loc(bid, 0), "REFV"
     if isinstance(op, Deref):
-        inner = e.operands[0]
-        v = expr_to_value(inner)
-        if v is None:
-            stepped, rule = _step(s, w, inner, guard)
-            return Prim(Deref(), (stepped,)), rule
+        v, = values
         if isinstance(v, VOption):
             s.monitors.null_deref_events += 1
             _stuck("dereference of an option value")
@@ -501,15 +533,7 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
             _stuck("read of uninitialized memory")
         return value_to_expr(cell), "DREFV"
     if isinstance(op, Assign):
-        lhs, rhs = e.operands
-        lv = expr_to_value(lhs)
-        if lv is None:
-            stepped, rule = _step(s, w, lhs, guard)
-            return Prim(Assign(), (stepped, rhs)), rule
-        rv = expr_to_value(rhs)
-        if rv is None:
-            stepped, rule = _step(s, w, rhs, guard)
-            return Prim(Assign(), (lhs, stepped)), rule
+        lv, rv = values
         if isinstance(lv, VOption):
             s.monitors.null_deref_events += 1
             _stuck("assignment through an option value")
@@ -519,26 +543,14 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
             _stuck("assignment into an invalid block")
         return UnitLit(), "MASSGNV"
     if isinstance(op, (Uop, Cast)):
-        inner = e.operands[0]
-        v = expr_to_value(inner)
-        if v is None:
-            stepped, rule = _step(s, w, inner, guard)
-            return Prim(op, (stepped,)), rule
+        v, = values
         result = uop_sem(op, v)
         if isinstance(result, VUndef):
             s.monitors.undef_events += 1
             _stuck("unary operator produced undef")
         return value_to_expr(result), "UOPV"
     if isinstance(op, Bop):
-        lhs, rhs = e.operands
-        lv = expr_to_value(lhs)
-        if lv is None:
-            stepped, rule = _step(s, w, lhs, guard)
-            return Prim(op, (stepped, rhs)), "BOP1" if rule == "BOP1" else rule
-        rv = expr_to_value(rhs)
-        if rv is None:
-            stepped, rule = _step(s, w, rhs, guard)
-            return Prim(op, (lhs, stepped)), rule
+        lv, rv = values
         if guard and unsafe(op.kind, lv, rv):
             zero = VInt(0) if isinstance(lv, VInt) else VLong(0)
             return value_to_expr(zero), "BOPV"
@@ -573,17 +585,11 @@ def _typeof_value(s: State, v: Value) -> Ty:
     _stuck(f"cannot type value {v!r}")
 
 
-def _step_app(s: State, w: ExternalWorld, e: App,
+def _step_app(s: State, w: ExternalWorld, e: App, values: list[Value],
               guard: bool) -> tuple[Expr, str]:
     if not isinstance(e.callee, Var):
         _stuck("callee is not a function name")
     name = e.callee.name
-    for i, a in enumerate(e.args):
-        if expr_to_value(a) is None:
-            stepped, rule = _step(s, w, a, guard)
-            args = (*e.args[:i], stepped, *e.args[i + 1:])
-            return App(e.callee, args), rule
-    values = [expr_to_value(a) for a in e.args]
     target = s.delta.get(name)
     if isinstance(target, FunDecl):
         return _apply_fun(s, target, values), "APP3"
@@ -629,12 +635,7 @@ def _apply_fun(s: State, fd: FunDecl, values: list[Value]) -> Expr:
 
 
 def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
-                      guard: bool) -> tuple[Expr, str]:
-    for i, (fname, fe) in enumerate(e.fields):
-        if expr_to_value(fe) is None:
-            stepped, rule = _step(s, w, fe, guard)
-            fields = (*e.fields[:i], (fname, stepped), *e.fields[i + 1:])
-            return StructInit(e.name, fields), rule
+                      values: list[Value], guard: bool) -> tuple[Expr, str]:
     if e.name not in s.omega:
         _stuck(f"struct variable {e.name!r} is not allocated")
     var_block, var_ty = s.omega[e.name]
@@ -652,17 +653,14 @@ def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
         s.sigma[sb] = var_ty.target
         s.theta.store(var_block, 0, VLoc(sb, 0))
     offsets, _, _ = struct_layout(co, s.composites)
-    for fname, fe in e.fields:
-        s.theta.store(sb, offsets[fname], expr_to_value(fe))
+    for (fname, _), v in zip(e.fields, values):
+        s.theta.store(sb, offsets[fname], v)
     return Loc(sb, 0), "STRUCTV"
 
 
-def _step_field(s: State, w: ExternalWorld, e: Field,
+def _step_field(s: State, w: ExternalWorld, e: Field, values: list[Value],
                 guard: bool) -> tuple[Expr, str]:
-    tv = expr_to_value(e.target)
-    if tv is None:
-        stepped, rule = _step(s, w, e.target, guard)
-        return Field(stepped, e.fname), rule
+    tv, = values
     if isinstance(tv, VOption):
         if tv.value is None:
             s.monitors.null_deref_events += 1
@@ -686,28 +684,18 @@ def _step_field(s: State, w: ExternalWorld, e: Field,
     return value_to_expr(cell), "FACCESSV"
 
 
-def _step_for(s: State, w: ExternalWorld, e: For,
+def _step_for(s: State, w: ExternalWorld, e: For, values: list[Value],
               guard: bool) -> tuple[Expr, str]:
-    lv = expr_to_value(e.lo)
-    if lv is None:
-        stepped, rule = _step(s, w, e.lo, guard)
-        return For(stepped, e.hi, e.direction, e.body), rule
-    hv = expr_to_value(e.hi)
-    if hv is None:
-        stepped, rule = _step(s, w, e.hi, guard)
-        return For(e.lo, stepped, e.direction, e.body), rule
+    lv, hv = values
     if not isinstance(lv, (VInt, VLong)) or type(lv) is not type(hv):
         _stuck("loop bounds are not matching numeric values")
     n = range_count(lv, hv, e.direction)
     return Repeat(e.body, n), "FORV"
 
 
-def _step_match(s: State, w: ExternalWorld, e: Match,
+def _step_match(s: State, w: ExternalWorld, e: Match, values: list[Value],
                 guard: bool) -> tuple[Expr, str]:
-    sv = expr_to_value(e.scrutinee)
-    if sv is None:
-        stepped, rule = _step(s, w, e.scrutinee, guard)
-        return Match(stepped, e.arms), rule
+    sv, = values
 
     def find(pred):
         for p, body in e.arms:
@@ -751,6 +739,15 @@ def _step_match(s: State, w: ExternalWorld, e: Match,
         out = subst(out, p.binder, value_to_expr(vx))
         return out, "MBYTES"
     _stuck("match scrutinee is neither an option nor bytes")
+
+
+# Each class's own rule, applied once its children in evaluation position
+# are values.  SomeLit has none: it is a value once its child is a location.
+_REDEX_RULES = {
+    Var: _step_var, Prim: _step_prim, Let: _step_let, Cond: _step_cond,
+    App: _step_app, StructInit: _step_struct_init, Field: _step_field,
+    For: _step_for, Match: _step_match, Seq: _step_seq, Repeat: _step_repeat,
+}
 
 
 # ---------------------------------------------------------------------------

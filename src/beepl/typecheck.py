@@ -488,9 +488,10 @@ def _infer_field(ctx: TypingContext, e: Field):
 def _infer_for(ctx: TypingContext, e: For):
     # The disjointness premise is purely syntactic; check it first so the
     # diagnostic names the real problem.  Named constants are not variables.
-    body_fv = fvar(e.body) - set(ctx.consts)
+    # The body is scanned only when the bounds mention a variable: scanning
+    # it at every loop would make nested loops cost quadratic time.
     bounds_fv = (fvar(e.lo) | fvar(e.hi)) - set(ctx.consts)
-    if body_fv & bounds_fv:
+    if bounds_fv and bounds_fv & fvar(e.body):
         _err("ForBodyCapturesBounds",
              "loop body references variables used in the bounds",
              e.span, "TFOR")

@@ -1,14 +1,18 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from beepl.core import (
-    ALLOC, BOOL, Composite, ConstInt, CoreError, Effect, EffectAtom, For,
-    Direction, FunDecl, I8, INT, IntTy, LONG, Let, LongTy, OptionTy, Prim,
-    Program, READ, RefTy, Sign, StructTy, U16, U8, UNIT, UnknownStruct, Var,
+    ALLOC, BOOL, BytesView, Composite, ConstInt, CoreError, Effect,
+    EffectAtom, Expr, For, Direction, FunDecl, I8, INT, IntTy, LEAVES, LONG,
+    Let, Loc, LongTy, Match, OptionTy, Prim, Program, READ, RefTy, Repeat,
+    SHAPES, Seq, Sign, StructTy, U16, U8, UNIT, UnitLit, UnknownStruct, Var,
     Assign, ArrayTy, Bop, BopKind, Deref, RefOp, effect_concat, effect_of,
-    effect_subset, fvar, sizeof, subst, struct_layout,
+    effect_subset, expr_children, fvar, pattern_binders, rename_var, sizeof,
+    subst, struct_layout, with_children,
 )
+from beepl.driver import load_corpus
 from beepl.frontend import parse_expr
+from beepl.gen import GenConfig, generate_well_typed
 
 atoms = st.lists(st.sampled_from(list(EffectAtom)), max_size=5)
 effects = atoms.map(lambda xs: Effect(tuple(xs)))
@@ -94,11 +98,93 @@ def test_subst_struct_init_target_shadows():
     assert got == e  # the initialized variable shadows the substitution
 
 
-@given(st.integers(-100, 100))
-def test_fvar_after_subst_closed_value(v):
-    e = parse_expr("let a : int = x + 1 in a + x + y")
-    sub = subst(e, "x", ConstInt(v))
-    assert fvar(sub) == fvar(e) - {"x"}
+def _fun_bodies(seed):
+    """The example term and the function bodies of one generated program."""
+    cfg = GenConfig(seed=seed, bytes_match=seed % 2 == 1,
+                    externals=seed % 2 == 1)
+    p = generate_well_typed(cfg)
+    return [parse_expr("let a : int = x + 1 in a + x + y"),
+            *(d.body for d in p.decls if isinstance(d, FunDecl))]
+
+
+def _subterms(e):
+    yield e
+    for c in expr_children(e):
+        yield from _subterms(c)
+
+
+def _names(e):
+    """Every variable name in e, free or bound."""
+    out = set(fvar(e))
+    for t in _subterms(e):
+        if isinstance(t, Let):
+            out.add(t.name)
+        elif isinstance(t, Match):
+            for p, _ in t.arms:
+                out |= pattern_binders(p)
+    return out
+
+
+@settings(deadline=None)
+@given(st.integers(-100, 100), st.integers(0, 199))
+def test_fvar_after_subst_closed_value(v, seed):
+    for e in _fun_bodies(seed):
+        for x in sorted(_names(e) | {"x"}):
+            assert fvar(subst(e, x, ConstInt(v))) == fvar(e) - {x}
+
+
+@settings(deadline=None)
+@given(st.integers(0, 199))
+def test_rename_var_renames_exactly_the_free_occurrences(seed):
+    for e in _fun_bodies(seed):
+        for x in sorted(_names(e)):
+            renamed = rename_var(e, x, "fresh#1")
+            if x in fvar(e):
+                assert fvar(renamed) == fvar(e) - {x} | {"fresh#1"}
+            else:
+                assert renamed == e
+            assert rename_var(renamed, "fresh#1", x) == e
+
+
+def test_rename_var_renames_struct_init_targets():
+    e = parse_expr("s { f = s2 }")
+    assert rename_var(e, "s", "t") == parse_expr("t { f = s2 }")
+    assert fvar(rename_var(e, "s2", "s")) == {"s"}
+
+
+# --- the shape table --------------------------------------------------------
+
+def _concrete_exprs(cls=Expr):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_exprs(sub)
+
+
+def test_every_expr_class_is_a_leaf_or_has_a_shape():
+    classes = set(_concrete_exprs())
+    assert classes == set(SHAPES) | LEAVES
+    assert not set(SHAPES) & LEAVES
+
+
+def test_with_children_rebuilds_every_subterm():
+    bodies = [d.body
+              for name in ("bprog1.bpl", "bprog2.bpl", "bprog3.bpl",
+                           "bprog4.bpl", "shift64.bpl")
+              for d in load_corpus(name).decls if isinstance(d, FunDecl)]
+    for seed in range(100):
+        cfg = GenConfig(seed=seed, bytes_match=seed % 2 == 1,
+                        externals=seed % 2 == 1)
+        bodies += [d.body for d in generate_well_typed(cfg).decls
+                   if isinstance(d, FunDecl)]
+    # Neither source has the internal nodes, nor a struct initialization.
+    bodies += [Seq((Repeat(Loc(1, 4), 2), BytesView(1, 0, 14), UnitLit())),
+               parse_expr("s { f = x, g = 1 }")]
+    seen = set()
+    for body in bodies:
+        for t in _subterms(body):
+            seen.add(type(t))
+            assert with_children(t, expr_children(t)) == t
+    assert seen == set(SHAPES) | LEAVES
 
 
 # --- sizes and layout --------------------------------------------------------

@@ -61,6 +61,34 @@ def test_for_body_captures_bounds():
     assert code == "ForBodyCapturesBounds"
 
 
+def test_nested_literal_loops_check_in_linear_time(monkeypatch):
+    # Every call of fvar, the recursive ones too, goes through the counter:
+    # it stands for the work of the disjointness premise.
+    import beepl.core
+    import beepl.typecheck
+
+    calls = 0
+    real_fvar = beepl.core.fvar
+
+    def counting_fvar(e):
+        nonlocal calls
+        calls += 1
+        return real_fvar(e)
+
+    def fvar_calls(n):
+        nonlocal calls
+        p = parse_program("fun main() : int { let _ = "
+                          + "for (0 ... 0, Up) { " * n + "()" + " }" * n
+                          + " in 1 }")
+        calls = 0
+        check_program(p)
+        return calls
+
+    monkeypatch.setattr(beepl.core, "fvar", counting_fvar)
+    monkeypatch.setattr(beepl.typecheck, "fvar", counting_fvar)
+    assert 0 < fvar_calls(80) <= 5 * fvar_calls(20)
+
+
 def test_foo_effect():
     ty, eff = infer_src("let x : int* = ref(2) in let r : int = !x + 1 in r")
     assert (ty, eff) == (INT, effect_of(["alloc", "read"]))
