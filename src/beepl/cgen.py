@@ -24,7 +24,7 @@ from .core import (
     ExtDecl, Field, For, FunDecl, GlobDecl, INT, IntTy, Let, LONG, LongTy,
     Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild,
     RefOp, RefTy, Sign, SomeLit, StructInit, StructTy, Ty, UNIT, UnitTy,
-    UnitLit, Uop, UopKind, VBool, VInt, VLong, VOption, Var,
+    UnitLit, Uop, UopKind, Var,
 )
 from .typecheck import TypedProgram, lane_type
 
@@ -751,12 +751,12 @@ class ProgramEmitter:
         if isinstance(d.init, bytes):
             text = d.init[:-1].decode()
             return f'{prefix}char {d.name}[]{sec} = "{text}";'
-        if isinstance(d.init, VOption):
+        if isinstance(d.init, NoneLit):
             return f"{prefix}{cdecl(d.ty, d.name)}{sec};"
-        if isinstance(d.init, (VInt, VLong)):
-            suffix = "LL" if isinstance(d.init, VLong) else ""
+        if isinstance(d.init, (ConstInt, ConstLong)):
+            suffix = "LL" if isinstance(d.init, ConstLong) else ""
             return f"{prefix}{cdecl(d.ty, d.name)}{sec} = {d.init.value}{suffix};"
-        if isinstance(d.init, VBool):
+        if isinstance(d.init, ConstBool):
             return f"{prefix}{cdecl(d.ty, d.name)}{sec} = " \
                    f"{1 if d.init.value else 0};"
         raise CgenError(f"cannot emit global {d.name}")

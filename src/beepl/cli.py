@@ -11,16 +11,15 @@ import sys
 from pathlib import Path
 
 from .cgen import emit_program
-from .core import VBool, VInt, VLoc, VLong, VOption, VUnit
+from .core import (
+    ConstBool, ConstInt, ConstLong, Loc, NoneLit, SomeLit, UnitLit,
+)
 from .driver import (
     run_cve_corpus, run_differential, run_property_suite,
 )
 from .frontend import FrontendError, parse_program
 from .gen import GenConfig
-from .interp import (
-    DEFAULT_FUEL, ExternalWorld, FuelExhausted, InterpError, StuckState,
-    run_program,
-)
+from .interp import DEFAULT_FUEL, ExternalWorld, InterpError, run_program
 from .typecheck import TypeCheckError, check_program
 
 EXIT_OK = 0
@@ -123,15 +122,17 @@ def cmd_check(args) -> int:
 
 
 def _render_value(v) -> str:
-    if isinstance(v, (VInt, VLong)):
+    if isinstance(v, (ConstInt, ConstLong)):
         return str(v.value)
-    if isinstance(v, VBool):
+    if isinstance(v, ConstBool):
         return "true" if v.value else "false"
-    if isinstance(v, VUnit):
+    if isinstance(v, UnitLit):
         return "()"
-    if isinstance(v, VOption):
-        return "none" if v.value is None else f"some(loc {v.value.block})"
-    if isinstance(v, VLoc):
+    if isinstance(v, NoneLit):
+        return "none"
+    if isinstance(v, SomeLit):
+        return f"some(loc {v.value.block})"
+    if isinstance(v, Loc):
         return f"loc {v.block}+{v.offset}"
     return repr(v)
 
@@ -156,7 +157,7 @@ def cmd_run(args) -> int:
     try:
         result = run_program(tp, world, entry=args.entry, fuel=args.fuel,
                              on_step=on_step)
-    except (StuckState, FuelExhausted, InterpError) as exc:
+    except InterpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     print(_render_value(result.value))

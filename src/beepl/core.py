@@ -364,14 +364,22 @@ class Var(Expr):
 
 @dataclass(frozen=True)
 class ConstInt(Expr):
-    value: int
+    value: int  # canonical signed 32-bit representative
     span: Optional[Span] = _aux_field()
+
+    def __post_init__(self):
+        if not (-(1 << 31) <= self.value < (1 << 31)):
+            raise CoreError(f"int literal out of range: {self.value}")
 
 
 @dataclass(frozen=True)
 class ConstLong(Expr):
     value: int
     span: Optional[Span] = _aux_field()
+
+    def __post_init__(self):
+        if not (-(1 << 63) <= self.value < (1 << 63)):
+            raise CoreError(f"long literal out of range: {self.value}")
 
 
 @dataclass(frozen=True)
@@ -439,8 +447,9 @@ class Field(Expr):
 @dataclass(frozen=True)
 class NoneLit(Expr):
     span: Optional[Span] = _aux_field()
-    # Also set by evaluation when a null option value re-enters expression
-    # position, so that re-inference can type it.
+    # Also set by evaluation when it reads a null option from a typed
+    # variable or receives one from a helper, so that re-inference can type
+    # it.
     ty: Optional[Ty] = _aux_field()
 
 
@@ -567,100 +576,30 @@ def pattern_binders(p: Pattern) -> frozenset[str]:
 # Values
 # ---------------------------------------------------------------------------
 
-class Value:
-    __slots__ = ()
+# A value is an expression evaluation stops at: a literal, a location, a byte
+# view, ``none``, or ``some`` around a location.  Memory cells, helper results
+# and global initializers hold these nodes too.
+_VALUE_CLASSES = frozenset({UnitLit, ConstBool, ConstInt, ConstLong, Loc,
+                            BytesView, NoneLit})
+
+
+def is_value(e: Expr) -> bool:
+    cls = type(e)
+    return cls in _VALUE_CLASSES or (cls is SomeLit and type(e.value) is Loc)
+
+
+# The value names of the semantics, as aliases of the nodes they denote.
+VUnit = UnitLit
+VBool = ConstBool
+VInt = ConstInt
+VLong = ConstLong
+VLoc = Loc
+VBytes = BytesView
 
 
 @dataclass(frozen=True)
-class VUnit(Value):
-    pass
-
-
-@dataclass(frozen=True)
-class VBool(Value):
-    value: bool
-
-
-@dataclass(frozen=True)
-class VInt(Value):
-    value: int  # canonical signed 32-bit representative
-
-    def __post_init__(self):
-        if not (-(1 << 31) <= self.value < (1 << 31)):
-            raise CoreError(f"VInt out of range: {self.value}")
-
-
-@dataclass(frozen=True)
-class VLong(Value):
-    value: int
-
-    def __post_init__(self):
-        if not (-(1 << 63) <= self.value < (1 << 63)):
-            raise CoreError(f"VLong out of range: {self.value}")
-
-
-@dataclass(frozen=True)
-class VLoc(Value):
-    block: int
-    offset: int = 0
-
-
-@dataclass(frozen=True)
-class VOption(Value):
-    value: Optional[VLoc]  # None models the null case
-
-
-@dataclass(frozen=True)
-class VBytes(Value):
-    block: int
-    offset: int
-    length: int
-
-
-@dataclass(frozen=True)
-class VUndef(Value):
-    """Internal sentinel; must never escape evaluation of a well-typed program."""
-
-
-def value_to_expr(v: Value) -> Expr:
-    if isinstance(v, VUnit):
-        return UnitLit()
-    if isinstance(v, VBool):
-        return ConstBool(v.value)
-    if isinstance(v, VInt):
-        return ConstInt(v.value)
-    if isinstance(v, VLong):
-        return ConstLong(v.value)
-    if isinstance(v, VLoc):
-        return Loc(v.block, v.offset)
-    if isinstance(v, VOption):
-        if v.value is None:
-            return NoneLit()
-        return SomeLit(Loc(v.value.block, v.value.offset))
-    if isinstance(v, VBytes):
-        return BytesView(v.block, v.offset, v.length)
-    raise CoreError(f"value {v} has no expression form")
-
-
-# Value forms by node class.  The interpreter asks this of every node on the
-# path to each redex, so one lookup answers the common case, a non-value.
-_VALUE_FORMS = {
-    UnitLit: lambda e: VUnit(),
-    ConstBool: lambda e: VBool(e.value),
-    ConstInt: lambda e: VInt(e.value),
-    ConstLong: lambda e: VLong(e.value),
-    Loc: lambda e: VLoc(e.block, e.offset),
-    NoneLit: lambda e: VOption(None),
-    SomeLit: lambda e: (VOption(VLoc(e.value.block, e.value.offset))
-                        if isinstance(e.value, Loc) else None),
-    BytesView: lambda e: VBytes(e.block, e.offset, e.length),
-}
-
-
-def expr_to_value(e: Expr) -> Optional[Value]:
-    """The value denoted by a fully-evaluated expression, else None."""
-    form = _VALUE_FORMS.get(type(e))
-    return form(e) if form is not None else None
+class VUndef:
+    """Internal sentinel for an undefined result; never an expression."""
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +640,7 @@ class ExtDecl:
 class GlobDecl:
     name: str
     ty: Ty
-    init: Union[Value, bytes]  # bytes for string initializers
+    init: Union[Expr, bytes]  # a value node, or bytes for a string
     sec: Optional[str] = None
     span: Optional[Span] = _aux_field()
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from .cgen import emit_program
 from .core import (
-    EffectAtom, Expr, Program, RefTy, StructTy, VInt, VLong, VUndef, Value,
+    ConstInt, ConstLong, EffectAtom, Expr, Program, RefTy, StructTy,
     effect_subset,
 )
 from .frontend import parse_program, print_program
@@ -86,7 +86,7 @@ class SuiteSummary:
 class AuditResult:
     violations: list[str]
     steps: int
-    value: Optional[Value] = None
+    value: Optional[Expr] = None
 
 
 def _audit_ctx(tp: TypedProgram, s: State) -> TypingContext:
@@ -143,8 +143,6 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
 
     try:
         value = eval_multi(s, world, expr, fuel, guard_unsafe, recheck).value
-        if isinstance(value, VUndef):
-            violations.append("evaluation produced undef")
     except StuckState as exc:
         violations.append(f"stuck after {steps} steps: {exc.reason}")
     except FuelExhausted:
@@ -296,7 +294,7 @@ def _differential_one(program: Program, compiler: str, tmp: Path,
                          timeout=30)
     line = run.stdout.strip().splitlines()[0] if run.stdout.strip() else ""
     expected = interp.value
-    if not isinstance(expected, (VInt, VLong)):
+    if not isinstance(expected, (ConstInt, ConstLong)):
         return RunReport(f"d{idx}", seed, "violation",
                          violations=["entry did not return an integer"],
                          reproducer=print_program(program))
@@ -380,7 +378,7 @@ def _check_bprog3() -> Optional[str]:
     if not NULL_GUARD.search(text):
         return "emitted C lacks a NULL guard on the looked-up pointer"
     r = run_program(tp)
-    if r.value != VInt(-1):
+    if r.value != ConstInt(-1):
         return f"lookup miss returned {r.value}, expected -1"
     return None
 
@@ -396,13 +394,13 @@ if r0 != 0 then w1 % w0 else w1
 def _check_bprog1() -> Optional[str]:
     tp = check_program(load_corpus("bprog1.bpl"))
     r = run_program(tp)
-    if r.value != VInt(2):
+    if r.value != ConstInt(2):
         return f"bprog1 returned {r.value}, expected XDP_PASS (2)"
     # The mod itself: truncation makes the divisor zero, the guard yields 0.
     from .typecheck import check_source
     probe = check_source("fun main() : int { %s }" % FIG2_ANALOG_EXPR)
     r2 = run_program(probe)
-    if r2.value != VInt(0):
+    if r2.value != ConstInt(0):
         return f"w1 % w0 evaluated to {r2.value}, expected 0"
     text = _normalize_c(emit_program(tp, "ebpf").text)
     if not ZERO_DIV_GUARD.search(text):
@@ -421,7 +419,7 @@ def _check_bprog4() -> Optional[str]:
         return "field access appears before the bounds check"
     r = run_program(tp, ExternalWorld(
         packet=bytes(12) + bytes([0x86, 0xDD]) + bytes(4)))
-    if r.value != VInt(1):
+    if r.value != ConstInt(1):
         return f"IPv6 packet gave {r.value}, expected XDP_DROP (1)"
     return None
 
@@ -429,6 +427,6 @@ def _check_bprog4() -> Optional[str]:
 def _check_shift() -> Optional[str]:
     tp = check_program(load_corpus("shift64.bpl"))
     r = run_program(tp)
-    if r.value != VLong(0):
+    if r.value != ConstLong(0):
         return f"oversized shift gave {r.value}, expected 0"
     return None

@@ -18,7 +18,7 @@ from .core import (
     I16, INT, IntTy, Let, LONG, Loc, LongTy, Match, NoneLit, OptionTy,
     Pattern, Pbytes, Pnone, Program, Prim, Psome, Pwild, RefOp, RefTy, Seq,
     Sign, SomeLit, Span, StructInit, StructTy, Ty, U8, U16, U32, ULONG, UNIT,
-    UnitLit, Uop, UopKind, Var, VBool, VInt, VLong, VOption,
+    UnitLit, Uop, UopKind, Var,
 )
 
 
@@ -412,21 +412,21 @@ class Parser:
         if self.at("string"):
             return self.expect("string").lexeme.encode() + b"\x00"
         if self.accept("kw", "none"):
-            return VOption(None)
+            return NoneLit()
         if self.accept("kw", "true"):
-            return VBool(True)
+            return ConstBool(True)
         if self.accept("kw", "false"):
-            return VBool(False)
+            return ConstBool(False)
         neg = bool(self.accept("punct", "-"))
         t = self.expect("int", what="initial value")
         value = -t.value if neg else t.value
         if isinstance(ty, LongTy):
-            return VLong(value)
+            return ConstLong(value)
         if isinstance(ty, IntTy):
             if not (-(1 << 31) <= value < (1 << 32)):
                 self.fail("initializer too wide for its declared type", t.span,
                           code="P003")
-            return VInt(value if value <= INT_MAX else value - (1 << 32))
+            return ConstInt(value if value <= INT_MAX else value - (1 << 32))
         self.fail(f"cannot initialize a global of this type from a literal",
                   t.span)
 
@@ -595,11 +595,13 @@ class Parser:
                 self.pos += 1
                 operand = self.parse_expr(_UNARY_PREC)
                 # Fold negated literals so printed constants re-parse
-                # structurally; INT_MIN is an int literal.
+                # structurally; INT_MIN is an int literal, and -INT_MIN,
+                # like any literal past INT_MAX, is a long one.
                 if lexeme == "-" and isinstance(operand,
                                                 (ConstInt, ConstLong)):
                     value = -operand.value
-                    if isinstance(operand, ConstInt) or value == -(1 << 31):
+                    if value == -(1 << 31) or (isinstance(operand, ConstInt)
+                                               and value <= INT_MAX):
                         return ConstInt(value, span=t.span)
                     return ConstLong(value, span=t.span)
                 return Prim(op, (operand,), span=t.span)
@@ -927,15 +929,5 @@ def print_program(p: Program) -> str:
             if d.sec is not None:
                 lines.append(f'#section "{d.sec}"')
             lines.append(f"global {d.name} : {print_type(d.ty)} = "
-                         f"{_print_glob_init(d.init)};")
+                         f"{print_expr(d.init)};")
     return "\n".join(lines) + "\n"
-
-
-def _print_glob_init(v) -> str:
-    if isinstance(v, VOption) and v.value is None:
-        return "none"
-    if isinstance(v, (VInt, VLong)):
-        return str(v.value)
-    if isinstance(v, VBool):
-        return "true" if v.value else "false"
-    raise UnprintableInternalNode(f"cannot print global initializer {v!r}")

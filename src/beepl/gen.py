@@ -16,7 +16,7 @@ from .core import (
     ConstInt, ConstLong, Deref, Direction, Expr, Field, For, FunDecl,
     GlobDecl, INT, Let, LONG, LongTy, Match, NoneLit, OptionTy, Pbytes,
     Pnone, Prim, Program, Psome, Pwild, RefOp, RefTy, SomeLit, StructTy, Ty,
-    U16, U32, U8, UNIT, UnitLit, Uop, UopKind, VOption, Var, expr_children,
+    U16, U32, U8, UNIT, UnitLit, Uop, UopKind, Var, expr_children,
     fvar, pattern_binders, with_children,
 )
 from .typecheck import TypeCheckError, check_program
@@ -92,7 +92,7 @@ def _gen_program(rng: random.Random, cfg: GenConfig) -> Program:
     if cfg.externals and rng.random() < 0.8:
         decls.append(GlobDecl("counter_table",
                               OptionTy(RefTy(StructTy("bpf_map"))),
-                              VOption(None), sec=".maps"))
+                              NoneLit(), sec=".maps"))
         env.has_map = True
     n_aux = rng.randrange(0, cfg.max_decls)
     for i in range(n_aux):

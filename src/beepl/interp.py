@@ -15,16 +15,17 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 from .core import (
-    App, ArrayTy, Assign, BOOL, BoolTy, Bop, BopKind, BYTES, BytesTy,
-    Cast, Composite, Cond, Deref, Direction, Expr, Field, For, FunDecl,
-    GlobDecl, INT, IntTy, Let, Loc, LONG, LongTy, Match, NoneLit, OptionTy,
-    Pbytes, Pnone, Prim, Psome, Pwild, RefOp, RefTy, Repeat, Seq, Sign,
-    SomeLit, StructInit, StructTy, Ty, UNIT, UnitLit, Uop, UopKind, VBool,
-    VBytes, VInt, VLoc, VLong, VOption, VUndef, VUnit, Value, Var,
-    SHAPES, expr_to_value, rename_var, sizeof, struct_layout, subst,
-    value_to_expr,
+    App, ArrayTy, Assign, BoolTy, Bop, BopKind, BYTES, BytesTy, BytesView,
+    Cast, Composite, Cond, ConstBool, ConstInt, ConstLong, Deref, Direction,
+    Expr, Field, For, FunDecl, GlobDecl, IntTy, Let, Loc, LONG, LongTy,
+    Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild, RefOp,
+    RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty, UNIT,
+    UnitLit, Uop, UopKind, VUndef, Var, SHAPES, is_value, rename_var, sizeof,
+    struct_layout, subst,
 )
-from .typecheck import TypedProgram
+from .typecheck import (
+    TypeCheckError, TypedProgram, TypingContext, infer_expr,
+)
 
 
 class InterpError(Exception):
@@ -58,7 +59,7 @@ class Perm(Enum):
 class Block:
     size: int
     perm: Perm = Perm.FREEABLE
-    cells: dict[int, Value] = dc_field(default_factory=dict)
+    cells: dict[int, Expr] = dc_field(default_factory=dict)
     raw: Optional[bytearray] = None
 
 
@@ -79,13 +80,13 @@ class Memory:
         b = self.blocks.get(bid)
         return b is not None and b.perm is perm
 
-    def load(self, bid: int, off: int) -> Optional[Value]:
+    def load(self, bid: int, off: int) -> Optional[Expr]:
         b = self.blocks.get(bid)
         if b is None:
             return None
         return b.cells.get(off)
 
-    def store(self, bid: int, off: int, v: Value) -> bool:
+    def store(self, bid: int, off: int, v: Expr) -> bool:
         b = self.blocks.get(bid)
         if b is None:
             return False
@@ -148,50 +149,50 @@ class ExternalWorld:
     io_log: list[str] = dc_field(default_factory=list)
     map_blocks: dict[int, str] = dc_field(default_factory=dict)
 
-    def call(self, name: str, args: list[Value], state: State,
-             res_type: Ty) -> Value:
+    def call(self, name: str, args: list[Expr], state: State,
+             res_type: Ty) -> Expr:
         self.io_log.append(name)
         if name == "bpf_get_current_uid_gid":
-            return VLong(wrap(self.uid_gid, 64))
+            return ConstLong(wrap(self.uid_gid, 64))
         if name == "bpf_map_lookup_elem":
             return self._map_lookup(args, state)
         # Unknown externals answer with the zero value of their result type,
         # keeping evaluation total and deterministic.
         return zero_value(res_type)
 
-    def _map_lookup(self, args: list[Value], state: State) -> Value:
+    def _map_lookup(self, args: list[Expr], state: State) -> Expr:
         if len(args) != 2:
-            return VOption(None)
+            return NoneLit()
         m, k = args
-        if not (isinstance(m, VOption) and m.value is not None):
-            return VOption(None)
+        if type(m) is not SomeLit:
+            return NoneLit()
         name = self.map_blocks.get(m.value.block)
         if name is None:
-            return VOption(None)
-        if not (isinstance(k, VOption) and k.value is not None):
-            return VOption(None)
+            return NoneLit()
+        if type(k) is not SomeLit:
+            return NoneLit()
         kv = state.theta.load(k.value.block, k.value.offset)
-        if not isinstance(kv, (VInt, VLong)):
-            return VOption(None)
+        if not isinstance(kv, (ConstInt, ConstLong)):
+            return NoneLit()
         stored = self.maps.get(name, {}).get(kv.value)
         if stored is None:
-            return VOption(None)
+            return NoneLit()
         bid = state.theta.alloc(8)
-        state.theta.store(bid, 0, VLong(wrap(stored, 64)))
+        state.theta.store(bid, 0, ConstLong(wrap(stored, 64)))
         state.sigma[bid] = LONG
-        return VOption(VLoc(bid, 0))
+        return SomeLit(Loc(bid, 0))
 
 
-def zero_value(ty: Ty) -> Value:
+def zero_value(ty: Ty) -> Expr:
     if isinstance(ty, IntTy):
-        return VInt(0)
+        return ConstInt(0)
     if isinstance(ty, LongTy):
-        return VLong(0)
+        return ConstLong(0)
     if isinstance(ty, BoolTy):
-        return VBool(False)
+        return ConstBool(False)
     if isinstance(ty, OptionTy):
-        return VOption(None)
-    return VUnit()
+        return NoneLit()
+    return UnitLit()
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +204,15 @@ def wrap(v: int, bits: int) -> int:
     return v - (1 << bits) if v >= (1 << (bits - 1)) else v
 
 
-def _lane_bits(v: Value) -> int:
-    return 32 if isinstance(v, VInt) else 64
+def _lane_bits(v: Expr) -> int:
+    return 32 if type(v) is ConstInt else 64
 
 
-def _mk(bits: int, v: int) -> Value:
-    return VInt(wrap(v, 32)) if bits == 32 else VLong(wrap(v, 64))
+def _mk(bits: int, v: int) -> Expr:
+    return ConstInt(wrap(v, 32)) if bits == 32 else ConstLong(wrap(v, 64))
 
 
-def unsafe(op: BopKind, v1: Value, v2: Value) -> bool:
+def unsafe(op: BopKind, v1: Expr, v2: Expr) -> bool:
     """Operand pairs whose C meaning would be undefined; they evaluate to 0."""
     if op not in (BopKind.DIV, BopKind.MOD, BopKind.SHL, BopKind.SHR):
         return False
@@ -230,24 +231,24 @@ def _trunc_div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
-def bop_sem(op: BopKind, v1: Value, v2: Value) -> Value:
+def bop_sem(op: BopKind, v1: Expr, v2: Expr) -> Union[Expr, VUndef]:
     """Two's-complement wrapping semantics at the operand width.
 
     Unsafe operand pairs yield the undef sentinel; the BOPV guard normally
     intercepts them first and returns zero instead.
     """
     if op is BopKind.LAND:
-        return VBool(v1.value and v2.value)
+        return ConstBool(v1.value and v2.value)
     if op is BopKind.LOR:
-        return VBool(v1.value or v2.value)
+        return ConstBool(v1.value or v2.value)
     if op is BopKind.EQ:
-        return VBool(v1.value == v2.value)
+        return ConstBool(v1.value == v2.value)
     if op is BopKind.NE:
-        return VBool(v1.value != v2.value)
+        return ConstBool(v1.value != v2.value)
     if op in (BopKind.LT, BopKind.LE, BopKind.GT, BopKind.GE):
         a, b = v1.value, v2.value
-        return VBool({BopKind.LT: a < b, BopKind.LE: a <= b,
-                      BopKind.GT: a > b, BopKind.GE: a >= b}[op])
+        return ConstBool({BopKind.LT: a < b, BopKind.LE: a <= b,
+                          BopKind.GT: a > b, BopKind.GE: a >= b}[op])
     if unsafe(op, v1, v2):
         return VUndef()
     bits = _lane_bits(v1)
@@ -275,22 +276,22 @@ def bop_sem(op: BopKind, v1: Value, v2: Value) -> Value:
     raise InterpError(f"bop_sem: unknown operator {op}")
 
 
-def uop_sem(op, v: Value) -> Value:
+def uop_sem(op, v: Expr) -> Expr:
     if isinstance(op, Uop):
         if op.kind is UopKind.NEG:
             return _mk(_lane_bits(v), -v.value)
         if op.kind is UopKind.BITNOT:
             return _mk(_lane_bits(v), ~v.value)
         if op.kind is UopKind.LOGNOT:
-            return VBool(not v.value)
+            return ConstBool(not v.value)
     if isinstance(op, Cast):
         if isinstance(op.target, IntTy):
-            return VInt(wrap(v.value, 32))
-        return VLong(wrap(v.value, 64))
+            return ConstInt(wrap(v.value, 32))
+        return ConstLong(wrap(v.value, 64))
     raise InterpError(f"uop_sem: unknown operator {op}")
 
 
-def range_count(v1: Value, v2: Value, d: Direction) -> int:
+def range_count(v1: Expr, v2: Expr, d: Direction) -> int:
     """Inclusive iteration count of a for-loop; empty ranges give zero."""
     if d is Direction.UP:
         return max(0, v2.value - v1.value + 1)
@@ -301,23 +302,23 @@ def range_count(v1: Value, v2: Value, d: Direction) -> int:
 # Byte extraction
 # ---------------------------------------------------------------------------
 
-def _decode_prim(data: bytes, ty: Ty) -> Value:
+def _decode_prim(data: bytes, ty: Ty) -> Expr:
     if isinstance(ty, BoolTy):
-        return VBool(data[0] != 0)
+        return ConstBool(data[0] != 0)
     raw = int.from_bytes(data, "little", signed=False)
     if isinstance(ty, IntTy):
         if ty.sign is Sign.SIGNED:
             raw = wrap(raw, ty.size)
-        return VInt(wrap(raw, 32))
+        return ConstInt(wrap(raw, 32))
     if isinstance(ty, LongTy):
-        return VLong(wrap(raw, 64))
+        return ConstLong(wrap(raw, 64))
     raise InterpError(f"cannot decode {ty} from bytes")
 
 
-def extract(v: VBytes, target: Ty, theta: Memory,
+def extract(v: BytesView, target: Ty, theta: Memory,
             composites: dict[str, Composite],
             sigma: Optional[dict[int, Ty]] = None
-            ) -> tuple[Value, dict[str, Value]]:
+            ) -> tuple[Expr, dict[str, Expr]]:
     """Decode a structured value from a byte region (little-endian fields).
 
     Raises TooShort when the region cannot hold the target, which sends
@@ -337,7 +338,7 @@ def extract(v: VBytes, target: Ty, theta: Memory,
     co = composites[target.sid]
     offsets, _, _ = struct_layout(co, composites)
     bid = theta.alloc(size)
-    values: dict[str, Value] = {}
+    values: dict[str, Expr] = {}
     for fname, fty in co.fields:
         if isinstance(fty, (ArrayTy, BytesTy)):
             continue  # aggregate fields are not readable as values
@@ -347,7 +348,7 @@ def extract(v: VBytes, target: Ty, theta: Memory,
         theta.store(bid, off, values[fname])
     if sigma is not None:
         sigma[bid] = target
-    return VLoc(bid, 0), values
+    return Loc(bid, 0), values
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,7 @@ class Stepped:
 
 @dataclass
 class IsValue:
-    value: Value
+    value: Expr
 
 
 @dataclass
@@ -378,20 +379,18 @@ class _StuckSignal(Exception):
         self.reason = reason
 
 
-def _typed_value_expr(v: Value, ty: Optional[Ty]) -> Expr:
-    """Like value_to_expr, but keeps a null option typeable."""
-    e = value_to_expr(v)
-    if isinstance(e, NoneLit) and isinstance(ty, OptionTy):
+def _typed_value_expr(v: Expr, ty: Optional[Ty]) -> Expr:
+    """v, with a null option given its type so that re-inference can type it."""
+    if type(v) is NoneLit and isinstance(ty, OptionTy):
         return NoneLit(ty=ty)
-    return e
+    return v
 
 
 def step(s: State, w: ExternalWorld, e: Expr,
          guard_unsafe: bool = True) -> StepOutcome:
     """One computational step; exactly one rule applies to a non-value."""
-    v = expr_to_value(e)
-    if v is not None:
-        return IsValue(v)
+    if is_value(e):
+        return IsValue(e)
     try:
         expr, rule = _step(s, w, e, guard_unsafe)
         return Stepped(expr, rule)
@@ -437,18 +436,17 @@ def _step(s: State, w: ExternalWorld, e: Expr,
     """
     frames = []  # (node, shape, children, hole index), outermost first
     while True:
-        values: list[Value] = []
+        values: list[Expr] = []
         hole = None
         context = _CONTEXTS.get(type(e))
         if context is not None:
             shape, start, stop = context
             children = shape.children(e)
             for i in range(start, len(children) if stop is None else stop):
-                v = expr_to_value(children[i])
-                if v is None:
+                if not is_value(children[i]):
                     hole = i
                     break
-                values.append(v)
+                values.append(children[i])
         if hole is None:
             break
         frames.append((e, shape, children, hole))
@@ -462,36 +460,36 @@ def _step(s: State, w: ExternalWorld, e: Expr,
     return out, name
 
 
-def _step_let(s: State, w: ExternalWorld, e: Let, values: list[Value],
+def _step_let(s: State, w: ExternalWorld, e: Let, values: list[Expr],
               guard: bool) -> tuple[Expr, str]:
     if e.name == "_":
         return e.body, "LETV"
     return subst(e.body, e.name, e.bound), "LETV"
 
 
-def _step_cond(s: State, w: ExternalWorld, e: Cond, values: list[Value],
+def _step_cond(s: State, w: ExternalWorld, e: Cond, values: list[Expr],
                guard: bool) -> tuple[Expr, str]:
     gv, = values
-    if not isinstance(gv, VBool):
+    if type(gv) is not ConstBool:
         _stuck("condition guard is not a boolean")
     return (e.then, "CONDT") if gv.value else (e.otherwise, "CONDF")
 
 
-def _step_seq(s: State, w: ExternalWorld, e: Seq, values: list[Value],
+def _step_seq(s: State, w: ExternalWorld, e: Seq, values: list[Expr],
               guard: bool) -> tuple[Expr, str]:
     if len(e.parts) == 1:
         return e.parts[0], "SEQT"
     return Seq(e.parts[1:]), "SEQT"
 
 
-def _step_repeat(s: State, w: ExternalWorld, e: Repeat, values: list[Value],
+def _step_repeat(s: State, w: ExternalWorld, e: Repeat, values: list[Expr],
                  guard: bool) -> tuple[Expr, str]:
     if e.count <= 0:
         return UnitLit(), "FORV0"
     return Seq((e.body, Repeat(e.body, e.count - 1))), "FORVN"
 
 
-def _step_var(s: State, w: ExternalWorld, e: Var, values: list[Value],
+def _step_var(s: State, w: ExternalWorld, e: Var, values: list[Expr],
               guard: bool) -> tuple[Expr, str]:
     if e.name in s.omega:
         block, ty = s.omega[e.name]
@@ -510,34 +508,37 @@ def _step_var(s: State, w: ExternalWorld, e: Var, values: list[Value],
     _stuck(f"unbound variable {e.name!r}")
 
 
-def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Value],
+def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Expr],
                guard: bool) -> tuple[Expr, str]:
     op = e.op
     if isinstance(op, RefOp):
         v, = values
-        ty = _typeof_value(s, v)
+        try:
+            ty, _ = infer_expr(TypingContext(sigma=s.sigma), v)
+        except TypeCheckError as exc:
+            _stuck(f"cannot type the referenced value: {exc.message}")
         bid = s.theta.alloc(sizeof(ty, s.composites))
         s.theta.store(bid, 0, v)
         s.sigma[bid] = ty
         return Loc(bid, 0), "REFV"
     if isinstance(op, Deref):
         v, = values
-        if isinstance(v, VOption):
+        if isinstance(v, (NoneLit, SomeLit)):
             s.monitors.null_deref_events += 1
             _stuck("dereference of an option value")
-        if not isinstance(v, VLoc):
+        if type(v) is not Loc:
             _stuck("dereference of a non-location")
         cell = s.theta.load(v.block, v.offset)
         if cell is None:
             s.monitors.uninit_read_events += 1
             _stuck("read of uninitialized memory")
-        return value_to_expr(cell), "DREFV"
+        return cell, "DREFV"
     if isinstance(op, Assign):
         lv, rv = values
-        if isinstance(lv, VOption):
+        if isinstance(lv, (NoneLit, SomeLit)):
             s.monitors.null_deref_events += 1
             _stuck("assignment through an option value")
-        if not isinstance(lv, VLoc):
+        if type(lv) is not Loc:
             _stuck("assignment through a non-location")
         if not s.theta.store(lv.block, lv.offset, rv):
             _stuck("assignment into an invalid block")
@@ -548,44 +549,20 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Value],
         if isinstance(result, VUndef):
             s.monitors.undef_events += 1
             _stuck("unary operator produced undef")
-        return value_to_expr(result), "UOPV"
+        return result, "UOPV"
     if isinstance(op, Bop):
         lv, rv = values
         if guard and unsafe(op.kind, lv, rv):
-            zero = VInt(0) if isinstance(lv, VInt) else VLong(0)
-            return value_to_expr(zero), "BOPV"
+            return _mk(_lane_bits(lv), 0), "BOPV"
         result = bop_sem(op.kind, lv, rv)
         if isinstance(result, VUndef):
             s.monitors.undef_events += 1
             _stuck("binary operator produced undef")
-        return value_to_expr(result), "BOPV"
+        return result, "BOPV"
     _stuck(f"unknown primitive {op!r}")
 
 
-def _typeof_value(s: State, v: Value) -> Ty:
-    if isinstance(v, VInt):
-        return INT
-    if isinstance(v, VLong):
-        return LONG
-    if isinstance(v, VBool):
-        return BOOL
-    if isinstance(v, VUnit):
-        return UNIT
-    if isinstance(v, VBytes):
-        return BYTES
-    if isinstance(v, VLoc):
-        content = s.sigma.get(v.block)
-        if content is None:
-            _stuck(f"location {v.block} has no store typing")
-        return RefTy(content)
-    if isinstance(v, VOption):
-        if v.value is None:
-            _stuck("cannot type a bare none value")
-        return OptionTy(_typeof_value(s, v.value))
-    _stuck(f"cannot type value {v!r}")
-
-
-def _step_app(s: State, w: ExternalWorld, e: App, values: list[Value],
+def _step_app(s: State, w: ExternalWorld, e: App, values: list[Expr],
               guard: bool) -> tuple[Expr, str]:
     if not isinstance(e.callee, Var):
         _stuck("callee is not a function name")
@@ -605,7 +582,7 @@ def _external_result_type(s: State, name: str) -> Optional[Ty]:
     return sig.res_type if sig is not None else None
 
 
-def _apply_fun(s: State, fd: FunDecl, values: list[Value]) -> Expr:
+def _apply_fun(s: State, fd: FunDecl, values: list[Expr]) -> Expr:
     if len(values) != len(fd.args):
         _stuck(f"arity mismatch calling {fd.name!r}")
     body = fd.body
@@ -630,12 +607,12 @@ def _apply_fun(s: State, fd: FunDecl, values: list[Value]) -> Expr:
         if isinstance(ty, RefTy) and isinstance(ty.target, StructTy):
             sb = s.theta.alloc(sizeof(ty.target, s.composites))
             s.sigma[sb] = ty.target
-            s.theta.store(bid, 0, VLoc(sb, 0))
+            s.theta.store(bid, 0, Loc(sb, 0))
     return body
 
 
 def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
-                      values: list[Value], guard: bool) -> tuple[Expr, str]:
+                      values: list[Expr], guard: bool) -> tuple[Expr, str]:
     if e.name not in s.omega:
         _stuck(f"struct variable {e.name!r} is not allocated")
     var_block, var_ty = s.omega[e.name]
@@ -646,27 +623,27 @@ def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
     if co is None:
         _stuck(f"unknown struct {sid!r}")
     existing = s.theta.load(var_block, 0)
-    if isinstance(existing, VLoc):
+    if type(existing) is Loc:
         sb = existing.block  # re-initialization reuses the allocation
     else:
         sb = s.theta.alloc(sizeof(var_ty.target, s.composites))
         s.sigma[sb] = var_ty.target
-        s.theta.store(var_block, 0, VLoc(sb, 0))
+        s.theta.store(var_block, 0, Loc(sb, 0))
     offsets, _, _ = struct_layout(co, s.composites)
     for (fname, _), v in zip(e.fields, values):
         s.theta.store(sb, offsets[fname], v)
     return Loc(sb, 0), "STRUCTV"
 
 
-def _step_field(s: State, w: ExternalWorld, e: Field, values: list[Value],
+def _step_field(s: State, w: ExternalWorld, e: Field, values: list[Expr],
                 guard: bool) -> tuple[Expr, str]:
     tv, = values
-    if isinstance(tv, VOption):
-        if tv.value is None:
-            s.monitors.null_deref_events += 1
-            _stuck("field access through a null option")
+    if type(tv) is NoneLit:
+        s.monitors.null_deref_events += 1
+        _stuck("field access through a null option")
+    if type(tv) is SomeLit:
         tv = tv.value
-    if not isinstance(tv, VLoc):
+    if type(tv) is not Loc:
         _stuck("field access on a non-location")
     content = s.sigma.get(tv.block)
     if not isinstance(content, StructTy):
@@ -681,19 +658,19 @@ def _step_field(s: State, w: ExternalWorld, e: Field, values: list[Value],
     if cell is None:
         s.monitors.uninit_read_events += 1
         _stuck(f"read of uninitialized field {e.fname!r}")
-    return value_to_expr(cell), "FACCESSV"
+    return cell, "FACCESSV"
 
 
-def _step_for(s: State, w: ExternalWorld, e: For, values: list[Value],
+def _step_for(s: State, w: ExternalWorld, e: For, values: list[Expr],
               guard: bool) -> tuple[Expr, str]:
     lv, hv = values
-    if not isinstance(lv, (VInt, VLong)) or type(lv) is not type(hv):
+    if not isinstance(lv, (ConstInt, ConstLong)) or type(lv) is not type(hv):
         _stuck("loop bounds are not matching numeric values")
     n = range_count(lv, hv, e.direction)
     return Repeat(e.body, n), "FORV"
 
 
-def _step_match(s: State, w: ExternalWorld, e: Match, values: list[Value],
+def _step_match(s: State, w: ExternalWorld, e: Match, values: list[Expr],
                 guard: bool) -> tuple[Expr, str]:
     sv, = values
 
@@ -703,23 +680,22 @@ def _step_match(s: State, w: ExternalWorld, e: Match, values: list[Value],
                 return p, body
         return None
 
-    if isinstance(sv, VOption):
-        if sv.value is None:
-            arm = find(lambda p: isinstance(p, Pnone)) or \
-                find(lambda p: isinstance(p, Pwild))
-            if arm is None:
-                _stuck("no arm matches none")
-            return arm[1], "MNONE"
+    if type(sv) is NoneLit:
+        arm = find(lambda p: isinstance(p, Pnone)) or \
+            find(lambda p: isinstance(p, Pwild))
+        if arm is None:
+            _stuck("no arm matches none")
+        return arm[1], "MNONE"
+    if type(sv) is SomeLit:
         arm = find(lambda p: isinstance(p, Psome))
         if arm is not None:
             p, body = arm
-            return subst(body, p.binder,
-                         Loc(sv.value.block, sv.value.offset)), "MSOME"
+            return subst(body, p.binder, sv.value), "MSOME"
         arm = find(lambda p: isinstance(p, Pwild))
         if arm is None:
             _stuck("no arm matches some")
         return arm[1], "MSOME"
-    if isinstance(sv, VBytes):
+    if type(sv) is BytesView:
         arm = find(lambda p: isinstance(p, Pbytes))
         fallback = find(lambda p: isinstance(p, Pwild))
         if arm is None:
@@ -735,8 +711,8 @@ def _step_match(s: State, w: ExternalWorld, e: Match, values: list[Value],
         out = body
         for y, yv in bindings.items():
             if any(y == name for name, _ in p.fields):
-                out = subst(out, y, value_to_expr(yv))
-        out = subst(out, p.binder, value_to_expr(vx))
+                out = subst(out, y, yv)
+        out = subst(out, p.binder, vx)
         return out, "MBYTES"
     _stuck("match scrutinee is neither an option nor bytes")
 
@@ -760,7 +736,7 @@ DEFAULT_FUEL = 10 ** 6
 @dataclass
 class EvalResult:
     state: State
-    value: Value
+    value: Expr
     steps: int
 
 
@@ -819,7 +795,7 @@ def _alloc_global(s: State, w: ExternalWorld, gd: GlobDecl) -> None:
         s.sigma[ob] = target
         if target.sid == "bpf_map":
             w.map_blocks[ob] = gd.name
-        init = VOption(VLoc(ob, 0))
+        init = SomeLit(Loc(ob, 0))
     s.theta.store(bid, 0, init)
     s.delta[gd.name] = GlobalBinding(bid, gd.ty)
 
@@ -834,7 +810,7 @@ def make_context_arg(s: State, w: ExternalWorld, sid: str) -> Expr:
     co = s.composites[sid]
     offsets, _, _ = struct_layout(co, s.composites)
     if "data" in offsets:
-        s.theta.store(cb, offsets["data"], VBytes(pb, 0, len(w.packet)))
+        s.theta.store(cb, offsets["data"], BytesView(pb, 0, len(w.packet)))
     return SomeLit(Loc(cb, 0))
 
 
@@ -847,7 +823,7 @@ def entry_call(tp: TypedProgram, s: State, w: ExternalWorld,
                 and ty.inner.target.sid in s.composites:
             args.append(make_context_arg(s, w, ty.inner.target.sid))
         elif isinstance(ty, (IntTy, LongTy, BoolTy)) or ty == UNIT:
-            args.append(value_to_expr(zero_value(ty)))
+            args.append(zero_value(ty))
         elif isinstance(ty, OptionTy):
             args.append(NoneLit())
         else:

@@ -19,9 +19,9 @@ from .core import (
     FunDecl, GlobDecl, INT, IO, IntTy, LOGIC_BOPS, LONG, Let, Loc, LongTy,
     Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim, Psome, Pwild,
     READ, RefOp, RefTy, Repeat, Seq, Sign, SomeLit, Span, StructInit,
-    StructTy, Ty, UNIT, UnitLit, Uop, UopKind, VBool, VInt, VLong, VOption,
-    Var, WRITE, effect_concat, effect_subset, fvar, int_lane, is_pointer,
-    is_prim, struct_layout,
+    StructTy, Ty, UNIT, UnitLit, Uop, UopKind,
+    Var, WRITE, effect_concat, effect_subset, fvar, int_lane, is_basic,
+    is_pointer, is_prim, struct_layout,
 )
 from .frontend import Diagnostic
 
@@ -164,12 +164,11 @@ def infer_elab(ctx: TypingContext, e: Expr,
         if ty is None:
             _err("UnknownLocation", f"location {e.block} not in store typing",
                  e.span, "TLOC")
-        try:
-            return RefTy(ty), EMPTY_EFFECT, e
-        except Exception:
+        if not is_basic(ty):
             _err("UnknownLocation",
                  f"location {e.block} holds non-basic content {ty}",
                  e.span, "TLOC")
+        return RefTy(ty), EMPTY_EFFECT, e
     if isinstance(e, BytesView):
         ty = ctx.sigma.get(e.block)
         if not isinstance(ty, BytesTy):
@@ -696,11 +695,10 @@ def check_glob_decl(gd: GlobDecl, pi: dict[str, Composite]) -> None:
              f"global {gd.name!r} is incompatible with section {gd.sec!r}",
              gd.span, "TGDECL")
     init = gd.init
-    ok = ((isinstance(init, VInt) and isinstance(gd.ty, IntTy)) or
-          (isinstance(init, VLong) and isinstance(gd.ty, LongTy)) or
-          (isinstance(init, VBool) and gd.ty == BOOL) or
-          (isinstance(init, VOption) and init.value is None
-           and isinstance(gd.ty, OptionTy)) or
+    ok = ((isinstance(init, ConstInt) and isinstance(gd.ty, IntTy)) or
+          (isinstance(init, ConstLong) and isinstance(gd.ty, LongTy)) or
+          (isinstance(init, ConstBool) and gd.ty == BOOL) or
+          (isinstance(init, NoneLit) and isinstance(gd.ty, OptionTy)) or
           (isinstance(init, bytes) and isinstance(gd.ty, ArrayTy)
            and gd.ty.elem.size == 8 and len(init) == gd.ty.length))
     if not ok:

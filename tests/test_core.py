@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beepl.core import (
-    ALLOC, BOOL, BytesView, Composite, ConstInt, CoreError, Effect,
-    EffectAtom, Expr, For, Direction, FunDecl, I8, INT, IntTy, LEAVES, LONG,
-    Let, Loc, LongTy, Match, OptionTy, Prim, Program, READ, RefTy, Repeat,
-    SHAPES, Seq, Sign, StructTy, U16, U8, UNIT, UnitLit, UnknownStruct, Var,
-    Assign, ArrayTy, Bop, BopKind, Deref, RefOp, effect_concat, effect_of,
-    effect_subset, expr_children, fvar, pattern_binders, rename_var, sizeof,
-    subst, struct_layout, with_children,
+    ALLOC, BOOL, BytesView, Composite, ConstBool, ConstInt, ConstLong,
+    CoreError, Effect, EffectAtom, Expr, For, Direction, FunDecl, I8, INT,
+    IntTy, LEAVES, LONG, Let, Loc, LongTy, Match, NoneLit, OptionTy, Prim,
+    Program, READ, RefTy, Repeat, SHAPES, Seq, Sign, SomeLit, StructTy, U16,
+    U8, UNIT, UnitLit, UnknownStruct, Var, Assign, ArrayTy, Bop, BopKind,
+    Deref, RefOp, effect_concat, effect_of, effect_subset, expr_children,
+    fvar, is_value, pattern_binders, rename_var, sizeof, subst,
+    struct_layout, with_children,
 )
 from beepl.driver import load_corpus
 from beepl.frontend import parse_expr
@@ -263,3 +264,25 @@ def test_program_unique_names():
     fd = FunDecl("f", INT, (), ConstInt(1))
     with pytest.raises(CoreError):
         Program((fd, fd))
+
+
+# --- values ---------------------------------------------------------------
+
+def test_is_value_is_exactly_the_value_forms():
+    loc = Loc(1, 0)
+    for v in (UnitLit(), ConstBool(True), ConstInt(-1), ConstLong(1 << 40),
+              loc, BytesView(1, 0, 4), NoneLit(), SomeLit(loc)):
+        assert is_value(v), v
+    for e in (Var("x"), SomeLit(ConstInt(1)), SomeLit(Var("p")),
+              SomeLit(SomeLit(loc)), Prim(RefOp(), (ConstInt(1),)),
+              Seq((UnitLit(),))):
+        assert not is_value(e), e
+
+
+def test_integer_literals_hold_their_lane_range():
+    ConstInt((1 << 31) - 1), ConstInt(-(1 << 31))
+    ConstLong((1 << 63) - 1), ConstLong(-(1 << 63))
+    for bad in ((ConstInt, 1 << 31), (ConstInt, -(1 << 31) - 1),
+                (ConstLong, 1 << 63), (ConstLong, -(1 << 63) - 1)):
+        with pytest.raises(CoreError):
+            bad[0](bad[1])

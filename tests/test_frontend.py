@@ -180,6 +180,12 @@ def test_long_suffix_literal():
     assert parse_expr("-5L") == ConstLong(-5)
 
 
+def test_negated_int_min_is_a_long_literal():
+    assert parse_expr("-2147483648") == ConstInt(-(1 << 31))
+    assert parse_expr("- -2147483648") == ConstLong(1 << 31)
+    assert parse_expr("-(-2147483647)") == ConstInt(2147483647)
+
+
 def test_no_internal_nodes_from_surface():
     srcs = ["fun f() : int { 1 + 2 }",
             "fun g() : int { let x : int* = ref(1) in !x }",

@@ -1,11 +1,12 @@
 import pytest
 
 from beepl.core import (
-    ArrayTy, BopKind, BYTES, Composite, ConstInt, Deref, Direction, INT,
-    IntTy, LONG, Loc, Match, NoneLit, Pnone, Prim, Psome, RefOp, RefTy, Sign,
-    StructTy, U16, U32, U8, VBool, VBytes, VInt, VLoc, VLong, VUndef, VUnit,
-    Var, sizeof,
+    ArrayTy, BopKind, BYTES, Composite, ConstBool, ConstInt, ConstLong,
+    Deref, Direction, INT, IntTy, LONG, Loc, Match, NoneLit, Pnone, Prim,
+    Psome, RefOp, RefTy, Sign, SomeLit, StructTy, U16, U32, U8, UnitLit,
+    VBool, VBytes, VInt, VLoc, VLong, VUndef, VUnit, Var, is_value, sizeof,
 )
+from beepl.driver import CORPUS_DIR, load_corpus, world_for_seed
 from beepl.frontend import parse_expr, parse_program
 from beepl.interp import (
     ExternalWorld, FuelExhausted, IsValue, Memory, Monitors, State, Stepped,
@@ -14,8 +15,9 @@ from beepl.interp import (
     unsafe, well_formed, wrap,
 )
 from beepl.core import Cast, Uop, UopKind
+from beepl.gen import GenConfig, generate_well_typed
 from beepl.typecheck import check_program, check_source, infer_expr, \
-    TypingContext
+    TypeCheckError, TypingContext
 
 
 def empty_state(**composites):
@@ -427,3 +429,42 @@ def test_unknown_external_returns_zero_of_result_type():
     src = ("extern fun mystery(int) : long, <io>;\n"
            "fun main() : long { mystery(3) }")
     assert eval_src(src).value == VLong(0)
+
+
+# --- one value representation ---------------------------------------------
+
+def test_memory_cells_and_results_are_values():
+    programs = []
+    for path in sorted(CORPUS_DIR.glob("*.bpl")):
+        try:
+            programs.append(check_program(load_corpus(path.name)))
+        except TypeCheckError:
+            continue  # bprog2 is rejected by design
+    programs += [check_program(generate_well_typed(GenConfig(
+        seed=seed, bytes_match=True, externals=True))) for seed in range(100)]
+    assert len(programs) == 104
+    for i, tp in enumerate(programs):
+        r = run_program(tp, world_for_seed(i))
+        assert is_value(r.value), (i, r.value)
+        for bid, block in r.state.theta.blocks.items():
+            for off, cell in block.cells.items():
+                assert is_value(cell), (i, bid, off, cell)
+
+
+def test_ref_types_its_block_as_the_checker_types_the_value():
+    s = empty_state()
+    w = ExternalWorld()
+    cell = s.theta.alloc(4)
+    s.theta.store(cell, 0, ConstInt(3))
+    s.sigma[cell] = INT
+    forms = (ConstInt(-5), ConstLong(1 << 40), ConstBool(True), UnitLit(),
+             Loc(cell, 0), SomeLit(Loc(cell, 0)))
+    for v in forms:
+        expected, _ = infer_expr(TypingContext(sigma=dict(s.sigma)), v)
+        out = step(s, w, Prim(RefOp(), (v,)))
+        assert isinstance(out, Stepped) and out.rule == "REFV", v
+        assert s.sigma[out.expr.block] == expected, v
+        assert s.theta.load(out.expr.block, 0) is v
+    # A bare none and a location without store typing have no type.
+    for v in (NoneLit(), Loc(999, 0)):
+        assert isinstance(step(s, w, Prim(RefOp(), (v,))), Stuck), v
