@@ -477,8 +477,10 @@ def _step_cond(s: State, w: ExternalWorld, e: Cond, values: list[Expr],
 
 def _step_seq(s: State, w: ExternalWorld, e: Seq, values: list[Expr],
               guard: bool) -> tuple[Expr, str]:
-    if len(e.parts) == 1:
-        return e.parts[0], "SEQT"
+    # A two-part sequence steps straight to its tail, so a loop's term stays
+    # one Seq deep however many iterations it runs.
+    if len(e.parts) <= 2:
+        return e.parts[-1], "SEQT"
     return Seq(e.parts[1:]), "SEQT"
 
 

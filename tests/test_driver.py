@@ -115,6 +115,16 @@ def test_audit_stops_at_the_fuel_limit():
     assert audit.steps == 40 and audit.value is None
 
 
+def test_audit_of_a_thousand_iteration_loop_is_clean():
+    tp = check_source(
+        "fun main() : int { let x : int* = ref(2) in "
+        "let _ = for (1 ... 1000, Up) { x := !x * 3 + 1 } in !x }")
+    audit = evaluate_with_audit(tp, world_for_seed(0))
+    plain = run_program(tp)
+    assert audit.violations == []
+    assert (audit.value, audit.steps) == (plain.value, plain.steps)
+
+
 def test_audit_reports_monitor_events():
     program = parse_program("fun main() : int { 3 % 0 }")
     tp = check_program(program)

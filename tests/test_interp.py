@@ -4,7 +4,8 @@ from beepl.core import (
     ArrayTy, BopKind, BYTES, Composite, ConstBool, ConstInt, ConstLong,
     Deref, Direction, INT, IntTy, LONG, Loc, Match, NoneLit, Pnone, Prim,
     Psome, RefOp, RefTy, Sign, SomeLit, StructTy, U16, U32, U8, UnitLit,
-    VBool, VBytes, VInt, VLoc, VLong, VUndef, VUnit, Var, is_value, sizeof,
+    VBool, VBytes, VInt, VLoc, VLong, VUndef, VUnit, Var, expr_children,
+    is_value, sizeof,
 )
 from beepl.driver import CORPUS_DIR, load_corpus, world_for_seed
 from beepl.frontend import parse_expr, parse_program
@@ -207,6 +208,20 @@ def test_range_grid_matches_inclusive_count_oracle():
             down = len([i for i in range(hi, lo + 1)])
             assert range_count(VInt(lo), VInt(hi), Direction.UP) == up
             assert range_count(VInt(lo), VInt(hi), Direction.DOWN) == down
+
+
+def _depth(e):
+    return 1 + max((_depth(c) for c in expr_children(e)), default=0)
+
+
+def test_loop_term_depth_does_not_grow_with_iterations():
+    src = ("fun main() : int { let x : int* = ref(2) in "
+           "let _ = for (1 ... 300, Up) { x := !x * 3 + 1 } in !x }")
+    depths = []
+    r = run_program(check_source(src),
+                    on_step=lambda s, e, rule: depths.append(_depth(e)))
+    assert len(depths) == r.steps > 300
+    assert max(depths) < 20
 
 
 def test_loop_semantics_against_range():
