@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .core import (
     App, ArrayTy, Assign, Bop, BopKind, BOOL, BYTES, BytesView, Cast,
-    Composite, Cond, ConstBool, ConstInt, ConstLong, Deref, Direction,
-    Effect, EffectAtom, Expr, ExtDecl, Field, For, FunDecl, GlobDecl, I8,
-    I16, INT, IntTy, Let, LONG, Loc, LongTy, Match, NoneLit, OptionTy,
-    Pattern, Pbytes, Pnone, Program, Prim, Psome, Pwild, RefOp, RefTy, Seq,
-    Sign, SomeLit, Span, StructInit, StructTy, Ty, U8, U16, U32, ULONG, UNIT,
-    UnitLit, Uop, UopKind, Var,
+    Composite, Cond, ConstBool, ConstInt, ConstLong, CoreError, Deref,
+    Direction, Effect, EffectAtom, Expr, ExtDecl, Field, For, FunDecl,
+    GlobDecl, I8, I16, INT, IntTy, Let, LONG, Loc, LongTy, Match, NoneLit,
+    OptionTy, Pattern, Pbytes, Pnone, Program, Prim, Psome, Pwild, RefOp,
+    RefTy, Seq, Sign, SomeLit, Span, StructInit, StructTy, Ty, U8, U16, U32,
+    ULONG, UNIT, UnitLit, Uop, UopKind, Var,
 )
 
 
@@ -232,6 +232,15 @@ _PREFIX_OPS = {"!": Deref(), **{k.value: Uop(k) for k in UopKind}}
 MAX_EXPR_DEPTH = 200
 
 
+def _negated(lit: Expr, span: Optional[Span]) -> Expr:
+    """The negation of an int or long literal.  INT_MIN is an int literal;
+    -INT_MIN, like any literal past INT_MAX, is a long one."""
+    value = -lit.value
+    if value == -(1 << 31) or (isinstance(lit, ConstInt) and value <= INT_MAX):
+        return ConstInt(value, span=span)
+    return ConstLong(value, span=span)
+
+
 class Parser:
     def __init__(self, source: str, filename: str = "<input>"):
         self.filename = filename
@@ -301,7 +310,7 @@ class Parser:
                 self.fail("expected a declaration")
         try:
             return Program(tuple(decls), tuple(composites))
-        except Exception as exc:
+        except CoreError as exc:
             self.fail(str(exc), Span(1, 1), code="P002")
 
     def parse_section_attr(self) -> str:
@@ -361,7 +370,7 @@ class Parser:
             return FunDecl(name.lexeme, rt, tuple(args), body,
                            vars=tuple(local_vars), ef=ef, sec=sec,
                            flag=sec is not None, span=kw.span)
-        except Exception as exc:
+        except CoreError as exc:
             self.fail(str(exc), kw.span, code="P002")
 
     def parse_effect_annotation(self) -> Effect:
@@ -408,7 +417,9 @@ class Parser:
         self.accept("punct", ";")
         return GlobDecl(name.lexeme, ty, init, sec=sec, span=kw.span)
 
-    def parse_glob_init(self, ty: Ty):
+    def parse_glob_init(self, ty: Ty) -> Union[Expr, bytes]:
+        """A global's initial value: a string, or a literal that fits ty as a
+        let-bound literal must."""
         if self.at("string"):
             return self.expect("string").lexeme.encode() + b"\x00"
         if self.accept("kw", "none"):
@@ -417,18 +428,15 @@ class Parser:
             return ConstBool(True)
         if self.accept("kw", "false"):
             return ConstBool(False)
-        neg = bool(self.accept("punct", "-"))
+        minus = self.accept("punct", "-")
         t = self.expect("int", what="initial value")
-        value = -t.value if neg else t.value
-        if isinstance(ty, LongTy):
-            return ConstLong(value)
-        if isinstance(ty, IntTy):
-            if not (-(1 << 31) <= value < (1 << 32)):
-                self.fail("initializer too wide for its declared type", t.span,
-                          code="P003")
-            return ConstInt(value if value <= INT_MAX else value - (1 << 32))
-        self.fail(f"cannot initialize a global of this type from a literal",
-                  t.span)
+        if not isinstance(ty, (IntTy, LongTy)):
+            self.fail("cannot initialize a global of this type from a literal",
+                      t.span)
+        lit = self._int_literal(t)
+        if minus:
+            lit = _negated(lit, minus.span)
+        return self._fit_literal(lit, ty)
 
     def parse_char_array_decl(self, sec: Optional[str]) -> GlobDecl:
         kw = self.expect("kw", "char")
@@ -472,7 +480,7 @@ class Parser:
                 self.next()
                 try:
                     base = RefTy(base)
-                except Exception as exc:
+                except CoreError as exc:
                     self.fail(str(exc), t.span, code="P004")
             elif self.at("punct", "[") and self.at("int", ahead=1):
                 self.next()
@@ -480,7 +488,7 @@ class Parser:
                 self.expect("punct", "]")
                 try:
                     base = ArrayTy(base, length)
-                except Exception as exc:
+                except CoreError as exc:
                     self.fail(str(exc), t.span, code="P004")
             else:
                 break
@@ -571,11 +579,7 @@ class Parser:
             return Var(lexeme, span=t.span)
         if kind == "int":
             self.pos += 1
-            if t.value > LONG_MAX:
-                self.fail("integer literal exceeds 64 bits", t.span, code="P003")
-            if t.is_long or t.value > INT_MAX:
-                return ConstLong(t.value, span=t.span)
-            return ConstInt(t.value, span=t.span)
+            return self._int_literal(t)
         if kind == "punct" and lexeme == "(":
             self.pos += 1
             ty = self.peek()
@@ -595,15 +599,10 @@ class Parser:
                 self.pos += 1
                 operand = self.parse_expr(_UNARY_PREC)
                 # Fold negated literals so printed constants re-parse
-                # structurally; INT_MIN is an int literal, and -INT_MIN,
-                # like any literal past INT_MAX, is a long one.
+                # structurally.
                 if lexeme == "-" and isinstance(operand,
                                                 (ConstInt, ConstLong)):
-                    value = -operand.value
-                    if value == -(1 << 31) or (isinstance(operand, ConstInt)
-                                               and value <= INT_MAX):
-                        return ConstInt(value, span=t.span)
-                    return ConstLong(value, span=t.span)
+                    return _negated(operand, t.span)
                 return Prim(op, (operand,), span=t.span)
         if kind == "kw":
             if lexeme == "let":
@@ -629,6 +628,13 @@ class Parser:
                     return SomeLit(inner, span=t.span)
                 return Prim(RefOp(), (inner,), span=t.span)
         self.fail("expected an expression")
+
+    def _int_literal(self, t: Token) -> Expr:
+        if t.value > LONG_MAX:
+            self.fail("integer literal exceeds 64 bits", t.span, code="P003")
+        if t.is_long or t.value > INT_MAX:
+            return ConstLong(t.value, span=t.span)
+        return ConstInt(t.value, span=t.span)
 
     def parse_struct_init(self, name: Token) -> Expr:
         self.expect("punct", "{")
@@ -665,10 +671,10 @@ class Parser:
         if isinstance(e, ConstInt) and isinstance(declared, LongTy):
             return ConstLong(e.value, span=e.span)
         if isinstance(e, ConstLong) and isinstance(declared, IntTy):
-            if -(1 << 31) <= e.value < (1 << 31):
-                return ConstInt(e.value, span=e.span)
-            self.fail("integer literal too wide for its declared type",
-                      e.span, code="P003")
+            if not -(1 << 31) <= e.value < (1 << 31):
+                self.fail("integer literal too wide for its declared type",
+                          e.span, code="P003")
+            e = ConstInt(e.value, span=e.span)
         if isinstance(e, ConstInt) and isinstance(declared, IntTy):
             width, unsigned = declared.size, declared.sign is Sign.UNSIGNED
             lo = 0 if unsigned else -(1 << (width - 1))
@@ -755,7 +761,7 @@ class Parser:
                     break
         try:
             return Pbytes(binder.lexeme, target, tuple(fields))
-        except Exception as exc:
+        except CoreError as exc:
             self.fail(str(exc), binder.span, code="P004")
 
 

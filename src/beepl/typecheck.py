@@ -19,9 +19,9 @@ from .core import (
     FunDecl, GlobDecl, INT, IO, IntTy, LOGIC_BOPS, LONG, Let, Loc, LongTy,
     Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim, Psome, Pwild,
     READ, RefOp, RefTy, Repeat, Seq, Sign, SomeLit, Span, StructInit,
-    StructTy, Ty, UNIT, UnitLit, Uop, UopKind,
-    Var, WRITE, effect_concat, effect_subset, fvar, int_lane, is_basic,
-    is_pointer, is_prim, struct_layout,
+    StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE, effect_concat,
+    effect_subset, fvar, int_lane, is_basic, is_pointer, is_prim,
+    struct_layout,
 )
 from .frontend import Diagnostic
 

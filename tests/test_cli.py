@@ -176,6 +176,11 @@ def test_known_bad_inputs_print_no_traceback(tmp_path):
     deep.write_text(nested_program("parens", 1000))
     numeral = tmp_path / "numeral.bpl"
     numeral.write_text("fun main() : int { 0x + ² }\n")
+    narrow = tmp_path / "narrow.bpl"
+    narrow.write_text("global g : u8 = 300;\nfun main() : int { (int)g }\n")
+    wide = tmp_path / "wide.bpl"
+    wide.write_text("global g : long = 99999999999999999999;\n"
+                    "fun main() : long { g }\n")
     cases = [
         (["run", ok, "--packet", bad_hex], 3),
         (["check", latin], 3),
@@ -184,6 +189,9 @@ def test_known_bad_inputs_print_no_traceback(tmp_path):
         (["selftest", "--n", "-1"], 3),
         (["emit-c", deep, "-o", tmp_path / "deep.c"], 1),
         (["check", numeral], 1),
+        (["check", narrow], 1),
+        (["run", narrow], 1),
+        (["check", wide], 1),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(beepl.__file__).parent.parent))
     for argv, want in cases:
@@ -216,6 +224,18 @@ def _wrap(wrappers):
     return text
 
 
+# Global declarations whose literal may not fit the declared type.
+_EDGES = [(1 << k) + d for k in (7, 8, 15, 16, 31, 32, 63, 64)
+          for d in (-1, 0, 1)]
+_globals = st.tuples(
+    st.sampled_from(["int", "u8", "u16", "u32", "i8", "i16", "long", "ulong",
+                     "bool"]),
+    st.sampled_from(["", "-"]),
+    st.sampled_from(_EDGES) | st.integers(1 << 31, 1 << 70),
+    st.sampled_from(["", "L"]),
+).map(lambda t: (f"global g : {t[0]} = {t[1]}{t[2]}{t[3]};\n"
+                 "fun main() : int { 0 }\n").encode())
+
 _sources = st.one_of(
     st.binary(max_size=200),
     _soup.map(str.encode),
@@ -229,6 +249,7 @@ _sources = st.one_of(
                                   min_size=n, max_size=n))
       .map(lambda ws: ("fun f(int a) : int { a }\n"
                        f"fun main() : int {{ {_wrap(ws)} }}\n").encode()),
+    _globals,
 )
 _flags = st.lists(st.sampled_from(
     ["--json", "--mode=ebpf", "--mode=host", "--mode=wasm", "--fuel", "0",

@@ -175,6 +175,27 @@ def test_literal_too_wide_for_declared_type():
     assert err.value.diagnostic.code == "P003"
 
 
+def test_global_literal_obeys_the_let_bounds():
+    for decl in ("g : u8 = 300", "g : u8 = -1", "g : i8 = 128",
+                 "g : u32 = 4294967295", "g : int = 2147483648",
+                 "g : u8 = 300L", "g : long = 99999999999999999999"):
+        with pytest.raises(ParseError) as err:
+            parse_program(f"global {decl};")
+        assert err.value.diagnostic.code == "P003", decl
+    with pytest.raises(ParseError) as err:
+        parse_expr("let x : u8 = 300L in x")
+    assert err.value.diagnostic.code == "P003"
+    for decl, init in (("g : i8 = -128", ConstInt(-128)),
+                       ("g : int = -2147483648", ConstInt(-(1 << 31))),
+                       ("g : int = 5L", ConstInt(5)),
+                       ("g : long = -5", ConstLong(-5))):
+        program = parse_program(f"global {decl};")
+        assert program.decls[0].init == init, decl
+        assert parse_program(print_program(program)) == program, decl
+    assert print_program(parse_program("global g : long = 5;")) == \
+        "global g : long = 5L;\n"
+
+
 def test_long_suffix_literal():
     assert parse_expr("5L") == ConstLong(5)
     assert parse_expr("-5L") == ConstLong(-5)
