@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import is_not
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -738,21 +739,32 @@ def with_children(e: Expr, children: Sequence[Expr]) -> Expr:
     return e if shape is None else shape.rebuild(e, children)
 
 
-def fvar(e: Expr) -> frozenset[str]:
-    """Free variables of an expression; binders shadow their bodies."""
+def fvar(e: Expr, known: Optional[dict[int, tuple[Expr, frozenset[str]]]]
+         = None) -> frozenset[str]:
+    """Free variables of an expression; binders shadow their bodies.
+
+    ``known``, when given, caches the answer for each compound subterm by
+    node identity; each entry holds its node, so the identity is not reused.
+    """
     if type(e) is Var:
         return frozenset((e.name,))
     shape = _shape(e)
     if shape is None:
         return _NO_NAMES
+    if known is not None:
+        entry = known.get(id(e))
+        if entry is not None:
+            return entry[1]
     # A struct initialization names the variable it initializes.
     out = frozenset((e.name,)) if type(e) is StructInit else _NO_NAMES
     if shape.binds is None:
         for c in shape.children(e):
-            out |= fvar(c)
+            out |= fvar(c, known)
     else:
         for c, bound in zip(shape.children(e), shape.binds(e)):
-            out |= fvar(c) - bound
+            out |= fvar(c, known) - bound
+    if known is not None:
+        known[id(e)] = (e, out)
     return out
 
 
@@ -763,6 +775,10 @@ def _replace_free(e: Expr, x: str, v: Expr, rename: Optional[str]) -> Expr:
     there, since the initialized variable shadows it, while renaming (when
     ``rename`` is the new name) renames the target and goes on into the
     fields.
+
+    A node none of whose children changed is returned itself, so every
+    subterm without a free x keeps its identity (and its ``span`` and
+    ``ty``); the audit's memo of judgments keys on that identity.
     """
     if type(e) is Var:
         return v if e.name == x else e
@@ -773,12 +789,15 @@ def _replace_free(e: Expr, x: str, v: Expr, rename: Optional[str]) -> Expr:
         if rename is None:
             return e
         e = StructInit(rename, e.fields)
+    children = shape.children(e)
     if shape.binds is None:
-        return shape.rebuild(e, [_replace_free(c, x, v, rename)
-                                 for c in shape.children(e)])
-    return shape.rebuild(e, [
-        c if x in bound else _replace_free(c, x, v, rename)
-        for c, bound in zip(shape.children(e), shape.binds(e))])
+        new = [_replace_free(c, x, v, rename) for c in children]
+    else:
+        new = [c if x in bound else _replace_free(c, x, v, rename)
+               for c, bound in zip(children, shape.binds(e))]
+    if not any(map(is_not, new, children)):
+        return e
+    return shape.rebuild(e, new)
 
 
 def subst(e: Expr, x: str, v: Expr) -> Expr:

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Optional
 from .cgen import emit_program
 from .core import (
     ConstInt, ConstLong, EffectAtom, Expr, Program, RefTy, StructTy,
-    effect_subset,
 )
 from .frontend import parse_program, print_program
 from .gen import GenConfig, generate_well_typed, shrink_program
@@ -33,7 +32,8 @@ from .interp import (
     well_formed,
 )
 from .typecheck import (
-    TypeCheckError, TypedProgram, TypingContext, check_program, infer_expr,
+    JudgmentMemo, TypeCheckError, TypedProgram, TypingContext, check_program,
+    infer_expr,
 )
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -89,12 +89,17 @@ class AuditResult:
     value: Optional[Expr] = None
 
 
-def _audit_ctx(tp: TypedProgram, s: State) -> TypingContext:
+def _audit_ctx(tp: TypedProgram, s: State,
+               memo: Optional[JudgmentMemo] = None) -> TypingContext:
     struct_vars = frozenset(
         x for x, (_, ty) in s.omega.items()
         if isinstance(ty, RefTy) and isinstance(ty.target, StructTy))
     return TypingContext(runtime_gamma(s), s.sigma, tp.composites, tp.psi,
-                         tp.fun_sigs, {}, struct_vars)
+                         tp.fun_sigs, {}, struct_vars, memo)
+
+
+def _extends(new: dict, old: dict) -> bool:
+    return old.items() <= new.items()
 
 
 class _Violation(Exception):
@@ -105,7 +110,15 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
                         fuel: int = DEFAULT_FUEL,
                         guard_unsafe: bool = True) -> AuditResult:
     """Evaluate the entry point, re-checking the term and the state after
-    every step through ``eval_multi``'s step hook."""
+    every step through ``eval_multi``'s step hook.
+
+    The re-check is incremental and exact.  Evaluation never goes under a
+    binder, runtime names are fresh and block ids are never reused, so a
+    judgment made at an earlier step still holds for the same node as long
+    as the runtime gamma, sigma and struct variables extend the ones it was
+    made in (weakening).  The run's memo keeps those judgments and is
+    emptied whenever a step's context does not extend the last one's.
+    """
     violations: list[str] = []
     for name, tf in tp.funs.items():
         if EffectAtom.DIVERGENCE in tf.inferred.atoms():
@@ -115,17 +128,32 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         return AuditResult(["no entry point"], 0)
     s = init_state(tp, world)
     expr = entry_call(tp, s, world, entry)
+    memo = JudgmentMemo()
+    made_in: tuple = ({}, {}, frozenset())  # gamma, sigma, struct variables
+
+    def audit_ctx(s: State) -> TypingContext:
+        nonlocal made_in
+        ctx = _audit_ctx(tp, s, memo)
+        gamma, sigma, struct_vars = made_in
+        if not (_extends(ctx.gamma, gamma) and _extends(s.sigma, sigma)
+                and ctx.struct_vars >= struct_vars):
+            memo.judgments.clear()
+        made_in = (ctx.gamma, dict(s.sigma), ctx.struct_vars)
+        return ctx
+
     try:
-        ty0, eff = infer_expr(_audit_ctx(tp, s), expr)
+        ty0, eff = infer_expr(audit_ctx(s), expr)
     except TypeCheckError as exc:
         return AuditResult([f"initial call untypeable: {exc}"], 0)
+    atoms = eff.atoms()
     steps = 0
     value = None
 
     def recheck(s: State, expr: Expr, rule: str) -> None:
-        nonlocal steps, eff
+        nonlocal steps, eff, atoms
         steps += 1
-        ctx = _audit_ctx(tp, s)
+        ctx = audit_ctx(s)
+        memo.prune(expr)
         try:
             ty_i, eff_i = infer_expr(ctx, expr)
         except TypeCheckError as exc:
@@ -133,10 +161,11 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         if ty_i != ty0:
             raise _Violation(f"step {steps} changed type "
                              f"{ty0} -> {ty_i} ({rule})")
-        if not effect_subset(eff_i, eff):
+        atoms_i = eff_i.atoms()  # effect_subset, reusing the last step's
+        if not atoms_i <= atoms:
             raise _Violation(f"step {steps} grew effects "
                              f"{eff} -> {eff_i} ({rule})")
-        eff = eff_i
+        eff, atoms = eff_i, atoms_i
         ok, clauses = well_formed(ctx.gamma, s.sigma, s)
         if not ok:
             raise _Violation(f"step {steps} ill-formed state: {clauses[0]}")

@@ -23,6 +23,7 @@ from .core import (
     UnitLit, Uop, UopKind, VUndef, Var, SHAPES, is_value, rename_var, sizeof,
     struct_layout, subst,
 )
+from .frontend import print_type
 from .typecheck import (
     TypeCheckError, TypedProgram, TypingContext, infer_expr,
 )
@@ -547,6 +548,7 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Expr],
         return UnitLit(), "MASSGNV"
     if isinstance(op, (Uop, Cast)):
         v, = values
+        _check_operands(op, values)
         result = uop_sem(op, v)
         if isinstance(result, VUndef):
             s.monitors.undef_events += 1
@@ -554,6 +556,7 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Expr],
         return result, "UOPV"
     if isinstance(op, Bop):
         lv, rv = values
+        _check_operands(op, values)
         if guard and unsafe(op.kind, lv, rv):
             return _mk(_lane_bits(lv), 0), "BOPV"
         result = bop_sem(op.kind, lv, rv)
@@ -562,6 +565,24 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Expr],
             _stuck("binary operator produced undef")
         return result, "BOPV"
     _stuck(f"unknown primitive {op!r}")
+
+
+# The operand classes an operator's rule reads: booleans for the logical
+# operators, integers of one lane for every other operator and for casts.
+_BOOL_OPERANDS = frozenset({(ConstBool,), (ConstBool, ConstBool)})
+_INT_OPERANDS = frozenset({(ConstInt,), (ConstLong,), (ConstInt, ConstInt),
+                           (ConstLong, ConstLong)})
+_LOGICAL = frozenset({BopKind.LAND, BopKind.LOR, UopKind.LOGNOT})
+
+
+def _check_operands(op, values: list[Expr]) -> None:
+    kinds = tuple(map(type, values))
+    logical = getattr(op, "kind", None) in _LOGICAL  # a cast has no kind
+    if kinds not in (_BOOL_OPERANDS if logical else _INT_OPERANDS):
+        name = f"cast to {print_type(op.target)}" if isinstance(op, Cast) \
+            else f"operator {op.kind.value!r}"
+        _stuck(f"{name} does not apply to "
+               + " and ".join(k.__name__ for k in kinds))
 
 
 def _step_app(s: State, w: ExternalWorld, e: App, values: list[Expr],

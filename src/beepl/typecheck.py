@@ -20,8 +20,8 @@ from .core import (
     Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim, Psome, Pwild,
     READ, RefOp, RefTy, Repeat, Seq, Sign, SomeLit, Span, StructInit,
     StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE, effect_concat,
-    effect_subset, fvar, int_lane, is_basic, is_pointer, is_prim,
-    struct_layout,
+    effect_subset, expr_children, fvar, int_lane, is_basic, is_pointer,
+    is_prim, struct_layout,
 )
 from .frontend import Diagnostic
 
@@ -91,6 +91,55 @@ def default_helper_registry() -> HelperRegistry:
     return HelperRegistry(entries, constants, composites)
 
 
+class JudgmentMemo:
+    """The successful judgments of one audited evaluation, by node identity.
+
+    A judgment is keyed by the node's ``id``, the expected type, and the
+    types of those binders under the runtime context (``TypingContext.local``)
+    that are free in the node.  Each entry holds its node, so the ``id``
+    cannot be reused while the memo lives.  The owner empties
+    ``judgments`` when the runtime context stops extending the one the
+    judgments were made in; free variables depend on the node alone and
+    stay.
+    """
+
+    # The memo is pruned to the live term each time it has doubled, and
+    # never while it holds fewer judgments than this.
+    PRUNE_FLOOR = 1024
+
+    def __init__(self) -> None:
+        self.judgments: dict[tuple, tuple[Expr, tuple[Ty, Effect, Expr]]] = {}
+        self._free: dict[int, tuple[Expr, frozenset[str]]] = {}
+        self._prune_at = self.PRUNE_FLOOR
+
+    def prune(self, term: Expr) -> None:
+        """Forget the nodes that are no longer part of term, once the memo
+        has doubled since it was last pruned; a long run then holds about
+        as many judgments as its term has nodes."""
+        if len(self.judgments) < self._prune_at:
+            return
+        live: set[int] = set()
+        todo = [term]
+        while todo:
+            e = todo.pop()
+            if id(e) not in live:
+                live.add(id(e))
+                todo.extend(expr_children(e))
+        self.judgments = {k: v for k, v in self.judgments.items()
+                          if k[0] in live}
+        self._free = {k: v for k, v in self._free.items() if k in live}
+        self._prune_at = max(2 * len(self.judgments), self.PRUNE_FLOOR)
+
+    def key(self, ctx: "TypingContext", e: Expr,
+            expected: Optional[Ty]) -> tuple:
+        key: tuple = (id(e), expected)
+        if ctx.local:
+            bound = fvar(e, self._free) & ctx.local.keys()
+            if bound:
+                key += (frozenset((x, ctx.local[x]) for x in bound),)
+        return key
+
+
 @dataclass
 class TypingContext:
     gamma: dict[str, Ty] = field(default_factory=dict)
@@ -102,13 +151,21 @@ class TypingContext:
     # Declared locals eligible as struct-initialization targets; shadowing
     # binders knock names out of this set.
     struct_vars: frozenset[str] = frozenset()
+    # Set by the per-step audit only: its memo of judgments, and the binders
+    # that ``extended`` added on top of the runtime context.
+    memo: Optional[JudgmentMemo] = None
+    local: Optional[dict[str, Ty]] = None
 
     def extended(self, **bindings: Ty) -> "TypingContext":
         g = dict(self.gamma)
         g.update(bindings)
-        return TypingContext(g, self.sigma, self.pi, self.psi, self.funs,
-                             self.consts,
-                             self.struct_vars - frozenset(bindings))
+        ctx = TypingContext(g, self.sigma, self.pi, self.psi, self.funs,
+                            self.consts,
+                            self.struct_vars - frozenset(bindings))
+        if self.memo is not None:
+            ctx.memo = self.memo
+            ctx.local = {**(self.local or {}), **bindings}
+        return ctx
 
 
 def _err(code, msg, span=None, rule=None):
@@ -131,8 +188,18 @@ def infer_expr(ctx: TypingContext, e: Expr,
     return ty, eff
 
 
-def infer_elab(ctx: TypingContext, e: Expr,
-               expected: Optional[Ty] = None) -> tuple[Ty, Effect, Expr]:
+def infer_elab(ctx: TypingContext, e: Expr, expected: Optional[Ty] = None,
+               _missed: bool = False) -> tuple[Ty, Effect, Expr]:
+    # A context with a memo asks it first and, on a miss, judges e by the
+    # rules below (``_missed``) and keeps the judgment if it succeeds.
+    memo = ctx.memo
+    if memo is not None and not _missed:
+        key = memo.key(ctx, e, expected)
+        entry = memo.judgments.get(key)
+        if entry is None:
+            entry = memo.judgments[key] = \
+                (e, infer_elab(ctx, e, expected, True))
+        return entry[1]
     if isinstance(e, Var):
         if e.name in ctx.gamma:
             ty = ctx.gamma[e.name]

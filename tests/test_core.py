@@ -11,9 +11,12 @@ from beepl.core import (
     fvar, is_value, pattern_binders, rename_var, sizeof, subst,
     struct_layout, with_children,
 )
-from beepl.driver import load_corpus
+from beepl import interp
+from beepl.driver import evaluate_with_audit, load_corpus, world_for_seed
 from beepl.frontend import parse_expr
 from beepl.gen import GenConfig, generate_well_typed
+from beepl.interp import run_program
+from beepl.typecheck import check_program
 
 atoms = st.lists(st.sampled_from(list(EffectAtom)), max_size=5)
 effects = atoms.map(lambda xs: Effect(tuple(xs)))
@@ -153,6 +156,65 @@ def test_rename_var_renames_struct_init_targets():
     assert fvar(rename_var(e, "s2", "s")) == {"s"}
 
 
+def _corpus_bodies():
+    return [d.body
+            for name in ("bprog1.bpl", "bprog2.bpl", "bprog3.bpl",
+                         "bprog4.bpl", "shift64.bpl")
+            for d in load_corpus(name).decls if isinstance(d, FunDecl)]
+
+
+def _assert_shared(old, new, x):
+    """Every subterm of old without a free x is in new as the same object."""
+    if x not in fvar(old):
+        assert new is old
+    elif type(old) is not Var:
+        for o, n in zip(expr_children(old), expr_children(new)):
+            _assert_shared(o, n, x)
+
+
+def test_subst_and_rename_var_share_every_untouched_subterm():
+    bodies = _corpus_bodies()
+    for seed in range(60):
+        bodies += _fun_bodies(seed)
+    bodies.append(parse_expr("s { f = s + 1, g = y } + s"))
+    for e in bodies:
+        for x in sorted(_names(e) | {"x", "s"}):
+            _assert_shared(e, subst(e, x, ConstInt(0)), x)
+            _assert_shared(e, rename_var(e, x, "fresh#1"), x)
+
+
+def _rebuilt(e):
+    """A copy of e that shares no compound node with it."""
+    return with_children(e, [_rebuilt(c) for c in expr_children(e)])
+
+
+def test_sharing_changes_no_run(monkeypatch):
+    # Runs with substitution that shares against runs where every
+    # substitution and renaming returns a fresh copy.
+    programs = [load_corpus(name) for name in
+                ("bprog1.bpl", "bprog3.bpl", "bprog4.bpl", "shift64.bpl")]
+    programs += [generate_well_typed(GenConfig(seed=seed, bytes_match=True,
+                                               externals=True))
+                 for seed in range(30)]
+
+    def outcomes():
+        out = []
+        for i, p in enumerate(programs):
+            tp = check_program(p)
+            r = run_program(tp, world_for_seed(i))
+            a = evaluate_with_audit(tp, world_for_seed(i))
+            out.append((r.value, r.steps, a.value, a.steps, a.violations))
+        return out
+
+    shared = outcomes()
+    monkeypatch.setattr(interp, "subst",
+                        lambda e, x, v: _rebuilt(subst(e, x, v)))
+    monkeypatch.setattr(interp, "rename_var",
+                        lambda e, x, new: _rebuilt(rename_var(e, x, new)))
+    assert outcomes() == shared
+    assert all(a_violations == [] for *_, a_violations in shared)
+
+
 # --- the shape table --------------------------------------------------------
 
 def _concrete_exprs(cls=Expr):
@@ -168,10 +230,7 @@ def test_every_expr_class_is_a_leaf_or_has_a_shape():
 
 
 def test_with_children_rebuilds_every_subterm():
-    bodies = [d.body
-              for name in ("bprog1.bpl", "bprog2.bpl", "bprog3.bpl",
-                           "bprog4.bpl", "shift64.bpl")
-              for d in load_corpus(name).decls if isinstance(d, FunDecl)]
+    bodies = _corpus_bodies()
     for seed in range(100):
         cfg = GenConfig(seed=seed, bytes_match=seed % 2 == 1,
                         externals=seed % 2 == 1)

@@ -1,5 +1,9 @@
+import copy
+
 import pytest
 
+from beepl import driver, interp
+from beepl.core import ConstInt, ConstLong, INT, LONG, Let, Prim
 from beepl.driver import (
     evaluate_with_audit, find_cc, load_corpus, run_cve_corpus,
     run_differential, run_property_suite, world_for_seed,
@@ -8,8 +12,10 @@ from beepl.frontend import parse_program, print_program
 from beepl.gen import (
     GenConfig, expr_size, generate_well_typed, shrink_program,
 )
-from beepl.interp import run_program
-from beepl.typecheck import TypeCheckError, check_program, check_source
+from beepl.interp import ExternalWorld, eval_multi, run_program
+from beepl.typecheck import (
+    JudgmentMemo, TypeCheckError, check_program, check_source, infer_expr,
+)
 
 
 # --- generator ------------------------------------------------------------------
@@ -125,11 +131,175 @@ def test_audit_of_a_thousand_iteration_loop_is_clean():
     assert (audit.value, audit.steps) == (plain.value, plain.steps)
 
 
+def test_audit_memo_stays_as_small_as_the_live_term(monkeypatch):
+    sizes = []
+
+    class RecordingMemo(JudgmentMemo):
+        def prune(self, term):
+            sizes.append(len(self.judgments))
+            super().prune(term)
+
+    monkeypatch.setattr(driver, "JudgmentMemo", RecordingMemo)
+    tp = check_source(
+        "fun main() : int { let x : int* = ref(2) in "
+        "let _ = for (1 ... 1000, Up) { x := !x * 3 + 1 } in !x }")
+    audit = evaluate_with_audit(tp, world_for_seed(0))
+    assert audit.violations == [] and len(sizes) == audit.steps
+    # Without pruning the memo would grow by about 4 judgments a step.
+    pruned = sum(b < a for a, b in zip(sizes, sizes[1:]))
+    assert pruned >= 3 and max(sizes) <= 2 * JudgmentMemo.PRUNE_FLOOR
+
+
 def test_audit_reports_monitor_events():
     program = parse_program("fun main() : int { 3 % 0 }")
     tp = check_program(program)
     audit = evaluate_with_audit(tp, world_for_seed(0), guard_unsafe=False)
     assert any("monitors" in v for v in audit.violations)
+
+
+# --- the incremental audit against full re-inference -------------------------------
+
+def _judge(ctx, e):
+    try:
+        return infer_expr(ctx, e)
+    except TypeCheckError as exc:
+        return str(exc)
+
+
+def _audit_both_ways(tp, world, monkeypatch):
+    """The incremental audit with an on_step oracle beside it that re-infers
+    each step's whole term with no memo, then the same audit with its memo
+    taken away.  Returns both results and both per-step judgments."""
+    incremental, full = [], []
+
+    def recording_infer(ctx, e):
+        assert ctx.memo is not None
+        incremental.append(_judge(ctx, e))
+        return infer_expr(ctx, e)
+
+    def eval_with_oracle(s, w, e, fuel, guard, on_step):
+        def both(s, expr, rule):
+            ctx = driver._audit_ctx(tp, s)
+            assert ctx.memo is None
+            full.append(_judge(ctx, expr))
+            on_step(s, expr, rule)
+        return eval_multi(s, w, e, fuel, guard, both)
+
+    with monkeypatch.context() as m:
+        m.setattr(driver, "infer_expr", recording_infer)
+        m.setattr(driver, "eval_multi", eval_with_oracle)
+        result = evaluate_with_audit(tp, copy.deepcopy(world))
+    with monkeypatch.context() as m:
+        audit_ctx = driver._audit_ctx
+        m.setattr(driver, "_audit_ctx",
+                  lambda tp, s, memo=None: audit_ctx(tp, s))
+        no_memo = evaluate_with_audit(tp, copy.deepcopy(world))
+    return result, no_memo, incremental[1:], full
+
+
+def _audit_programs():
+    programs = [(load_corpus(name), ExternalWorld(
+        packet=bytes(12) + bytes([0x86, 0xDD]) + bytes(4)))
+        for name in ("bprog1.bpl", "bprog3.bpl", "bprog4.bpl",
+                     "shift64.bpl")]
+    programs += [(generate_well_typed(GenConfig(
+        seed=seed, bytes_match=True, externals=True)), world_for_seed(seed))
+        for seed in range(30)]
+    return [(check_program(p), w) for p, w in programs]
+
+
+def _outcome(a):
+    return a.violations, a.steps, a.value
+
+
+@pytest.mark.parametrize("prune_floor", [JudgmentMemo.PRUNE_FLOOR, 16])
+def test_incremental_audit_judges_every_step_as_full_reinference(
+        monkeypatch, prune_floor):
+    # With a floor of 16 the memo is pruned to the live term every few steps.
+    monkeypatch.setattr(JudgmentMemo, "PRUNE_FLOOR", prune_floor)
+    steps = 0
+    for tp, world in _audit_programs():
+        result, no_memo, incremental, full = \
+            _audit_both_ways(tp, world, monkeypatch)
+        assert incremental == full
+        assert len(full) == result.steps
+        assert _outcome(result) == _outcome(no_memo)
+        assert result.violations == []
+        steps += result.steps
+    assert steps > 500
+
+
+def _retyping_int_results(rule):
+    """rule, broken so that every int it produces comes out as a long."""
+    def broken(s, w, e, values, guard):
+        out, name = rule(s, w, e, values, guard)
+        if type(out) is ConstInt:
+            out = ConstLong(out.value)
+        return out, name
+    return broken
+
+
+def test_audit_catches_an_operator_rule_of_the_wrong_type(monkeypatch):
+    monkeypatch.setitem(interp._REDEX_RULES, Prim,
+                        _retyping_int_results(interp._REDEX_RULES[Prim]))
+    tp = check_source("fun main() : int { let x : int = 5 in "
+                      "if x > 2 then x * 7 else 0 }")
+    result, no_memo, incremental, full = \
+        _audit_both_ways(tp, world_for_seed(0), monkeypatch)
+    assert result.violations == \
+        ["step 5 changed type IntTy(size=32, sign=<Sign.SIGNED: 'signed'>) "
+         "-> LongTy(sign=<Sign.SIGNED: 'signed'>) (BOPV)"]
+    assert _outcome(result) == _outcome(no_memo)
+    assert incremental == full
+    caught = 0
+    for tp, world in _audit_programs():
+        result, no_memo, incremental, full = \
+            _audit_both_ways(tp, world, monkeypatch)
+        assert _outcome(result) == _outcome(no_memo)
+        assert incremental == full
+        caught += bool(result.violations)
+    assert caught > 10
+
+
+def test_audit_empties_its_memo_when_a_rule_retypes_a_block(monkeypatch):
+    # After `let _`, the remaining term is the let's body, the very node the
+    # last step judged.  The broken rule retypes the int cell that `!p`
+    # reads, so a memo kept across the step would still call that node an
+    # int.
+    def retyping_let(s, w, e, values, guard):
+        if e.name == "_":
+            for bid, ty in s.sigma.items():
+                if ty == INT:
+                    s.sigma[bid] = LONG
+        return let_rule(s, w, e, values, guard)
+
+    let_rule = interp._REDEX_RULES[Let]
+    monkeypatch.setitem(interp._REDEX_RULES, Let, retyping_let)
+    tp = check_source("fun main() : int { let p : int* = ref(1) in "
+                      "let _ = p := 2 in !p + 1 }")
+    result, no_memo, incremental, full = \
+        _audit_both_ways(tp, world_for_seed(0), monkeypatch)
+    assert result.violations[0].startswith("step 5 changed type")
+    assert _outcome(result) == _outcome(no_memo)
+    assert incremental == full
+    # With the extension check broken, the memo hides the retyped block.
+    monkeypatch.setattr(driver, "_extends", lambda new, old: True)
+    stale = evaluate_with_audit(tp, world_for_seed(0))
+    assert not any("changed type" in v for v in stale.violations)
+
+
+def test_audit_catches_a_let_rule_that_forgets_to_substitute(monkeypatch):
+    # The let's body comes back as it is, the very node the last step
+    # judged under the binder; at the top it has a free variable.
+    monkeypatch.setitem(interp._REDEX_RULES, Let,
+                        lambda s, w, e, values, guard: (e.body, "LETV"))
+    tp = check_source("fun main() : int { let x : int = 5 in x + 1 }")
+    result, no_memo, incremental, full = \
+        _audit_both_ways(tp, world_for_seed(0), monkeypatch)
+    assert result.violations == [
+        "step 2 untypeable (LETV): UnknownVariable: unbound variable 'x'"]
+    assert _outcome(result) == _outcome(no_memo)
+    assert incremental == full
 
 
 # --- corpus -----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from beepl.interp import (
     init_state, range_count, run_program, runtime_gamma, step, subst, uop_sem,
     unsafe, well_formed, wrap,
 )
-from beepl.core import Cast, Uop, UopKind
+from beepl.core import Bop, BytesView, Cast, Uop, UopKind
 from beepl.gen import GenConfig, generate_well_typed
 from beepl.typecheck import check_program, check_source, infer_expr, \
     TypeCheckError, TypingContext
@@ -483,3 +483,34 @@ def test_ref_types_its_block_as_the_checker_types_the_value():
     # A bare none and a location without store typing have no type.
     for v in (NoneLit(), Loc(999, 0)):
         assert isinstance(step(s, w, Prim(RefOp(), (v,))), Stuck), v
+
+
+def test_operators_on_the_wrong_kind_of_value_are_stuck():
+    # Unchecked terms: the operator rules name the operator and the operand
+    # classes instead of raising out of step.
+    s = empty_state()
+    w = ExternalWorld()
+    cases = [
+        (Prim(Bop(BopKind.ADD), (VLoc(1, 0), VInt(1))),
+         "operator '+' does not apply to Loc and ConstInt"),
+        (Prim(Uop(UopKind.NEG), (BytesView(1, 0, 4),)),
+         "operator '-' does not apply to BytesView"),
+        (Prim(Bop(BopKind.MUL), (SomeLit(VLoc(1, 0)), VInt(2))),
+         "operator '*' does not apply to SomeLit and ConstInt"),
+        (Prim(Bop(BopKind.DIV), (VInt(1), VLong(0))),
+         "operator '/' does not apply to ConstInt and ConstLong"),
+        (Prim(Bop(BopKind.LAND), (VInt(1), VBool(True))),
+         "operator '&&' does not apply to ConstInt and ConstBool"),
+        (Prim(Uop(UopKind.LOGNOT), (VInt(0),)),
+         "operator 'not' does not apply to ConstInt"),
+        (Prim(Uop(UopKind.BITNOT), (NoneLit(),)),
+         "operator '~' does not apply to NoneLit"),
+        (Prim(Cast(LONG), (VBool(True),)),
+         "cast to long does not apply to ConstBool"),
+    ]
+    for e, reason in cases:
+        for guard in (True, False):
+            assert step(s, w, e, guard) == Stuck(reason), e
+    assert s.monitors.clean()
+    assert step(s, w, Prim(Bop(BopKind.LOR), (VBool(False), VBool(True)))) \
+        == Stepped(VBool(True), "BOPV")

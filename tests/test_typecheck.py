@@ -9,7 +9,7 @@ from beepl.core import (
 from beepl.frontend import parse_expr, parse_program, print_program
 from beepl.gen import GenConfig, generate_well_typed
 from beepl.typecheck import (
-    TypeCheckError, TypingContext, check_fun_decl, check_program,
+    JudgmentMemo, TypeCheckError, TypingContext, check_fun_decl, check_program,
     check_source, default_helper_registry, infer_expr, section_ok,
 )
 
@@ -410,3 +410,37 @@ def test_elaboration_records_node_types():
     # The recorded types take no part in equality, so printing and
     # re-parsing the elaborated program still gives an equal program.
     assert parse_program(print_program(tp.program)) == tp.program
+
+
+def test_memo_keys_on_expected_type_and_free_local_binders():
+    # Nodes judged under one runtime context (y : int) with different
+    # expected types and local binders: with a memo, each answer is the one
+    # a context without a memo gives.
+    memo = JudgmentMemo()
+    five = ConstInt(5)
+    body = parse_expr("x + 1")
+    scaled = parse_expr("y * 2")
+    judgments = [
+        (five, None), (five, LONG), (five, None),
+        (Let("x", INT, ConstInt(1), body), None),
+        (Let("x", LONG, ConstLong(1), body), None),
+        (Let("x", BOOL, ConstBool(True), body), None),
+        (body, None),
+        (Let("y", LONG, ConstLong(1), scaled), None),
+        (scaled, None),
+        (Let("y", LONG, ConstLong(1), scaled), None),
+    ]
+    answers = {}
+    for m in (None, memo):
+        for i, (e, expected) in enumerate(judgments):
+            ctx = TypingContext(gamma={"y": INT}, memo=m)
+            try:
+                answers.setdefault(i, []).append(infer_expr(ctx, e, expected))
+            except TypeCheckError as exc:
+                answers.setdefault(i, []).append(exc.code)
+    assert all(full == memoized for full, memoized in answers.values()), \
+        answers
+    assert answers[1][0] == (LONG, Effect()) and answers[6][0] == \
+        "UnknownVariable" and answers[8][0] == (INT, Effect())
+    # Only successful judgments were kept.
+    assert all(type(judged) is tuple for _, judged in memo.judgments.values())
