@@ -49,26 +49,13 @@ class EffectAtom(Enum):
     IO = "io"
 
 
-@dataclass(frozen=True)
-class Effect:
-    """An ordered list of effect atoms.
+class Effect(frozenset):
+    """A set of effect atoms; it prints in EffectAtom declaration order."""
 
-    Concatenation keeps order and multiplicity; comparisons are set-based.
-    """
-
-    items: tuple[EffectAtom, ...] = ()
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __bool__(self):
-        return bool(self.items)
-
-    def atoms(self) -> frozenset[EffectAtom]:
-        return frozenset(self.items)
+    __slots__ = ()
 
     def __str__(self):
-        return "<" + ", ".join(a.value for a in self.items) + ">"
+        return "<" + ", ".join(a.value for a in EffectAtom if a in self) + ">"
 
 
 EMPTY_EFFECT = Effect()
@@ -76,22 +63,18 @@ ALLOC = Effect((EffectAtom.ALLOC,))
 READ = Effect((EffectAtom.READ,))
 WRITE = Effect((EffectAtom.WRITE,))
 IO = Effect((EffectAtom.IO,))
-DIVERGENCE = Effect((EffectAtom.DIVERGENCE,))
 
 
 def effect_concat(*effs: Effect) -> Effect:
-    items: list[EffectAtom] = []
-    for e in effs:
-        items.extend(e.items)
-    return Effect(tuple(items))
+    return Effect(EMPTY_EFFECT.union(*effs))
 
 
 def effect_subset(a: Effect, b: Effect) -> bool:
-    return a.atoms() <= b.atoms()
+    return a <= b
 
 
 def effect_of(names: Iterable[str]) -> Effect:
-    return Effect(tuple(EffectAtom(n) for n in names))
+    return Effect(EffectAtom(n) for n in names)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
     """
     violations: list[str] = []
     for name, tf in tp.funs.items():
-        if EffectAtom.DIVERGENCE in tf.inferred.atoms():
+        if EffectAtom.DIVERGENCE in tf.inferred:
             violations.append(f"divergence effect inferred for {name}")
     entry = tp.entry_point()
     if entry is None:
@@ -145,12 +145,11 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         ty0, eff = infer_expr(audit_ctx(s), expr)
     except TypeCheckError as exc:
         return AuditResult([f"initial call untypeable: {exc}"], 0)
-    atoms = eff.atoms()
     steps = 0
     value = None
 
     def recheck(s: State, expr: Expr, rule: str) -> None:
-        nonlocal steps, eff, atoms
+        nonlocal steps, eff
         steps += 1
         ctx = audit_ctx(s)
         memo.prune(expr)
@@ -161,11 +160,10 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         if ty_i != ty0:
             raise _Violation(f"step {steps} changed type "
                              f"{ty0} -> {ty_i} ({rule})")
-        atoms_i = eff_i.atoms()  # effect_subset, reusing the last step's
-        if not atoms_i <= atoms:
+        if not eff_i <= eff:
             raise _Violation(f"step {steps} grew effects "
                              f"{eff} -> {eff_i} ({rule})")
-        eff, atoms = eff_i, atoms_i
+        eff = eff_i
         ok, clauses = well_formed(ctx.gamma, s.sigma, s)
         if not ok:
             raise _Violation(f"step {steps} ill-formed state: {clauses[0]}")

@@ -385,7 +385,7 @@ class Parser:
             if not self.accept("punct", ","):
                 break
         self.expect("punct", ">")
-        return Effect(tuple(atoms))
+        return Effect(atoms)
 
     def parse_extern_decl(self) -> ExtDecl:
         kw = self.expect("kw", "extern")
@@ -913,7 +913,7 @@ def print_program(p: Program) -> str:
             args = ", ".join(f"{print_type(t)} {x}" for x, t in d.args)
             head = f"fun {d.name}({args}) : {print_type(d.rt)}"
             if d.ef is not None:
-                head += ", <" + ", ".join(a.value for a in d.ef.items) + ">"
+                head += f", {d.ef}"
             if d.vars:
                 head += " vars (" + ", ".join(f"{print_type(t)} {y}"
                                               for y, t in d.vars) + ")"
@@ -923,8 +923,8 @@ def print_program(p: Program) -> str:
         elif isinstance(d, ExtDecl):
             args = ", ".join(print_type(t) for t in d.arg_types)
             head = f"extern fun {d.name}({args}) : {print_type(d.res_type)}"
-            if d.ef.items:
-                head += ", <" + ", ".join(a.value for a in d.ef.items) + ">"
+            if d.ef:
+                head += f", {d.ef}"
             lines.append(head + ";")
         elif isinstance(d, GlobDecl):
             if isinstance(d.init, bytes) and isinstance(d.ty, ArrayTy):

@@ -375,11 +375,6 @@ class Stuck:
 StepOutcome = Union[Stepped, IsValue, Stuck]
 
 
-class _StuckSignal(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
 def _typed_value_expr(v: Expr, ty: Optional[Ty]) -> Expr:
     """v, with a null option given its type so that re-inference can type it."""
     if type(v) is NoneLit and isinstance(ty, OptionTy):
@@ -393,14 +388,13 @@ def step(s: State, w: ExternalWorld, e: Expr,
     if is_value(e):
         return IsValue(e)
     try:
-        expr, rule = _step(s, w, e, guard_unsafe)
-        return Stepped(expr, rule)
-    except _StuckSignal as sig:
-        return Stuck(sig.reason)
+        return Stepped(*_step(s, w, e, guard_unsafe))
+    except StuckState as exc:
+        return Stuck(exc.reason)
 
 
 def _stuck(reason: str):
-    raise _StuckSignal(reason)
+    raise StuckState(reason)
 
 
 # Evaluation contexts as data: for each node class, the children (as
@@ -772,18 +766,14 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
         raise ValueError("fuel must be >= 1")
     steps = 0
     current = e
-    while True:
-        out = step(s, w, current, guard_unsafe)
-        if isinstance(out, IsValue):
-            return EvalResult(s, out.value, steps)
-        if isinstance(out, Stuck):
-            raise StuckState(out.reason)
-        current = out.expr
+    while not is_value(current):
+        current, rule = _step(s, w, current, guard_unsafe)
         steps += 1
         if on_step is not None:
-            on_step(s, current, out.rule)
+            on_step(s, current, rule)
         if steps >= fuel:
             raise FuelExhausted(f"no value after {fuel} steps")
+    return EvalResult(s, current, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -188,122 +188,127 @@ def infer_expr(ctx: TypingContext, e: Expr,
     return ty, eff
 
 
-def infer_elab(ctx: TypingContext, e: Expr, expected: Optional[Ty] = None,
-               _missed: bool = False) -> tuple[Ty, Effect, Expr]:
-    # A context with a memo asks it first and, on a miss, judges e by the
-    # rules below (``_missed``) and keeps the judgment if it succeeds.
+def infer_elab(ctx: TypingContext, e: Expr,
+               expected: Optional[Ty] = None) -> tuple[Ty, Effect, Expr]:
+    """Judge e by its class's typing rule.  A context with a memo asks it
+    first and keeps the judgment if the rule succeeds."""
+    rule = _TYPING_RULES.get(type(e), _infer_unsupported)
     memo = ctx.memo
-    if memo is not None and not _missed:
-        key = memo.key(ctx, e, expected)
-        entry = memo.judgments.get(key)
-        if entry is None:
-            entry = memo.judgments[key] = \
-                (e, infer_elab(ctx, e, expected, True))
-        return entry[1]
-    if isinstance(e, Var):
-        if e.name in ctx.gamma:
-            ty = ctx.gamma[e.name]
-            if isinstance(ty, ArrayTy):
-                _err("ArrayNotFirstClass",
-                     f"array variable {e.name!r} cannot be used as a value",
-                     e.span, "TVAR")
-            return ty, EMPTY_EFFECT, e
-        if e.name in ctx.consts:
-            return INT, EMPTY_EFFECT, ConstInt(ctx.consts[e.name], span=e.span)
-        if e.name in ctx.funs or e.name in ctx.psi:
-            _err("NotFirstClassFunction",
-                 f"function {e.name!r} used outside a call", e.span, "TVAR")
-        _err("UnknownVariable", f"unbound variable {e.name!r}", e.span, "TVAR")
-    if isinstance(e, ConstInt):
-        if isinstance(expected, LongTy):
-            return expected, EMPTY_EFFECT, ConstLong(e.value, span=e.span)
-        return INT, EMPTY_EFFECT, e
-    if isinstance(e, ConstLong):
-        return LONG, EMPTY_EFFECT, e
-    if isinstance(e, ConstBool):
-        return BOOL, EMPTY_EFFECT, e
-    if isinstance(e, UnitLit):
-        return UNIT, EMPTY_EFFECT, e
-    if isinstance(e, Loc):
-        # sigma maps blocks to their content type; a location is a reference
-        # to that content.
-        ty = ctx.sigma.get(e.block)
-        if ty is None:
-            _err("UnknownLocation", f"location {e.block} not in store typing",
-                 e.span, "TLOC")
-        if not is_basic(ty):
-            _err("UnknownLocation",
-                 f"location {e.block} holds non-basic content {ty}",
-                 e.span, "TLOC")
-        return RefTy(ty), EMPTY_EFFECT, e
-    if isinstance(e, BytesView):
-        ty = ctx.sigma.get(e.block)
-        if not isinstance(ty, BytesTy):
-            _err("UnknownLocation", f"block {e.block} is not a byte region",
-                 e.span, "TLOC")
-        return BYTES, EMPTY_EFFECT, e
-    if isinstance(e, Seq):
-        eff = EMPTY_EFFECT
-        parts = []
-        ty: Ty = UNIT
-        for p in e.parts:
-            ty, pe, pelab = infer_elab(ctx, p)
-            eff = effect_concat(eff, pe)
-            parts.append(pelab)
-        return ty, eff, Seq(tuple(parts), ty=ty)
-    if isinstance(e, Repeat):
-        _, beff, belab = infer_elab(ctx, e.body)
-        return UNIT, beff, Repeat(belab, e.count, ty=UNIT)
-    if isinstance(e, NoneLit):
-        if isinstance(expected, OptionTy):
-            return expected, EMPTY_EFFECT, NoneLit(span=e.span, ty=expected)
-        if isinstance(e.ty, OptionTy):
-            return e.ty, EMPTY_EFFECT, e
-        _err("CannotInferOption",
-             "bare 'none' needs a declared option type", e.span, "TNONE")
-    if isinstance(e, SomeLit):
-        inner_exp = expected.inner if isinstance(expected, OptionTy) else None
-        vty, veff, velab = infer_elab(ctx, e.value, inner_exp)
-        if not isinstance(vty, RefTy):
-            _err("SomeOfNonPointer",
-                 f"'some' wraps pointers, got {vty}", e.span, "TSOME")
-        ty = OptionTy(vty)
-        return ty, veff, SomeLit(velab, span=e.span, ty=ty)
-    if isinstance(e, Prim):
-        return _infer_prim(ctx, e, expected)
-    if isinstance(e, App):
-        return _infer_app(ctx, e)
-    if isinstance(e, Let):
-        bty, beff, belab = infer_elab(ctx, e.bound, e.declared)
-        bty, belab = _coerce(bty, belab, e.declared)
-        if bty != e.declared:
-            _err("LetTypeMismatch",
-                 f"let binds {bty}, declared {e.declared}", e.span, "TBIND")
-        inner = ctx if e.name == "_" else ctx.extended(**{e.name: e.declared})
-        tty, teff, telab = infer_elab(inner, e.body, expected)
-        return tty, effect_concat(beff, teff), \
-            Let(e.name, e.declared, belab, telab, span=e.span, ty=tty)
-    if isinstance(e, Cond):
-        gty, geff, gelab = infer_elab(ctx, e.guard)
-        if gty != BOOL:
-            _err("GuardNotBool", f"condition has type {gty}", e.span, "TCOND")
-        tty, teff, telab = infer_elab(ctx, e.then, expected)
-        oty, oeff, oelab = infer_elab(ctx, e.otherwise, expected)
-        tty, telab, oty, oelab = _coerce_pair(tty, telab, oty, oelab)
-        if tty != oty:
-            _err("BranchTypeMismatch",
-                 f"branches have types {tty} and {oty}", e.span, "TCOND")
-        return tty, effect_concat(geff, teff, oeff), \
-            Cond(gelab, telab, oelab, span=e.span, ty=tty)
-    if isinstance(e, StructInit):
-        return _infer_struct_init(ctx, e)
-    if isinstance(e, Field):
-        return _infer_field(ctx, e)
-    if isinstance(e, For):
-        return _infer_for(ctx, e)
-    if isinstance(e, Match):
-        return _infer_match(ctx, e, expected)
+    if memo is None or rule is _infer_unsupported:  # no key without a shape
+        return rule(ctx, e, expected)
+    key = memo.key(ctx, e, expected)
+    entry = memo.judgments.get(key)
+    if entry is None:
+        entry = memo.judgments[key] = (e, rule(ctx, e, expected))
+    return entry[1]
+
+
+def _infer_unsupported(ctx: TypingContext, e: Expr, expected: Optional[Ty]):
     _err("UnsupportedExpr", f"cannot type {type(e).__name__}", None, None)
+
+
+def _infer_var(ctx: TypingContext, e: Var, expected: Optional[Ty]):
+    if e.name in ctx.gamma:
+        ty = ctx.gamma[e.name]
+        if isinstance(ty, ArrayTy):
+            _err("ArrayNotFirstClass",
+                 f"array variable {e.name!r} cannot be used as a value",
+                 e.span, "TVAR")
+        return ty, EMPTY_EFFECT, e
+    if e.name in ctx.consts:
+        return INT, EMPTY_EFFECT, ConstInt(ctx.consts[e.name], span=e.span)
+    if e.name in ctx.funs or e.name in ctx.psi:
+        _err("NotFirstClassFunction",
+             f"function {e.name!r} used outside a call", e.span, "TVAR")
+    _err("UnknownVariable", f"unbound variable {e.name!r}", e.span, "TVAR")
+
+
+def _infer_int(ctx: TypingContext, e: ConstInt, expected: Optional[Ty]):
+    if isinstance(expected, LongTy):
+        return expected, EMPTY_EFFECT, ConstLong(e.value, span=e.span)
+    return INT, EMPTY_EFFECT, e
+
+
+def _infer_loc(ctx: TypingContext, e: Loc, expected: Optional[Ty]):
+    # sigma maps blocks to their content type; a location is a reference to
+    # that content.
+    ty = ctx.sigma.get(e.block)
+    if ty is None:
+        _err("UnknownLocation", f"location {e.block} not in store typing",
+             e.span, "TLOC")
+    if not is_basic(ty):
+        _err("UnknownLocation",
+             f"location {e.block} holds non-basic content {ty}",
+             e.span, "TLOC")
+    return RefTy(ty), EMPTY_EFFECT, e
+
+
+def _infer_bytes(ctx: TypingContext, e: BytesView, expected: Optional[Ty]):
+    if not isinstance(ctx.sigma.get(e.block), BytesTy):
+        _err("UnknownLocation", f"block {e.block} is not a byte region",
+             e.span, "TLOC")
+    return BYTES, EMPTY_EFFECT, e
+
+
+def _infer_seq(ctx: TypingContext, e: Seq, expected: Optional[Ty]):
+    eff = EMPTY_EFFECT
+    parts = []
+    ty: Ty = UNIT
+    for p in e.parts:
+        ty, pe, pelab = infer_elab(ctx, p)
+        eff = effect_concat(eff, pe)
+        parts.append(pelab)
+    return ty, eff, Seq(tuple(parts), ty=ty)
+
+
+def _infer_repeat(ctx: TypingContext, e: Repeat, expected: Optional[Ty]):
+    _, beff, belab = infer_elab(ctx, e.body)
+    return UNIT, beff, Repeat(belab, e.count, ty=UNIT)
+
+
+def _infer_none(ctx: TypingContext, e: NoneLit, expected: Optional[Ty]):
+    if isinstance(expected, OptionTy):
+        return expected, EMPTY_EFFECT, NoneLit(span=e.span, ty=expected)
+    if isinstance(e.ty, OptionTy):
+        return e.ty, EMPTY_EFFECT, e
+    _err("CannotInferOption",
+         "bare 'none' needs a declared option type", e.span, "TNONE")
+
+
+def _infer_some(ctx: TypingContext, e: SomeLit, expected: Optional[Ty]):
+    inner_exp = expected.inner if isinstance(expected, OptionTy) else None
+    vty, veff, velab = infer_elab(ctx, e.value, inner_exp)
+    if not isinstance(vty, RefTy):
+        _err("SomeOfNonPointer",
+             f"'some' wraps pointers, got {vty}", e.span, "TSOME")
+    ty = OptionTy(vty)
+    return ty, veff, SomeLit(velab, span=e.span, ty=ty)
+
+
+def _infer_let(ctx: TypingContext, e: Let, expected: Optional[Ty]):
+    bty, beff, belab = infer_elab(ctx, e.bound, e.declared)
+    bty, belab = _coerce(bty, belab, e.declared)
+    if bty != e.declared:
+        _err("LetTypeMismatch",
+             f"let binds {bty}, declared {e.declared}", e.span, "TBIND")
+    inner = ctx if e.name == "_" else ctx.extended(**{e.name: e.declared})
+    tty, teff, telab = infer_elab(inner, e.body, expected)
+    return tty, effect_concat(beff, teff), \
+        Let(e.name, e.declared, belab, telab, span=e.span, ty=tty)
+
+
+def _infer_cond(ctx: TypingContext, e: Cond, expected: Optional[Ty]):
+    gty, geff, gelab = infer_elab(ctx, e.guard)
+    if gty != BOOL:
+        _err("GuardNotBool", f"condition has type {gty}", e.span, "TCOND")
+    tty, teff, telab = infer_elab(ctx, e.then, expected)
+    oty, oeff, oelab = infer_elab(ctx, e.otherwise, expected)
+    tty, telab, oty, oelab = _coerce_pair(tty, telab, oty, oelab)
+    if tty != oty:
+        _err("BranchTypeMismatch",
+             f"branches have types {tty} and {oty}", e.span, "TCOND")
+    return tty, effect_concat(geff, teff, oeff), \
+        Cond(gelab, telab, oelab, span=e.span, ty=tty)
 
 
 def _coerce(ty: Ty, elab: Expr, want: Optional[Ty]) -> tuple[Ty, Expr]:
@@ -435,7 +440,7 @@ def _infer_bop(ctx: TypingContext, e: Prim, kind: BopKind):
         Prim(Bop(kind), (lelab, relab), span=e.span, ty=ty)
 
 
-def _infer_app(ctx: TypingContext, e: App):
+def _infer_app(ctx: TypingContext, e: App, expected: Optional[Ty]):
     if not isinstance(e.callee, Var):
         _err("NotAFunction", "only named functions can be called",
              e.span, "TAPP")
@@ -483,7 +488,8 @@ def _fold_htons(ctx: TypingContext, e: App):
     return INT, aeff, ConstInt(htons16(aelab.value), span=e.span)
 
 
-def _infer_struct_init(ctx: TypingContext, e: StructInit):
+def _infer_struct_init(ctx: TypingContext, e: StructInit,
+                       expected: Optional[Ty]):
     tty = ctx.gamma.get(e.name)
     if tty is None:
         _err("UnknownVariable", f"unbound struct variable {e.name!r}",
@@ -519,7 +525,7 @@ def _infer_struct_init(ctx: TypingContext, e: StructInit):
         StructInit(e.name, tuple(elab_fields), span=e.span, ty=tty)
 
 
-def _infer_field(ctx: TypingContext, e: Field):
+def _infer_field(ctx: TypingContext, e: Field, expected: Optional[Ty]):
     tty, teff, telab = infer_elab(ctx, e.target)
     sid = None
     if isinstance(tty, StructTy):
@@ -551,7 +557,7 @@ def _infer_field(ctx: TypingContext, e: Field):
     return fty, teff, Field(telab, e.fname, span=e.span, ty=fty)
 
 
-def _infer_for(ctx: TypingContext, e: For):
+def _infer_for(ctx: TypingContext, e: For, expected: Optional[Ty]):
     # The disjointness premise is purely syntactic; check it first so the
     # diagnostic names the real problem.  Named constants are not variables.
     # The body is scanned only when the bounds mention a variable: scanning
@@ -598,24 +604,18 @@ def _infer_match_option(ctx, e: Match, sty: OptionTy, seff, selab, expected):
         _err("NonExhaustiveOptionMatch",
              "option match must cover pnone and psome "
              "(a wildcard may replace one of them)", e.span, "TMATCHO")
-    arm_tys = []
-    arm_effs = []
-    elab_arms = []
+    arms = []
     for p, body in e.arms:
         inner = ctx.extended(**{p.binder: sty.inner}) \
             if isinstance(p, Psome) else ctx
-        bty, beff, belab = infer_elab(inner, body, expected)
-        arm_tys.append(bty)
-        arm_effs.append(beff)
-        elab_arms.append((p, belab))
-    t1, e1, t2, e2 = _coerce_pair(arm_tys[0], elab_arms[0][1],
-                                  arm_tys[1], elab_arms[1][1])
+        arms.append((p, *infer_elab(inner, body, expected)))
+    (p1, t1, ef1, b1), (p2, t2, ef2, b2) = arms
+    t1, b1, t2, b2 = _coerce_pair(t1, b1, t2, b2)
     if t1 != t2:
         _err("BranchTypeMismatch",
              f"match arms have types {t1} and {t2}", e.span, "TMATCHO")
-    elab_arms = [(elab_arms[0][0], e1), (elab_arms[1][0], e2)]
-    return t1, effect_concat(seff, *arm_effs), \
-        Match(selab, tuple(elab_arms), span=e.span, ty=t1)
+    return t1, effect_concat(seff, ef1, ef2), \
+        Match(selab, ((p1, b1), (p2, b2)), span=e.span, ty=t1)
 
 
 def lane_type(ty: Ty) -> Ty:
@@ -672,6 +672,32 @@ def _infer_match_bytes(ctx, e: Match, seff, selab, expected):
              f"match arms have types {t1} and {t2}", e.span, "TMATCHB")
     return t1, effect_concat(seff, ef1, ef2), \
         Match(selab, ((pat, b1), (e.arms[1][0], b2)), span=e.span, ty=t1)
+
+
+# Each expression class's typing rule, with the rule names its diagnostics
+# carry.  A rule takes the context, the node and the type its position
+# expects, and returns the node's type, its effect and its elaboration.
+_TYPING_RULES = {
+    Var: _infer_var,                # TVAR
+    ConstInt: _infer_int,
+    ConstLong: lambda ctx, e, expected: (LONG, EMPTY_EFFECT, e),
+    ConstBool: lambda ctx, e, expected: (BOOL, EMPTY_EFFECT, e),
+    UnitLit: lambda ctx, e, expected: (UNIT, EMPTY_EFFECT, e),
+    Loc: _infer_loc,                # TLOC
+    BytesView: _infer_bytes,        # TLOC
+    NoneLit: _infer_none,           # TNONE
+    SomeLit: _infer_some,           # TSOME
+    Prim: _infer_prim,              # TREF, TDEREF, TMASSGN, TUOP, TBOP
+    App: _infer_app,                # TAPP
+    Let: _infer_let,                # TBIND
+    Cond: _infer_cond,              # TCOND
+    StructInit: _infer_struct_init,  # TSINIT
+    Field: _infer_field,            # TFIELD
+    For: _infer_for,                # TFOR
+    Match: _infer_match,            # TMATCHO, TMATCHB
+    Seq: _infer_seq,
+    Repeat: _infer_repeat,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ from beepl.core import (
     fvar, is_value, pattern_binders, rename_var, sizeof, subst,
     struct_layout, with_children,
 )
-from beepl import interp
+from beepl import interp, typecheck
 from beepl.driver import evaluate_with_audit, load_corpus, world_for_seed
 from beepl.frontend import parse_expr
 from beepl.gen import GenConfig, generate_well_typed
 from beepl.interp import run_program
-from beepl.typecheck import check_program
+from beepl.typecheck import (
+    JudgmentMemo, TypeCheckError, TypingContext, check_program, infer_expr,
+)
 
 atoms = st.lists(st.sampled_from(list(EffectAtom)), max_size=5)
 effects = atoms.map(lambda xs: Effect(tuple(xs)))
@@ -227,6 +229,20 @@ def test_every_expr_class_is_a_leaf_or_has_a_shape():
     classes = set(_concrete_exprs())
     assert classes == set(SHAPES) | LEAVES
     assert not set(SHAPES) & LEAVES
+
+
+def test_every_expr_class_has_one_typing_rule():
+    assert set(typecheck._TYPING_RULES) == set(SHAPES) | LEAVES
+
+    class Stray:
+        """A node of a class the checker has no rule for."""
+
+    for ctx in (TypingContext(), TypingContext(memo=JudgmentMemo())):
+        for e in (Stray(), Prim(Bop(BopKind.ADD), (Stray(), ConstInt(1))),
+                  Let("x", INT, ConstInt(1), Stray())):
+            with pytest.raises(TypeCheckError) as err:
+                infer_expr(ctx, e)
+            assert err.value.code == "UnsupportedExpr"
 
 
 def test_with_children_rebuilds_every_subterm():

@@ -166,7 +166,7 @@ def test_array_variables_are_not_values():
 def test_effects_through_cond_collect_both_branches():
     ty, eff = infer_src("if b then !p else 0", b=BOOL, p=RefTy(INT))
     assert ty == INT
-    assert EffectAtom.READ in eff.atoms()
+    assert EffectAtom.READ in eff
 
 
 # --- check_fun_decl -------------------------------------------------------------
@@ -197,14 +197,26 @@ fun bprog3(option(struct xdp_md*) ctx) : int {
 }
 '''
     tp = check_source(src)
-    atoms = tp.funs["bprog3"].inferred.atoms()
     assert {EffectAtom.ALLOC, EffectAtom.IO, EffectAtom.WRITE,
-            EffectAtom.READ} <= atoms
+            EffectAtom.READ} <= tp.funs["bprog3"].inferred
 
 
 def test_effect_annotation_too_small():
     src = "fun f() : int, <read> { let x : int* = ref(2) in !x }"
     assert err_code(lambda: check_source(src)) == "EffectAnnotationTooSmall"
+
+
+def test_effect_annotation_diagnostic_names_each_atom_once():
+    src = ("fun f() : int, <read> { let x : int* = ref(2) in "
+           "let _ = x := !x + !x in !x }\n"
+           "fun main() : int { f() }")
+    with pytest.raises(TypeCheckError) as err:
+        check_source(src)
+    assert err.value.code == "EffectAnnotationTooSmall"
+    performed = err.value.message.split("performs ")[1]
+    assert performed == "<read, write, alloc>"
+    for atom in EffectAtom:
+        assert performed.count(atom.value) <= 1, atom
 
 
 def test_effect_annotation_may_exceed_inferred():
@@ -317,7 +329,7 @@ def test_generated_programs_never_infer_divergence():
     for seed in range(40):
         tp = check_program(_generated(seed, bytes_match=True, externals=True))
         for name, tf in tp.funs.items():
-            assert EffectAtom.DIVERGENCE not in tf.inferred.atoms(), name
+            assert EffectAtom.DIVERGENCE not in tf.inferred, name
 
 
 def test_deref_of_any_option_is_rejected():
