@@ -294,8 +294,9 @@ class UopKind(Enum):
     BITNOT = "~"
 
 
-COMPARE_BOPS = {BopKind.EQ, BopKind.NE, BopKind.LT, BopKind.LE, BopKind.GT, BopKind.GE}
-LOGIC_BOPS = {BopKind.LAND, BopKind.LOR}
+# Tuples: a membership test compares by identity and hashes no enum member.
+COMPARE_BOPS = (BopKind.EQ, BopKind.NE, BopKind.LT, BopKind.LE, BopKind.GT, BopKind.GE)
+LOGIC_BOPS = (BopKind.LAND, BopKind.LOR)
 
 
 class PrimOp:

@@ -238,22 +238,26 @@ def bop_sem(op: BopKind, v1: Expr, v2: Expr) -> Union[Expr, VUndef]:
     Unsafe operand pairs yield the undef sentinel; the BOPV guard normally
     intercepts them first and returns zero instead.
     """
+    a, b = v1.value, v2.value
     if op is BopKind.LAND:
-        return ConstBool(v1.value and v2.value)
+        return ConstBool(a and b)
     if op is BopKind.LOR:
-        return ConstBool(v1.value or v2.value)
+        return ConstBool(a or b)
     if op is BopKind.EQ:
-        return ConstBool(v1.value == v2.value)
+        return ConstBool(a == b)
     if op is BopKind.NE:
-        return ConstBool(v1.value != v2.value)
-    if op in (BopKind.LT, BopKind.LE, BopKind.GT, BopKind.GE):
-        a, b = v1.value, v2.value
-        return ConstBool({BopKind.LT: a < b, BopKind.LE: a <= b,
-                          BopKind.GT: a > b, BopKind.GE: a >= b}[op])
+        return ConstBool(a != b)
+    if op is BopKind.LT:
+        return ConstBool(a < b)
+    if op is BopKind.LE:
+        return ConstBool(a <= b)
+    if op is BopKind.GT:
+        return ConstBool(a > b)
+    if op is BopKind.GE:
+        return ConstBool(a >= b)
     if unsafe(op, v1, v2):
         return VUndef()
     bits = _lane_bits(v1)
-    a, b = v1.value, v2.value
     if op is BopKind.ADD:
         return _mk(bits, a + b)
     if op is BopKind.SUB:
@@ -360,6 +364,9 @@ def extract(v: BytesView, target: Ty, theta: Memory,
 class Stepped:
     expr: Expr
     rule: str
+    # The contracted subterm of the term stepped, and its path's length.
+    redex: Optional[Expr] = dc_field(default=None, compare=False)
+    depth: int = dc_field(default=0, compare=False)
 
 
 @dataclass
@@ -387,10 +394,13 @@ def step(s: State, w: ExternalWorld, e: Expr,
     """One computational step; exactly one rule applies to a non-value."""
     if is_value(e):
         return IsValue(e)
+    frames: list = []
+    redex, values = _refocus(frames, e)
     try:
-        return Stepped(*_step(s, w, e, guard_unsafe))
+        out, rule = _contract(s, w, redex, values, guard_unsafe)
     except StuckState as exc:
         return Stuck(exc.reason)
+    return Stepped(_plug(frames, out), rule, redex, len(frames))
 
 
 def _stuck(reason: str):
@@ -420,39 +430,64 @@ _CONTEXTS = {cls: (SHAPES[cls], start, stop)
              for cls, (start, stop) in EVAL_POSITIONS.items()}
 
 
-def _step(s: State, w: ExternalWorld, e: Expr,
-          guard: bool) -> tuple[Expr, str]:
-    """Split e into an evaluation context and a redex, reduce the redex by
-    its class's rule, and plug the result back into the context.
+def _refocus(frames: list, e: Expr) -> tuple[Expr, list[Expr]]:
+    """The next redex, and the values of its children in evaluation
+    position, once e stands in the hole of the context ``frames``.
 
-    The descent goes, at each node, into the first child in evaluation
-    position that is not a value; the redex is the node whose children in
-    evaluation position are all values, and its rule receives those values.
+    A frame is [node, context, children, hole, own], outermost first; own
+    holds while children are the node's own.  A non-value is searched from
+    its top, a value fills the innermost hole; either way the search goes on
+    at the frame's next child in evaluation position that is not a value.
+    A frame with none left is popped, rebuilt if its children changed, and
+    is the redex unless it is a value (``some`` around a location).
     """
-    frames = []  # (node, shape, children, hole index), outermost first
     while True:
-        values: list[Expr] = []
-        hole = None
-        context = _CONTEXTS.get(type(e))
-        if context is not None:
-            shape, start, stop = context
-            children = shape.children(e)
-            for i in range(start, len(children) if stop is None else stop):
-                if not is_value(children[i]):
-                    hole = i
-                    break
-                values.append(children[i])
-        if hole is None:
-            break
-        frames.append((e, shape, children, hole))
-        e = children[hole]
-    rule = _REDEX_RULES.get(type(e))
+        if not is_value(e):
+            context = _CONTEXTS.get(type(e))
+            if context is None:
+                return e, []
+            frame = [e, context, context[0].children(e), context[1], True]
+            frames.append(frame)
+        elif frames:
+            frame = frames[-1]
+            if frame[4]:
+                frame[2], frame[4] = list(frame[2]), False
+            frame[2][frame[3]] = e
+            frame[3] += 1
+        else:
+            return e, []
+        node, (shape, start, stop), children, i, own = frame
+        end = len(children) if stop is None else stop
+        while i < end and is_value(children[i]):
+            i += 1
+        if i < end:
+            frame[3] = i
+            e = children[i]
+            continue
+        frames.pop()
+        e = node if own else shape.rebuild(node, children)
+        if not is_value(e):
+            return e, list(children[start:end])
+
+
+def _plug(frames: list, e: Expr) -> Expr:
+    """The whole term with e in the context's hole.  Only the frames whose
+    hole or children changed are rebuilt; the others give back their node."""
+    for node, (shape, _, _), children, i, own in reversed(frames):
+        if own and e is children[i]:
+            e = node
+        else:
+            e = shape.rebuild(node, (*children[:i], e, *children[i + 1:]))
+    return e
+
+
+def _contract(s: State, w: ExternalWorld, redex: Expr, values: list[Expr],
+              guard: bool) -> tuple[Expr, str]:
+    """The redex reduced by its class's rule, and the rule's name."""
+    rule = _REDEX_RULES.get(type(redex))
     if rule is None:
-        _stuck(f"no rule applies to {type(e).__name__}")
-    out, name = rule(s, w, e, values, guard)
-    for node, shape, children, i in reversed(frames):
-        out = shape.rebuild(node, (*children[:i], out, *children[i + 1:]))
-    return out, name
+        _stuck(f"no rule applies to {type(redex).__name__}")
+    return rule(s, w, redex, values, guard)
 
 
 def _step_let(s: State, w: ExternalWorld, e: Let, values: list[Expr],
@@ -566,7 +601,7 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Expr],
 _BOOL_OPERANDS = frozenset({(ConstBool,), (ConstBool, ConstBool)})
 _INT_OPERANDS = frozenset({(ConstInt,), (ConstLong,), (ConstInt, ConstInt),
                            (ConstLong, ConstLong)})
-_LOGICAL = frozenset({BopKind.LAND, BopKind.LOR, UopKind.LOGNOT})
+_LOGICAL = (BopKind.LAND, BopKind.LOR, UopKind.LOGNOT)
 
 
 def _check_operands(op, values: list[Expr]) -> None:
@@ -761,19 +796,23 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
                fuel: int = DEFAULT_FUEL, guard_unsafe: bool = True,
                on_step: Optional[Callable[[State, Expr, str], None]] = None
                ) -> EvalResult:
-    """Iterate step until a value; returns the exact step count."""
+    """Iterate step until a value; returns the exact step count.  The
+    context is kept between steps (refocusing) and the whole term is plugged
+    together only for on_step."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     steps = 0
-    current = e
-    while not is_value(current):
-        current, rule = _step(s, w, current, guard_unsafe)
+    frames: list = []
+    focus, values = _refocus(frames, e)
+    while not is_value(focus):
+        out, rule = _contract(s, w, focus, values, guard_unsafe)
+        focus, values = _refocus(frames, out)
         steps += 1
         if on_step is not None:
-            on_step(s, current, rule)
+            on_step(s, _plug(frames, focus), rule)
         if steps >= fuel:
             raise FuelExhausted(f"no value after {fuel} steps")
-    return EvalResult(s, current, steps)
+    return EvalResult(s, focus, steps)
 
 
 # ---------------------------------------------------------------------------

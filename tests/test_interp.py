@@ -1,9 +1,14 @@
+import copy
+import functools
+
 import pytest
+
+from beepl import interp
 
 from beepl.core import (
     ArrayTy, BopKind, BYTES, Composite, ConstBool, ConstInt, ConstLong,
     Deref, Direction, INT, IntTy, LONG, Loc, Match, NoneLit, Pnone, Prim,
-    Psome, RefOp, RefTy, Sign, SomeLit, StructTy, U16, U32, U8, UnitLit,
+    Psome, RefOp, RefTy, Shape, Sign, SomeLit, StructTy, U16, U32, U8, UnitLit,
     VBool, VBytes, VInt, VLoc, VLong, VUndef, VUnit, Var, expr_children,
     is_value, sizeof,
 )
@@ -514,3 +519,112 @@ def test_operators_on_the_wrong_kind_of_value_are_stuck():
     assert s.monitors.clean()
     assert step(s, w, Prim(Bop(BopKind.LOR), (VBool(False), VBool(True)))) \
         == Stepped(VBool(True), "BOPV")
+
+
+# --- the refocusing machine ---------------------------------------------------
+
+def _machine_programs(n_generated):
+    """The corpus programs the checker accepts and n generated programs,
+    plain and with packets and helpers, each with its world."""
+    programs = []
+    for path in sorted(CORPUS_DIR.glob("*.bpl")):
+        try:
+            programs.append(check_program(load_corpus(path.name)))
+        except TypeCheckError:
+            continue  # bprog2 is rejected by design
+    for extras in (False, True):
+        programs += [check_program(generate_well_typed(GenConfig(
+            seed=seed, bytes_match=extras, externals=extras)))
+            for seed in range(n_generated)]
+    return [(tp, world_for_seed(i)) for i, tp in enumerate(programs)]
+
+
+def _start(tp, world):
+    s = init_state(tp, world)
+    return s, entry_call(tp, s, world, tp.entry_point())
+
+
+def _nodes(e):
+    """Every node in pre-order, with its class and its ty."""
+    todo, out = [e], []
+    while todo:
+        e = todo.pop()
+        out.append((type(e), getattr(e, "ty", None)))
+        todo.extend(reversed(expr_children(e)))
+    return out
+
+
+def _path_lengths(e, target, depth=0):
+    """The lengths of the paths from e to the node target, by identity."""
+    if e is target:
+        yield depth
+    for c in expr_children(e):
+        yield from _path_lengths(c, target, depth + 1)
+
+
+def test_stepped_gives_the_redex_and_the_length_of_its_path():
+    steps = 0
+    for tp, world in _machine_programs(20):
+        s, e = _start(tp, world)
+        while True:
+            out = step(s, world, e)
+            if isinstance(out, IsValue):
+                break
+            assert isinstance(out, Stepped), out
+            assert out.depth in set(_path_lengths(e, out.redex))
+            e = out.expr
+            steps += 1
+    assert steps > 500
+
+
+def test_eval_multi_hook_sees_the_terms_of_stepping_from_the_root():
+    # The machine keeps its context between steps; stepping from the root
+    # rebuilds it each time.  The hook sees the same terms, down to the
+    # class and ty of every node.
+    steps = 0
+    for tp, world in _machine_programs(30):
+        seen = []
+        w = copy.deepcopy(world)
+        s, e = _start(tp, w)
+        r = eval_multi(s, w, e,
+                       on_step=lambda s, e, rule: seen.append((e, rule)))
+        s, e = _start(tp, world)
+        for term, rule in seen:
+            out = step(s, world, e)
+            assert isinstance(out, Stepped)
+            assert (out.expr, out.rule) == (term, rule)
+            assert _nodes(out.expr) == _nodes(term)
+            e = out.expr
+        assert step(s, world, e) == IsValue(r.value)
+        steps += r.steps
+    assert steps > 1000
+
+
+def test_eval_multi_descends_and_rebuilds_in_linear_total_work(monkeypatch):
+    # A loop under 100 nested `let _ = ... in` binders: descending from the
+    # root at each step costs about 100 levels per step; refocusing costs a
+    # constant per step and the depth once.
+    calls = 0
+
+    def counted(f):
+        def wrapper(*args):
+            nonlocal calls
+            calls += 1
+            return f(*args)
+        return wrapper
+
+    for cls, (shape, start, stop) in list(interp._CONTEXTS.items()):
+        monkeypatch.setitem(interp._CONTEXTS, cls, (Shape(
+            counted(shape.children), counted(shape.rebuild), shape.binds),
+            start, stop))
+    depth = 100
+    nest = "for (1 ... 50, Up) { x := !x * 3 + 1 }"
+    for _ in range(depth):
+        nest = f"let _ = {nest} in ()"
+    tp = check_source("fun main() : int { let x : int* = ref(2) in "
+                      f"let _ = {nest} in !x }}")
+    r = run_program(tp)
+    assert r.value == VInt(wrap(
+        functools.reduce(lambda x, _: 3 * x + 1, range(50), 2), 32))
+    assert r.steps > 350
+    assert calls <= 3 * r.steps + 3 * depth, (calls, r.steps)

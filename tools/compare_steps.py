@@ -1,0 +1,169 @@
+"""Compare the interpreter's steps between two checkouts.
+
+Runs GenConfig seeds 0-299 (or --seeds N), plain and with packets and
+helpers, under world_for_seed, in each checkout's own src/, and checks that
+every run is identical: each step's rule and term (the class, fields and
+``ty`` of every node) as the step hook sees it, and the value, step count
+and final memory cells of the same run without a hook.  It also runs
+unchecked mutants of seeds 0-59 (--mutants N), each a random subterm of a
+function body replaced by another subterm of the program, under a fuel of
+1,000 steps, and compares their steps and their value, stuck message or
+exception.
+
+    python3 tools/compare_steps.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N]
+                                   [--mutants N]
+
+Exits 0 when the results are identical and 1 otherwise.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+DUMP = r"""
+import dataclasses, hashlib, json, random, sys, time
+from beepl.core import FunDecl, Program, expr_children, with_children
+from beepl.driver import world_for_seed
+from beepl.gen import GenConfig, generate_well_typed
+from beepl.interp import run_program
+from beepl.typecheck import TypeCheckError, check_program
+
+
+def tys(e):
+    todo, out = [e], []
+    while todo:
+        e = todo.pop()
+        out.append(repr(getattr(e, "ty", None)))
+        todo.extend(reversed(expr_children(e)))
+    return out
+
+
+def memory(s):
+    return [[bid, b.size, b.perm.value, b.raw.hex() if b.raw else None,
+             sorted([off, repr(v)] for off, v in b.cells.items())]
+            for bid, b in sorted(s.theta.blocks.items())]
+
+
+def run(tp, seed, fuel):
+    # The hooked run gives the steps, the run without a hook the outcome.
+    digests = []
+
+    def hook(s, e, rule):
+        record = json.dumps([rule, repr(e), tys(e)])
+        digests.append(rule + ":" + hashlib.sha256(
+            record.encode()).hexdigest()[:16])
+
+    out = {}
+    for key, on_step in (("hooked", hook), ("plain", None)):
+        try:
+            r = run_program(tp, world_for_seed(seed), fuel=fuel,
+                            on_step=on_step)
+            out[key] = ["value", repr(r.value), r.steps, memory(r.state)]
+        except Exception as exc:
+            out[key] = [type(exc).__name__, str(exc)]
+    return {"steps": digests, **out}
+
+
+def subterms(e, path=()):
+    yield path, e
+    for i, c in enumerate(expr_children(e)):
+        yield from subterms(c, (*path, i))
+
+
+def replace_at(e, path, new):
+    if not path:
+        return new
+    children = list(expr_children(e))
+    children[path[0]] = replace_at(children[path[0]], path[1:], new)
+    return with_children(e, children)
+
+
+def mutant(tp, rng):
+    funs = [d for d in tp.program.decls if isinstance(d, FunDecl)]
+    spots = [(fd, path) for fd in funs for path, _ in subterms(fd.body)]
+    pool = [e for fd in funs for _, e in subterms(fd.body)]
+    fd, path = rng.choice(spots)
+    body = replace_at(fd.body, path, rng.choice(pool))
+    decls = tuple(dataclasses.replace(d, body=body) if d is fd else d
+                  for d in tp.program.decls)
+    return dataclasses.replace(
+        tp, program=Program(decls, tp.program.composites))
+
+
+seeds, n_mutants = int(sys.argv[1]), int(sys.argv[2])
+runs, mutants, t0 = [], [], time.perf_counter()
+for extras in (False, True):
+    for seed in range(seeds):
+        program = generate_well_typed(
+            GenConfig(seed=seed, bytes_match=extras, externals=extras))
+        try:
+            tp = check_program(program)
+        except TypeCheckError as exc:
+            runs.append({"id": [extras, seed], "rejected": str(exc)})
+            continue
+        runs.append({"id": [extras, seed], **run(tp, seed, 10 ** 6)})
+        if seed < n_mutants:
+            rng = random.Random(seed * 2 + extras)
+            for k in range(4):
+                mutants.append({"id": [extras, seed, k],
+                                **run(mutant(tp, rng), seed, 1000)})
+print(json.dumps({"runs": runs, "mutants": mutants,
+                  "seconds": time.perf_counter() - t0}))
+"""
+
+
+def dump(checkout: Path, seeds: int, mutants: int) -> dict:
+    out = subprocess.run([sys.executable, "-c", DUMP, str(seeds),
+                          str(mutants)],
+                         cwd=checkout,
+                         env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def first_difference(a: dict, b: dict) -> str:
+    """Where two runs part: the checker, a step, or an outcome."""
+    if "rejected" in a or "rejected" in b:
+        return f"checker: {a.get('rejected')} / {b.get('rejected')}"
+    for i, (x, y) in enumerate(zip(a["steps"], b["steps"])):
+        if x != y:
+            return f"step {i + 1}: {x} / {y}"
+    if len(a["steps"]) != len(b["steps"]):
+        return f"{len(a['steps'])} / {len(b['steps'])} hooked steps"
+    key = "hooked" if a["hooked"] != b["hooked"] else "plain"
+    return f"{key} outcome: {str(a[key])[:1000]} / {str(b[key])[:1000]}"
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old", type=Path)
+    p.add_argument("new", type=Path)
+    p.add_argument("--seeds", type=int, default=300)
+    p.add_argument("--mutants", type=int, default=60,
+                   help="mutate the first N seeds, four mutants each")
+    args = p.parse_args()
+    old = dump(args.old, args.seeds, args.mutants)
+    new = dump(args.new, args.seeds, args.mutants)
+    ok = True
+    for key in ("runs", "mutants"):
+        pairs = list(zip(old[key], new[key]))
+        differ = [(a, b) for a, b in pairs if a != b]
+        ran = [r for r in new[key] if "rejected" not in r]
+        outcomes: dict[str, int] = {}
+        for r in ran:
+            outcomes[r["plain"][0]] = outcomes.get(r["plain"][0], 0) + 1
+        print(f"{key}: {len(new[key])}, "
+              f"{sum(len(r['steps']) for r in ran)} hooked steps, outcomes "
+              f"{json.dumps(outcomes, sort_keys=True)}; {len(differ)} differ")
+        for a, b in differ[:5]:
+            print(f"  {a['id']}: {first_difference(a, b)}")
+        ok = ok and not differ and len(old[key]) == len(new[key])
+    print(f"time {old['seconds']:.2f} s -> {new['seconds']:.2f} s")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
