@@ -22,9 +22,9 @@ from .core import (
     App, ArrayTy, Assign, BOOL, BoolTy, Bop, BopKind, BYTES, BytesTy, Cast,
     Cond, ConstBool, ConstInt, ConstLong, Deref, Direction, Expr,
     ExtDecl, Field, For, FunDecl, GlobDecl, INT, IntTy, Let, LONG, LongTy,
-    Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild,
+    Match, NoneLit, OptionTy, Pnone, Prim, Psome,
     RefOp, RefTy, Sign, SomeLit, StructInit, StructTy, Ty, UNIT, UnitTy,
-    UnitLit, Uop, UopKind, Var,
+    UnitLit, Uop, UopKind, Var, select_arm,
 )
 from .typecheck import TypedProgram, lane_type
 
@@ -88,8 +88,6 @@ static i64 *bpf_map_lookup_elem(struct bpf_map *m, i64 *k) {
     return __bpl_map_seeded ? &__bpl_map_value : (i64 *) 0;
 }
 """
-
-BUILTIN_STRUCTS = {"bpf_map", "xdp_md", "__sk_buff"}
 
 # Names the host-mode prelude and shim already define.
 HOST_RESERVED = {"main", "printf"}
@@ -155,25 +153,34 @@ class _Frag:
     pure: bool  # safe to duplicate / reorder across statements
 
 
+# The destination of a value in tail position: the function returns it.
+RETURN = object()
+
+
 class FunctionEmitter:
+    """Lowers one function body.  ``emit_value`` gives an expression's C
+    value as a fragment; ``emit_into`` sends it to a destination: RETURN, a
+    C variable to assign, or None to drop it."""
+
     def __init__(self, gen: "ProgramEmitter", fd: FunDecl):
         self.gen = gen
         self.fd = fd
         self.names = NameSupply()
         self.locals: list[str] = []  # hoisted declarations
-        self.env: dict[str, Ty] = dict(gen.globals_gamma)
-        self.cnames: dict[str, str] = {}
+        # Each source name in scope: its C name (None for a binder that
+        # carries no C value) and its type; shadowed entries wait below.
+        self.scope: dict[str, tuple[Optional[str], Ty]] = {
+            g: (mangle(g), ty) for g, ty in gen.globals_gamma.items()}
+        self.shadowed: list[tuple[str, Optional[tuple]]] = []
         self.used_cnames: set[str] = set(gen.globals_gamma)
         self.struct_storage: dict[str, str] = {}
         for x, ty in fd.args:
-            self.env[x] = ty
-            self.cnames[x] = mangle(x)
+            self.scope[x] = (mangle(x), ty)
             self.used_cnames.add(mangle(x))
         for y, ty in fd.vars:
-            self.env[y] = ty
             storage = mangle(y) + "_storage"
             self.struct_storage[y] = storage
-            self.cnames[y] = f"(&{storage})"
+            self.scope[y] = (f"(&{storage})", ty)
             self.used_cnames.add(mangle(y))
             self.used_cnames.add(storage)
 
@@ -184,7 +191,7 @@ class FunctionEmitter:
         from its binder, a literal's from its class, and a compound node
         carries the type that elaboration recorded on it."""
         if isinstance(e, Var):
-            return self.env[e.name]
+            return self.scope[e.name][1]
         ty = _LITERAL_TYPES.get(type(e)) or e.ty
         if ty is None:
             raise CgenError(f"{type(e).__name__} carries no checked type")
@@ -195,15 +202,30 @@ class FunctionEmitter:
         self.locals.append(cdecl(ty, name) + ";")
         return name
 
-    def bind_cname(self, src: str) -> str:
-        base = mangle(src)
-        cname = base
+    def bind(self, name: str, cname: Optional[str], ty: Ty) -> None:
+        self.shadowed.append((name, self.scope.get(name)))
+        self.scope[name] = (cname, ty)
+
+    def bind_local(self, name: str, ty: Ty) -> str:
+        """Bind ``name`` to a fresh hoisted C variable and return it."""
+        base = cname = mangle(name)
         n = 1
         while cname in self.used_cnames:
             n += 1
             cname = f"{base}__{n}"
         self.used_cnames.add(cname)
+        self.locals.append(cdecl(ty, cname) + ";")
+        self.bind(name, cname, ty)
         return cname
+
+    def unbind(self, count: int = 1) -> None:
+        """Undo the last ``count`` binds, uncovering what they shadowed."""
+        for _ in range(count):
+            name, entry = self.shadowed.pop()
+            if entry is None:
+                del self.scope[name]
+            else:
+                self.scope[name] = entry
 
     def materialize(self, frag: _Frag, ty: Ty) -> _Frag:
         """Pin a value into a temp so later statements cannot disturb it."""
@@ -216,8 +238,8 @@ class FunctionEmitter:
 
     def emit(self) -> str:
         fd = self.fd
-        body_stmts = self.emit_tail(fd.body)
-        args = ", ".join(cdecl(ty, self.cnames[x]) for x, ty in fd.args) \
+        body_stmts = self.emit_into(fd.body, RETURN)
+        args = ", ".join(cdecl(ty, self.scope[x][0]) for x, ty in fd.args) \
             or "void"
         struct_vars = [cdecl(ty.target, self.struct_storage[y]) + ";"
                        for y, ty in fd.vars]
@@ -232,26 +254,25 @@ class FunctionEmitter:
         lines.append("}")
         return "\n".join(lines)
 
-    # -- tail position ---------------------------------------------------
+    # -- destinations ------------------------------------------------------
 
-    def emit_tail(self, e: Expr) -> list[str]:
+    def emit_into(self, e: Expr, dest) -> list[str]:
+        """Statements that evaluate ``e`` and send its value to ``dest``.
+        A ``let`` sends its body on; an ``if`` or ``match`` sends its
+        branches on only in tail position, and elsewhere is a value."""
         if isinstance(e, Let):
-            saved = self.env.get(e.name)
-            saved_cname = self.cnames.get(e.name)
-            frag, _ = self.emit_let_binding(e)
-            out = frag.stmts + self.emit_tail(e.body)
-            self._restore(e.name, saved, saved_cname)
-            return out
-        if isinstance(e, Cond):
+            stmts = self.emit_let_binding(e)
+            stmts += self.emit_into(e.body, dest)
+            self.unbind()
+            return stmts
+        if dest is RETURN and isinstance(e, Cond):
             g = self.emit_value(e.guard)
-            then_s = self.emit_tail(e.then)
-            else_s = self.emit_tail(e.otherwise)
-            return g.stmts + self._if_else(g.cexpr, then_s, else_s)
-        if isinstance(e, Match):
-            return self.emit_match(e, tail=True)[0]
-        frag = self.emit_value(e)
-        ret = "return;" if frag.cexpr is None else f"return {frag.cexpr};"
-        return frag.stmts + [ret]
+            return g.stmts + self._if_else(
+                g.cexpr, self.emit_into(e.then, RETURN),
+                self.emit_into(e.otherwise, RETURN))
+        if dest is RETURN and isinstance(e, Match):
+            return self.emit_match(e, RETURN)[0]
+        return _deliver(self.emit_value(e), dest)
 
     def _if_else(self, guard: str, then_s: list[str],
                  else_s: list[str]) -> list[str]:
@@ -263,40 +284,23 @@ class FunctionEmitter:
         out.append("}")
         return out
 
-    def emit_let_binding(self, e: Let) -> tuple[_Frag, Optional[str]]:
-        """Statements performing the binding; returns (frag, cname|None)."""
+    def emit_let_binding(self, e: Let) -> list[str]:
+        """Statements performing the binding, which stays in scope until
+        the caller's ``unbind``."""
         bound = self.emit_value(e.bound)
         if e.name == "_" or isinstance(e.declared, UnitTy) \
                 or bound.cexpr is None:
-            stmts = list(bound.stmts)
-            if bound.cexpr is not None and not bound.pure:
-                stmts.append(f"(void) ({bound.cexpr});")
-            self.env[e.name] = e.declared
-            return _Frag(stmts, None, False), None
-        cname = self.bind_cname(e.name)
-        self.locals.append(cdecl(e.declared, cname) + ";")
-        stmts = bound.stmts + [f"{cname} = {bound.cexpr};"]
-        self.env[e.name] = e.declared
-        self.cnames[e.name] = cname
-        return _Frag(stmts, None, False), cname
-
-    def _restore(self, name: str, ty: Optional[Ty], cname: Optional[str]):
-        if ty is None:
-            self.env.pop(name, None)
-        else:
-            self.env[name] = ty
-        if cname is None:
-            self.cnames.pop(name, None)
-        else:
-            self.cnames[name] = cname
+            self.bind(e.name, None, e.declared)
+            return _deliver(bound, None)
+        return _deliver(bound, self.bind_local(e.name, e.declared))
 
     # -- value position ----------------------------------------------------
 
     def emit_value(self, e: Expr) -> _Frag:
         if isinstance(e, Var):
-            if isinstance(self.env.get(e.name), UnitTy):
-                return _Frag([], None, True)  # unit carries no C value
-            return _Frag([], self.cnames.get(e.name, mangle(e.name)), True)
+            cname, ty = self.scope[e.name]
+            # unit carries no C value
+            return _Frag([], None if isinstance(ty, UnitTy) else cname, True)
         if isinstance(e, ConstInt):
             if e.value == -(1 << 31):
                 return _Frag([], "BPL_INT_MIN", True)
@@ -318,17 +322,15 @@ class FunctionEmitter:
         if isinstance(e, App):
             return self.emit_app(e)
         if isinstance(e, Let):
-            saved = self.env.get(e.name)
-            saved_cname = self.cnames.get(e.name)
-            frag, _ = self.emit_let_binding(e)
+            stmts = self.emit_let_binding(e)
             body = self.emit_value(e.body)
-            self._restore(e.name, saved, saved_cname)
-            return _Frag(frag.stmts + body.stmts, body.cexpr, False)
+            self.unbind()
+            return _Frag(stmts + body.stmts, body.cexpr, False)
         if isinstance(e, Cond):
             return self.emit_cond_value(e)
         if isinstance(e, Match):
-            _, frag = self.emit_match(e, tail=False)
-            return frag
+            stmts, t = self.emit_match(e)
+            return _Frag(stmts, t, False)
         if isinstance(e, Field):
             return self.emit_field(e)
         if isinstance(e, StructInit):
@@ -521,7 +523,7 @@ class FunctionEmitter:
         return _Frag(frag.stmts, f"{_p(frag.cexpr)}{acc}{e.fname}", False)
 
     def emit_struct_init(self, e: StructInit) -> _Frag:
-        ty = self.env[e.name]
+        ty = self.scope[e.name][1]
         assert isinstance(ty, RefTy) and isinstance(ty.target, StructTy)
         base = self.struct_storage[e.name]
         stmts: list[str] = []
@@ -544,12 +546,8 @@ class FunctionEmitter:
                          f"({_p(g.cexpr)} ? {then.cexpr} : {other.cexpr})",
                          g.pure and then.pure and other.pure)
         t = self.hoist(rty) if not isinstance(rty, UnitTy) else None
-        then_s = then.stmts + ([f"{t} = {then.cexpr};"] if t else
-                               _discard(then))
-        other_s = other.stmts + ([f"{t} = {other.cexpr};"] if t else
-                                 _discard(other))
-        return _Frag(g.stmts + self._if_else(g.cexpr, then_s, other_s),
-                     t, False)
+        return _Frag(g.stmts + self._if_else(g.cexpr, _deliver(then, t),
+                                             _deliver(other, t)), t, False)
 
     def emit_for(self, e: For) -> _Frag:
         lo = self.emit_value(e.lo)
@@ -559,8 +557,7 @@ class FunctionEmitter:
         l = self.hoist(LONG, "l")
         h = self.hoist(LONG, "h")
         i = self.hoist(LONG, "i")
-        body = self.emit_value(e.body)
-        body_s = body.stmts + _discard(body)
+        body_s = self.emit_into(e.body, None)
         if e.direction is Direction.UP:
             cmp_, step_ = "<=", f"{i}++"
         else:
@@ -576,122 +573,69 @@ class FunctionEmitter:
         stmts.append("}")
         return _Frag(stmts, None, False)
 
-    def emit_match(self, e: Match,
-                   tail: bool) -> tuple[list[str], Optional[_Frag]]:
+    def emit_match(self, e: Match, dest=None) -> tuple[list[str], object]:
+        """The match's statements and where its arms send their value:
+        RETURN in tail position, otherwise a temp hoisted after the
+        scrutinee (None for a unit match), which is the match's value."""
         sty = self.ty_of(e.scrutinee)
+        scrut = self.emit_value(e.scrutinee)
         if isinstance(sty, OptionTy):
-            return self.emit_match_option(e, sty, tail)
-        return self.emit_match_bytes(e, tail)
-
-    def emit_match_option(self, e: Match, sty: OptionTy, tail: bool):
-        scrut = self.emit_value(e.scrutinee)
-        scrut = self.materialize(scrut, sty)
-        none_arm = next(((p, b) for p, b in e.arms
-                         if isinstance(p, (Pnone, Pwild))), None)
-        some_arm = next(((p, b) for p, b in e.arms if isinstance(p, Psome)),
-                        None)
-        if some_arm is None:
-            some_arm = next((p, b) for p, b in e.arms if isinstance(p, Pwild))
+            scrut = self.materialize(scrut, sty)
+        else:  # bytes: the bounds check advances a copy of the view
+            b = self.hoist(BYTES, "b")
+            scrut = _Frag(scrut.stmts + [f"{b} = {scrut.cexpr};"], b, True)
         rty = self.ty_of(e)
-        t = None
-        if not tail and not isinstance(rty, UnitTy):
-            t = self.hoist(rty)
+        if dest is not RETURN and not isinstance(rty, UnitTy):
+            dest = self.hoist(rty)
+        if isinstance(sty, OptionTy):
+            arms = self.emit_option_arms(e, sty.inner, scrut.cexpr, dest)
+        else:
+            arms = self.emit_bytes_arms(e, scrut.cexpr, dest)
+        return scrut.stmts + arms, dest
 
-        def arm_stmts(p, body, binder_val=None):
-            saved = None
-            if isinstance(p, Psome):
-                cname = self.bind_cname(p.binder)
-                self.locals.append(cdecl(sty.inner, cname) + ";")
-                saved = (p.binder, self.env.get(p.binder),
-                         self.cnames.get(p.binder))
-                self.env[p.binder] = sty.inner
-                self.cnames[p.binder] = cname
-                prefix = [f"{cname} = {binder_val};"]
-            else:
-                prefix = []
-            if tail:
-                out = prefix + self.emit_tail(body)
-            else:
-                frag = self.emit_value(body)
-                assign = [f"{t} = {frag.cexpr};"] if t else _discard(frag)
-                out = prefix + frag.stmts + assign
-            if saved:
-                self._restore(*saved)
-            return out
+    def emit_option_arms(self, e: Match, inner: Ty, c: str,
+                         dest) -> list[str]:
+        none_s = self.emit_into(select_arm(e.arms, Pnone)[1], dest)
+        p, body = select_arm(e.arms, Psome)
+        if isinstance(p, Psome):
+            cname = self.bind_local(p.binder, inner)
+            some_s = [f"{cname} = {c};"] + self.emit_into(body, dest)
+            self.unbind()
+        else:
+            some_s = self.emit_into(body, dest)
+        return self._if_else(f"{c} == NULL", none_s, some_s)
 
-        none_s = arm_stmts(*none_arm)
-        some_s = arm_stmts(*some_arm, binder_val=scrut.cexpr)
-        stmts = scrut.stmts + self._if_else(f"{scrut.cexpr} == NULL",
-                                            none_s, some_s)
-        if tail:
-            return stmts, None
-        return stmts, _Frag(stmts, t, False)
-
-    def emit_match_bytes(self, e: Match, tail: bool):
-        scrut = self.emit_value(e.scrutinee)
-        b = self.hoist(BYTES, "b")
-        stmts = scrut.stmts + [f"{b} = {scrut.cexpr};"]
-        pat: Pbytes = e.arms[0][0]
-        body = e.arms[0][1]
-        fallback = e.arms[1][1]
-        rty = self.ty_of(e)
-        t = None
-        if not tail and not isinstance(rty, UnitTy):
-            t = self.hoist(rty)
-
-        def finish(frag_body):
-            if tail:
-                return self.emit_tail(frag_body)
-            frag = self.emit_value(frag_body)
-            assign = [f"{t} = {frag.cexpr};"] if t else _discard(frag)
-            return frag.stmts + assign
-
+    def emit_bytes_arms(self, e: Match, b: str, dest) -> list[str]:
+        (pat, body), (_, fallback) = e.arms
+        fail_s = self.emit_into(fallback, dest)
         if isinstance(pat.target, StructTy):
             size_expr = f"sizeof(struct {pat.target.sid})"
-            binder_ty: Ty = RefTy(pat.target)
-        else:
-            size_expr = f"sizeof({ctype(pat.target)})"
-            binder_ty = lane_type(pat.target)
-
-        fail_s = finish(fallback)
-
-        saved = []
-        ok_s: list[str] = []
-        binder_c = self.bind_cname(pat.binder)
-        saved.append((pat.binder, self.env.get(pat.binder),
-                      self.cnames.get(pat.binder)))
-        self.env[pat.binder] = binder_ty
-        self.cnames[pat.binder] = binder_c
-        if isinstance(pat.target, StructTy):
-            self.locals.append(cdecl(binder_ty, binder_c) + ";")
-            ok_s.append(f"{binder_c} = (struct {pat.target.sid} *){b}.start;")
+            binder_c = self.bind_local(pat.binder, RefTy(pat.target))
+            ok_s = [f"{binder_c} = (struct {pat.target.sid} *){b}.start;"]
             for y, yty in pat.fields:
-                ycname = self.bind_cname(y)
-                lane = lane_type(yty)
-                self.locals.append(cdecl(lane, ycname) + ";")
-                saved.append((y, self.env.get(y), self.cnames.get(y)))
-                self.env[y] = lane
-                self.cnames[y] = ycname
+                ycname = self.bind_local(y, lane_type(yty))
                 ok_s.append(f"{ycname} = {binder_c}->{y};")
         else:
-            self.locals.append(cdecl(binder_ty, binder_c) + ";")
-            ok_s.append(f"{binder_c} = *({ctype(pat.target)} *){b}.start;")
+            size_expr = f"sizeof({ctype(pat.target)})"
+            binder_c = self.bind_local(pat.binder, lane_type(pat.target))
+            ok_s = [f"{binder_c} = *({ctype(pat.target)} *){b}.start;"]
         ok_s.append(f"{b}.start += {size_expr};")
-        ok_s.extend(finish(body))
-        for entry in reversed(saved):
-            self._restore(*entry)
-
-        stmts = stmts + self._if_else(f"{b}.start + {size_expr} > {b}.end",
-                                      fail_s, ok_s)
-        if tail:
-            return stmts, None
-        return stmts, _Frag(stmts, t, False)
+        ok_s += self.emit_into(body, dest)
+        self.unbind(1 + len(pat.fields))
+        return self._if_else(f"{b}.start + {size_expr} > {b}.end",
+                             fail_s, ok_s)
 
 
-def _discard(frag: _Frag) -> list[str]:
-    if frag.cexpr is not None and not frag.pure:
-        return [f"(void) ({frag.cexpr});"]
-    return []
+def _deliver(frag: _Frag, dest) -> list[str]:
+    """A fragment's statements, then its value sent to ``dest``."""
+    if dest is RETURN:
+        return frag.stmts + ["return;" if frag.cexpr is None
+                             else f"return {frag.cexpr};"]
+    if dest is None:
+        if frag.cexpr is not None and not frag.pure:
+            return frag.stmts + [f"(void) ({frag.cexpr});"]
+        return frag.stmts
+    return frag.stmts + [f"{dest} = {frag.cexpr};"]
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +659,6 @@ class ProgramEmitter:
                  PRELUDE]
         parts.append(EBPF_HELPERS if self.mode == "ebpf" else HOST_HELPERS)
         for co in self.tp.program.composites:
-            if co.sid in BUILTIN_STRUCTS:
-                continue
             fields = "".join(f"    {cdecl(t, f)};\n" for f, t in co.fields)
             parts.append(f"struct {co.sid} {{\n{fields}}};")
         for d in self.tp.program.decls:

@@ -549,6 +549,19 @@ class Pwild(Pattern):
     pass
 
 
+def select_arm(arms, cls: type):
+    """The arm a match takes on a value of pattern class ``cls``: the first
+    ``cls`` arm, else the first wildcard, else None.  The interpreter and the
+    C backend both choose by it."""
+    wild = None
+    for arm in arms:
+        if isinstance(arm[0], cls):
+            return arm
+        if wild is None and isinstance(arm[0], Pwild):
+            wild = arm
+    return wild
+
+
 def pattern_binders(p: Pattern) -> frozenset[str]:
     if isinstance(p, Psome):
         return frozenset((p.binder,))
@@ -599,9 +612,7 @@ class FunDecl:
     body: Expr
     vars: tuple[tuple[str, Ty], ...] = ()
     ef: Optional[Effect] = None  # None = infer; annotation otherwise
-    sec: Optional[str] = None
-    cc: str = "default"  # opaque calling-convention tag
-    flag: bool = False  # marks an eBPF entry point
+    sec: Optional[str] = None  # an eBPF entry point's section
     span: Optional[Span] = _aux_field()
 
     def __post_init__(self):
@@ -617,7 +628,6 @@ class ExtDecl:
     arg_types: tuple[Ty, ...]
     res_type: Ty
     ef: Effect = EMPTY_EFFECT
-    cc: str = "default"
     span: Optional[Span] = _aux_field()
 
 

@@ -369,7 +369,7 @@ class Parser:
         try:
             return FunDecl(name.lexeme, rt, tuple(args), body,
                            vars=tuple(local_vars), ef=ef, sec=sec,
-                           flag=sec is not None, span=kw.span)
+                           span=kw.span)
         except CoreError as exc:
             self.fail(str(exc), kw.span, code="P002")
 

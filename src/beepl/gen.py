@@ -31,15 +31,14 @@ class GenConfig:
     seed: int = 0
     max_depth: int = 8
     max_decls: int = 3
-    loops: bool = True
-    match: bool = True
     bytes_match: bool = False
     externals: bool = False
-    int_lo: int = -64
-    int_hi: int = 64
     loop_lo: int = -3
     loop_hi: int = 6
-    max_retries: int = 16
+
+
+INT_LO, INT_HI = -64, 64  # range of integer literals
+MAX_RETRIES = 16
 
 
 ARITH = [BopKind.ADD, BopKind.SUB, BopKind.MUL, BopKind.AND, BopKind.OR,
@@ -74,7 +73,7 @@ class _Env:
 def generate_well_typed(cfg: GenConfig) -> Program:
     """A random program that check_program accepts by construction."""
     last_err = None
-    for attempt in range(cfg.max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = random.Random(cfg.seed * 1_000_003 + attempt)
         try:
             p = _gen_program(rng, cfg)
@@ -106,7 +105,7 @@ def _gen_program(rng: random.Random, cfg: GenConfig) -> Program:
         body = _gen_expr(env, INT, cfg.max_depth)
         decls.append(FunDecl("prog", INT,
                              (("ctx", OptionTy(RefTy(StructTy("xdp_md")))),),
-                             body, sec="xdp", flag=True))
+                             body, sec="xdp"))
     else:
         body = _gen_expr(env, INT, cfg.max_depth)
         decls.append(FunDecl("main", INT, (), body))
@@ -132,7 +131,7 @@ def _literal(env: _Env, ty: Ty) -> Expr:
         return ConstBool(rng.random() < 0.5)
     if ty == UNIT:
         return UnitLit()
-    v = rng.randint(env.cfg.int_lo, env.cfg.int_hi)
+    v = rng.randint(INT_LO, INT_HI)
     if isinstance(ty, LongTy):
         if rng.random() < 0.15:
             v = rng.choice([0x100000000, -(1 << 40), (1 << 62)])
@@ -161,12 +160,10 @@ def _gen_expr(env: _Env, ty: Ty, depth: int) -> Expr:
     if ty == BOOL:
         prods += ["compare", "compare", "logic", "lognot"]
     if ty == UNIT:
-        prods += ["assign", "assign"]
-        if env.cfg.loops:
-            prods += ["loop", "loop"]
-    if env.cfg.loops and ty in (INT, LONG) and rng.random() < 0.2:
+        prods += ["assign", "assign", "loop", "loop"]
+    if ty in (INT, LONG) and rng.random() < 0.2:
         prods.append("loop_then")
-    if env.cfg.match and ty in (INT, LONG, BOOL):
+    if ty in (INT, LONG, BOOL):
         prods += ["match_option"]
         if env.cfg.externals and env.has_map:
             prods.append("match_lookup")

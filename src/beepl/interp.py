@@ -21,7 +21,7 @@ from .core import (
     Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild, RefOp,
     RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty, UNIT,
     UnitLit, Uop, UopKind, VUndef, Var, SHAPES, is_value, rename_var, sizeof,
-    struct_layout, subst,
+    select_arm, struct_layout, subst,
 )
 from .frontend import print_type
 from .typecheck import (
@@ -725,31 +725,22 @@ def _step_for(s: State, w: ExternalWorld, e: For, values: list[Expr],
 def _step_match(s: State, w: ExternalWorld, e: Match, values: list[Expr],
                 guard: bool) -> tuple[Expr, str]:
     sv, = values
-
-    def find(pred):
-        for p, body in e.arms:
-            if pred(p):
-                return p, body
-        return None
-
     if type(sv) is NoneLit:
-        arm = find(lambda p: isinstance(p, Pnone)) or \
-            find(lambda p: isinstance(p, Pwild))
+        arm = select_arm(e.arms, Pnone)
         if arm is None:
             _stuck("no arm matches none")
         return arm[1], "MNONE"
     if type(sv) is SomeLit:
-        arm = find(lambda p: isinstance(p, Psome))
-        if arm is not None:
-            p, body = arm
-            return subst(body, p.binder, sv.value), "MSOME"
-        arm = find(lambda p: isinstance(p, Pwild))
+        arm = select_arm(e.arms, Psome)
         if arm is None:
             _stuck("no arm matches some")
-        return arm[1], "MSOME"
+        p, body = arm
+        if isinstance(p, Psome):
+            return subst(body, p.binder, sv.value), "MSOME"
+        return body, "MSOME"
     if type(sv) is BytesView:
-        arm = find(lambda p: isinstance(p, Pbytes))
-        fallback = find(lambda p: isinstance(p, Pwild))
+        arm = next((a for a in e.arms if isinstance(a[0], Pbytes)), None)
+        fallback = select_arm(e.arms, Pwild)
         if arm is None:
             _stuck("no bytes arm in match")
         p, body = arm

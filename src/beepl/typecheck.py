@@ -57,9 +57,6 @@ class HelperRegistry:
     constants: dict[str, int] = field(default_factory=dict)
     composites: tuple[Composite, ...] = ()
 
-    def lookup(self, name: str) -> Optional[Signature]:
-        return self.entries.get(name)
-
 
 XDP_ABORTED = 0
 XDP_DROP = 1
@@ -739,9 +736,9 @@ class TypedProgram:
             return decls.get(name)
         if "main" in decls:
             return decls["main"]
-        flagged = [d for d in decls.values() if d.flag]
-        if len(flagged) == 1:
-            return flagged[0]
+        sections = [d for d in decls.values() if d.sec is not None]
+        if len(sections) == 1:
+            return sections[0]
         return None
 
 
@@ -800,9 +797,8 @@ def check_glob_decl(gd: GlobDecl, pi: dict[str, Composite]) -> None:
              gd.span, "TGDECL")
 
 
-def check_program(p: Program,
-                  registry: Optional[HelperRegistry] = None) -> TypedProgram:
-    registry = registry or default_helper_registry()
+def check_program(p: Program) -> TypedProgram:
+    registry = default_helper_registry()
     pi: dict[str, Composite] = {}
     for co in registry.composites + p.composites:
         if co.sid in pi:
@@ -858,7 +854,6 @@ def check_program(p: Program,
                         dict(registry.constants))
 
 
-def check_source(source: str, filename: str = "<input>",
-                 registry: Optional[HelperRegistry] = None) -> TypedProgram:
+def check_source(source: str, filename: str = "<input>") -> TypedProgram:
     from .frontend import parse_program
-    return check_program(parse_program(source, filename), registry)
+    return check_program(parse_program(source, filename))

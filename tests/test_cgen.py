@@ -224,6 +224,12 @@ def test_host_output_compiles_and_matches(tmp_path):
         "struct pt { a : int, b : int } "
         "fun main() : int vars (struct pt* q) { let r : struct pt* = "
         "if true then q { a = 1, b = 2 } else q { a = 3, b = 4 } in r.a }": 1,
+        # On none, an option match prefers the pnone arm to an earlier
+        # wildcard, in tail and in value position.
+        "fun main() : int { let o : option(int*) = none in "
+        "match o with | _ => 1 | pnone => 2 }": 2,
+        "fun main() : int { let o : option(int*) = none in let r : int = "
+        "match o with | _ => 1 | pnone => 2 in r }": 2,
     }
     cc = find_cc()
     for i, (src, expected) in enumerate(cases.items()):

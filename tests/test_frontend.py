@@ -108,7 +108,7 @@ fun bprog3(option(struct xdp_md*) ctx) : int {
 '''
     p = parse_program(src)
     fd = next(d for d in p.decls if isinstance(d, FunDecl))
-    assert fd.sec == "xdp" and fd.flag
+    assert fd.sec == "xdp"
     assert fd.args[0][1] == OptionTy(RefTy(StructTy("xdp_md")))
     let = fd.body
     assert isinstance(let, Let)

@@ -289,21 +289,21 @@ def test_locals_shadowing_globals_rejected():
 # --- default_helper_registry ------------------------------------------------------
 
 def test_registry_lookup_map_helper():
-    sig = REG.lookup("bpf_map_lookup_elem")
+    sig = REG.entries.get("bpf_map_lookup_elem")
     assert len(sig.arg_types) == 2
     assert sig.eff == effect_of(["read", "io"])
     assert sig.res_type == OptionTy(RefTy(LONG))
 
 
 def test_registry_lookup_uid_gid():
-    sig = REG.lookup("bpf_get_current_uid_gid")
+    sig = REG.entries.get("bpf_get_current_uid_gid")
     assert sig.arg_types == ()
     assert sig.eff == effect_of(["io"])
     assert sig.res_type == LONG
 
 
 def test_registry_absent_helper():
-    assert REG.lookup("no_such_helper") is None
+    assert REG.entries.get("no_such_helper") is None
 
 
 def test_registry_constants():
