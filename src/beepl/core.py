@@ -1,7 +1,11 @@
 """Core AST, types, effects, patterns, values and program forms for BeePL.
 
-Everything here is immutable after construction and safe to share across
-threads.  Equality is structural; source spans never participate in it.
+Types, operators, patterns and declarations are frozen and hashable; memo
+keys hash types.  Spans and expression nodes are slotted, unhashable
+records, cheaper to build, and immutable by convention: no stage assigns to
+a node's fields after construction, and a tier-1 test checks that checking,
+running, auditing, emitting and printing leave every node as it was.
+Equality is structural; source spans and types never participate in it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ class UnknownStruct(CoreError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Span:
     line: int
     col: int
@@ -341,13 +345,13 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Var(Expr):
     name: str
     span: Optional[Span] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConstInt(Expr):
     value: int  # canonical signed 32-bit representative
     span: Optional[Span] = _aux_field()
@@ -357,7 +361,7 @@ class ConstInt(Expr):
             raise CoreError(f"int literal out of range: {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConstLong(Expr):
     value: int
     span: Optional[Span] = _aux_field()
@@ -367,18 +371,18 @@ class ConstLong(Expr):
             raise CoreError(f"long literal out of range: {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConstBool(Expr):
     value: bool
     span: Optional[Span] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UnitLit(Expr):
     span: Optional[Span] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class App(Expr):
     callee: Expr
     args: tuple[Expr, ...]
@@ -386,7 +390,7 @@ class App(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Prim(Expr):
     op: PrimOp
     operands: tuple[Expr, ...]
@@ -394,7 +398,7 @@ class Prim(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Let(Expr):
     name: str
     declared: Ty
@@ -404,7 +408,7 @@ class Let(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Cond(Expr):
     guard: Expr
     then: Expr
@@ -413,7 +417,7 @@ class Cond(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StructInit(Expr):
     name: str  # a declared struct-reference variable being initialized
     fields: tuple[tuple[str, Expr], ...]
@@ -421,7 +425,7 @@ class StructInit(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Field(Expr):
     target: Expr
     fname: str
@@ -429,7 +433,7 @@ class Field(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NoneLit(Expr):
     span: Optional[Span] = _aux_field()
     # Also set by evaluation when it reads a null option from a typed
@@ -438,7 +442,7 @@ class NoneLit(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SomeLit(Expr):
     value: Expr
     span: Optional[Span] = _aux_field()
@@ -450,7 +454,7 @@ class Direction(Enum):
     DOWN = "Down"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class For(Expr):
     lo: Expr
     hi: Expr
@@ -460,7 +464,7 @@ class For(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Match(Expr):
     scrutinee: Expr
     arms: tuple[tuple["Pattern", Expr], ...]
@@ -474,14 +478,14 @@ class Match(Expr):
 
 # Internal-only expressions; never produced by the parser.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Loc(Expr):
     block: int
     offset: int = 0
     span: Optional[Span] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BytesView(Expr):
     """A byte-region value in expression position (block, offset, length)."""
 
@@ -491,7 +495,7 @@ class BytesView(Expr):
     span: Optional[Span] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Seq(Expr):
     """Evaluation-order sequence created by for-loop unrolling."""
 
@@ -500,7 +504,7 @@ class Seq(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Repeat(Expr):
     """Pending loop iterations; unrolls one body copy per step."""
 

@@ -92,7 +92,7 @@ PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # "kw" | "ident" | "int" | "string" | "punct" | "eof"
     lexeme: str
@@ -101,13 +101,16 @@ class Token:
     is_long: bool = False  # literal carried an explicit L suffix
 
 
-# One alternative per token class, tried in order.  Digits are ASCII only.
-# A word may start with any letter or '_' and continue with any letter,
-# digit, '_' or "'"; the pattern also lets a non-ASCII numeral start one,
-# which tokenize rejects.  Punctuation is tried longest first.
-_TOKEN_RE = re.compile("|".join((
+# One alternative per token class, tried in order, and one match per token:
+# each alternative also takes the blanks that follow it, and tokenize skips
+# those before the first token.  (Blanks taken in front of a token instead
+# would make trailing blanks quadratic: a match would start, and fail, at
+# each of them.)  Digits are ASCII only.  A word may start with any letter
+# or '_' and continue with any letter, digit, '_' or "'"; the pattern also
+# lets a non-ASCII numeral start one, which tokenize rejects.  Punctuation is
+# tried longest first.
+_TOKEN_RE = re.compile("(?:" + "|".join((
     r"(?P<newline>\n)",
-    r"(?P<space>[ \t\r]+)",
     r"(?P<comment>//[^\n]*)",
     r'(?P<string>"[^"\n]*")',
     r'(?P<open_string>"[^"\n]*)',
@@ -116,7 +119,7 @@ _TOKEN_RE = re.compile("|".join((
     "(?P<punct>" + "|".join(
         map(re.escape, sorted(PUNCT, key=len, reverse=True))) + ")",
     r"(?P<illegal>.)",
-)))
+)) + r")[ \t\r]*")
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
@@ -124,17 +127,18 @@ def tokenize(source: str, filename: str = "<input>") -> list[Token]:
     append = tokens.append
     line, line_start = 1, 0
     m = None
-    for m in _TOKEN_RE.finditer(source):
+    first = len(source) - len(source.lstrip(" \t\r"))
+    for m in _TOKEN_RE.finditer(source, first):
         kind = m.lastgroup
-        if kind == "space" or kind == "comment":
+        if kind == "comment":
             continue
-        start, end = m.span()
+        start = m.start()
         if kind == "newline":
             line += 1
-            line_start = end
+            line_start = start + 1
             continue
-        text = m.group()
-        span = Span(line, start - line_start + 1, start, end)
+        text = m[kind]
+        span = Span(line, start - line_start + 1, start, start + len(text))
         if kind == "punct":
             append(Token("punct", text, span))
         elif kind == "word":
@@ -244,7 +248,9 @@ def _negated(lit: Expr, span: Optional[Span]) -> Expr:
 class Parser:
     def __init__(self, source: str, filename: str = "<input>"):
         self.filename = filename
-        self.tokens = tokenize(source, filename)
+        tokens = tokenize(source, filename)
+        # Two more eofs: peek and at look at most two tokens ahead.
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
         self._depth = 0  # parse_expr calls now open
         self._height = 0  # see parse_expr
@@ -252,7 +258,7 @@ class Parser:
     # -- token plumbing ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -261,7 +267,7 @@ class Parser:
         return t
 
     def at(self, kind: str, lexeme: Optional[str] = None, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
+        t = self.tokens[self.pos + ahead]
         return t.kind == kind and (lexeme is None or t.lexeme == lexeme)
 
     def accept(self, kind: str, lexeme: Optional[str] = None) -> Optional[Token]:

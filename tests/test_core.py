@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,15 +10,16 @@ from beepl.core import (
     IntTy, LEAVES, LONG, Let, Loc, LongTy, Match, NoneLit, OptionTy, Prim,
     Program, READ, RefTy, Repeat, SHAPES, Seq, Sign, SomeLit, StructTy, U16,
     U8, UNIT, UnitLit, UnknownStruct, Var, Assign, ArrayTy, Bop, BopKind,
-    Deref, RefOp, effect_concat, effect_of, effect_subset, expr_children,
+    Deref, Pbytes, RefOp, effect_concat, effect_of, effect_subset, expr_children,
     fvar, is_value, pattern_binders, rename_var, sizeof, subst,
     struct_layout, with_children,
 )
 from beepl import interp, typecheck
+from beepl.cgen import emit_program
 from beepl.driver import evaluate_with_audit, load_corpus, world_for_seed
-from beepl.frontend import parse_expr
+from beepl.frontend import parse_expr, print_program
 from beepl.gen import GenConfig, generate_well_typed
-from beepl.interp import run_program
+from beepl.interp import ExternalWorld, run_program
 from beepl.typecheck import (
     JudgmentMemo, TypeCheckError, TypingContext, check_program, infer_expr,
 )
@@ -261,6 +265,56 @@ def test_with_children_rebuilds_every_subterm():
             seen.add(type(t))
             assert with_children(t, expr_children(t)) == t
     assert seen == set(SHAPES) | LEAVES
+
+
+# --- records: slotted, unhashable, left as they were ------------------------
+
+def _records(p: Program):
+    """Every expression node of p's declarations, and every node's span."""
+    for d in p.decls:
+        roots = [d.body] if isinstance(d, FunDecl) else [d.init]
+        for root in roots:
+            if isinstance(root, Expr):
+                for e in _subterms(root):
+                    yield e
+                    if e.span is not None:
+                        yield e.span
+
+
+def _snapshot(programs):
+    return [(r, [(f.name, getattr(r, f.name)) for f in dataclasses.fields(r)])
+            for p in programs for r in _records(p)]
+
+
+def test_no_stage_changes_a_node():
+    """Nodes and spans are mutable records, immutable by convention: every
+    field of every node, span and ty included, still holds the same object
+    after checking, running, auditing, emitting and printing."""
+    cases = [(load_corpus(name), ExternalWorld())
+             for name in ("bprog1.bpl", "bprog3.bpl", "bprog4.bpl",
+                          "shift64.bpl")]
+    for seed in range(50):
+        for extras in (False, True):
+            cfg = GenConfig(seed=seed, bytes_match=extras, externals=extras)
+            cases.append((generate_well_typed(cfg), world_for_seed(seed)))
+    typed = [check_program(p) for p, _ in cases]
+    snapshot = _snapshot([p for p, _ in cases] + [tp.program for tp in typed])
+    for (p, world), tp in zip(cases, typed):
+        check_program(p)
+        run_program(tp, copy.deepcopy(world))
+        assert not evaluate_with_audit(tp, copy.deepcopy(world)).violations
+        for mode in ("ebpf", "host"):
+            emit_program(tp, mode)
+        print_program(p)
+        print_program(tp.program)
+    for record, fields in snapshot:
+        for name, value in fields:
+            assert getattr(record, name) is value, (record, name)
+    for record, _ in snapshot:
+        with pytest.raises(TypeError):
+            hash(record)
+    hash(INT)
+    hash(Pbytes("b", StructTy("s"), (("f", U8),)))
 
 
 # --- sizes and layout --------------------------------------------------------

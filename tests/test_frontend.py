@@ -10,8 +10,8 @@ from beepl.core import (
     App, Assign, Bop, BopKind, BOOL, Cast, Cond, ConstBool, ConstInt,
     ConstLong, Deref, Direction, EffectAtom, Expr, For, FunDecl, GlobDecl,
     INT, Let, LONG, Loc, Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome,
-    Pwild, RefOp, RefTy, Seq, SomeLit, StructTy, U16, UNIT, UnitLit, Uop,
-    UopKind, Var, contains_internal,
+    Pwild, RefOp, RefTy, Seq, SomeLit, Span, StructTy, U16, UNIT, UnitLit,
+    Uop, UopKind, Var, contains_internal,
 )
 from beepl.driver import corpus_path, evaluate_with_audit
 from beepl.frontend import (
@@ -49,6 +49,24 @@ def test_tokenize_wide_hex_literal():
 def test_tokenize_comments_skipped():
     toks = tokenize("1 // trailing comment\n2")
     assert [t.lexeme for t in toks[:-1]] == ["1", "2"]
+
+
+def test_tokenize_blank_edges():
+    """Blanks are skipped with the token before them, so each position is
+    pinned: trailing blanks still move the eof column, a trailing comment
+    does not, a CR belongs to no token, and a blank is never illegal."""
+    src = "fun main() : int { 1 }"
+    assert tokenize(src + "   ")[-1].span == Span(1, 26, 25, 25)
+    assert tokenize(src + " // c")[-1].span == Span(1, 24, 27, 27)
+    assert tokenize(src + "\t\r\n  ")[-1].span == Span(2, 3, 27, 27)
+    assert tokenize("  x")[0].span == Span(1, 3, 2, 3)
+    y = tokenize("x\r\n\ty")[1]
+    assert (y.lexeme, y.span.line, y.span.col) == ("y", 2, 2)
+    with pytest.raises(LexError) as exc:
+        tokenize("x  $")
+    d = exc.value.diagnostic
+    assert (d.code, d.span.line, d.span.col) == ("L001", 1, 4)
+    assert d.message == "illegal character '$'"
 
 
 def test_tokenize_spans_cover_input():
