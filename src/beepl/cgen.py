@@ -89,14 +89,15 @@ static i64 *bpf_map_lookup_elem(struct bpf_map *m, i64 *k) {
 }
 """
 
-# Names the host-mode prelude and shim already define.
-HOST_RESERVED = {"main", "printf"}
-
-
-def c_fun_name(name: str, mode: str) -> str:
-    if mode == "host" and name in HOST_RESERVED:
-        return "bpl_" + name
-    return name
+# C names no BeePL name may take as it is: the C11 keywords and what the
+# prelude and the helper stubs define; in host mode also what the shim does.
+C_TAKEN = frozenset("""
+    auto break case char const continue default do double else enum extern
+    float for goto if inline int long register restrict return short signed
+    sizeof static struct switch typedef union unsigned void volatile while
+    i8 i16 i32 i64 u8 u16 u32 u64 bytes_t NULL SEC BPL_INT_MIN BPL_LONG_MIN
+    bpf_map_lookup_elem bpf_get_current_uid_gid""".split())
+HOST_TAKEN = C_TAKEN | {"main", "printf"}
 
 
 def ctype(ty: Ty) -> str:
@@ -125,8 +126,21 @@ def cdecl(ty: Ty, name: str) -> str:
     return f"{ctype(ty)} {name}"
 
 
-def mangle(name: str) -> str:
-    return name.replace("'", "_prime")
+def mangle(name: str, mode: str) -> str:
+    """The C name of a BeePL global, function, parameter or local.
+
+    One-to-one on BeePL names.  A name stands for itself, each ``'``
+    written ``_prime``, unless it holds ``_prime`` already, starts with
+    ``_`` (C reserves such names) or ``bpl_``, or comes out taken.  Such a
+    name gets the prefix ``bpl_``, each ``_`` doubled and each ``'`` written
+    ``_prime``; so it meets no other name, no ``__bpl_`` temporary and no
+    taken name.
+    """
+    cname = name.replace("'", "_prime")
+    if ("_prime" in name or cname[0] == "_" or cname.startswith("bpl_")
+            or cname in (HOST_TAKEN if mode == "host" else C_TAKEN)):
+        return "bpl_" + name.replace("_", "__").replace("'", "_prime")
+    return cname
 
 
 _SIMPLE_RE = re.compile(
@@ -170,19 +184,17 @@ class FunctionEmitter:
         # Each source name in scope: its C name (None for a binder that
         # carries no C value) and its type; shadowed entries wait below.
         self.scope: dict[str, tuple[Optional[str], Ty]] = {
-            g: (mangle(g), ty) for g, ty in gen.globals_gamma.items()}
+            g: (gen.cnames[g], ty) for g, ty in gen.globals_gamma.items()}
         self.shadowed: list[tuple[str, Optional[tuple]]] = []
-        self.used_cnames: set[str] = set(gen.globals_gamma)
+        self.used_cnames: set[str] = set(gen.cnames.values())
         self.struct_storage: dict[str, str] = {}
         for x, ty in fd.args:
-            self.scope[x] = (mangle(x), ty)
-            self.used_cnames.add(mangle(x))
+            self.scope[x] = (self.fresh_cname(x), ty)
         for y, ty in fd.vars:
-            storage = mangle(y) + "_storage"
+            self.used_cnames.add(mangle(y, gen.mode))
+            storage = self.fresh_cname(y, "_storage")
             self.struct_storage[y] = storage
             self.scope[y] = (f"(&{storage})", ty)
-            self.used_cnames.add(mangle(y))
-            self.used_cnames.add(storage)
 
     # -- helpers ---------------------------------------------------------
 
@@ -206,14 +218,20 @@ class FunctionEmitter:
         self.shadowed.append((name, self.scope.get(name)))
         self.scope[name] = (cname, ty)
 
-    def bind_local(self, name: str, ty: Ty) -> str:
-        """Bind ``name`` to a fresh hoisted C variable and return it."""
-        base = cname = mangle(name)
+    def fresh_cname(self, name: str, suffix: str = "") -> str:
+        """A C name for binder ``name`` that no C name of the program or of
+        this function has taken yet."""
+        base = cname = mangle(name, self.gen.mode) + suffix
         n = 1
         while cname in self.used_cnames:
             n += 1
             cname = f"{base}__{n}"
         self.used_cnames.add(cname)
+        return cname
+
+    def bind_local(self, name: str, ty: Ty) -> str:
+        """Bind ``name`` to a fresh hoisted C variable and return it."""
+        cname = self.fresh_cname(name)
         self.locals.append(cdecl(ty, cname) + ";")
         self.bind(name, cname, ty)
         return cname
@@ -243,7 +261,7 @@ class FunctionEmitter:
             or "void"
         struct_vars = [cdecl(ty.target, self.struct_storage[y]) + ";"
                        for y, ty in fd.vars]
-        head = f"{ctype(fd.rt)} {c_fun_name(fd.name, self.gen.mode)}({args})"
+        head = f"{ctype(fd.rt)} {self.gen.cnames[fd.name]}({args})"
         if fd.sec is not None and self.gen.mode == "ebpf":
             head = f'SEC("{fd.sec}")\n' + head
         lines = [head + " {"]
@@ -490,7 +508,7 @@ class FunctionEmitter:
                 need_pin = True
         stmts = [st for frag, _ in frags for st in frag.stmts]
         args = ", ".join(frag.cexpr for frag, _ in frags)
-        call = f"{c_fun_name(name, self.gen.mode)}({args})"
+        call = f"{self.gen.cnames[name]}({args})"
         if isinstance(e.ty, UnitTy):
             return _Frag(stmts + [call + ";"], None, False)
         t = self.hoist(e.ty, "r")
@@ -653,6 +671,11 @@ class ProgramEmitter:
         self.globals_gamma: dict[str, Ty] = {
             d.name: d.ty for d in tp.program.decls if isinstance(d, GlobDecl)
         }
+        # Helpers and externs keep their names: they name C functions.
+        self.cnames: dict[str, str] = {h: h for h in tp.psi}
+        for d in tp.program.decls:
+            if not isinstance(d, ExtDecl):
+                self.cnames[d.name] = mangle(d.name, mode)
 
     def emit(self) -> CUnit:
         parts = ["/* generated by beeplc; edits will be overwritten */",
@@ -690,16 +713,17 @@ class ProgramEmitter:
     def emit_global(self, d: GlobDecl) -> str:
         sec = f' SEC("{d.sec}")' if d.sec and self.mode == "ebpf" else ""
         prefix = "static " if self.mode == "host" else ""
+        name = self.cnames[d.name]
         if isinstance(d.init, bytes):
             text = d.init[:-1].decode()
-            return f'{prefix}char {d.name}[]{sec} = "{text}";'
+            return f'{prefix}char {name}[]{sec} = "{text}";'
         if isinstance(d.init, NoneLit):
-            return f"{prefix}{cdecl(d.ty, d.name)}{sec};"
+            return f"{prefix}{cdecl(d.ty, name)}{sec};"
         if isinstance(d.init, (ConstInt, ConstLong)):
             suffix = "LL" if isinstance(d.init, ConstLong) else ""
-            return f"{prefix}{cdecl(d.ty, d.name)}{sec} = {d.init.value}{suffix};"
+            return f"{prefix}{cdecl(d.ty, name)}{sec} = {d.init.value}{suffix};"
         if isinstance(d.init, ConstBool):
-            return f"{prefix}{cdecl(d.ty, d.name)}{sec} = " \
+            return f"{prefix}{cdecl(d.ty, name)}{sec} = " \
                    f"{1 if d.init.value else 0};"
         raise CgenError(f"cannot emit global {d.name}")
 
@@ -719,7 +743,7 @@ class ProgramEmitter:
                 args.append(f"({ctype(ty)}) 0")
             else:
                 args.append("0")
-        call = f"{c_fun_name(entry.name, self.mode)}({', '.join(args)})"
+        call = f"{self.cnames[entry.name]}({', '.join(args)})"
         if isinstance(entry.rt, UnitTy):
             return ("int main(void) {\n"
                     f"    {call};\n"

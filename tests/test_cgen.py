@@ -4,10 +4,13 @@ import subprocess
 import pytest
 
 from beepl import typecheck
-from beepl.cgen import audit_guards, cdecl, ctype, emit_program, mangle
+from beepl.cgen import (
+    C_TAKEN, HOST_TAKEN, audit_guards, cdecl, ctype, emit_program, mangle,
+)
 from beepl.core import (
-    ArrayTy, BOOL, BYTES, INT, LONG, OptionTy, RefTy, StructTy, U16, U8,
-    UNIT, VInt,
+    ArrayTy, BOOL, BYTES, FunDecl, INT, LONG, Let, Match, OptionTy, Pbytes,
+    Program, Psome, RefTy, StructTy, U16, U8, UNIT, VInt, expr_children,
+    rename_var, with_children,
 )
 from beepl.driver import find_cc, load_corpus
 from beepl.gen import GenConfig, generate_well_typed
@@ -157,7 +160,21 @@ def test_ctype_mapping():
 
 
 def test_mangle_primes():
-    assert mangle("p'") == "p_prime"
+    assert mangle("p'", "ebpf") == "p_prime"
+
+
+def test_mangle_is_one_to_one_and_avoids_taken_names():
+    names = ["x", "x'", "x''", "x_prime", "x_prime'", "_x", "__x", "_X",
+             "bpl_x", "bpl_x'", "bpl'_x", "short", "short'", "i64", "NULL",
+             "main", "main'", "printf", "bpl_main", "x__2", "_Bool"]
+    for mode in ("ebpf", "host"):
+        cnames = [mangle(x, mode) for x in names]
+        assert len(set(cnames)) == len(names), mode
+        for c in cnames:
+            assert re.fullmatch(r"[A-Za-z]\w*", c), c
+            assert c not in (HOST_TAKEN if mode == "host" else C_TAKEN)
+    assert mangle("main", "ebpf") == "main"
+    assert mangle("main", "host") == "bpl_main"
 
 
 def test_bytes_t_prelude_definition():
@@ -230,6 +247,12 @@ def test_host_output_compiles_and_matches(tmp_path):
         "match o with | _ => 1 | pnone => 2 }": 2,
         "fun main() : int { let o : option(int*) = none in let r : int = "
         "match o with | _ => 1 | pnone => 2 in r }": 2,
+        # Names that are not C names as they stand.
+        "global x' : int = 1; fun main() : int { x' }": 1,
+        "fun main() : int { let short : int = 3 in "
+        "let register : int = 4 in short + register }": 7,
+        "global x_prime : int = 5; global x' : int = 1; "
+        "fun f'(int i64) : int { i64 } fun main() : int { f'(x') + x_prime }": 6,
     }
     cc = find_cc()
     for i, (src, expected) in enumerate(cases.items()):
@@ -281,3 +304,95 @@ def test_corpus_c_compiles_in_both_modes(tmp_path):
                     str(cfile)]
             r = subprocess.run(args, capture_output=True, text=True)
             assert r.returncode == 0, f"{name} {mode}: {r.stderr}"
+
+
+# Each binder of a generated program gets one of these, or its own name
+# primed: C keywords that BeePL lets a program use as names, names the
+# prelude and shim define, and names that look like the backend's own.
+HOSTILE_NAMES = [
+    "short", "register", "auto", "static", "volatile", "double", "signed",
+    "unsigned", "return", "while", "do", "goto", "switch", "case", "default",
+    "const", "float", "union", "enum", "typedef", "sizeof", "void", "break",
+    "continue", "restrict", "inline", "i64", "u64", "bytes_t", "NULL", "SEC",
+    "printf", "bpl_bool", "bpl_main", "x_prime", "_Bool", "__x", "_tmp",
+]
+
+
+def _binders(e):
+    if isinstance(e, Let) and e.name != "_":
+        yield e.name
+    if isinstance(e, Match):
+        yield from (p.binder for p, _ in e.arms
+                    if isinstance(p, (Psome, Pbytes)))
+    for c in expr_children(e):
+        yield from _binders(c)
+
+
+def _rename_binders(e, new):
+    """e with each binder x in ``new`` renamed new[x], with its uses."""
+    e = with_children(e, [_rename_binders(c, new) for c in expr_children(e)])
+    if isinstance(e, Let) and e.name in new:
+        return Let(new[e.name], e.declared, e.bound,
+                   rename_var(e.body, e.name, new[e.name]))
+    if isinstance(e, Match):
+        arms = []
+        for p, body in e.arms:
+            if isinstance(p, (Psome, Pbytes)) and p.binder in new:
+                body = rename_var(body, p.binder, new[p.binder])
+                p = Psome(new[p.binder]) if isinstance(p, Psome) else \
+                    Pbytes(new[p.binder], p.target, p.fields)
+            arms.append((p, body))
+        return Match(e.scrutinee, tuple(arms))
+    return e
+
+
+def _with_hostile_names(p: Program, tp) -> Program:
+    """p with its locals, parameters and non-entry functions renamed to
+    distinct hostile or primed names."""
+    entry = tp.entry_point().name
+    funs = [d for d in p.decls if isinstance(d, FunDecl)]
+    old = sorted({n for d in funs for n in _binders(d.body)}
+                 | {x for d in funs for x, _ in d.args}
+                 | {d.name for d in funs if d.name != entry})
+    new = {x: HOSTILE_NAMES[i // 2] if i % 2 == 0 and i // 2 < len(
+           HOSTILE_NAMES) else x + "'" for i, x in enumerate(old)}
+    decls = []
+    for d in p.decls:
+        if isinstance(d, FunDecl):
+            body = _rename_binders(d.body, new)
+            for x in [x for x, _ in d.args] + [f.name for f in funs]:
+                if x in new:
+                    body = rename_var(body, x, new[x])
+            d = FunDecl(new.get(d.name, d.name), d.rt,
+                        tuple((new[x], ty) for x, ty in d.args), body,
+                        d.vars, d.ef, d.sec)
+        decls.append(d)
+    return Program(tuple(decls), p.composites)
+
+
+@needs_cc
+def test_hostile_binder_names_compile_and_match(tmp_path):
+    """Renamed to C keywords, taken names and primed names, generated
+    programs still compile in both modes, and the host binary prints what
+    the interpreter computes."""
+    cc = find_cc()
+    for seed in range(12):
+        extras = seed % 2 == 1
+        p = generate_well_typed(GenConfig(seed=seed, bytes_match=extras,
+                                          externals=extras))
+        tp = check_program(_with_hostile_names(p, check_program(p)))
+        expected = run_program(tp, ExternalWorld()).value.value
+        assert expected == run_program(check_program(p),
+                                       ExternalWorld()).value.value
+        for mode in ("ebpf", "host"):
+            cfile = tmp_path / f"{seed}.{mode}.c"
+            cfile.write_text(emit_program(tp, mode).text)
+            args = [cc, "-std=c11", "-o", str(tmp_path / f"{seed}.{mode}")]
+            if mode == "ebpf":
+                args.append("-c")
+            r = subprocess.run(args + [str(cfile)], capture_output=True,
+                               text=True)
+            assert r.returncode == 0, f"seed {seed} {mode}: {r.stderr}"
+        out = subprocess.run([str(tmp_path / f"{seed}.host")],
+                             capture_output=True, text=True, timeout=30)
+        assert out.stdout.strip() == str(expected), seed
