@@ -20,9 +20,9 @@ from typing import Optional
 
 from .core import (
     App, ArrayTy, Assign, BOOL, BoolTy, Bop, BopKind, BYTES, BytesTy, Cast,
-    Cond, ConstBool, ConstInt, ConstLong, Deref, Direction, Expr,
-    ExtDecl, Field, For, FunDecl, GlobDecl, INT, IntTy, Let, LONG, LongTy,
-    Match, NoneLit, OptionTy, Pnone, Prim, Psome,
+    COMPARE_BOPS, Cond, ConstBool, ConstInt, ConstLong, Deref, Direction, Expr,
+    ExtDecl, Field, For, FunDecl, GlobDecl, INT, IntTy, Let, LOGIC_BOPS, LONG,
+    LongTy, Match, NoneLit, OptionTy, Pnone, Prim, Psome,
     RefOp, RefTy, Sign, SomeLit, StructInit, StructTy, Ty, UNIT, UnitTy,
     UnitLit, Uop, UopKind, Var, select_arm,
 )
@@ -127,15 +127,11 @@ def cdecl(ty: Ty, name: str) -> str:
 
 
 def mangle(name: str, mode: str) -> str:
-    """The C name of a BeePL global, function, parameter or local.
-
-    One-to-one on BeePL names.  A name stands for itself, each ``'``
-    written ``_prime``, unless it holds ``_prime`` already, starts with
-    ``_`` (C reserves such names) or ``bpl_``, or comes out taken.  Such a
-    name gets the prefix ``bpl_``, each ``_`` doubled and each ``'`` written
-    ``_prime``; so it meets no other name, no ``__bpl_`` temporary and no
-    taken name.
-    """
+    """The C name of a BeePL global, function, parameter or local; one to
+    one.  A name stands for itself, ``'`` written ``_prime``, unless it holds
+    ``_prime``, starts with ``_`` (reserved in C) or ``bpl_``, or is taken.
+    Then it gets the prefix ``bpl_`` with ``_`` doubled, which no other name,
+    ``__bpl_`` temporary or taken name has."""
     cname = name.replace("'", "_prime")
     if ("_prime" in name or cname[0] == "_" or cname.startswith("bpl_")
             or cname in (HOST_TAKEN if mode == "host" else C_TAKEN)):
@@ -191,7 +187,6 @@ class FunctionEmitter:
         for x, ty in fd.args:
             self.scope[x] = (self.fresh_cname(x), ty)
         for y, ty in fd.vars:
-            self.used_cnames.add(mangle(y, gen.mode))
             storage = self.fresh_cname(y, "_storage")
             self.struct_storage[y] = storage
             self.scope[y] = (f"(&{storage})", ty)
@@ -219,8 +214,7 @@ class FunctionEmitter:
         self.scope[name] = (cname, ty)
 
     def fresh_cname(self, name: str, suffix: str = "") -> str:
-        """A C name for binder ``name`` that no C name of the program or of
-        this function has taken yet."""
+        """A C name for binder ``name`` that no other C name here has."""
         base = cname = mangle(name, self.gen.mode) + suffix
         n = 1
         while cname in self.used_cnames:
@@ -418,20 +412,15 @@ class FunctionEmitter:
         pure = lhs.pure and rhs.pure and not stmts
         a, b = lhs.cexpr, rhs.cexpr
         u, s = ("u64", "i64") if isinstance(lty, LongTy) else ("u32", "i32")
-        if kind in (BopKind.EQ, BopKind.NE, BopKind.LT, BopKind.LE,
-                    BopKind.GT, BopKind.GE):
+        if kind in COMPARE_BOPS:
             return _Frag(stmts, f"({_p(a)} {kind.value} {_p(b)})", pure)
-        if kind is BopKind.LAND:
-            # Both operands are already evaluated 0/1 values; bitwise '&'
-            # mirrors the source semantics, which never short-circuits.
-            return _Frag(stmts, f"({_p(a)} & {_p(b)})", pure)
-        if kind is BopKind.LOR:
-            return _Frag(stmts, f"({_p(a)} | {_p(b)})", pure)
-        if kind in (BopKind.ADD, BopKind.SUB, BopKind.MUL):
-            cop = {BopKind.ADD: "+", BopKind.SUB: "-", BopKind.MUL: "*"}[kind]
-            return _Frag(stmts,
-                         f"({s})(({u}){_p(a)} {cop} ({u}){_p(b)})", pure)
-        if kind in (BopKind.AND, BopKind.OR, BopKind.XOR):
+        if kind in LOGIC_BOPS:
+            # Both operands are already evaluated 0/1 values; bitwise '&' and
+            # '|' mirror the source semantics, which never short-circuits.
+            cop = "&" if kind is BopKind.LAND else "|"
+            return _Frag(stmts, f"({_p(a)} {cop} {_p(b)})", pure)
+        if kind in (BopKind.ADD, BopKind.SUB, BopKind.MUL, BopKind.AND,
+                    BopKind.OR, BopKind.XOR):
             return _Frag(stmts,
                          f"({s})(({u}){_p(a)} {kind.value} ({u}){_p(b)})",
                          pure)
@@ -447,8 +436,7 @@ class FunctionEmitter:
         return None
 
     def emit_divmod(self, e, kind, stmts, lty, a, b, lhs, rhs) -> _Frag:
-        is_long = isinstance(lty, LongTy)
-        tmin = "BPL_LONG_MIN" if is_long else "BPL_INT_MIN"
+        tmin = "BPL_LONG_MIN" if isinstance(lty, LongTy) else "BPL_INT_MIN"
         cop = kind.value
         bval = self._const_int_value(e.operands[1])
         if bval is not None and bval != 0 and bval != -1:
@@ -672,10 +660,9 @@ class ProgramEmitter:
             d.name: d.ty for d in tp.program.decls if isinstance(d, GlobDecl)
         }
         # Helpers and externs keep their names: they name C functions.
-        self.cnames: dict[str, str] = {h: h for h in tp.psi}
-        for d in tp.program.decls:
-            if not isinstance(d, ExtDecl):
-                self.cnames[d.name] = mangle(d.name, mode)
+        self.cnames: dict[str, str] = {h: h for h in tp.psi} | {
+            d.name: mangle(d.name, mode) for d in tp.program.decls
+            if not isinstance(d, ExtDecl)}
 
     def emit(self) -> CUnit:
         parts = ["/* generated by beeplc; edits will be overwritten */",

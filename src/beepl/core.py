@@ -1,11 +1,9 @@
 """Core AST, types, effects, patterns, values and program forms for BeePL.
 
-Types, operators, patterns and declarations are frozen and hashable; memo
-keys hash types.  Spans and expression nodes are slotted, unhashable
-records, cheaper to build, and immutable by convention: no stage assigns to
-a node's fields after construction, and a tier-1 test checks that checking,
-running, auditing, emitting and printing leave every node as it was.
-Equality is structural; source spans and types never participate in it.
+Types, patterns and declarations are frozen; memo keys hash types.  Spans
+and expression nodes are slotted records that do not hash, immutable by
+convention: no stage assigns to a node after construction.  Equality is
+structural; source spans and a node's type never participate in it.
 """
 
 from __future__ import annotations
@@ -33,10 +31,10 @@ class Span:
 
 
 # A keyword-only, comparison-exempt slot shared by AST nodes.  Every node has
-# a ``span``.  Compound nodes also have a ``ty``: the checker's type, recorded
-# by elaboration and read by the C backend.  Leaves carry no ``ty``, since a
-# literal's type follows from its class and a variable's from its binder.
-# Nodes built during evaluation leave ``ty`` unset.
+# a ``span`` (from Expr).  Compound nodes also have a ``ty``: the checker's
+# type, recorded by elaboration and read by the C backend.  Leaves carry no
+# ``ty``, since a literal's type follows from its class and a variable's from
+# its binder.  Nodes built during evaluation leave ``ty`` unset.
 def _aux_field():
     return field(default=None, kw_only=True, compare=False, repr=False)
 
@@ -341,20 +339,19 @@ class Bop(PrimOp):
 # Expressions
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
 class Expr:
-    __slots__ = ()
+    span: Optional[Span] = _aux_field()
 
 
 @dataclass(slots=True)
 class Var(Expr):
     name: str
-    span: Optional[Span] = _aux_field()
 
 
 @dataclass(slots=True)
 class ConstInt(Expr):
     value: int  # canonical signed 32-bit representative
-    span: Optional[Span] = _aux_field()
 
     def __post_init__(self):
         if not (-(1 << 31) <= self.value < (1 << 31)):
@@ -364,7 +361,6 @@ class ConstInt(Expr):
 @dataclass(slots=True)
 class ConstLong(Expr):
     value: int
-    span: Optional[Span] = _aux_field()
 
     def __post_init__(self):
         if not (-(1 << 63) <= self.value < (1 << 63)):
@@ -374,19 +370,17 @@ class ConstLong(Expr):
 @dataclass(slots=True)
 class ConstBool(Expr):
     value: bool
-    span: Optional[Span] = _aux_field()
 
 
 @dataclass(slots=True)
 class UnitLit(Expr):
-    span: Optional[Span] = _aux_field()
+    pass
 
 
 @dataclass(slots=True)
 class App(Expr):
     callee: Expr
     args: tuple[Expr, ...]
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
 
@@ -394,7 +388,6 @@ class App(Expr):
 class Prim(Expr):
     op: PrimOp
     operands: tuple[Expr, ...]
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
 
@@ -404,7 +397,6 @@ class Let(Expr):
     declared: Ty
     bound: Expr
     body: Expr
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
 
@@ -413,7 +405,6 @@ class Cond(Expr):
     guard: Expr
     then: Expr
     otherwise: Expr
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
 
@@ -421,7 +412,6 @@ class Cond(Expr):
 class StructInit(Expr):
     name: str  # a declared struct-reference variable being initialized
     fields: tuple[tuple[str, Expr], ...]
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
 
@@ -429,13 +419,11 @@ class StructInit(Expr):
 class Field(Expr):
     target: Expr
     fname: str
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
 
 @dataclass(slots=True)
 class NoneLit(Expr):
-    span: Optional[Span] = _aux_field()
     # Also set by evaluation when it reads a null option from a typed
     # variable or receives one from a helper, so that re-inference can type
     # it.
@@ -445,7 +433,6 @@ class NoneLit(Expr):
 @dataclass(slots=True)
 class SomeLit(Expr):
     value: Expr
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
 
@@ -460,7 +447,6 @@ class For(Expr):
     hi: Expr
     direction: Direction
     body: Expr
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
 
@@ -468,7 +454,6 @@ class For(Expr):
 class Match(Expr):
     scrutinee: Expr
     arms: tuple[tuple["Pattern", Expr], ...]
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
     def __post_init__(self):
@@ -482,7 +467,6 @@ class Match(Expr):
 class Loc(Expr):
     block: int
     offset: int = 0
-    span: Optional[Span] = _aux_field()
 
 
 @dataclass(slots=True)
@@ -492,7 +476,6 @@ class BytesView(Expr):
     block: int
     offset: int
     length: int
-    span: Optional[Span] = _aux_field()
 
 
 @dataclass(slots=True)
@@ -500,7 +483,6 @@ class Seq(Expr):
     """Evaluation-order sequence created by for-loop unrolling."""
 
     parts: tuple[Expr, ...]
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
 
@@ -510,7 +492,6 @@ class Repeat(Expr):
 
     body: Expr
     count: int
-    span: Optional[Span] = _aux_field()
     ty: Optional[Ty] = _aux_field()
 
 

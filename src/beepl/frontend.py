@@ -101,14 +101,12 @@ class Token:
     is_long: bool = False  # literal carried an explicit L suffix
 
 
-# One alternative per token class, tried in order, and one match per token:
-# each alternative also takes the blanks that follow it, and tokenize skips
-# those before the first token.  (Blanks taken in front of a token instead
-# would make trailing blanks quadratic: a match would start, and fail, at
-# each of them.)  Digits are ASCII only.  A word may start with any letter
-# or '_' and continue with any letter, digit, '_' or "'"; the pattern also
-# lets a non-ASCII numeral start one, which tokenize rejects.  Punctuation is
-# tried longest first.
+# One alternative per token class, tried in order; a match is a token and the
+# blanks after it (blanks before it would make trailing blanks quadratic).
+# Digits are ASCII only.  A word may start with any letter or '_' and
+# continue with any letter, digit, '_' or "'"; the pattern also lets a
+# non-ASCII numeral start one, which tokenize rejects.  Punctuation is tried
+# longest first.
 _TOKEN_RE = re.compile("(?:" + "|".join((
     r"(?P<newline>\n)",
     r"(?P<comment>//[^\n]*)",
@@ -248,9 +246,8 @@ def _negated(lit: Expr, span: Optional[Span]) -> Expr:
 class Parser:
     def __init__(self, source: str, filename: str = "<input>"):
         self.filename = filename
-        tokens = tokenize(source, filename)
-        # Two more eofs: peek and at look at most two tokens ahead.
-        self.tokens = tokens + tokens[-1:] * 2
+        self.tokens = tokenize(source, filename)
+        self.tokens += self.tokens[-1:] * 2  # peek and at look 2 ahead at most
         self.pos = 0
         self._depth = 0  # parse_expr calls now open
         self._height = 0  # see parse_expr
