@@ -19,12 +19,12 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .core import (
-    App, ArrayTy, Assign, BOOL, BoolTy, Bop, BopKind, BYTES, BytesTy, Cast,
-    COMPARE_BOPS, Cond, ConstBool, ConstInt, ConstLong, Deref, Direction, Expr,
-    ExtDecl, Field, For, FunDecl, GlobDecl, INT, IntTy, Let, LOGIC_BOPS, LONG,
-    LongTy, Match, NoneLit, OptionTy, Pnone, Prim, Psome,
-    RefOp, RefTy, Sign, SomeLit, StructInit, StructTy, Ty, UNIT, UnitTy,
-    UnitLit, Uop, UopKind, Var, select_arm,
+    App, ArrayTy, Assign, BOOL, BoolTy, Bop, BopKind, BYTES, BytesTy,
+    C_TAKEN, Cast, COMPARE_BOPS, Cond, ConstBool, ConstInt, ConstLong, Deref,
+    Direction, Expr, ExtDecl, Field, For, FunDecl, GlobDecl, HOST_TAKEN, INT,
+    IntTy, Let, LOGIC_BOPS, LONG, LongTy, Match, NoneLit, OptionTy, Pnone,
+    Prim, Psome, RefOp, RefTy, Sign, SomeLit, StructInit, StructTy, Ty, UNIT,
+    UnitTy, UnitLit, Uop, UopKind, Var, select_arm,
 )
 from .typecheck import TypedProgram, lane_type
 
@@ -88,16 +88,6 @@ static i64 *bpf_map_lookup_elem(struct bpf_map *m, i64 *k) {
     return __bpl_map_seeded ? &__bpl_map_value : (i64 *) 0;
 }
 """
-
-# C names no BeePL name may take as it is: the C11 keywords and what the
-# prelude and the helper stubs define; in host mode also what the shim does.
-C_TAKEN = frozenset("""
-    auto break case char const continue default do double else enum extern
-    float for goto if inline int long register restrict return short signed
-    sizeof static struct switch typedef union unsigned void volatile while
-    i8 i16 i32 i64 u8 u16 u32 u64 bytes_t NULL SEC BPL_INT_MIN BPL_LONG_MIN
-    bpf_map_lookup_elem bpf_get_current_uid_gid""".split())
-HOST_TAKEN = C_TAKEN | {"main", "printf"}
 
 
 def ctype(ty: Ty) -> str:
@@ -356,10 +346,8 @@ class FunctionEmitter:
     def emit_prim(self, e: Prim) -> _Frag:
         op = e.op
         if isinstance(op, RefOp):
-            inner = e.operands[0]
-            ty = self.ty_of(inner)
-            frag = self.emit_value(inner)
-            t = self.hoist(ty)
+            frag = self.emit_value(e.operands[0])
+            t = self.hoist(e.ty.target)
             return _Frag(frag.stmts + [f"{t} = {frag.cexpr};"], f"(&{t})", True)
         if isinstance(op, Deref):
             inner = e.operands[0]

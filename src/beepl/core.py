@@ -32,9 +32,10 @@ class Span:
 
 # A keyword-only, comparison-exempt slot shared by AST nodes.  Every node has
 # a ``span`` (from Expr).  Compound nodes also have a ``ty``: the checker's
-# type, recorded by elaboration and read by the C backend.  Leaves carry no
-# ``ty``, since a literal's type follows from its class and a variable's from
-# its binder.  Nodes built during evaluation leave ``ty`` unset.
+# type, recorded by elaboration and read by the C backend and the
+# interpreter.  Leaves carry no ``ty``: a literal's type follows from its
+# position and a variable's from its binder.  A rebuilt node keeps its
+# ``ty``; the nodes a loop unrolls into leave it unset.
 def _aux_field():
     return field(default=None, kw_only=True, compare=False, repr=False)
 
@@ -188,13 +189,12 @@ def is_pointer(ty: Ty) -> bool:
     return isinstance(ty, (RefTy, OptionTy))
 
 
-def int_lane(ty: Ty) -> Optional[str]:
-    """Runtime representation lane of a numeric type: 'int' or 'long'."""
-    if isinstance(ty, IntTy):
-        return "int"
-    if isinstance(ty, LongTy):
-        return "long"
-    return None
+def int_fits(value: int, ty: IntTy) -> bool:
+    """Whether an integer literal's value is one of int type ty's.  Int
+    values live in the signed 32-bit lane, so ``u32`` stops at INT_MAX."""
+    if ty.sign is Sign.UNSIGNED:
+        return 0 <= value < min(1 << ty.size, 1 << 31)
+    return -(1 << (ty.size - 1)) <= value < (1 << (ty.size - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +644,19 @@ class Program:
         return {d.name: d for d in self.decls if isinstance(d, FunDecl)}
 
 
+# C names no BeePL name may take as it is: the C11 keywords and what the
+# emitted prelude and helper stubs define; in host mode also what the shim
+# does.  Extern, struct and field names are emitted as written, so the
+# checker rejects these names there; other names are mangled around them.
+C_TAKEN = frozenset("""
+    auto break case char const continue default do double else enum extern
+    float for goto if inline int long register restrict return short signed
+    sizeof static struct switch typedef union unsigned void volatile while
+    i8 i16 i32 i64 u8 u16 u32 u64 bpl_bool bytes_t NULL SEC BPL_INT_MIN
+    BPL_LONG_MIN bpf_map_lookup_elem bpf_get_current_uid_gid""".split())
+HOST_TAKEN = C_TAKEN | {"main", "printf"}
+
+
 # ---------------------------------------------------------------------------
 # The shape of the AST: children, rebuilds and binders
 # ---------------------------------------------------------------------------
@@ -653,9 +666,9 @@ class Shape(NamedTuple):
 
     ``children`` lists its subexpressions in a fixed order, which paths and
     evaluation contexts index.  ``rebuild`` makes the node anew from a
-    sequence of that length and leaves ``span`` and ``ty`` unset.  ``binds``
-    is set only on binder nodes: for each child, the names the node binds
-    in it.
+    sequence of that length; it keeps ``ty`` and leaves ``span`` unset.
+    ``binds`` is set only on binder nodes: for each child, the names the
+    node binds in it.
     """
 
     children: Callable[[Expr], tuple[Expr, ...]]
@@ -667,32 +680,33 @@ _NO_NAMES: frozenset[str] = frozenset()
 
 SHAPES: dict[type, Shape] = {
     SomeLit: Shape(lambda e: (e.value,),
-                   lambda e, c: SomeLit(c[0])),
+                   lambda e, c: SomeLit(c[0], ty=e.ty)),
     App: Shape(lambda e: (e.callee, *e.args),
-               lambda e, c: App(c[0], tuple(c[1:]))),
+               lambda e, c: App(c[0], tuple(c[1:]), ty=e.ty)),
     Prim: Shape(lambda e: e.operands,
-                lambda e, c: Prim(e.op, tuple(c))),
+                lambda e, c: Prim(e.op, tuple(c), ty=e.ty)),
     Let: Shape(lambda e: (e.bound, e.body),
-               lambda e, c: Let(e.name, e.declared, c[0], c[1]),
+               lambda e, c: Let(e.name, e.declared, c[0], c[1], ty=e.ty),
                lambda e: (_NO_NAMES, frozenset((e.name,)))),
     Cond: Shape(lambda e: (e.guard, e.then, e.otherwise),
-                lambda e, c: Cond(c[0], c[1], c[2])),
+                lambda e, c: Cond(c[0], c[1], c[2], ty=e.ty)),
     StructInit: Shape(lambda e: tuple(fe for _, fe in e.fields),
                       lambda e, c: StructInit(e.name, tuple(
-                          (f, fe) for (f, _), fe in zip(e.fields, c)))),
+                          (f, fe) for (f, _), fe in zip(e.fields, c)),
+                          ty=e.ty)),
     Field: Shape(lambda e: (e.target,),
-                 lambda e, c: Field(c[0], e.fname)),
+                 lambda e, c: Field(c[0], e.fname, ty=e.ty)),
     Match: Shape(lambda e: (e.scrutinee, *(b for _, b in e.arms)),
                  lambda e, c: Match(c[0], tuple(
-                     (p, b) for (p, _), b in zip(e.arms, c[1:]))),
+                     (p, b) for (p, _), b in zip(e.arms, c[1:])), ty=e.ty),
                  lambda e: (_NO_NAMES,
                             *(pattern_binders(p) for p, _ in e.arms))),
     For: Shape(lambda e: (e.lo, e.hi, e.body),
-               lambda e, c: For(c[0], c[1], e.direction, c[2])),
+               lambda e, c: For(c[0], c[1], e.direction, c[2], ty=e.ty)),
     Seq: Shape(lambda e: e.parts,
-               lambda e, c: Seq(tuple(c))),
+               lambda e, c: Seq(tuple(c), ty=e.ty)),
     Repeat: Shape(lambda e: (e.body,),
-                  lambda e, c: Repeat(c[0], e.count)),
+                  lambda e, c: Repeat(c[0], e.count, ty=e.ty)),
 }
 
 LEAVES = frozenset({Var, ConstInt, ConstLong, ConstBool, UnitLit, NoneLit,
@@ -767,7 +781,7 @@ def _replace_free(e: Expr, x: str, v: Expr, rename: Optional[str]) -> Expr:
     if type(e) is StructInit and e.name == x:
         if rename is None:
             return e
-        e = StructInit(rename, e.fields)
+        e = StructInit(rename, e.fields, ty=e.ty)
     children = shape.children(e)
     if shape.binds is None:
         new = [_replace_free(c, x, v, rename) for c in children]

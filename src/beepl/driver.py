@@ -154,7 +154,7 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         ctx = audit_ctx(s)
         memo.prune(expr)
         try:
-            ty_i, eff_i = infer_expr(ctx, expr)
+            ty_i, eff_i = infer_expr(ctx, expr, ty0)
         except TypeCheckError as exc:
             raise _Violation(f"step {steps} untypeable ({rule}): {exc}")
         if ty_i != ty0:

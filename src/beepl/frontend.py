@@ -17,8 +17,8 @@ from .core import (
     Direction, Effect, EffectAtom, Expr, ExtDecl, Field, For, FunDecl,
     GlobDecl, I8, I16, INT, IntTy, Let, LONG, Loc, LongTy, Match, NoneLit,
     OptionTy, Pattern, Pbytes, Pnone, Program, Prim, Psome, Pwild, RefOp,
-    RefTy, Seq, Sign, SomeLit, Span, StructInit, StructTy, Ty, U8, U16, U32,
-    ULONG, UNIT, UnitLit, Uop, UopKind, Var,
+    RefTy, Seq, SomeLit, Span, StructInit, StructTy, Ty, U8, U16, U32,
+    ULONG, UNIT, UnitLit, Uop, UopKind, Var, int_fits,
 )
 
 
@@ -673,19 +673,12 @@ class Parser:
         """Adapt a bare literal to a declared int/long binder type."""
         if isinstance(e, ConstInt) and isinstance(declared, LongTy):
             return ConstLong(e.value, span=e.span)
-        if isinstance(e, ConstLong) and isinstance(declared, IntTy):
-            if not -(1 << 31) <= e.value < (1 << 31):
+        if isinstance(e, (ConstInt, ConstLong)) and isinstance(declared, IntTy):
+            if not int_fits(e.value, declared):
                 self.fail("integer literal too wide for its declared type",
                           e.span, code="P003")
-            e = ConstInt(e.value, span=e.span)
-        if isinstance(e, ConstInt) and isinstance(declared, IntTy):
-            width, unsigned = declared.size, declared.sign is Sign.UNSIGNED
-            lo = 0 if unsigned else -(1 << (width - 1))
-            hi = (1 << width) - 1 if unsigned else (1 << (width - 1)) - 1
-            hi = min(hi, INT_MAX)
-            if not (lo <= e.value <= hi):
-                self.fail("integer literal too wide for its declared type",
-                          e.span, code="P003")
+            if isinstance(e, ConstLong):
+                return ConstInt(e.value, span=e.span)
         if isinstance(e, Prim) and isinstance(e.op, RefOp) \
                 and isinstance(declared, RefTy):
             inner = self._fit_literal(e.operands[0], declared.target)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import (
     App, ArrayTy, Assign, BoolTy, Bop, BopKind, BYTES, BytesTy, BytesView,
@@ -24,9 +24,7 @@ from .core import (
     select_arm, struct_layout, subst,
 )
 from .frontend import print_type
-from .typecheck import (
-    TypeCheckError, TypedProgram, TypingContext, infer_expr,
-)
+from .typecheck import TypedProgram
 
 
 class InterpError(Exception):
@@ -121,7 +119,6 @@ class State:
     theta: Memory
     sigma: dict[int, Ty]  # block -> content type
     composites: dict[str, Composite]
-    psi: dict = dc_field(default_factory=dict)  # external signatures
     monitors: Monitors = dc_field(default_factory=Monitors)
     rename_counter: int = 0
 
@@ -395,7 +392,7 @@ def step(s: State, w: ExternalWorld, e: Expr,
     if is_value(e):
         return IsValue(e)
     frames: list = []
-    redex, values = _refocus(frames, e)
+    redex, values, _ = _refocus(frames, e)
     try:
         out, rule = _contract(s, w, redex, values, guard_unsafe)
     except StuckState as exc:
@@ -430,22 +427,25 @@ _CONTEXTS = {cls: (SHAPES[cls], start, stop)
              for cls, (start, stop) in EVAL_POSITIONS.items()}
 
 
-def _refocus(frames: list, e: Expr) -> tuple[Expr, list[Expr]]:
-    """The next redex, and the values of its children in evaluation
-    position, once e stands in the hole of the context ``frames``.
+def _refocus(frames: list, e: Expr
+             ) -> tuple[Expr, Sequence[Expr], Optional[list[Expr]]]:
+    """The next redex once e stands in the hole of the context ``frames``:
+    the redex, the values of its children in evaluation position, and its
+    new children when they are not its own (else None).
 
     A frame is [node, context, children, hole, own], outermost first; own
     holds while children are the node's own.  A non-value is searched from
     its top, a value fills the innermost hole; either way the search goes on
     at the frame's next child in evaluation position that is not a value.
-    A frame with none left is popped, rebuilt if its children changed, and
-    is the redex unless it is a value (``some`` around a location).
+    A frame with none left is popped and is the redex as it stands: its rule
+    reads the values, so it is not rebuilt.  Only ``some`` is, since around
+    a location it is a value that fills the next hole up.
     """
     while True:
         if not is_value(e):
             context = _CONTEXTS.get(type(e))
             if context is None:
-                return e, []
+                return e, (), None
             frame = [e, context, context[0].children(e), context[1], True]
             frames.append(frame)
         elif frames:
@@ -455,7 +455,7 @@ def _refocus(frames: list, e: Expr) -> tuple[Expr, list[Expr]]:
             frame[2][frame[3]] = e
             frame[3] += 1
         else:
-            return e, []
+            return e, (), None
         node, (shape, start, stop), children, i, own = frame
         end = len(children) if stop is None else stop
         while i < end and is_value(children[i]):
@@ -465,9 +465,11 @@ def _refocus(frames: list, e: Expr) -> tuple[Expr, list[Expr]]:
             e = children[i]
             continue
         frames.pop()
+        if type(node) is not SomeLit:
+            return node, children[start:end], None if own else children
         e = node if own else shape.rebuild(node, children)
         if not is_value(e):
-            return e, list(children[start:end])
+            return e, (), None
 
 
 def _plug(frames: list, e: Expr) -> Expr:
@@ -494,7 +496,7 @@ def _step_let(s: State, w: ExternalWorld, e: Let, values: list[Expr],
               guard: bool) -> tuple[Expr, str]:
     if e.name == "_":
         return e.body, "LETV"
-    return subst(e.body, e.name, e.bound), "LETV"
+    return subst(e.body, e.name, values[0]), "LETV"
 
 
 def _step_cond(s: State, w: ExternalWorld, e: Cond, values: list[Expr],
@@ -509,9 +511,8 @@ def _step_seq(s: State, w: ExternalWorld, e: Seq, values: list[Expr],
               guard: bool) -> tuple[Expr, str]:
     # A two-part sequence steps straight to its tail, so a loop's term stays
     # one Seq deep however many iterations it runs.
-    if len(e.parts) <= 2:
-        return e.parts[-1], "SEQT"
-    return Seq(e.parts[1:]), "SEQT"
+    rest = e.parts[1:]
+    return (Seq(rest) if len(rest) > 1 else (rest or values)[0]), "SEQT"
 
 
 def _step_repeat(s: State, w: ExternalWorld, e: Repeat, values: list[Expr],
@@ -544,14 +545,12 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Expr],
                guard: bool) -> tuple[Expr, str]:
     op = e.op
     if isinstance(op, RefOp):
-        v, = values
-        try:
-            ty, _ = infer_expr(TypingContext(sigma=s.sigma), v)
-        except TypeCheckError as exc:
-            _stuck(f"cannot type the referenced value: {exc.message}")
-        bid = s.theta.alloc(sizeof(ty, s.composites))
-        s.theta.store(bid, 0, v)
-        s.sigma[bid] = ty
+        # The block takes the type the checker gave the reference.
+        if not isinstance(e.ty, RefTy):
+            _stuck("ref without a checked type")
+        bid = s.theta.alloc(sizeof(e.ty.target, s.composites))
+        s.theta.store(bid, 0, values[0])
+        s.sigma[bid] = e.ty.target
         return Loc(bid, 0), "REFV"
     if isinstance(op, Deref):
         v, = values
@@ -576,13 +575,8 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Expr],
             _stuck("assignment into an invalid block")
         return UnitLit(), "MASSGNV"
     if isinstance(op, (Uop, Cast)):
-        v, = values
         _check_operands(op, values)
-        result = uop_sem(op, v)
-        if isinstance(result, VUndef):
-            s.monitors.undef_events += 1
-            _stuck("unary operator produced undef")
-        return result, "UOPV"
+        return uop_sem(op, values[0]), "UOPV"
     if isinstance(op, Bop):
         lv, rv = values
         _check_operands(op, values)
@@ -622,16 +616,10 @@ def _step_app(s: State, w: ExternalWorld, e: App, values: list[Expr],
     target = s.delta.get(name)
     if isinstance(target, FunDecl):
         return _apply_fun(s, target, values), "APP3"
-    res_type = _external_result_type(s, name)
-    if res_type is None:
+    # A helper's result has the type the checker gave the call.
+    if e.ty is None:
         _stuck(f"unknown function {name!r}")
-    result = w.call(name, values, s, res_type)
-    return _typed_value_expr(result, res_type), "EAPP"
-
-
-def _external_result_type(s: State, name: str) -> Optional[Ty]:
-    sig = s.psi.get(name)
-    return sig.res_type if sig is not None else None
+    return _typed_value_expr(w.call(name, values, s, e.ty), e.ty), "EAPP"
 
 
 def _apply_fun(s: State, fd: FunDecl, values: list[Expr]) -> Expr:
@@ -788,19 +776,21 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
                on_step: Optional[Callable[[State, Expr, str], None]] = None
                ) -> EvalResult:
     """Iterate step until a value; returns the exact step count.  The
-    context is kept between steps (refocusing) and the whole term is plugged
-    together only for on_step."""
+    context is kept between steps (refocusing), and the redex rebuilt and
+    the whole term plugged together only for on_step."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     steps = 0
     frames: list = []
-    focus, values = _refocus(frames, e)
+    focus, values, children = _refocus(frames, e)
     while not is_value(focus):
         out, rule = _contract(s, w, focus, values, guard_unsafe)
-        focus, values = _refocus(frames, out)
+        focus, values, children = _refocus(frames, out)
         steps += 1
         if on_step is not None:
-            on_step(s, _plug(frames, focus), rule)
+            whole = focus if children is None \
+                else SHAPES[type(focus)].rebuild(focus, children)
+            on_step(s, _plug(frames, whole), rule)
         if steps >= fuel:
             raise FuelExhausted(f"no value after {fuel} steps")
     return EvalResult(s, focus, steps)
@@ -811,7 +801,7 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
 # ---------------------------------------------------------------------------
 
 def init_state(tp: TypedProgram, w: ExternalWorld) -> State:
-    s = State({}, {}, Memory(), {}, dict(tp.composites), psi=dict(tp.psi))
+    s = State({}, {}, Memory(), {}, dict(tp.composites))
     for d in tp.program.decls:
         if isinstance(d, FunDecl):
             s.delta[d.name] = d

@@ -3,8 +3,8 @@
 The checker implements the expression judgment over contexts
 (gamma, sigma, pi, psi), the declaration-level rules (return types are never
 pointers, section compatibility, effect annotations), and produces an
-elaborated program: named constants are inlined, htons is folded, and integer
-literals are widened where a long-typed position demands it.
+elaborated program: named constants are inlined, htons is folded, and each
+integer literal is typed by its position and put in that type's lane.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from .core import (
     ALLOC, App, ArrayTy, Assign, BOOL, Bop, BopKind, BYTES, BytesTy,
     BytesView, COMPARE_BOPS, Cast, Composite, Cond, ConstBool, ConstInt,
     ConstLong, Deref, EMPTY_EFFECT, Effect, Expr, ExtDecl, Field, For,
-    FunDecl, GlobDecl, INT, IO, IntTy, LOGIC_BOPS, LONG, Let, Loc, LongTy,
-    Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim, Psome, Pwild,
-    READ, RefOp, RefTy, Repeat, Seq, Sign, SomeLit, Span, StructInit,
+    FunDecl, GlobDecl, HOST_TAKEN, INT, IO, IntTy, LOGIC_BOPS, LONG, Let, Loc,
+    LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim, Psome,
+    Pwild, READ, RefOp, RefTy, Repeat, Seq, SomeLit, Span, StructInit,
     StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE, effect_concat,
-    effect_subset, expr_children, fvar, int_lane, is_basic, is_pointer,
+    effect_subset, expr_children, fvar, int_fits, is_basic, is_pointer,
     is_prim, struct_layout,
 )
 from .frontend import Diagnostic
@@ -91,13 +91,13 @@ def default_helper_registry() -> HelperRegistry:
 class JudgmentMemo:
     """The successful judgments of one audited evaluation, by node identity.
 
-    A judgment is keyed by the node's ``id``, the expected type, and the
-    types of those binders under the runtime context (``TypingContext.local``)
-    that are free in the node.  Each entry holds its node, so the ``id``
-    cannot be reused while the memo lives.  The owner empties
-    ``judgments`` when the runtime context stops extending the one the
-    judgments were made in; free variables depend on the node alone and
-    stay.
+    A judgment is keyed by the node's ``id``, the expected type (None for
+    a node that records its type), and the types of those binders under
+    the runtime context (``TypingContext.local``) that are free in the
+    node.  Each entry holds its node, so the ``id`` cannot be reused while
+    the memo lives.  The owner empties ``judgments`` when the runtime
+    context stops extending the one the judgments were made in; free
+    variables depend on the node alone and stay.
     """
 
     # The memo is pruned to the live term each time it has doubled, and
@@ -187,16 +187,21 @@ def infer_expr(ctx: TypingContext, e: Expr,
 
 def infer_elab(ctx: TypingContext, e: Expr,
                expected: Optional[Ty] = None) -> tuple[Ty, Effect, Expr]:
-    """Judge e by its class's typing rule.  A context with a memo asks it
-    first and keeps the judgment if the rule succeeds."""
+    """Judge e by its class's typing rule: at the type elaboration recorded
+    on e, or on a node without one, at the type its position expects.  A
+    context with a memo asks it first and keeps the judgment if the rule
+    succeeds."""
     rule = _TYPING_RULES.get(type(e), _infer_unsupported)
+    recorded = getattr(e, "ty", None)
+    if recorded is not None:
+        expected = None  # so the memo key names no type: e fixes it
     memo = ctx.memo
     if memo is None or rule is _infer_unsupported:  # no key without a shape
-        return rule(ctx, e, expected)
+        return rule(ctx, e, recorded or expected)
     key = memo.key(ctx, e, expected)
     entry = memo.judgments.get(key)
     if entry is None:
-        entry = memo.judgments[key] = (e, rule(ctx, e, expected))
+        entry = memo.judgments[key] = (e, rule(ctx, e, recorded or expected))
     return entry[1]
 
 
@@ -213,17 +218,29 @@ def _infer_var(ctx: TypingContext, e: Var, expected: Optional[Ty]):
                  e.span, "TVAR")
         return ty, EMPTY_EFFECT, e
     if e.name in ctx.consts:
-        return INT, EMPTY_EFFECT, ConstInt(ctx.consts[e.name], span=e.span)
+        return _infer_literal(ctx, ConstInt(ctx.consts[e.name], span=e.span),
+                              expected)
     if e.name in ctx.funs or e.name in ctx.psi:
         _err("NotFirstClassFunction",
              f"function {e.name!r} used outside a call", e.span, "TVAR")
     _err("UnknownVariable", f"unbound variable {e.name!r}", e.span, "TVAR")
 
 
-def _infer_int(ctx: TypingContext, e: ConstInt, expected: Optional[Ty]):
+def _infer_literal(ctx: TypingContext, e: Expr, expected: Optional[Ty]):
+    """The one literal rule, for int and long literals, named constants and
+    folded htons: a literal takes a long type its position expects, and
+    becomes a long literal; an int literal takes an expected int type that
+    its value fits; otherwise a literal keeps its own lane.  A long literal
+    never takes an int type, so a rule that returns a long where an int
+    belongs cannot pass the audit."""
+    cls = type(e)
     if isinstance(expected, LongTy):
-        return expected, EMPTY_EFFECT, ConstLong(e.value, span=e.span)
-    return INT, EMPTY_EFFECT, e
+        return expected, EMPTY_EFFECT, \
+            e if cls is ConstLong else ConstLong(e.value, span=e.span)
+    if cls is ConstInt and isinstance(expected, IntTy) \
+            and int_fits(e.value, expected):
+        return expected, EMPTY_EFFECT, e
+    return (INT if cls is ConstInt else LONG), EMPTY_EFFECT, e
 
 
 def _infer_loc(ctx: TypingContext, e: Loc, expected: Optional[Ty]):
@@ -266,8 +283,6 @@ def _infer_repeat(ctx: TypingContext, e: Repeat, expected: Optional[Ty]):
 def _infer_none(ctx: TypingContext, e: NoneLit, expected: Optional[Ty]):
     if isinstance(expected, OptionTy):
         return expected, EMPTY_EFFECT, NoneLit(span=e.span, ty=expected)
-    if isinstance(e.ty, OptionTy):
-        return e.ty, EMPTY_EFFECT, e
     _err("CannotInferOption",
          "bare 'none' needs a declared option type", e.span, "TNONE")
 
@@ -284,7 +299,6 @@ def _infer_some(ctx: TypingContext, e: SomeLit, expected: Optional[Ty]):
 
 def _infer_let(ctx: TypingContext, e: Let, expected: Optional[Ty]):
     bty, beff, belab = infer_elab(ctx, e.bound, e.declared)
-    bty, belab = _coerce(bty, belab, e.declared)
     if bty != e.declared:
         _err("LetTypeMismatch",
              f"let binds {bty}, declared {e.declared}", e.span, "TBIND")
@@ -300,7 +314,7 @@ def _infer_cond(ctx: TypingContext, e: Cond, expected: Optional[Ty]):
         _err("GuardNotBool", f"condition has type {gty}", e.span, "TCOND")
     tty, teff, telab = infer_elab(ctx, e.then, expected)
     oty, oeff, oelab = infer_elab(ctx, e.otherwise, expected)
-    tty, telab, oty, oelab = _coerce_pair(tty, telab, oty, oelab)
+    tty, telab, oty, oelab = _coerce_pair(ctx, tty, telab, oty, oelab)
     if tty != oty:
         _err("BranchTypeMismatch",
              f"branches have types {tty} and {oty}", e.span, "TCOND")
@@ -308,25 +322,14 @@ def _infer_cond(ctx: TypingContext, e: Cond, expected: Optional[Ty]):
         Cond(gelab, telab, oelab, span=e.span, ty=tty)
 
 
-def _coerce(ty: Ty, elab: Expr, want: Optional[Ty]) -> tuple[Ty, Expr]:
-    """Literal defaulting: a plain int literal adapts to the position's type."""
-    if want is None or not isinstance(elab, ConstInt):
-        return ty, elab
-    if isinstance(want, LongTy) and isinstance(ty, IntTy):
-        return want, ConstLong(elab.value, span=elab.span)
-    if isinstance(want, IntTy) and isinstance(ty, IntTy) and want != ty:
-        if want.sign is Sign.UNSIGNED:
-            fits = 0 <= elab.value < min(1 << want.size, 1 << 31)
-        else:
-            fits = -(1 << (want.size - 1)) <= elab.value < (1 << (want.size - 1))
-        if fits:
-            return want, elab
-    return ty, elab
-
-
-def _coerce_pair(ty1, e1, ty2, e2):
-    ty1, e1 = _coerce(ty1, e1, ty2 if isinstance(ty2, LongTy) else None)
-    ty2, e2 = _coerce(ty2, e2, ty1 if isinstance(ty1, LongTy) else None)
+def _coerce_pair(ctx: TypingContext, ty1, e1, ty2, e2):
+    """Two sides that must agree with no expected type to go by (binary
+    operands, loop bounds, untyped branches and arms): the literal rule
+    types a literal side at the other side's type, the left side first."""
+    if type(e1) in (ConstInt, ConstLong):
+        ty1, _, e1 = _infer_literal(ctx, e1, ty2)
+    if type(e2) in (ConstInt, ConstLong):
+        ty2, _, e2 = _infer_literal(ctx, e2, ty1)
     return ty1, e1, ty2, e2
 
 
@@ -369,7 +372,6 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
                  "only primitive cells can be assigned through ':='",
                  e.span, "TMASSGN")
         rty, reff, relab = infer_elab(ctx, e.operands[1], lty.target)
-        rty, relab = _coerce(rty, relab, lty.target)
         if rty != lty.target:
             _err("AssignTypeMismatch",
                  f"assigning {rty} into a {lty.target} cell",
@@ -396,7 +398,7 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
             _err("BadCastTarget", "casts target int or long only",
                  e.span, "TUOP")
         ity, ieff, ielab = infer_elab(ctx, e.operands[0])
-        if int_lane(ity) is None:
+        if lane_type(ity) not in (INT, LONG):
             _err("UopTypeMismatch", f"cannot cast {ity}", e.span, "TUOP")
         return op.target, ieff, Prim(op, (ielab,), span=e.span, ty=op.target)
     if isinstance(op, Bop):
@@ -410,7 +412,7 @@ def _infer_bop(ctx: TypingContext, e: Prim, kind: BopKind):
     if is_pointer(lty) or is_pointer(rty):
         _err("PointerArithmetic", "arithmetic on pointers is not allowed",
              e.span, "TBOP")
-    lty, lelab, rty, relab = _coerce_pair(lty, lelab, rty, relab)
+    lty, lelab, rty, relab = _coerce_pair(ctx, lty, lelab, rty, relab)
     if kind in LOGIC_BOPS:
         if lty != BOOL or rty != BOOL:
             _err("BopTypeMismatch",
@@ -419,7 +421,8 @@ def _infer_bop(ctx: TypingContext, e: Prim, kind: BopKind):
         ty = BOOL
     elif kind in COMPARE_BOPS:
         if kind in (BopKind.EQ, BopKind.NE):
-            ok = (int_lane(lty) is not None and int_lane(lty) == int_lane(rty))
+            ok = lane_type(lty) in (INT, LONG) \
+                and lane_type(lty) == lane_type(rty)
         else:
             ok = lty == rty and lty in (INT, LONG)
         if not ok:
@@ -443,7 +446,7 @@ def _infer_app(ctx: TypingContext, e: App, expected: Optional[Ty]):
              e.span, "TAPP")
     name = e.callee.name
     if name == "htons" and name not in ctx.funs and name not in ctx.psi:
-        return _fold_htons(ctx, e)
+        return _fold_htons(ctx, e, expected)
     if name in ctx.funs:
         sig = ctx.funs[name]
     elif name in ctx.psi:
@@ -458,7 +461,6 @@ def _infer_app(ctx: TypingContext, e: App, expected: Optional[Ty]):
     elab_args = []
     for i, (arg, want) in enumerate(zip(e.args, sig.arg_types)):
         aty, aeff, aelab = infer_elab(ctx, arg, want)
-        aty, aelab = _coerce(aty, aelab, want)
         if isinstance(want, OptionTy) and aty == want.inner:
             # A ref is always valid, so it passes where an optional pointer
             # is expected (helpers take option-typed pointer arguments).
@@ -474,15 +476,16 @@ def _infer_app(ctx: TypingContext, e: App, expected: Optional[Ty]):
         App(e.callee, tuple(elab_args), span=e.span, ty=sig.res_type)
 
 
-def _fold_htons(ctx: TypingContext, e: App):
+def _fold_htons(ctx: TypingContext, e: App, expected: Optional[Ty]):
     if len(e.args) != 1:
         _err("ArgArityMismatch", "htons takes one argument", e.span, "TAPP")
-    _, aeff, aelab = infer_elab(ctx, e.args[0])
-    if not isinstance(aelab, ConstInt):
+    arg = infer_elab(ctx, e.args[0])[2]
+    if not isinstance(arg, ConstInt):
         _err("HtonsNonConstant",
              "htons folds at compile time and needs a constant argument",
              e.span, "TAPP")
-    return INT, aeff, ConstInt(htons16(aelab.value), span=e.span)
+    return _infer_literal(ctx, ConstInt(htons16(arg.value), span=e.span),
+                          expected)
 
 
 def _infer_struct_init(ctx: TypingContext, e: StructInit,
@@ -511,7 +514,6 @@ def _infer_struct_init(ctx: TypingContext, e: StructInit,
     elab_fields = []
     for (fname, fexpr), (_, fty) in zip(e.fields, co.fields):
         ety, feff, felab = infer_elab(ctx, fexpr, fty)
-        ety, felab = _coerce(ety, felab, fty)
         if ety != fty:
             _err("FieldMismatch",
                  f"field {fname!r} has type {ety}, expected {fty}",
@@ -566,7 +568,7 @@ def _infer_for(ctx: TypingContext, e: For, expected: Optional[Ty]):
              e.span, "TFOR")
     lty, leff, lelab = infer_elab(ctx, e.lo)
     hty, heff, helab = infer_elab(ctx, e.hi)
-    lty, lelab, hty, helab = _coerce_pair(lty, lelab, hty, helab)
+    lty, lelab, hty, helab = _coerce_pair(ctx, lty, lelab, hty, helab)
     if lty != hty or lty not in (INT, LONG):
         _err("ForBoundsType",
              f"loop bounds must both be int or long, got {lty} and {hty}",
@@ -607,7 +609,7 @@ def _infer_match_option(ctx, e: Match, sty: OptionTy, seff, selab, expected):
             if isinstance(p, Psome) else ctx
         arms.append((p, *infer_elab(inner, body, expected)))
     (p1, t1, ef1, b1), (p2, t2, ef2, b2) = arms
-    t1, b1, t2, b2 = _coerce_pair(t1, b1, t2, b2)
+    t1, b1, t2, b2 = _coerce_pair(ctx, t1, b1, t2, b2)
     if t1 != t2:
         _err("BranchTypeMismatch",
              f"match arms have types {t1} and {t2}", e.span, "TMATCHO")
@@ -663,7 +665,7 @@ def _infer_match_bytes(ctx, e: Match, seff, selab, expected):
     inner = ctx.extended(**bindings)
     t1, ef1, b1 = infer_elab(inner, e.arms[0][1], expected)
     t2, ef2, b2 = infer_elab(ctx, e.arms[1][1], expected)
-    t1, b1, t2, b2 = _coerce_pair(t1, b1, t2, b2)
+    t1, b1, t2, b2 = _coerce_pair(ctx, t1, b1, t2, b2)
     if t1 != t2:
         _err("BranchTypeMismatch",
              f"match arms have types {t1} and {t2}", e.span, "TMATCHB")
@@ -676,8 +678,8 @@ def _infer_match_bytes(ctx, e: Match, seff, selab, expected):
 # expects, and returns the node's type, its effect and its elaboration.
 _TYPING_RULES = {
     Var: _infer_var,                # TVAR
-    ConstInt: _infer_int,
-    ConstLong: lambda ctx, e, expected: (LONG, EMPTY_EFFECT, e),
+    ConstInt: _infer_literal,
+    ConstLong: _infer_literal,
     ConstBool: lambda ctx, e, expected: (BOOL, EMPTY_EFFECT, e),
     UnitLit: lambda ctx, e, expected: (UNIT, EMPTY_EFFECT, e),
     Loc: _infer_loc,                # TLOC
@@ -728,7 +730,6 @@ class TypedProgram:
     funs: dict[str, TypedFunDecl]
     fun_sigs: dict[str, Signature]
     psi: dict[str, Signature]
-    consts: dict[str, int]
 
     def entry_point(self, name: Optional[str] = None) -> Optional[FunDecl]:
         decls = self.program.fun_decls()
@@ -766,7 +767,6 @@ def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> TypedFunDecl:
     inner = ctx.extended(**bindings)
     inner.struct_vars = frozenset(y for y, _ in fd.vars)
     bty, beff, belab = infer_elab(inner, fd.body, fd.rt)
-    bty, belab = _coerce(bty, belab, fd.rt)
     if bty != fd.rt:
         _err("ReturnTypeMismatch",
              f"body of {fd.name!r} has type {bty}, declared {fd.rt}",
@@ -797,6 +797,15 @@ def check_glob_decl(gd: GlobDecl, pi: dict[str, Composite]) -> None:
              gd.span, "TGDECL")
 
 
+def _check_c_name(what: str, name: str, span: Optional[Span]) -> None:
+    """Extern, struct and field names are emitted as written (an extern's
+    names a C function), so each must be a C name the emitted C leaves
+    free."""
+    if "'" in name or name in HOST_TAKEN:
+        _err("ReservedName", f"{what} name {name!r} is not free in the "
+             "emitted C", span, "TPROG")
+
+
 def check_program(p: Program) -> TypedProgram:
     registry = default_helper_registry()
     pi: dict[str, Composite] = {}
@@ -805,7 +814,9 @@ def check_program(p: Program) -> TypedProgram:
             _err("DuplicateName", f"struct {co.sid!r} redefined", None, "TPROG")
         pi[co.sid] = co
     for co in p.composites:
+        _check_c_name("struct", co.sid, None)
         for fname, fty in co.fields:
+            _check_c_name("field", fname, None)
             if not (is_prim(fty) or isinstance(fty, (ArrayTy, BytesTy))):
                 _err("BadFieldType",
                      f"field {fname!r} of struct {co.sid!r} must be a "
@@ -822,6 +833,7 @@ def check_program(p: Program) -> TypedProgram:
                  d.span, "TPROG")
         names.add(d.name)
         if isinstance(d, ExtDecl):
+            _check_c_name("extern", d.name, d.span)
             psi[d.name] = Signature(d.arg_types, d.ef, d.res_type)
         elif isinstance(d, GlobDecl):
             check_glob_decl(d, pi)
@@ -850,8 +862,7 @@ def check_program(p: Program) -> TypedProgram:
             elaborated.append(d)
 
     program = Program(tuple(elaborated), p.composites)
-    return TypedProgram(program, pi, typed_funs, funs, psi,
-                        dict(registry.constants))
+    return TypedProgram(program, pi, typed_funs, funs, psi)
 
 
 def check_source(source: str, filename: str = "<input>") -> TypedProgram:

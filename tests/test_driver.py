@@ -159,29 +159,30 @@ def test_audit_reports_monitor_events():
 
 # --- the incremental audit against full re-inference -------------------------------
 
-def _judge(ctx, e):
+def _judge(ctx, e, expected=None):
     try:
-        return infer_expr(ctx, e)
+        return infer_expr(ctx, e, expected)
     except TypeCheckError as exc:
         return str(exc)
 
 
 def _audit_both_ways(tp, world, monkeypatch):
     """The incremental audit with an on_step oracle beside it that re-infers
-    each step's whole term with no memo, then the same audit with its memo
-    taken away.  Returns both results and both per-step judgments."""
+    each step's whole term with no memo, at the entry's result type, then
+    the same audit with its memo taken away.  Returns both results and both
+    per-step judgments."""
     incremental, full = [], []
 
-    def recording_infer(ctx, e):
+    def recording_infer(ctx, e, expected=None):
         assert ctx.memo is not None
-        incremental.append(_judge(ctx, e))
-        return infer_expr(ctx, e)
+        incremental.append(_judge(ctx, e, expected))
+        return infer_expr(ctx, e, expected)
 
     def eval_with_oracle(s, w, e, fuel, guard, on_step):
         def both(s, expr, rule):
             ctx = driver._audit_ctx(tp, s)
             assert ctx.memo is None
-            full.append(_judge(ctx, expr))
+            full.append(_judge(ctx, expr, tp.entry_point().rt))
             on_step(s, expr, rule)
         return eval_multi(s, w, e, fuel, guard, both)
 

@@ -6,9 +6,9 @@ import pytest
 from beepl import interp
 
 from beepl.core import (
-    ArrayTy, BopKind, BYTES, Composite, ConstBool, ConstInt, ConstLong,
-    Deref, Direction, INT, IntTy, LONG, Loc, Match, NoneLit, Pnone, Prim,
-    Psome, RefOp, RefTy, Shape, Sign, SomeLit, StructTy, U16, U32, U8, UnitLit,
+    ArrayTy, BOOL, BopKind, BYTES, Composite, ConstBool, ConstInt, ConstLong,
+    Deref, Direction, I16, INT, IntTy, LONG, Loc, Match, NoneLit, Pnone, Prim,
+    Psome, RefOp, RefTy, Shape, Sign, SomeLit, StructTy, U16, U32, U8, ULONG,
     VBool, VBytes, VInt, VLoc, VLong, VUndef, VUnit, Var, expr_children,
     is_value, sizeof,
 )
@@ -22,12 +22,17 @@ from beepl.interp import (
 )
 from beepl.core import Bop, BytesView, Cast, Uop, UopKind
 from beepl.gen import GenConfig, generate_well_typed
-from beepl.typecheck import check_program, check_source, infer_expr, \
-    TypeCheckError, TypingContext
+from beepl.typecheck import check_program, check_source, infer_elab, \
+    infer_expr, TypeCheckError, TypingContext
 
 
 def empty_state(**composites):
     return State({}, {}, Memory(), {}, dict(composites))
+
+
+def elaborated(src, expected=None):
+    """The expression src as the checker elaborates it."""
+    return infer_elab(TypingContext(), parse_expr(src), expected)[2]
 
 
 def eval_src(src, world=None, entry=None, fuel=10**6):
@@ -53,7 +58,7 @@ def test_step_refv_allocates_fresh_block():
     s = empty_state()
     w = ExternalWorld()
     before = set(s.theta.blocks)
-    out = step(s, w, parse_expr("ref(2)"))
+    out = step(s, w, elaborated("ref(2)"))
     assert isinstance(out, Stepped) and out.rule == "REFV"
     (new,) = set(s.theta.blocks) - before
     assert out.expr == Loc(new, 0)
@@ -68,7 +73,7 @@ def test_step_freshness_is_monotone():
     w = ExternalWorld()
     ids = []
     for _ in range(5):
-        out = step(s, w, parse_expr("ref(1)"))
+        out = step(s, w, elaborated("ref(1)"))
         ids.append(out.expr.block)
     assert ids == sorted(ids) and len(set(ids)) == 5
 
@@ -357,7 +362,7 @@ def test_well_formed_detects_deleted_block():
 
 def test_well_formed_after_refv():
     tp, w, s = _fresh_program_state()
-    out = step(s, w, parse_expr("ref(2)"))
+    out = step(s, w, elaborated("ref(2)"))
     assert isinstance(out, Stepped)
     ok, bad = well_formed(runtime_gamma(s), s.sigma, s)
     assert ok, bad
@@ -366,7 +371,8 @@ def test_well_formed_after_refv():
 def test_allocation_preserves_existing_blocks():
     tp, w, s = _fresh_program_state()
     before = s.snapshot()
-    step(s, w, parse_expr("ref(2)"))
+    out = step(s, w, elaborated("ref(2)"))
+    assert isinstance(out, Stepped) and out.expr.block not in before.theta.blocks
     for bid, blk in before.theta.blocks.items():
         after = s.theta.blocks[bid]
         assert after.cells == blk.cells
@@ -471,23 +477,30 @@ def test_memory_cells_and_results_are_values():
                 assert is_value(cell), (i, bid, off, cell)
 
 
-def test_ref_types_its_block_as_the_checker_types_the_value():
+def test_ref_allocates_at_its_checked_target_type():
+    # The block takes the type the checker gave the ref, whatever the value:
+    # a literal checked at u8 gets a one-byte u8 block.
     s = empty_state()
     w = ExternalWorld()
-    cell = s.theta.alloc(4)
-    s.theta.store(cell, 0, ConstInt(3))
-    s.sigma[cell] = INT
-    forms = (ConstInt(-5), ConstLong(1 << 40), ConstBool(True), UnitLit(),
-             Loc(cell, 0), SomeLit(Loc(cell, 0)))
-    for v in forms:
-        expected, _ = infer_expr(TypingContext(sigma=dict(s.sigma)), v)
-        out = step(s, w, Prim(RefOp(), (v,)))
-        assert isinstance(out, Stepped) and out.rule == "REFV", v
-        assert s.sigma[out.expr.block] == expected, v
-        assert s.theta.load(out.expr.block, 0) is v
-    # A bare none and a location without store typing have no type.
-    for v in (NoneLit(), Loc(999, 0)):
-        assert isinstance(step(s, w, Prim(RefOp(), (v,))), Stuck), v
+    for src, expected, target in (("ref(3)", RefTy(U8), U8),
+                                  ("ref(3)", None, INT),
+                                  ("ref(-5)", RefTy(I16), I16),
+                                  ("ref(5)", RefTy(ULONG), ULONG),
+                                  ("ref(1L)", None, LONG),
+                                  ("ref(true)", None, BOOL)):
+        e = elaborated(src, expected)
+        assert e.ty == RefTy(target), src
+        out = step(s, w, e)
+        assert isinstance(out, Stepped) and out.rule == "REFV", src
+        assert s.sigma[out.expr.block] == target, src
+        assert s.theta.blocks[out.expr.block].size == sizeof(target, {}), src
+        assert s.theta.load(out.expr.block, 0) is e.operands[0], src
+    # A ref the checker has not typed has no type to allocate at.
+    blocks = dict(s.theta.blocks)
+    for v in (ConstInt(3), ConstLong(1 << 40), ConstBool(True)):
+        assert step(s, w, Prim(RefOp(), (v,))) == \
+            Stuck("ref without a checked type"), v
+    assert s.theta.blocks == blocks
 
 
 def test_operators_on_the_wrong_kind_of_value_are_stuck():

@@ -137,3 +137,77 @@ fun main() : long {
     w = ExternalWorld(uid_gid=5)
     assert run_program(tp, w).value == VLong(10)
     assert w.io_log == ["bpf_get_current_uid_gid"] * 2
+
+
+# --- the literal rule: a value types where the variable it replaces did ------
+
+# A value of each narrow int type that no wider-signed or narrower type holds.
+NARROW = {"u8": 200, "u16": 60000, "u32": 3000000, "i8": -100, "i16": -30000}
+
+# Each position a literal of type T can stand in, as a program whose main
+# returns that literal's value; {e} is the literal, or the variable v of
+# type T bound to it.
+POSITIONS = {
+    "let bound": "fun main() : int {{ {pre}let z : {t} = {e} in (int)z }}",
+    "ref operand":
+        "fun main() : int {{ {pre}let r : {t}* = ref({e}) in (int)!r }}",
+    "if branches": "fun main() : int {{ {pre}let y : {t} = {lit} in "
+                   "let z : {t} = if true then {e} else y in (int)z }}",
+    "match arms": "fun main() : int {{ {pre}let o : option(int*) = none in "
+                  "let z : {t} = match o with | pnone => {e} "
+                  "| psome q => {e} in (int)z }}",
+    "call argument": "fun f({t} a) : int {{ (int)a }} "
+                     "fun main() : int {{ {pre}f({e}) }}",
+    "function body": "fun f() : {t} {{ {pre}{e} }} "
+                     "fun main() : int {{ (int)f() }}",
+    "let body": "fun main() : int {{ {pre}let z : {t} = "
+                "let w : int = 0 in {e} in (int)z }}",
+    "entry result": "fun main() : {t} {{ {pre}{e} }}",
+}
+
+
+def literal_rule_programs():
+    """(source, value) for each narrow type, position, and literal or
+    variable, and the ulong cases."""
+    out = []
+    for t, lit in NARROW.items():
+        for template in POSITIONS.values():
+            for pre, e in (("", lit), (f"let v : {t} = {lit} in ", "v")):
+                out.append((template.format(t=t, lit=lit, pre=pre, e=e), lit))
+    out += [
+        ("fun main() : long { let x : ulong = 5 in (long)x }", 5),
+        ("fun main() : long { let x : ulong = 5L in (long)x }", 5),
+        ("fun f(ulong a) : long { (long)a } fun main() : long { f(5L) }", 5),
+    ]
+    return out
+
+
+def test_literal_rule_programs_check_and_audit_clean():
+    programs = literal_rule_programs()
+    assert len(programs) == len(NARROW) * len(POSITIONS) * 2 + 3
+    for src, value in programs:
+        tp = check_source(src)
+        run = run_program(tp, ExternalWorld())
+        audit = evaluate_with_audit(tp, ExternalWorld())
+        assert audit.violations == [], src
+        assert run.value == audit.value and run.value.value == value, src
+
+
+@needs_cc
+def test_narrow_ref_compiles_with_matching_pointer_types(tmp_path):
+    # The ref's temporary has the ref's checked target type, so a u8* points
+    # at a u8 and the host binary prints what the interpreter computes.
+    src = ("fun main() : int { let x : u8 = 200 in let r : u8* = ref(x) in "
+           "let s : i16* = ref(-30000) in (int)!r + (int)!s }")
+    tp = check_source(src)
+    expected = run_program(tp, ExternalWorld()).value.value
+    assert expected == 200 - 30000
+    cfile = tmp_path / "narrow_ref.c"
+    cfile.write_text(emit_program(tp, "host").text)
+    exe = tmp_path / "narrow_ref"
+    r = subprocess.run([find_cc(), "-std=c11",
+                        "-Werror=incompatible-pointer-types", "-o", str(exe),
+                        str(cfile)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    out = subprocess.run([str(exe)], capture_output=True, text=True)
+    assert out.stdout.strip() == str(expected)

@@ -269,6 +269,19 @@ def test_duplicate_names_rejected():
         check_source(src)
 
 
+def test_names_emitted_as_written_must_be_free_in_c():
+    # Extern, struct and field names reach the C as written; cc rejects
+    # these in both modes, so the checker does.
+    for src in ("extern fun g'(int x) : int; fun main() : int { g'(1) }",
+                "extern fun short(int x) : int; "
+                "fun main() : int { short(1) }",
+                "struct s' { a' : int } fun main() : int { 1 }",
+                "struct s { double : int } fun main() : int { 1 }"):
+        assert err_code(lambda: check_source(src)) == "ReservedName", src
+    check_source("extern fun g(int x) : int; struct s { a : int } "
+                 "fun main() : int { g(1) }")
+
+
 def test_recursion_rejected():
     src = "fun f() : int { f() }"
     assert err_code(lambda: check_source(src)) == "UnknownHelper"

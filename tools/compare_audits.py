@@ -71,7 +71,10 @@ def main() -> int:
     p.add_argument("new", type=Path)
     p.add_argument("--seeds", type=int, default=600)
     args = p.parse_args()
-    old, new = dump(args.old, args.seeds), dump(args.new, args.seeds)
+    # The child runs in the checkout, so a relative path must not be
+    # resolved a second time against it.
+    old = dump(args.old.resolve(), args.seeds)
+    new = dump(args.new.resolve(), args.seeds)
     differ = [(a, b) for a, b in zip(old["runs"], new["runs"]) if a != b]
     audited = [r for r in new["runs"] if r[2] != "rejected"]
     print(f"{len(new['runs'])} runs, {len(audited)} audited, "

@@ -80,7 +80,10 @@ def main() -> int:
     p.add_argument("new", type=Path)
     p.add_argument("--seeds", type=int, default=300)
     args = p.parse_args()
-    old, new = dump(args.old, args.seeds), dump(args.new, args.seeds)
+    # The child runs in the checkout, so a relative path must not be
+    # resolved a second time against it.
+    old = dump(args.old.resolve(), args.seeds)
+    new = dump(args.new.resolve(), args.seeds)
     differ = [(a, b) for a, b in zip(old["units"], new["units"]) if a != b]
     emitted = [u for u in new["units"] if "text" in u]
     print(f"{len(new['units'])} units, {len(emitted)} emitted, "

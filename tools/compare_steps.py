@@ -145,8 +145,10 @@ def main() -> int:
     p.add_argument("--mutants", type=int, default=60,
                    help="mutate the first N seeds, four mutants each")
     args = p.parse_args()
-    old = dump(args.old, args.seeds, args.mutants)
-    new = dump(args.new, args.seeds, args.mutants)
+    # The child runs in the checkout, so a relative path must not be
+    # resolved a second time against it.
+    old = dump(args.old.resolve(), args.seeds, args.mutants)
+    new = dump(args.new.resolve(), args.seeds, args.mutants)
     ok = True
     for key in ("runs", "mutants"):
         pairs = list(zip(old[key], new[key]))
