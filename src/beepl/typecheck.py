@@ -398,7 +398,7 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
             _err("BadCastTarget", "casts target int or long only",
                  e.span, "TUOP")
         ity, ieff, ielab = infer_elab(ctx, e.operands[0])
-        if lane_type(ity) not in (INT, LONG):
+        if not isinstance(ity, (IntTy, LongTy)):
             _err("UopTypeMismatch", f"cannot cast {ity}", e.span, "TUOP")
         return op.target, ieff, Prim(op, (ielab,), span=e.span, ty=op.target)
     if isinstance(op, Bop):
@@ -421,8 +421,8 @@ def _infer_bop(ctx: TypingContext, e: Prim, kind: BopKind):
         ty = BOOL
     elif kind in COMPARE_BOPS:
         if kind in (BopKind.EQ, BopKind.NE):
-            ok = lane_type(lty) in (INT, LONG) \
-                and lane_type(lty) == lane_type(rty)
+            ok = isinstance(lty, (IntTy, LongTy)) \
+                and lane_type(lty) is lane_type(rty)
         else:
             ok = lty == rty and lty in (INT, LONG)
         if not ok:
