@@ -326,6 +326,8 @@ def _coerce_pair(ctx: TypingContext, ty1, e1, ty2, e2):
     """Two sides that must agree with no expected type to go by (binary
     operands, loop bounds, untyped branches and arms): the literal rule
     types a literal side at the other side's type, the left side first."""
+    if ty1 is ty2:  # nothing to adapt; the common case, kept cheap
+        return ty1, e1, ty2, e2
     if type(e1) in (ConstInt, ConstLong):
         ty1, _, e1 = _infer_literal(ctx, e1, ty2)
     if type(e2) in (ConstInt, ConstLong):
