@@ -91,10 +91,12 @@ class AuditResult:
 
 def _audit_ctx(tp: TypedProgram, s: State,
                memo: Optional[JudgmentMemo] = None) -> TypingContext:
+    sigma = s.sigma
     struct_vars = frozenset(
-        x for x, (_, ty) in s.omega.items()
-        if isinstance(ty, RefTy) and isinstance(ty.target, StructTy))
-    return TypingContext(runtime_gamma(s), s.sigma, tp.composites, tp.psi,
+        x for x, b in s.omega.items()
+        if isinstance(sigma[b], RefTy)
+        and isinstance(sigma[b].target, StructTy))
+    return TypingContext(runtime_gamma(s), sigma, tp.composites, tp.psi,
                          tp.fun_sigs, {}, struct_vars, memo)
 
 
@@ -164,7 +166,7 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
             raise _Violation(f"step {steps} grew effects "
                              f"{eff} -> {eff_i} ({rule})")
         eff = eff_i
-        ok, clauses = well_formed(ctx.gamma, s.sigma, s)
+        ok, clauses = well_formed(ctx.gamma, s)
         if not ok:
             raise _Violation(f"step {steps} ill-formed state: {clauses[0]}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
 from typing import Callable, Optional, Sequence, Union
 
 from .core import (
@@ -49,15 +48,9 @@ class TooShort(InterpError):
 # Memory
 # ---------------------------------------------------------------------------
 
-class Perm(Enum):
-    FREEABLE = "Freeable"
-    READONLY = "ReadOnly"
-
-
 @dataclass
 class Block:
     size: int
-    perm: Perm = Perm.FREEABLE
     cells: dict[int, Expr] = dc_field(default_factory=dict)
     raw: Optional[bytearray] = None
 
@@ -66,18 +59,16 @@ class Block:
 class Memory:
     blocks: dict[int, Block] = dc_field(default_factory=dict)
     next_block: int = 1
+    # The store typing: block -> content type.  alloc is its one writer.
+    sigma: dict[int, Ty] = dc_field(default_factory=dict)
 
-    def alloc(self, size: int, perm: Perm = Perm.FREEABLE,
-              raw: Optional[bytes] = None) -> int:
+    def alloc(self, ty: Ty, size: int, raw: Optional[bytes] = None) -> int:
         bid = self.next_block
         self.next_block += 1
-        self.blocks[bid] = Block(size, perm,
-                                 raw=bytearray(raw) if raw is not None else None)
+        self.blocks[bid] = Block(
+            size, raw=bytearray(raw) if raw is not None else None)
+        self.sigma[bid] = ty
         return bid
-
-    def is_valid_access(self, bid: int, perm: Perm = Perm.FREEABLE) -> bool:
-        b = self.blocks.get(bid)
-        return b is not None and b.perm is perm
 
     def load(self, bid: int, off: int) -> Optional[Expr]:
         b = self.blocks.get(bid)
@@ -109,18 +100,21 @@ class Monitors:
 @dataclass(frozen=True)
 class GlobalBinding:
     block: int
-    ty: Ty
 
 
 @dataclass
 class State:
     delta: dict[str, Union[FunDecl, GlobalBinding]]
-    omega: dict[str, tuple[int, Ty]]
+    omega: dict[str, int]  # variable -> its block
     theta: Memory
-    sigma: dict[int, Ty]  # block -> content type
     composites: dict[str, Composite]
     monitors: Monitors = dc_field(default_factory=Monitors)
     rename_counter: int = 0
+
+    @property
+    def sigma(self) -> dict[int, Ty]:
+        """The store typing, owned by the memory."""
+        return self.theta.sigma
 
     def snapshot(self) -> "State":
         return copy.deepcopy(self)
@@ -175,9 +169,8 @@ class ExternalWorld:
         stored = self.maps.get(name, {}).get(kv.value)
         if stored is None:
             return NoneLit()
-        bid = state.theta.alloc(8)
+        bid = state.theta.alloc(LONG, 8)
         state.theta.store(bid, 0, ConstLong(wrap(stored, 64)))
-        state.sigma[bid] = LONG
         return SomeLit(Loc(bid, 0))
 
 
@@ -318,8 +311,7 @@ def _decode_prim(data: bytes, ty: Ty) -> Expr:
 
 
 def extract(v: BytesView, target: Ty, theta: Memory,
-            composites: dict[str, Composite],
-            sigma: Optional[dict[int, Ty]] = None
+            composites: dict[str, Composite]
             ) -> tuple[Expr, dict[str, Expr]]:
     """Decode a structured value from a byte region (little-endian fields).
 
@@ -339,7 +331,7 @@ def extract(v: BytesView, target: Ty, theta: Memory,
         return _decode_prim(data, target), {}
     co = composites[target.sid]
     offsets, _, _ = struct_layout(co, composites)
-    bid = theta.alloc(size)
+    bid = theta.alloc(target, size)
     values: dict[str, Expr] = {}
     for fname, fty in co.fields:
         if isinstance(fty, (ArrayTy, BytesTy)):
@@ -348,8 +340,6 @@ def extract(v: BytesView, target: Ty, theta: Memory,
         fsize = sizeof(fty, composites)
         values[fname] = _decode_prim(data[off:off + fsize], fty)
         theta.store(bid, off, values[fname])
-    if sigma is not None:
-        sigma[bid] = target
     return Loc(bid, 0), values
 
 
@@ -524,20 +514,20 @@ def _step_repeat(s: State, w: ExternalWorld, e: Repeat, values: list[Expr],
 
 def _step_var(s: State, w: ExternalWorld, e: Var, values: list[Expr],
               guard: bool) -> tuple[Expr, str]:
-    if e.name in s.omega:
-        block, ty = s.omega[e.name]
+    block = s.omega.get(e.name)
+    if block is not None:
         v = s.theta.load(block, 0)
         if v is None:
             s.monitors.uninit_read_events += 1
             _stuck(f"read of uninitialized variable {e.name!r}")
-        return _typed_value_expr(v, ty), "LVAR"
+        return _typed_value_expr(v, s.sigma.get(block)), "LVAR"
     binding = s.delta.get(e.name)
     if isinstance(binding, GlobalBinding):
         v = s.theta.load(binding.block, 0)
         if v is None:
             s.monitors.uninit_read_events += 1
             _stuck(f"read of uninitialized global {e.name!r}")
-        return _typed_value_expr(v, binding.ty), "GVAR"
+        return _typed_value_expr(v, s.sigma.get(binding.block)), "GVAR"
     _stuck(f"unbound variable {e.name!r}")
 
 
@@ -548,9 +538,8 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Expr],
         # The block takes the type the checker gave the reference.
         if not isinstance(e.ty, RefTy):
             _stuck("ref without a checked type")
-        bid = s.theta.alloc(sizeof(e.ty.target, s.composites))
+        bid = s.theta.alloc(e.ty.target, sizeof(e.ty.target, s.composites))
         s.theta.store(bid, 0, values[0])
-        s.sigma[bid] = e.ty.target
         return Loc(bid, 0), "REFV"
     if isinstance(op, Deref):
         v, = values
@@ -631,31 +620,29 @@ def _apply_fun(s: State, fd: FunDecl, values: list[Expr]) -> Expr:
     for (x, ty), v in zip(fd.args, values):
         fresh = s.fresh_name(x)
         body = rename_var(body, x, fresh)
-        bid = s.theta.alloc(sizeof(ty, s.composites))
+        bid = s.theta.alloc(ty, sizeof(ty, s.composites))
         s.theta.store(bid, 0, v)
-        s.sigma[bid] = ty
-        s.omega[fresh] = (bid, ty)
+        s.omega[fresh] = bid
     for (y, ty) in fd.vars:
         fresh = s.fresh_name(y)
         body = rename_var(body, y, fresh)
-        bid = s.theta.alloc(sizeof(ty, s.composites))
-        s.sigma[bid] = ty
-        s.omega[fresh] = (bid, ty)
+        bid = s.theta.alloc(ty, sizeof(ty, s.composites))
+        s.omega[fresh] = bid
         # Struct locals receive their storage at call time, like C locals;
         # the fields stay unwritten until initialization and field reads
         # before that still trip the uninitialized-read monitor.
         if isinstance(ty, RefTy) and isinstance(ty.target, StructTy):
-            sb = s.theta.alloc(sizeof(ty.target, s.composites))
-            s.sigma[sb] = ty.target
+            sb = s.theta.alloc(ty.target, sizeof(ty.target, s.composites))
             s.theta.store(bid, 0, Loc(sb, 0))
     return body
 
 
 def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
                       values: list[Expr], guard: bool) -> tuple[Expr, str]:
-    if e.name not in s.omega:
+    var_block = s.omega.get(e.name)
+    if var_block is None:
         _stuck(f"struct variable {e.name!r} is not allocated")
-    var_block, var_ty = s.omega[e.name]
+    var_ty = s.sigma.get(var_block)
     if not (isinstance(var_ty, RefTy) and isinstance(var_ty.target, StructTy)):
         _stuck(f"{e.name!r} is not a struct reference")
     sid = var_ty.target.sid
@@ -666,8 +653,8 @@ def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
     if type(existing) is Loc:
         sb = existing.block  # re-initialization reuses the allocation
     else:
-        sb = s.theta.alloc(sizeof(var_ty.target, s.composites))
-        s.sigma[sb] = var_ty.target
+        sb = s.theta.alloc(var_ty.target,
+                           sizeof(var_ty.target, s.composites))
         s.theta.store(var_block, 0, Loc(sb, 0))
     offsets, _, _ = struct_layout(co, s.composites)
     for (fname, _), v in zip(e.fields, values):
@@ -733,8 +720,7 @@ def _step_match(s: State, w: ExternalWorld, e: Match, values: list[Expr],
             _stuck("no bytes arm in match")
         p, body = arm
         try:
-            vx, bindings = extract(sv, p.target, s.theta, s.composites,
-                                   s.sigma)
+            vx, bindings = extract(sv, p.target, s.theta, s.composites)
         except TooShort:
             if fallback is None:
                 _stuck("region too short and no fallback arm")
@@ -801,7 +787,7 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
 # ---------------------------------------------------------------------------
 
 def init_state(tp: TypedProgram, w: ExternalWorld) -> State:
-    s = State({}, {}, Memory(), {}, dict(tp.composites))
+    s = State({}, {}, Memory(), dict(tp.composites))
     for d in tp.program.decls:
         if isinstance(d, FunDecl):
             s.delta[d.name] = d
@@ -812,34 +798,29 @@ def init_state(tp: TypedProgram, w: ExternalWorld) -> State:
 
 def _alloc_global(s: State, w: ExternalWorld, gd: GlobDecl) -> None:
     if isinstance(gd.init, bytes):
-        bid = s.theta.alloc(len(gd.init), raw=gd.init)
-        s.sigma[bid] = gd.ty
-        s.delta[gd.name] = GlobalBinding(bid, gd.ty)
+        bid = s.theta.alloc(gd.ty, len(gd.init), raw=gd.init)
+        s.delta[gd.name] = GlobalBinding(bid)
         return
-    bid = s.theta.alloc(sizeof(gd.ty, s.composites))
-    s.sigma[bid] = gd.ty
+    bid = s.theta.alloc(gd.ty, sizeof(gd.ty, s.composites))
     init = gd.init
     if isinstance(gd.ty, OptionTy) and isinstance(gd.ty.inner, RefTy) \
             and isinstance(gd.ty.inner.target, StructTy):
         # Globals of optional struct-pointer type back kernel objects such as
         # maps: materialize the pointee so lookups can identify it.
         target = gd.ty.inner.target
-        ob = s.theta.alloc(sizeof(target, s.composites))
-        s.sigma[ob] = target
+        ob = s.theta.alloc(target, sizeof(target, s.composites))
         if target.sid == "bpf_map":
             w.map_blocks[ob] = gd.name
         init = SomeLit(Loc(ob, 0))
     s.theta.store(bid, 0, init)
-    s.delta[gd.name] = GlobalBinding(bid, gd.ty)
+    s.delta[gd.name] = GlobalBinding(bid)
 
 
 def make_context_arg(s: State, w: ExternalWorld, sid: str) -> Expr:
     """Allocate a packet-backed context struct and return its option value."""
-    pb = s.theta.alloc(len(w.packet), raw=w.packet)
-    s.sigma[pb] = BYTES
+    pb = s.theta.alloc(BYTES, len(w.packet), raw=w.packet)
     ctx_ty = StructTy(sid)
-    cb = s.theta.alloc(sizeof(ctx_ty, s.composites))
-    s.sigma[cb] = ctx_ty
+    cb = s.theta.alloc(ctx_ty, sizeof(ctx_ty, s.composites))
     co = s.composites[sid]
     offsets, _, _ = struct_layout(co, s.composites)
     if "data" in offsets:
@@ -881,18 +862,16 @@ def run_program(tp: TypedProgram, w: Optional[ExternalWorld] = None,
 # Well-formedness (Definition 1)
 # ---------------------------------------------------------------------------
 
-def well_formed(gamma: dict[str, Ty], sigma: dict[int, Ty],
-                s: State) -> tuple[bool, list[str]]:
+def well_formed(gamma: dict[str, Ty], s: State) -> tuple[bool, list[str]]:
     """Checks the state-consistency contract; returns violated clauses."""
     bad: list[str] = []
+    sigma = s.sigma
     if set(s.omega) & set(s.delta):
         bad.append("omega and delta domains overlap")
-    for x, ty in gamma.items():
-        if x in s.omega:
-            block, bty = s.omega[x]
-            if bty != ty:
-                bad.append(f"variable {x!r} bound at {bty}, typed {ty}")
-            elif block not in sigma:
+    for x in gamma:
+        block = s.omega.get(x)
+        if block is not None:
+            if block not in sigma:
                 bad.append(f"variable {x!r} block lacks store typing")
             elif s.theta.load(block, 0) is None:
                 bad.append(f"variable {x!r} is uninitialized")
@@ -905,12 +884,9 @@ def well_formed(gamma: dict[str, Ty], sigma: dict[int, Ty],
             elif s.theta.load(binding.block, 0) is None and \
                     s.theta.blocks.get(binding.block, Block(0)).raw is None:
                 bad.append(f"global {x!r} is uninitialized")
-    for bid in sigma:
-        if not s.theta.is_valid_access(bid, Perm.FREEABLE):
-            bad.append(f"typed block {bid} is not Freeable-accessible")
-    for bid, block in s.theta.blocks.items():
-        if block.perm is Perm.FREEABLE and bid not in sigma:
-            bad.append(f"accessible block {bid} lacks store typing")
+    if sigma.keys() != s.theta.blocks.keys():
+        bad.append("store typing and memory differ on blocks "
+                   f"{sorted(sigma.keys() ^ s.theta.blocks.keys())}")
     for name, d in s.delta.items():
         if isinstance(d, FunDecl):
             if {x for x, _ in d.args} & {y for y, _ in d.vars}:
@@ -928,8 +904,9 @@ def well_formed(gamma: dict[str, Ty], sigma: dict[int, Ty],
 
 def runtime_gamma(s: State) -> dict[str, Ty]:
     """Typing environment induced by the live variable bindings."""
-    gamma = {x: ty for x, (_, ty) in s.omega.items()}
+    sigma = s.sigma
+    gamma = {x: sigma[b] for x, b in s.omega.items()}
     for name, d in s.delta.items():
         if isinstance(d, GlobalBinding):
-            gamma[name] = d.ty
+            gamma[name] = sigma[d.block]
     return gamma

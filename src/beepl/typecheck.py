@@ -347,7 +347,8 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
         return ty, effect_concat(ALLOC, ieff), \
             Prim(RefOp(), (ielab,), span=e.span, ty=ty)
     if isinstance(op, Deref):
-        ity, ieff, ielab = infer_elab(ctx, e.operands[0])
+        want = RefTy(expected) if is_prim(expected) else None
+        ity, ieff, ielab = infer_elab(ctx, e.operands[0], want)
         if isinstance(ity, OptionTy):
             _err("DerefOfOption",
                  "dereferencing an option type is not allowed; "

@@ -107,12 +107,11 @@ def test_criterion_3_bounds_exhaustion():
     for sid, size in sizes.items():
         assert sizeof(StructTy(sid), BOUNDS_COMPOSITES) == size
         for length in range(0, 2 * size + 1):
-            s = State({}, {}, Memory(), {}, dict(BOUNDS_COMPOSITES))
-            b = s.theta.alloc(length, raw=bytes(length))
-            s.sigma[b] = BYTES
+            s = State({}, {}, Memory(), dict(BOUNDS_COMPOSITES))
+            b = s.theta.alloc(BYTES, length, raw=bytes(length))
             v = VBytes(b, 0, length)
             try:
-                extract(v, StructTy(sid), s.theta, s.composites, s.sigma)
+                extract(v, StructTy(sid), s.theta, s.composites)
                 assert length >= size, (sid, length)
             except TooShort:
                 assert length < size, (sid, length)

@@ -122,13 +122,20 @@ def test_audit_stops_at_the_fuel_limit():
 
 
 def test_audit_of_a_thousand_iteration_loop_is_clean():
-    tp = check_source(
-        "fun main() : int { let x : int* = ref(2) in "
-        "let _ = for (1 ... 1000, Up) { x := !x * 3 + 1 } in !x }")
-    audit = evaluate_with_audit(tp, world_for_seed(0))
-    plain = run_program(tp)
-    assert audit.violations == []
-    assert (audit.value, audit.steps) == (plain.value, plain.steps)
+    # The second loop allocates a block and binds a parameter each
+    # iteration, so the store typing and omega grow at every one.
+    for src in ("fun main() : int { let x : int* = ref(2) in "
+                "let _ = for (1 ... 1000, Up) { x := !x * 3 + 1 } in !x }",
+                "fun g(int a) : int { a + 1 } "
+                "fun main() : int { let x : int* = ref(0) in "
+                "let _ = for (1 ... 200, Up) { let r : int* = ref(1) in "
+                "x := g(!x) + !r } in !x }"):
+        tp = check_source(src)
+        audit = evaluate_with_audit(tp, world_for_seed(0))
+        plain = run_program(tp)
+        assert audit.violations == [], src
+        assert (audit.value, audit.steps) == (plain.value, plain.steps), src
+    assert len(plain.state.sigma) > 400 and len(plain.state.omega) == 200
 
 
 def test_audit_memo_stays_as_small_as_the_live_term(monkeypatch):

@@ -15,7 +15,7 @@ from beepl.core import (
 from beepl.driver import CORPUS_DIR, load_corpus, world_for_seed
 from beepl.frontend import parse_expr, parse_program
 from beepl.interp import (
-    ExternalWorld, FuelExhausted, IsValue, Memory, Monitors, State, Stepped,
+    Block, ExternalWorld, FuelExhausted, IsValue, Memory, Monitors, State, Stepped,
     Stuck, StuckState, TooShort, bop_sem, entry_call, eval_multi, extract,
     init_state, range_count, run_program, runtime_gamma, step, subst, uop_sem,
     unsafe, well_formed, wrap,
@@ -27,7 +27,7 @@ from beepl.typecheck import check_program, check_source, infer_elab, \
 
 
 def empty_state(**composites):
-    return State({}, {}, Memory(), {}, dict(composites))
+    return State({}, {}, Memory(), dict(composites))
 
 
 def elaborated(src, expected=None):
@@ -45,9 +45,8 @@ def eval_src(src, world=None, entry=None, fuel=10**6):
 def test_step_derefv_reads_cell():
     s = empty_state()
     w = ExternalWorld()
-    b = s.theta.alloc(4)
+    b = s.theta.alloc(INT, 4)
     s.theta.store(b, 0, VInt(7))
-    s.sigma[b] = INT
     out = step(s, w, Prim(Deref(), (Loc(b, 0),)))
     assert isinstance(out, Stepped)
     assert out.expr == ConstInt(7)
@@ -256,20 +255,19 @@ H_PROTO_ONLY = Composite("h", (("h_proto", U16),))
 
 def region(data: bytes):
     s = empty_state(ethhdr=ETHHDR, h=H_PROTO_ONLY)
-    b = s.theta.alloc(len(data), raw=data)
-    s.sigma[b] = BYTES
+    b = s.theta.alloc(BYTES, len(data), raw=data)
     return s, VBytes(b, 0, len(data))
 
 
 def test_extract_too_short_for_ethhdr():
     s, v = region(bytes(10))
     with pytest.raises(TooShort):
-        extract(v, StructTy("ethhdr"), s.theta, s.composites, s.sigma)
+        extract(v, StructTy("ethhdr"), s.theta, s.composites)
 
 
 def test_extract_decodes_little_endian_u16():
     s, v = region(bytes([0xDD, 0x86]))
-    vx, binds = extract(v, StructTy("h"), s.theta, s.composites, s.sigma)
+    vx, binds = extract(v, StructTy("h"), s.theta, s.composites)
     assert binds["h_proto"] == VInt(0x86DD)
     assert isinstance(vx, VLoc)
     assert s.theta.load(vx.block, 0) == VInt(0x86DD)
@@ -278,23 +276,22 @@ def test_extract_decodes_little_endian_u16():
 def test_extract_empty_region_u8():
     s, v = region(b"")
     with pytest.raises(TooShort):
-        extract(v, U8, s.theta, s.composites, s.sigma)
+        extract(v, U8, s.theta, s.composites)
 
 
 def test_extract_prim_scalar():
     s, v = region(bytes([0x80, 0xFF]))
-    got, binds = extract(v, U8, s.theta, s.composites, s.sigma)
+    got, binds = extract(v, U8, s.theta, s.composites)
     assert got == VInt(0x80) and binds == {}
-    got, _ = extract(v, IntTy(8, Sign.SIGNED), s.theta, s.composites, s.sigma)
+    got, _ = extract(v, IntTy(8, Sign.SIGNED), s.theta, s.composites)
     assert got == VInt(-128)
 
 
 def test_extract_signed_field_sign_extends():
     s, v = region(bytes([0xFF, 0xFF]))
-    got, _ = extract(v, IntTy(16, Sign.SIGNED), s.theta, s.composites,
-                     s.sigma)
+    got, _ = extract(v, IntTy(16, Sign.SIGNED), s.theta, s.composites)
     assert got == VInt(-1)
-    got, _ = extract(v, U16, s.theta, s.composites, s.sigma)
+    got, _ = extract(v, U16, s.theta, s.composites)
     assert got == VInt(0xFFFF)
 
 
@@ -312,7 +309,7 @@ def test_bounds_exhaustive_over_region_lengths():
             s, v = region(bytes(range(length % 251 + 1))[:1] * length)
             ok = length >= size
             try:
-                extract(v, ty, s.theta, s.composites, s.sigma)
+                extract(v, ty, s.theta, s.composites)
                 assert ok, (name, length)
             except TooShort:
                 assert not ok, (name, length)
@@ -347,24 +344,31 @@ def _fresh_program_state():
 
 def test_well_formed_fresh_state():
     tp, w, s = _fresh_program_state()
-    ok, bad = well_formed(runtime_gamma(s), s.sigma, s)
+    ok, bad = well_formed(runtime_gamma(s), s)
     assert ok, bad
 
 
 def test_well_formed_detects_deleted_block():
+    # Memory and the store typing hold the same blocks: a block deleted from
+    # memory, or one put there without a type, breaks that either way round.
     tp, w, s = _fresh_program_state()
     victim = next(iter(s.sigma))
     del s.theta.blocks[victim]
-    ok, bad = well_formed(runtime_gamma(s), s.sigma, s)
+    ok, bad = well_formed(runtime_gamma(s), s)
     assert not ok
-    assert any("Freeable" in c for c in bad)
+    assert f"store typing and memory differ on blocks [{victim}]" in bad
+    tp, w, s = _fresh_program_state()
+    stray = s.theta.next_block
+    s.theta.blocks[stray] = Block(4)
+    ok, bad = well_formed(runtime_gamma(s), s)
+    assert bad == [f"store typing and memory differ on blocks [{stray}]"]
 
 
 def test_well_formed_after_refv():
     tp, w, s = _fresh_program_state()
     out = step(s, w, elaborated("ref(2)"))
     assert isinstance(out, Stepped)
-    ok, bad = well_formed(runtime_gamma(s), s.sigma, s)
+    ok, bad = well_formed(runtime_gamma(s), s)
     assert ok, bad
 
 
@@ -376,7 +380,6 @@ def test_allocation_preserves_existing_blocks():
     for bid, blk in before.theta.blocks.items():
         after = s.theta.blocks[bid]
         assert after.cells == blk.cells
-        assert after.perm == blk.perm
         assert after.size == blk.size
 
 
@@ -394,8 +397,7 @@ def test_null_monitor_counts_deref_of_none():
 def test_uninit_monitor_counts_missing_cell():
     s = empty_state()
     w = ExternalWorld()
-    b = s.theta.alloc(4)
-    s.sigma[b] = INT
+    b = s.theta.alloc(INT, 4)
     from beepl.core import Deref, Prim
     out = step(s, w, Prim(Deref(), (Loc(b, 0),)))
     assert isinstance(out, Stuck)

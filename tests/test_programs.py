@@ -179,12 +179,17 @@ def literal_rule_programs():
         ("fun main() : long { let x : ulong = 5L in (long)x }", 5),
         ("fun f(ulong a) : long { (long)a } fun main() : long { f(5L) }", 5),
     ]
+    # A dereference passes its expected type down to the ref it reads.
+    for t in ("u8", "u16", "i8", "i16"):
+        out.append((f"fun main() : int {{ let z : {t} = !ref({NARROW[t]}) "
+                    "in (int)z }", NARROW[t]))
+    out.append(("fun main() : long { let z : long = !ref(5) in z }", 5))
     return out
 
 
 def test_literal_rule_programs_check_and_audit_clean():
     programs = literal_rule_programs()
-    assert len(programs) == len(NARROW) * len(POSITIONS) * 2 + 3
+    assert len(programs) == len(NARROW) * len(POSITIONS) * 2 + 8
     for src, value in programs:
         tp = check_source(src)
         run = run_program(tp, ExternalWorld())

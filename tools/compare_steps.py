@@ -4,7 +4,8 @@ Runs GenConfig seeds 0-299 (or --seeds N), plain and with packets and
 helpers, under world_for_seed, in each checkout's own src/, and checks that
 every run is identical: each step's rule and term (the class, fields and
 ``ty`` of every node) as the step hook sees it, and the value, step count
-and final memory cells of the same run without a hook.  It also runs
+and final memory (each block's size, store typing, raw bytes and cells) of
+the same run without a hook.  It also runs
 unchecked mutants of seeds 0-59 (--mutants N), each a random subterm of a
 function body replaced by another subterm of the program, under a fuel of
 1,000 steps, and compares their steps and their value, stuck message or
@@ -42,7 +43,10 @@ def tys(e):
 
 
 def memory(s):
-    return [[bid, b.size, b.perm.value, b.raw.hex() if b.raw else None,
+    # s.sigma is the store typing, whether State holds it or reads it from
+    # the memory.
+    return [[bid, b.size, repr(s.sigma.get(bid)),
+             b.raw.hex() if b.raw else None,
              sorted([off, repr(v)] for off, v in b.cells.items())]
             for bid, b in sorted(s.theta.blocks.items())]
 
