@@ -1,8 +1,8 @@
 """Reference small-step interpreter for BeePL.
 
 Evaluation works over states <Delta, Omega, Theta> with a block-based memory
-model: fresh monotone block ids, per-block typed cells, and a raw-byte shadow
-for byte regions.  External helpers are served by a deterministic
+model: fresh monotone block ids, a store typing that allocation alone
+writes, per-block cells, and a raw-byte shadow for byte regions.  External helpers are served by a deterministic
 ExternalWorld.  Division, modulo and shifts go through the unsafe-operand
 guard, which turns would-be undefined behavior into zero.
 """

@@ -5,11 +5,10 @@ helpers, under world_for_seed, in each checkout's own src/, and checks that
 every run is identical: each step's rule and term (the class, fields and
 ``ty`` of every node) as the step hook sees it, and the value, step count
 and final memory (each block's size, store typing, raw bytes and cells) of
-the same run without a hook.  It also runs
-unchecked mutants of seeds 0-59 (--mutants N), each a random subterm of a
-function body replaced by another subterm of the program, under a fuel of
-1,000 steps, and compares their steps and their value, stuck message or
-exception.
+the same run without a hook.  It also runs unchecked mutants of seeds 0-59
+(--mutants N), each a random subterm of a function body replaced by another
+subterm of the program, under a fuel of 1,000 steps, and compares their
+steps and their value, stuck message or exception.
 
     python3 tools/compare_steps.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N]
                                    [--mutants N]
