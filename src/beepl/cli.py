@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="entry function (default: main or the flagged one)")
     r.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL)
     r.add_argument("--trace", action="store_true",
-                   help="print rule name, redex and block count per step")
+                   help="print per step the rule name, the class of the "
+                        "whole resulting term and the block count")
     r.add_argument("--packet", default=None,
                    help="hex-string file backing the packet context")
 

@@ -90,9 +90,22 @@ class Sign(Enum):
 
 
 class Ty:
-    """Base class for all BeePL types."""
+    """Base class for all BeePL types.  ``str`` gives a type's source syntax
+    and ``repr`` its dataclass fields."""
 
     __slots__ = ()
+
+    def __str__(self) -> str:
+        name = TYPE_NAMES.get(self)
+        if name is not None:
+            return name
+        if isinstance(self, StructTy):
+            return f"struct {self.sid}"
+        if isinstance(self, RefTy):
+            return f"{self.target}*"
+        if isinstance(self, OptionTy):
+            return f"option({self.inner})"
+        return f"{self.elem}[{self.length}]"  # ArrayTy
 
 
 @dataclass(frozen=True)
@@ -175,6 +188,12 @@ U16 = IntTy(16, Sign.UNSIGNED)
 U32 = IntTy(32, Sign.UNSIGNED)
 I8 = IntTy(8, Sign.SIGNED)
 I16 = IntTy(16, Sign.SIGNED)
+
+TYPE_NAMES = {
+    BOOL: "bool", INT: "int", LONG: "long", ULONG: "ulong",
+    I8: "i8", I16: "i16", U8: "u8", U16: "u16", U32: "u32",
+    UNIT: "unit", BYTES: "bytes",
+}
 
 
 def is_prim(ty: Ty) -> bool:

@@ -15,10 +15,10 @@ from .core import (
     App, ArrayTy, Assign, Bop, BopKind, BOOL, BYTES, BytesView, Cast,
     Composite, Cond, ConstBool, ConstInt, ConstLong, CoreError, Deref,
     Direction, Effect, EffectAtom, Expr, ExtDecl, Field, For, FunDecl,
-    GlobDecl, I8, I16, INT, IntTy, Let, LONG, Loc, LongTy, Match, NoneLit,
-    OptionTy, Pattern, Pbytes, Pnone, Program, Prim, Psome, Pwild, RefOp,
-    RefTy, Seq, SomeLit, Span, StructInit, StructTy, Ty, U8, U16, U32,
-    ULONG, UNIT, UnitLit, Uop, UopKind, Var, int_fits,
+    GlobDecl, I8, I16, INT, Let, LONG, Loc, Match, NoneLit, OptionTy,
+    Pattern, Pbytes, Pnone, Program, Prim, Psome, Pwild, RefOp, RefTy, Seq,
+    SomeLit, Span, StructInit, StructTy, Ty, U8, U16, U32, ULONG, UNIT,
+    UnitLit, Uop, UopKind, Var,
 )
 
 
@@ -416,13 +416,13 @@ class Parser:
         self.expect("punct", ":")
         ty = self.parse_type()
         self.expect("punct", "=")
-        init = self.parse_glob_init(ty)
+        init = self.parse_glob_init()
         self.accept("punct", ";")
         return GlobDecl(name.lexeme, ty, init, sec=sec, span=kw.span)
 
-    def parse_glob_init(self, ty: Ty) -> Union[Expr, bytes]:
-        """A global's initial value: a string, or a literal that fits ty as a
-        let-bound literal must."""
+    def parse_glob_init(self) -> Union[Expr, bytes]:
+        """A global's initial value: a string or a literal, which the checker
+        types at the declared type."""
         if self.at("string"):
             return self.expect("string").lexeme.encode() + b"\x00"
         if self.accept("kw", "none"):
@@ -432,14 +432,8 @@ class Parser:
         if self.accept("kw", "false"):
             return ConstBool(False)
         minus = self.accept("punct", "-")
-        t = self.expect("int", what="initial value")
-        if not isinstance(ty, (IntTy, LongTy)):
-            self.fail("cannot initialize a global of this type from a literal",
-                      t.span)
-        lit = self._int_literal(t)
-        if minus:
-            lit = _negated(lit, minus.span)
-        return self._fit_literal(lit, ty)
+        lit = self._int_literal(self.expect("int", what="initial value"))
+        return _negated(lit, minus.span) if minus else lit
 
     def parse_char_array_decl(self, sec: Optional[str]) -> GlobDecl:
         kw = self.expect("kw", "char")
@@ -664,31 +658,9 @@ class Parser:
             declared = self.parse_type()
         self.expect("punct", "=")
         bound = self.parse_expr()
-        bound = self._fit_literal(bound, declared)
         self.expect("kw", "in")
         body = self.parse_expr()
         return Let(name, declared, bound, body, span=kw.span)
-
-    def _fit_literal(self, e: Expr, declared: Ty) -> Expr:
-        """Adapt a bare literal to a declared int/long binder type."""
-        if isinstance(e, ConstInt) and isinstance(declared, LongTy):
-            return ConstLong(e.value, span=e.span)
-        if isinstance(e, (ConstInt, ConstLong)) and isinstance(declared, IntTy):
-            if not int_fits(e.value, declared):
-                self.fail("integer literal too wide for its declared type",
-                          e.span, code="P003")
-            if isinstance(e, ConstLong):
-                return ConstInt(e.value, span=e.span)
-        if isinstance(e, Prim) and isinstance(e.op, RefOp) \
-                and isinstance(declared, RefTy):
-            inner = self._fit_literal(e.operands[0], declared.target)
-            if inner is not e.operands[0]:
-                return Prim(RefOp(), (inner,), span=e.span)
-        if isinstance(e, SomeLit) and isinstance(declared, OptionTy):
-            inner = self._fit_literal(e.value, declared.inner)
-            if inner is not e.value:
-                return SomeLit(inner, span=e.span)
-        return e
 
     def parse_if(self) -> Expr:
         kw = self.expect("kw", "if")
@@ -776,27 +748,6 @@ def parse_expr(source: str, filename: str = "<input>") -> Expr:
 # Pretty-printer
 # ---------------------------------------------------------------------------
 
-TYPE_NAMES = {
-    BOOL: "bool", INT: "int", LONG: "long", ULONG: "ulong",
-    I8: "i8", I16: "i16", U8: "u8", U16: "u16", U32: "u32",
-    UNIT: "unit", BYTES: "bytes",
-}
-
-
-def print_type(ty: Ty) -> str:
-    if ty in TYPE_NAMES:
-        return TYPE_NAMES[ty]
-    if isinstance(ty, StructTy):
-        return f"struct {ty.sid}"
-    if isinstance(ty, RefTy):
-        return print_type(ty.target) + "*"
-    if isinstance(ty, OptionTy):
-        return f"option({print_type(ty.inner)})"
-    if isinstance(ty, ArrayTy):
-        return f"{print_type(ty.elem)}[{ty.length}]"
-    raise UnprintableInternalNode(f"type {ty} has no surface syntax")
-
-
 def print_expr(e: Expr) -> str:
     return _pe(e, _LOW_PREC)
 
@@ -826,7 +777,7 @@ def _pe(e: Expr, ctx: int) -> str:
     if isinstance(e, Prim):
         return _print_prim(e, ctx)
     if isinstance(e, Let):
-        txt = (f"let {e.name} : {print_type(e.declared)} = "
+        txt = (f"let {e.name} : {e.declared} = "
                f"{_pe(e.bound, _LOW_PREC)} in {_pe(e.body, _LOW_PREC)}")
         return _paren(txt, ctx) if ctx > _LOW_PREC else txt
     if isinstance(e, Cond):
@@ -863,7 +814,7 @@ def _print_prim(e: Prim, ctx: int) -> str:
         return _paren(f"{spelling}{_pe(e.operands[0], _UNARY_PREC)}", ctx,
                       when=ctx > _UNARY_PREC)
     if isinstance(op, Cast):
-        return _paren(f"({print_type(op.target)}){_pe(e.operands[0], _UNARY_PREC)}",
+        return _paren(f"({op.target}){_pe(e.operands[0], _UNARY_PREC)}",
                       ctx, when=ctx > _UNARY_PREC)
     if isinstance(op, Bop):
         prec = _BOP_PREC[op.kind]
@@ -884,10 +835,9 @@ def _print_pattern(p: Pattern) -> str:
     if isinstance(p, Pwild):
         return "_"
     if isinstance(p, Pbytes):
-        base = f"{p.binder}, {print_type(p.target)}"
+        base = f"{p.binder}, {p.target}"
         if p.fields:
-            base += " : " + ", ".join(f"({y}, {print_type(t)})"
-                                      for y, t in p.fields)
+            base += " : " + ", ".join(f"({y}, {t})" for y, t in p.fields)
         return base
     raise UnprintableInternalNode(f"cannot print pattern {p!r}")
 
@@ -900,25 +850,25 @@ def _paren(txt: str, ctx: int, when: Optional[bool] = None) -> str:
 def print_program(p: Program) -> str:
     lines: list[str] = []
     for co in p.composites:
-        fields = ", ".join(f"{f} : {print_type(t)}" for f, t in co.fields)
+        fields = ", ".join(f"{f} : {t}" for f, t in co.fields)
         lines.append(f"struct {co.sid} {{ {fields} }}")
     for d in p.decls:
         if isinstance(d, FunDecl):
             if d.sec is not None:
                 lines.append(f'#section "{d.sec}"')
-            args = ", ".join(f"{print_type(t)} {x}" for x, t in d.args)
-            head = f"fun {d.name}({args}) : {print_type(d.rt)}"
+            args = ", ".join(f"{t} {x}" for x, t in d.args)
+            head = f"fun {d.name}({args}) : {d.rt}"
             if d.ef is not None:
                 head += f", {d.ef}"
             if d.vars:
-                head += " vars (" + ", ".join(f"{print_type(t)} {y}"
+                head += " vars (" + ", ".join(f"{t} {y}"
                                               for y, t in d.vars) + ")"
             lines.append(head + " {")
             lines.append("    " + print_expr(d.body))
             lines.append("}")
         elif isinstance(d, ExtDecl):
-            args = ", ".join(print_type(t) for t in d.arg_types)
-            head = f"extern fun {d.name}({args}) : {print_type(d.res_type)}"
+            args = ", ".join(str(t) for t in d.arg_types)
+            head = f"extern fun {d.name}({args}) : {d.res_type}"
             if d.ef:
                 head += f", {d.ef}"
             lines.append(head + ";")
@@ -930,6 +880,6 @@ def print_program(p: Program) -> str:
                 continue
             if d.sec is not None:
                 lines.append(f'#section "{d.sec}"')
-            lines.append(f"global {d.name} : {print_type(d.ty)} = "
+            lines.append(f"global {d.name} : {d.ty} = "
                          f"{print_expr(d.init)};")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,6 @@ from .core import (
     UnitLit, Uop, UopKind, VUndef, Var, SHAPES, is_value, rename_var, sizeof,
     select_arm, struct_layout, subst,
 )
-from .frontend import print_type
 from .typecheck import TypedProgram
 
 
@@ -591,7 +590,7 @@ def _check_operands(op, values: list[Expr]) -> None:
     kinds = tuple(map(type, values))
     logical = getattr(op, "kind", None) in _LOGICAL  # a cast has no kind
     if kinds not in (_BOOL_OPERANDS if logical else _INT_OPERANDS):
-        name = f"cast to {print_type(op.target)}" if isinstance(op, Cast) \
+        name = f"cast to {op.target}" if isinstance(op, Cast) \
             else f"operator {op.kind.value!r}"
         _stuck(f"{name} does not apply to "
                + " and ".join(k.__name__ for k in kinds))

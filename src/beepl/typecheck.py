@@ -313,7 +313,9 @@ def _infer_cond(ctx: TypingContext, e: Cond, expected: Optional[Ty]):
     if gty != BOOL:
         _err("GuardNotBool", f"condition has type {gty}", e.span, "TCOND")
     tty, teff, telab = infer_elab(ctx, e.then, expected)
-    oty, oeff, oelab = infer_elab(ctx, e.otherwise, expected)
+    # With nothing expected, the else-branch is judged at the then-branch's
+    # type, so a literal inside it can take that type.
+    oty, oeff, oelab = infer_elab(ctx, e.otherwise, expected or tty)
     tty, telab, oty, oelab = _coerce_pair(ctx, tty, telab, oty, oelab)
     if tty != oty:
         _err("BranchTypeMismatch",
@@ -611,6 +613,7 @@ def _infer_match_option(ctx, e: Match, sty: OptionTy, seff, selab, expected):
         inner = ctx.extended(**{p.binder: sty.inner}) \
             if isinstance(p, Psome) else ctx
         arms.append((p, *infer_elab(inner, body, expected)))
+        expected = expected or arms[0][1]  # as for an if's else-branch
     (p1, t1, ef1, b1), (p2, t2, ef2, b2) = arms
     t1, b1, t2, b2 = _coerce_pair(ctx, t1, b1, t2, b2)
     if t1 != t2:
@@ -667,7 +670,7 @@ def _infer_match_bytes(ctx, e: Match, seff, selab, expected):
         bindings[pat.binder] = lane_type(pat.target)
     inner = ctx.extended(**bindings)
     t1, ef1, b1 = infer_elab(inner, e.arms[0][1], expected)
-    t2, ef2, b2 = infer_elab(ctx, e.arms[1][1], expected)
+    t2, ef2, b2 = infer_elab(ctx, e.arms[1][1], expected or t1)
     t1, b1, t2, b2 = _coerce_pair(ctx, t1, b1, t2, b2)
     if t1 != t2:
         _err("BranchTypeMismatch",
@@ -782,22 +785,27 @@ def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> TypedFunDecl:
     return TypedFunDecl(elaborated, beff, fd.ef if fd.ef is not None else beff)
 
 
-def check_glob_decl(gd: GlobDecl, pi: dict[str, Composite]) -> None:
+def check_glob_decl(gd: GlobDecl) -> GlobDecl:
+    """gd, with an integer initializer typed by the literal rule at the
+    declared type."""
     if not section_ok(gd.ty, gd.sec):
         _err("SectionMismatch",
              f"global {gd.name!r} is incompatible with section {gd.sec!r}",
              gd.span, "TGDECL")
     init = gd.init
-    ok = ((isinstance(init, ConstInt) and isinstance(gd.ty, IntTy)) or
-          (isinstance(init, ConstLong) and isinstance(gd.ty, LongTy)) or
-          (isinstance(init, ConstBool) and gd.ty == BOOL) or
-          (isinstance(init, NoneLit) and isinstance(gd.ty, OptionTy)) or
-          (isinstance(init, bytes) and isinstance(gd.ty, ArrayTy)
-           and gd.ty.elem.size == 8 and len(init) == gd.ty.length))
+    if type(init) in (ConstInt, ConstLong):
+        ty, _, init = _infer_literal(None, init, gd.ty)
+        ok = ty == gd.ty
+    else:
+        ok = ((isinstance(init, ConstBool) and gd.ty == BOOL) or
+              (isinstance(init, NoneLit) and isinstance(gd.ty, OptionTy)) or
+              (isinstance(init, bytes) and isinstance(gd.ty, ArrayTy)
+               and gd.ty.elem.size == 8 and len(init) == gd.ty.length))
     if not ok:
         _err("GlobalInitMismatch",
              f"initializer of {gd.name!r} does not have type {gd.ty}",
              gd.span, "TGDECL")
+    return gd if init is gd.init else replace(gd, init=init)
 
 
 def _check_c_name(what: str, name: str, span: Optional[Span]) -> None:
@@ -830,7 +838,8 @@ def check_program(p: Program) -> TypedProgram:
     globals_gamma: dict[str, Ty] = {}
     funs: dict[str, Signature] = {}
     names: set[str] = set(psi) | set(registry.constants)
-    for d in p.decls:
+    decls = list(p.decls)
+    for i, d in enumerate(decls):
         if d.name in names:
             _err("DuplicateName", f"{d.name!r} is already declared",
                  d.span, "TPROG")
@@ -839,12 +848,12 @@ def check_program(p: Program) -> TypedProgram:
             _check_c_name("extern", d.name, d.span)
             psi[d.name] = Signature(d.arg_types, d.ef, d.res_type)
         elif isinstance(d, GlobDecl):
-            check_glob_decl(d, pi)
+            decls[i] = check_glob_decl(d)
             globals_gamma[d.name] = d.ty
 
     typed_funs: dict[str, TypedFunDecl] = {}
     elaborated: list = []
-    for d in p.decls:
+    for d in decls:
         if isinstance(d, FunDecl):
             clash = ({x for x, _ in d.args} | {y for y, _ in d.vars}) \
                 & set(globals_gamma)

@@ -5,7 +5,8 @@ import pytest
 
 from beepl import typecheck
 from beepl.cgen import (
-    C_TAKEN, HOST_TAKEN, audit_guards, cdecl, ctype, emit_program, mangle,
+    C_TAKEN, HOST_TAKEN, FunctionEmitter, _Frag, audit_guards, cdecl, ctype,
+    emit_program, mangle,
 )
 from beepl.core import (
     ArrayTy, BOOL, BYTES, FunDecl, INT, LONG, Let, Match, OptionTy, Pbytes,
@@ -396,3 +397,47 @@ def test_hostile_binder_names_compile_and_match(tmp_path):
         out = subprocess.run([str(tmp_path / f"{seed}.host")],
                              capture_output=True, text=True, timeout=30)
         assert out.stdout.strip() == str(expected), seed
+
+
+SANITIZE = ["-fsanitize=undefined,address", "-fno-sanitize-recover=all"]
+
+
+def _sanitized(cc, tp, exe):
+    """Build tp's host C under UBSan and ASan and run it."""
+    cfile = exe.with_suffix(".c")
+    cfile.write_text(emit_program(tp, "host").text)
+    r = subprocess.run([cc, "-std=c11", "-g", *SANITIZE, "-o", str(exe),
+                        str(cfile)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return subprocess.run([str(exe)], capture_output=True, text=True,
+                          timeout=30)
+
+
+@needs_cc
+def test_host_c_has_no_undefined_behaviour(tmp_path, monkeypatch):
+    """Generated programs' host binaries run clean under UBSan and ASan and
+    print what the interpreter computes.  As a control, the same build of a
+    division whose guard is dropped makes UBSan report."""
+    cc = find_cc()
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    if subprocess.run([cc, *SANITIZE, "-o", str(tmp_path / "probe"),
+                       str(probe)], capture_output=True).returncode != 0:
+        pytest.skip("the C compiler does not link the sanitizers")
+    for seed in range(20):
+        for extras in (False, True):
+            tp = check_program(generate_well_typed(
+                GenConfig(seed=seed, bytes_match=extras, externals=extras)))
+            expected = run_program(tp, ExternalWorld()).value.value
+            out = _sanitized(cc, tp, tmp_path / f"s{seed}_{int(extras)}")
+            assert (out.stdout.strip(), out.stderr) == (str(expected), ""), \
+                (seed, extras)
+
+    def unguarded(self, e, kind, stmts, lty, a, b, lhs, rhs):
+        return _Frag(stmts, f"({a} {kind.value} {b})", False)
+
+    tp = check_source("fun main() : int { let z : int = 0 in 7 / z }")
+    assert run_program(tp).value == VInt(0)
+    monkeypatch.setattr(FunctionEmitter, "emit_divmod", unguarded)
+    out = _sanitized(cc, tp, tmp_path / "unguarded")
+    assert out.returncode != 0 and "division by zero" in out.stderr

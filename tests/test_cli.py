@@ -43,6 +43,15 @@ def test_check_json(capsys):
     assert obj["note"] == "TDEREF"  # the typing rule that failed
 
 
+def test_check_prints_types_as_source_syntax(tmp_path, capsys):
+    f = tmp_path / "wide.bpl"
+    f.write_text("fun main() : int { let x : u8 = 300 in (int)x }\n")
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == 1
+    assert "error[LetTypeMismatch]" in err
+    assert "let binds int, declared u8" in err
+
+
 def test_run_prints_value(capsys):
     code, out, err = run_cli(capsys, "run", str(corpus_path("shift64.bpl")))
     assert code == 0

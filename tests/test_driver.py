@@ -255,8 +255,7 @@ def test_audit_catches_an_operator_rule_of_the_wrong_type(monkeypatch):
     result, no_memo, incremental, full = \
         _audit_both_ways(tp, world_for_seed(0), monkeypatch)
     assert result.violations == \
-        ["step 5 changed type IntTy(size=32, sign=<Sign.SIGNED: 'signed'>) "
-         "-> LongTy(sign=<Sign.SIGNED: 'signed'>) (BOPV)"]
+        ["step 5 changed type int -> long (BOPV)"]
     assert _outcome(result) == _outcome(no_memo)
     assert incremental == full
     caught = 0

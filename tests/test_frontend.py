@@ -21,7 +21,9 @@ from beepl.frontend import (
 )
 from beepl.gen import GenConfig, generate_well_typed
 from beepl.interp import ExternalWorld, run_program
-from beepl.typecheck import check_program
+from beepl.typecheck import (
+    TypeCheckError, TypingContext, check_program, infer_expr,
+)
 
 
 # --- tokenizer -----------------------------------------------------------------
@@ -188,30 +190,41 @@ def test_parse_error_has_span():
     assert d.code.startswith("P") and d.span.line == 1 and d.span.col > 1
 
 
+def _check_code(check) -> str:
+    with pytest.raises(TypeCheckError) as err:
+        check()
+    return err.value.code
+
+
 def test_literal_too_wide_for_declared_type():
-    with pytest.raises(ParseError) as err:
-        parse_expr("let x : int = 0x100000000 in x")
-    assert err.value.diagnostic.code == "P003"
+    # The parser builds a literal from its token; the checker types it.
+    e = parse_expr("let x : int = 0x100000000 in x")
+    assert e.bound == ConstLong(1 << 32)
+    assert _check_code(lambda: infer_expr(TypingContext(), e)) == \
+        "LetTypeMismatch"
 
 
 def test_global_literal_obeys_the_let_bounds():
     for decl in ("g : u8 = 300", "g : u8 = -1", "g : i8 = 128",
                  "g : u32 = 4294967295", "g : int = 2147483648",
-                 "g : u8 = 300L", "g : long = 99999999999999999999"):
-        with pytest.raises(ParseError) as err:
-            parse_program(f"global {decl};")
-        assert err.value.diagnostic.code == "P003", decl
+                 "g : u8 = 300L", "g : int = 5L"):
+        program = parse_program(f"global {decl};")
+        assert _check_code(lambda: check_program(program)) == \
+            "GlobalInitMismatch", decl
     with pytest.raises(ParseError) as err:
-        parse_expr("let x : u8 = 300L in x")
+        parse_program("global g : long = 99999999999999999999;")
     assert err.value.diagnostic.code == "P003"
+    e = parse_expr("let x : u8 = 300L in x")
+    assert _check_code(lambda: infer_expr(TypingContext(), e)) == \
+        "LetTypeMismatch"
     for decl, init in (("g : i8 = -128", ConstInt(-128)),
                        ("g : int = -2147483648", ConstInt(-(1 << 31))),
-                       ("g : int = 5L", ConstInt(5)),
                        ("g : long = -5", ConstLong(-5))):
-        program = parse_program(f"global {decl};")
+        program = check_program(parse_program(f"global {decl};")).program
         assert program.decls[0].init == init, decl
         assert parse_program(print_program(program)) == program, decl
-    assert print_program(parse_program("global g : long = 5;")) == \
+    assert print_program(check_program(
+        parse_program("global g : long = 5;")).program) == \
         "global g : long = 5L;\n"
 
 

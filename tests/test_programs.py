@@ -184,12 +184,20 @@ def literal_rule_programs():
         out.append((f"fun main() : int {{ let z : {t} = !ref({NARROW[t]}) "
                     "in (int)z }", NARROW[t]))
     out.append(("fun main() : long { let z : long = !ref(5) in z }", 5))
+    # With nothing expected, a second branch or arm is judged at the first
+    # one's type.
+    later = "(let w : int = 0 in -100)"
+    for e in (f"if true then v else {later}",
+              f"match o with | pnone => v | psome q => {later}"):
+        out.append(("fun main() : int { let v : i8 = -100 in "
+                    "let o : option(int*) = none in "
+                    f"if ({e}) == v then -100 else 0 }}", -100))
     return out
 
 
 def test_literal_rule_programs_check_and_audit_clean():
     programs = literal_rule_programs()
-    assert len(programs) == len(NARROW) * len(POSITIONS) * 2 + 8
+    assert len(programs) == len(NARROW) * len(POSITIONS) * 2 + 10
     for src, value in programs:
         tp = check_source(src)
         run = run_program(tp, ExternalWorld())

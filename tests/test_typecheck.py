@@ -1,10 +1,10 @@
 import pytest
 
 from beepl.core import (
-    ALLOC, App, Assign, BOOL, Bop, BopKind, ConstBool, ConstInt, ConstLong,
-    Deref, Effect, EffectAtom, For, INT, LONG, Let, Match, OptionTy, Prim,
-    Program, RefOp, RefTy, StructTy, UNIT, Var, effect_of, effect_subset,
-    expr_children, fvar,
+    ALLOC, App, Assign, BOOL, Bop, BopKind, BYTES, ConstBool, ConstInt,
+    ConstLong, Deref, Effect, EffectAtom, For, I8, INT, LONG, Let, Match,
+    OptionTy, Prim, Program, RefOp, RefTy, StructTy, UNIT, Var, effect_of,
+    effect_subset, expr_children, fvar,
 )
 from beepl.frontend import parse_expr, parse_program, print_program
 from beepl.gen import GenConfig, generate_well_typed
@@ -101,6 +101,16 @@ def test_pointer_arithmetic_rejected():
 
 def test_branch_type_mismatch():
     code = err_code(lambda: infer_src("if true then 1 else false"))
+    assert code == "BranchTypeMismatch"
+
+
+def test_second_branch_is_judged_at_the_first_ones_type():
+    later = "(let w : int = 0 in -100)"
+    ty, _ = infer_src(f"match b with | h, u8 => v | _ => {later}",
+                      b=BYTES, v=I8)
+    assert ty == I8
+    # The first branch is not judged again at the second one's type.
+    code = err_code(lambda: infer_src(f"if true then {later} else v", v=I8))
     assert code == "BranchTypeMismatch"
 
 

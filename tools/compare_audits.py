@@ -13,11 +13,10 @@ Exits 0 when the results are identical and 1 otherwise.
 """
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+from checkout import dump
 
 DUMP = r"""
 import json, sys, time
@@ -57,24 +56,14 @@ print(json.dumps({"runs": runs, "audit_s": audit_s}))
 """
 
 
-def dump(checkout: Path, seeds: int) -> dict:
-    out = subprocess.run([sys.executable, "-c", DUMP, str(seeds)],
-                         cwd=checkout,
-                         env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
     p.add_argument("--seeds", type=int, default=600)
     args = p.parse_args()
-    # The child runs in the checkout, so a relative path must not be
-    # resolved a second time against it.
-    old = dump(args.old.resolve(), args.seeds)
-    new = dump(args.new.resolve(), args.seeds)
+    old = dump(args.old, DUMP, args.seeds)
+    new = dump(args.new, DUMP, args.seeds)
     differ = [(a, b) for a, b in zip(old["runs"], new["runs"]) if a != b]
     audited = [r for r in new["runs"] if r[2] != "rejected"]
     print(f"{len(new['runs'])} runs, {len(audited)} audited, "

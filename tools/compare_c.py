@@ -14,11 +14,10 @@ are identical and 1 otherwise.
 
 import argparse
 import difflib
-import json
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+from checkout import dump
 
 DUMP = r"""
 import json, sys, time
@@ -55,14 +54,6 @@ print(json.dumps({"units": units, "emit_s": emit_s}))
 """
 
 
-def dump(checkout: Path, seeds: int) -> dict:
-    out = subprocess.run([sys.executable, "-c", DUMP, str(seeds)],
-                         cwd=checkout,
-                         env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
 def first_difference(a: dict, b: dict) -> str:
     """The counts that differ, then a diff of the text (or the errors)."""
     lines = [f"  {k}: {a.get(k)} / {b.get(k)}"
@@ -80,10 +71,8 @@ def main() -> int:
     p.add_argument("new", type=Path)
     p.add_argument("--seeds", type=int, default=300)
     args = p.parse_args()
-    # The child runs in the checkout, so a relative path must not be
-    # resolved a second time against it.
-    old = dump(args.old.resolve(), args.seeds)
-    new = dump(args.new.resolve(), args.seeds)
+    old = dump(args.old, DUMP, args.seeds)
+    new = dump(args.new, DUMP, args.seeds)
     differ = [(a, b) for a, b in zip(old["units"], new["units"]) if a != b]
     emitted = [u for u in new["units"] if "text" in u]
     print(f"{len(new['units'])} units, {len(emitted)} emitted, "

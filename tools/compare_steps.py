@@ -18,10 +18,10 @@ Exits 0 when the results are identical and 1 otherwise.
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+from checkout import dump
 
 DUMP = r"""
 import dataclasses, hashlib, json, random, sys, time
@@ -118,15 +118,6 @@ print(json.dumps({"runs": runs, "mutants": mutants,
 """
 
 
-def dump(checkout: Path, seeds: int, mutants: int) -> dict:
-    out = subprocess.run([sys.executable, "-c", DUMP, str(seeds),
-                          str(mutants)],
-                         cwd=checkout,
-                         env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
 def first_difference(a: dict, b: dict) -> str:
     """Where two runs part: the checker, a step, or an outcome."""
     if "rejected" in a or "rejected" in b:
@@ -148,10 +139,8 @@ def main() -> int:
     p.add_argument("--mutants", type=int, default=60,
                    help="mutate the first N seeds, four mutants each")
     args = p.parse_args()
-    # The child runs in the checkout, so a relative path must not be
-    # resolved a second time against it.
-    old = dump(args.old.resolve(), args.seeds, args.mutants)
-    new = dump(args.new.resolve(), args.seeds, args.mutants)
+    old = dump(args.old, DUMP, args.seeds, args.mutants)
+    new = dump(args.new, DUMP, args.seeds, args.mutants)
     ok = True
     for key in ("runs", "mutants"):
         pairs = list(zip(old[key], new[key]))
