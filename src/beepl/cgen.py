@@ -471,7 +471,7 @@ class FunctionEmitter:
     def emit_app(self, e: App) -> _Frag:
         assert isinstance(e.callee, Var)
         name = e.callee.name
-        sig = self.gen.tp.fun_sigs.get(name) or self.gen.tp.psi[name]
+        sig = self.gen.tp.psi[name]
         frags = [(self.emit_value(a), ty)
                  for a, ty in zip(e.args, sig.arg_types)]
         # Pin earlier arguments whenever a later one needs statements.

@@ -96,8 +96,8 @@ def _audit_ctx(tp: TypedProgram, s: State,
         x for x, b in s.omega.items()
         if isinstance(sigma[b], RefTy)
         and isinstance(sigma[b].target, StructTy))
-    return TypingContext(runtime_gamma(s), sigma, tp.composites, tp.psi,
-                         tp.fun_sigs, {}, struct_vars, memo)
+    return TypingContext(runtime_gamma(s), sigma, tp.composites, tp.psi, {},
+                         struct_vars, memo)
 
 
 def _extends(new: dict, old: dict) -> bool:
@@ -109,8 +109,7 @@ class _Violation(Exception):
 
 
 def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
-                        fuel: int = DEFAULT_FUEL,
-                        guard_unsafe: bool = True) -> AuditResult:
+                        fuel: int = DEFAULT_FUEL) -> AuditResult:
     """Evaluate the entry point, re-checking the term and the state after
     every step through ``eval_multi``'s step hook.
 
@@ -122,8 +121,8 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
     emptied whenever a step's context does not extend the last one's.
     """
     violations: list[str] = []
-    for name, tf in tp.funs.items():
-        if EffectAtom.DIVERGENCE in tf.inferred:
+    for name, eff in tp.effects.items():
+        if EffectAtom.DIVERGENCE in eff:
             violations.append(f"divergence effect inferred for {name}")
     entry = tp.entry_point()
     if entry is None:
@@ -169,9 +168,10 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         ok, clauses = well_formed(ctx.gamma, s)
         if not ok:
             raise _Violation(f"step {steps} ill-formed state: {clauses[0]}")
+        s.theta.written.clear()  # their cells are checked
 
     try:
-        value = eval_multi(s, world, expr, fuel, guard_unsafe, recheck).value
+        value = eval_multi(s, world, expr, fuel, recheck).value
     except StuckState as exc:
         violations.append(f"stuck after {steps} steps: {exc.reason}")
     except FuelExhausted:
@@ -200,9 +200,8 @@ def world_for_seed(seed: int) -> ExternalWorld:
 
 def run_property_suite(n_programs: int, cfg: GenConfig,
                        fuel: int = DEFAULT_FUEL,
-                       guard_unsafe: bool = True,
-                       programs: Optional[Iterable[Program]] = None,
-                       shrink: bool = True) -> SuiteSummary:
+                       programs: Optional[Iterable[Program]] = None
+                       ) -> SuiteSummary:
     t0 = time.monotonic()
     summary = SuiteSummary("metatheory", n_programs, 0)
     supplied = list(programs) if programs is not None else None
@@ -227,13 +226,12 @@ def run_property_suite(n_programs: int, cfg: GenConfig,
                 violations=[f"generator produced ill-typed program: {exc}"],
                 reproducer=print_program(program)))
             continue
-        audit = evaluate_with_audit(tp, world_for_seed(seed), fuel,
-                                    guard_unsafe)
+        audit = evaluate_with_audit(tp, world_for_seed(seed), fuel)
         if audit.violations:
             repro = print_program(program)
-            if shrink and supplied is None:
-                shrunk = shrink_program(program, lambda q: _still_fails(
-                    q, seed, fuel, guard_unsafe))
+            if supplied is None:
+                shrunk = shrink_program(
+                    program, lambda q: _still_fails(q, seed, fuel))
                 repro = print_program(shrunk)
             summary.reports.append(RunReport(
                 f"p{i}", seed, "violation", audit.steps,
@@ -247,13 +245,12 @@ def run_property_suite(n_programs: int, cfg: GenConfig,
     return summary
 
 
-def _still_fails(program: Program, seed: int, fuel: int,
-                 guard_unsafe: bool) -> bool:
+def _still_fails(program: Program, seed: int, fuel: int) -> bool:
     try:
         tp = check_program(program)
     except TypeCheckError:
         return False
-    audit = evaluate_with_audit(tp, world_for_seed(seed), fuel, guard_unsafe)
+    audit = evaluate_with_audit(tp, world_for_seed(seed), fuel)
     return bool(audit.violations)
 
 

@@ -60,6 +60,8 @@ class Memory:
     next_block: int = 1
     # The store typing: block -> content type.  alloc is its one writer.
     sigma: dict[int, Ty] = dc_field(default_factory=dict)
+    # The blocks stored into since the audit last checked their cells.
+    written: set[int] = dc_field(default_factory=set)
 
     def alloc(self, ty: Ty, size: int, raw: Optional[bytes] = None) -> int:
         bid = self.next_block
@@ -80,6 +82,7 @@ class Memory:
         if b is None:
             return False
         b.cells[off] = v
+        self.written.add(bid)
         return True
 
 
@@ -200,6 +203,11 @@ def _lane_bits(v: Expr) -> int:
 
 def _mk(bits: int, v: int) -> Expr:
     return ConstInt(wrap(v, 32)) if bits == 32 else ConstLong(wrap(v, 64))
+
+
+# The BOPV guard: unsafe operand pairs step to zero.  Off, they reach
+# bop_sem's undef and trip the undef monitor.
+GUARD_UNSAFE = True
 
 
 def unsafe(op: BopKind, v1: Expr, v2: Expr) -> bool:
@@ -375,15 +383,14 @@ def _typed_value_expr(v: Expr, ty: Optional[Ty]) -> Expr:
     return v
 
 
-def step(s: State, w: ExternalWorld, e: Expr,
-         guard_unsafe: bool = True) -> StepOutcome:
+def step(s: State, w: ExternalWorld, e: Expr) -> StepOutcome:
     """One computational step; exactly one rule applies to a non-value."""
     if is_value(e):
         return IsValue(e)
     frames: list = []
     redex, values, _ = _refocus(frames, e)
     try:
-        out, rule = _contract(s, w, redex, values, guard_unsafe)
+        out, rule = _contract(s, w, redex, values)
     except StuckState as exc:
         return Stuck(exc.reason)
     return Stepped(_plug(frames, out), rule, redex, len(frames))
@@ -472,47 +479,47 @@ def _plug(frames: list, e: Expr) -> Expr:
     return e
 
 
-def _contract(s: State, w: ExternalWorld, redex: Expr, values: list[Expr],
-              guard: bool) -> tuple[Expr, str]:
+def _contract(s: State, w: ExternalWorld, redex: Expr,
+              values: list[Expr]) -> tuple[Expr, str]:
     """The redex reduced by its class's rule, and the rule's name."""
     rule = _REDEX_RULES.get(type(redex))
     if rule is None:
         _stuck(f"no rule applies to {type(redex).__name__}")
-    return rule(s, w, redex, values, guard)
+    return rule(s, w, redex, values)
 
 
-def _step_let(s: State, w: ExternalWorld, e: Let, values: list[Expr],
-              guard: bool) -> tuple[Expr, str]:
+def _step_let(s: State, w: ExternalWorld, e: Let,
+              values: list[Expr]) -> tuple[Expr, str]:
     if e.name == "_":
         return e.body, "LETV"
     return subst(e.body, e.name, values[0]), "LETV"
 
 
-def _step_cond(s: State, w: ExternalWorld, e: Cond, values: list[Expr],
-               guard: bool) -> tuple[Expr, str]:
+def _step_cond(s: State, w: ExternalWorld, e: Cond,
+               values: list[Expr]) -> tuple[Expr, str]:
     gv, = values
     if type(gv) is not ConstBool:
         _stuck("condition guard is not a boolean")
     return (e.then, "CONDT") if gv.value else (e.otherwise, "CONDF")
 
 
-def _step_seq(s: State, w: ExternalWorld, e: Seq, values: list[Expr],
-              guard: bool) -> tuple[Expr, str]:
+def _step_seq(s: State, w: ExternalWorld, e: Seq,
+              values: list[Expr]) -> tuple[Expr, str]:
     # A two-part sequence steps straight to its tail, so a loop's term stays
     # one Seq deep however many iterations it runs.
     rest = e.parts[1:]
     return (Seq(rest) if len(rest) > 1 else (rest or values)[0]), "SEQT"
 
 
-def _step_repeat(s: State, w: ExternalWorld, e: Repeat, values: list[Expr],
-                 guard: bool) -> tuple[Expr, str]:
+def _step_repeat(s: State, w: ExternalWorld, e: Repeat,
+                 values: list[Expr]) -> tuple[Expr, str]:
     if e.count <= 0:
         return UnitLit(), "FORV0"
     return Seq((e.body, Repeat(e.body, e.count - 1))), "FORVN"
 
 
-def _step_var(s: State, w: ExternalWorld, e: Var, values: list[Expr],
-              guard: bool) -> tuple[Expr, str]:
+def _step_var(s: State, w: ExternalWorld, e: Var,
+              values: list[Expr]) -> tuple[Expr, str]:
     block = s.omega.get(e.name)
     if block is not None:
         v = s.theta.load(block, 0)
@@ -530,8 +537,8 @@ def _step_var(s: State, w: ExternalWorld, e: Var, values: list[Expr],
     _stuck(f"unbound variable {e.name!r}")
 
 
-def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Expr],
-               guard: bool) -> tuple[Expr, str]:
+def _step_prim(s: State, w: ExternalWorld, e: Prim,
+               values: list[Expr]) -> tuple[Expr, str]:
     op = e.op
     if isinstance(op, RefOp):
         # The block takes the type the checker gave the reference.
@@ -568,7 +575,7 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim, values: list[Expr],
     if isinstance(op, Bop):
         lv, rv = values
         _check_operands(op, values)
-        if guard and unsafe(op.kind, lv, rv):
+        if GUARD_UNSAFE and unsafe(op.kind, lv, rv):
             return _mk(_lane_bits(lv), 0), "BOPV"
         result = bop_sem(op.kind, lv, rv)
         if isinstance(result, VUndef):
@@ -596,8 +603,8 @@ def _check_operands(op, values: list[Expr]) -> None:
                + " and ".join(k.__name__ for k in kinds))
 
 
-def _step_app(s: State, w: ExternalWorld, e: App, values: list[Expr],
-              guard: bool) -> tuple[Expr, str]:
+def _step_app(s: State, w: ExternalWorld, e: App,
+              values: list[Expr]) -> tuple[Expr, str]:
     if not isinstance(e.callee, Var):
         _stuck("callee is not a function name")
     name = e.callee.name
@@ -637,7 +644,7 @@ def _apply_fun(s: State, fd: FunDecl, values: list[Expr]) -> Expr:
 
 
 def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
-                      values: list[Expr], guard: bool) -> tuple[Expr, str]:
+                      values: list[Expr]) -> tuple[Expr, str]:
     var_block = s.omega.get(e.name)
     if var_block is None:
         _stuck(f"struct variable {e.name!r} is not allocated")
@@ -661,8 +668,8 @@ def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
     return Loc(sb, 0), "STRUCTV"
 
 
-def _step_field(s: State, w: ExternalWorld, e: Field, values: list[Expr],
-                guard: bool) -> tuple[Expr, str]:
+def _step_field(s: State, w: ExternalWorld, e: Field,
+                values: list[Expr]) -> tuple[Expr, str]:
     tv, = values
     if type(tv) is NoneLit:
         s.monitors.null_deref_events += 1
@@ -687,8 +694,8 @@ def _step_field(s: State, w: ExternalWorld, e: Field, values: list[Expr],
     return cell, "FACCESSV"
 
 
-def _step_for(s: State, w: ExternalWorld, e: For, values: list[Expr],
-              guard: bool) -> tuple[Expr, str]:
+def _step_for(s: State, w: ExternalWorld, e: For,
+              values: list[Expr]) -> tuple[Expr, str]:
     lv, hv = values
     if not isinstance(lv, (ConstInt, ConstLong)) or type(lv) is not type(hv):
         _stuck("loop bounds are not matching numeric values")
@@ -696,8 +703,8 @@ def _step_for(s: State, w: ExternalWorld, e: For, values: list[Expr],
     return Repeat(e.body, n), "FORV"
 
 
-def _step_match(s: State, w: ExternalWorld, e: Match, values: list[Expr],
-                guard: bool) -> tuple[Expr, str]:
+def _step_match(s: State, w: ExternalWorld, e: Match,
+                values: list[Expr]) -> tuple[Expr, str]:
     sv, = values
     if type(sv) is NoneLit:
         arm = select_arm(e.arms, Pnone)
@@ -757,7 +764,7 @@ class EvalResult:
 
 
 def eval_multi(s: State, w: ExternalWorld, e: Expr,
-               fuel: int = DEFAULT_FUEL, guard_unsafe: bool = True,
+               fuel: int = DEFAULT_FUEL,
                on_step: Optional[Callable[[State, Expr, str], None]] = None
                ) -> EvalResult:
     """Iterate step until a value; returns the exact step count.  The
@@ -769,7 +776,7 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
     frames: list = []
     focus, values, children = _refocus(frames, e)
     while not is_value(focus):
-        out, rule = _contract(s, w, focus, values, guard_unsafe)
+        out, rule = _contract(s, w, focus, values)
         focus, values, children = _refocus(frames, out)
         steps += 1
         if on_step is not None:
@@ -861,8 +868,14 @@ def run_program(tp: TypedProgram, w: Optional[ExternalWorld] = None,
 # Well-formedness (Definition 1)
 # ---------------------------------------------------------------------------
 
+# The value class that a cell of each primitive block type holds.
+_CELL_CLASS = {IntTy: ConstInt, LongTy: ConstLong, BoolTy: ConstBool}
+
+
 def well_formed(gamma: dict[str, Ty], s: State) -> tuple[bool, list[str]]:
-    """Checks the state-consistency contract; returns violated clauses."""
+    """Checks the state-consistency contract; returns violated clauses.
+    Only the cells of the blocks in ``theta.written`` are checked against
+    their blocks' types: the audit empties it after each step."""
     bad: list[str] = []
     sigma = s.sigma
     if set(s.omega) & set(s.delta):
@@ -883,9 +896,18 @@ def well_formed(gamma: dict[str, Ty], s: State) -> tuple[bool, list[str]]:
             elif s.theta.load(binding.block, 0) is None and \
                     s.theta.blocks.get(binding.block, Block(0)).raw is None:
                 bad.append(f"global {x!r} is uninitialized")
-    if sigma.keys() != s.theta.blocks.keys():
+    blocks = s.theta.blocks
+    if sigma.keys() != blocks.keys():
         bad.append("store typing and memory differ on blocks "
-                   f"{sorted(sigma.keys() ^ s.theta.blocks.keys())}")
+                   f"{sorted(sigma.keys() ^ blocks.keys())}")
+    else:
+        for block in s.theta.written:
+            ty = sigma[block]
+            cls = _CELL_CLASS.get(type(ty))
+            cell = blocks[block].cells.get(0)
+            if cls is not None and cell is not None and type(cell) is not cls:
+                bad.append(f"block {block} of type {ty} holds a "
+                           f"{type(cell).__name__}")
     for name, d in s.delta.items():
         if isinstance(d, FunDecl):
             if {x for x, _ in d.args} & {y for y, _ in d.vars}:

@@ -5,6 +5,11 @@ The checker implements the expression judgment over contexts
 pointers, section compatibility, effect annotations), and produces an
 elaborated program: named constants are inlined, htons is folded, and each
 integer literal is typed by its position and put in that type's lane.
+
+psi is the one signature map: it holds every callable, the kernel helpers
+(``HELPERS``), the program's externs and, once each is checked, its
+functions.  A function's signature joins psi only after its body is
+checked, so a body calls only functions declared before it.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from .core import (
     ALLOC, App, ArrayTy, Assign, BOOL, Bop, BopKind, BYTES, BytesTy,
     BytesView, COMPARE_BOPS, Cast, Composite, Cond, ConstBool, ConstInt,
     ConstLong, Deref, EMPTY_EFFECT, Effect, Expr, ExtDecl, Field, For,
-    FunDecl, GlobDecl, HOST_TAKEN, INT, IO, IntTy, LOGIC_BOPS, LONG, Let, Loc,
-    LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim, Psome,
-    Pwild, READ, RefOp, RefTy, Repeat, Seq, SomeLit, Span, StructInit,
+    FunDecl, GlobDecl, HOST_TAKEN, I8, INT, IO, IntTy, LOGIC_BOPS, LONG, Let,
+    Loc, LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim,
+    Psome, Pwild, READ, RefOp, RefTy, Repeat, Seq, SomeLit, Span, StructInit,
     StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE, effect_concat,
     effect_subset, expr_children, fvar, int_fits, is_basic, is_pointer,
     is_prim, struct_layout,
@@ -49,43 +54,26 @@ class Signature:
     res_type: Ty
 
 
-@dataclass
-class HelperRegistry:
-    """External helper signatures and named constants preloaded into psi."""
+# The kernel helpers, preloaded into psi.
+HELPERS: dict[str, Signature] = {
+    "bpf_map_lookup_elem": Signature(
+        (OptionTy(RefTy(StructTy("bpf_map"))), OptionTy(RefTy(LONG))),
+        effect_concat(READ, IO),
+        OptionTy(RefTy(LONG))),
+    "bpf_get_current_uid_gid": Signature((), IO, LONG),
+}
 
-    entries: dict[str, Signature] = field(default_factory=dict)
-    constants: dict[str, int] = field(default_factory=dict)
-    composites: tuple[Composite, ...] = ()
+# The named constants, inlined as literals.
+CONSTANTS: dict[str, int] = {
+    "XDP_ABORTED": 0, "XDP_DROP": 1, "XDP_PASS": 2, "ETH_P_IPV6": 0x86DD,
+}
 
-
-XDP_ABORTED = 0
-XDP_DROP = 1
-XDP_PASS = 2
-ETH_P_IPV6 = 0x86DD
-
-BPF_MAP_PTR = OptionTy(RefTy(StructTy("bpf_map")))
-
-
-def default_helper_registry() -> HelperRegistry:
-    entries = {
-        "bpf_map_lookup_elem": Signature(
-            (BPF_MAP_PTR, OptionTy(RefTy(LONG))),
-            effect_concat(READ, IO),
-            OptionTy(RefTy(LONG))),
-        "bpf_get_current_uid_gid": Signature((), IO, LONG),
-    }
-    constants = {
-        "XDP_ABORTED": XDP_ABORTED,
-        "XDP_DROP": XDP_DROP,
-        "XDP_PASS": XDP_PASS,
-        "ETH_P_IPV6": ETH_P_IPV6,
-    }
-    composites = (
-        Composite("bpf_map", ()),
-        Composite("xdp_md", (("data", BYTES),)),
-        Composite("__sk_buff", (("data", BYTES),)),
-    )
-    return HelperRegistry(entries, constants, composites)
+# The kernel structs, preloaded into pi.
+KERNEL_STRUCTS: tuple[Composite, ...] = (
+    Composite("bpf_map", ()),
+    Composite("xdp_md", (("data", BYTES),)),
+    Composite("__sk_buff", (("data", BYTES),)),
+)
 
 
 class JudgmentMemo:
@@ -143,7 +131,6 @@ class TypingContext:
     sigma: dict[int, Ty] = field(default_factory=dict)
     pi: dict[str, Composite] = field(default_factory=dict)
     psi: dict[str, Signature] = field(default_factory=dict)
-    funs: dict[str, Signature] = field(default_factory=dict)
     consts: dict[str, int] = field(default_factory=dict)
     # Declared locals eligible as struct-initialization targets; shadowing
     # binders knock names out of this set.
@@ -156,8 +143,7 @@ class TypingContext:
     def extended(self, **bindings: Ty) -> "TypingContext":
         g = dict(self.gamma)
         g.update(bindings)
-        ctx = TypingContext(g, self.sigma, self.pi, self.psi, self.funs,
-                            self.consts,
+        ctx = TypingContext(g, self.sigma, self.pi, self.psi, self.consts,
                             self.struct_vars - frozenset(bindings))
         if self.memo is not None:
             ctx.memo = self.memo
@@ -220,7 +206,7 @@ def _infer_var(ctx: TypingContext, e: Var, expected: Optional[Ty]):
     if e.name in ctx.consts:
         return _infer_literal(ctx, ConstInt(ctx.consts[e.name], span=e.span),
                               expected)
-    if e.name in ctx.funs or e.name in ctx.psi:
+    if e.name in ctx.psi:
         _err("NotFirstClassFunction",
              f"function {e.name!r} used outside a call", e.span, "TVAR")
     _err("UnknownVariable", f"unbound variable {e.name!r}", e.span, "TVAR")
@@ -300,8 +286,8 @@ def _infer_some(ctx: TypingContext, e: SomeLit, expected: Optional[Ty]):
 def _infer_let(ctx: TypingContext, e: Let, expected: Optional[Ty]):
     bty, beff, belab = infer_elab(ctx, e.bound, e.declared)
     if bty != e.declared:
-        _err("LetTypeMismatch",
-             f"let binds {bty}, declared {e.declared}", e.span, "TBIND")
+        _err("LetTypeMismatch", f"let binds {bty}, declared {e.declared}",
+             e.bound.span or e.span, "TBIND")
     inner = ctx if e.name == "_" else ctx.extended(**{e.name: e.declared})
     tty, teff, telab = infer_elab(inner, e.body, expected)
     return tty, effect_concat(beff, teff), \
@@ -450,13 +436,10 @@ def _infer_app(ctx: TypingContext, e: App, expected: Optional[Ty]):
         _err("NotAFunction", "only named functions can be called",
              e.span, "TAPP")
     name = e.callee.name
-    if name == "htons" and name not in ctx.funs and name not in ctx.psi:
-        return _fold_htons(ctx, e, expected)
-    if name in ctx.funs:
-        sig = ctx.funs[name]
-    elif name in ctx.psi:
-        sig = ctx.psi[name]
-    else:
+    sig = ctx.psi.get(name)
+    if sig is None:
+        if name == "htons":  # folded unless a function or extern is named so
+            return _fold_htons(ctx, e, expected)
         _err("UnknownHelper", f"unknown function {name!r}", e.span, "TAPP")
     if len(e.args) != len(sig.arg_types):
         _err("ArgArityMismatch",
@@ -723,19 +706,11 @@ def section_ok(ty: Ty, sec: Optional[str]) -> bool:
 
 
 @dataclass(frozen=True)
-class TypedFunDecl:
-    decl: FunDecl  # body elaborated
-    inferred: Effect
-    effect: Effect  # declared annotation when present, else inferred
-
-
-@dataclass(frozen=True)
 class TypedProgram:
     program: Program  # elaborated declarations
     composites: dict[str, Composite]
-    funs: dict[str, TypedFunDecl]
-    fun_sigs: dict[str, Signature]
-    psi: dict[str, Signature]
+    psi: dict[str, Signature]  # every callable: helpers, externs, functions
+    effects: dict[str, Effect]  # each function body's inferred effect
 
     def entry_point(self, name: Optional[str] = None) -> Optional[FunDecl]:
         decls = self.program.fun_decls()
@@ -749,7 +724,8 @@ class TypedProgram:
         return None
 
 
-def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> TypedFunDecl:
+def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> tuple[FunDecl, Effect]:
+    """fd with its body elaborated, and the body's inferred effect."""
     if is_pointer(fd.rt):
         _err("ReturnsPointer",
              f"function {fd.name!r} returns a pointer type", fd.span, "TFDECL")
@@ -781,8 +757,7 @@ def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> TypedFunDecl:
         _err("EffectAnnotationTooSmall",
              f"{fd.name!r} is annotated {fd.ef} but its body performs {beff}",
              fd.span, "TFDECL")
-    elaborated = replace(fd, body=belab)
-    return TypedFunDecl(elaborated, beff, fd.ef if fd.ef is not None else beff)
+    return replace(fd, body=belab), beff
 
 
 def check_glob_decl(gd: GlobDecl) -> GlobDecl:
@@ -801,10 +776,13 @@ def check_glob_decl(gd: GlobDecl) -> GlobDecl:
               (isinstance(init, NoneLit) and isinstance(gd.ty, OptionTy)) or
               (isinstance(init, bytes) and isinstance(gd.ty, ArrayTy)
                and gd.ty.elem.size == 8 and len(init) == gd.ty.length))
+        ty = (BOOL if isinstance(init, ConstBool) else
+              "option" if isinstance(init, NoneLit) else
+              ArrayTy(I8, len(init)))  # a string
     if not ok:
         _err("GlobalInitMismatch",
-             f"initializer of {gd.name!r} does not have type {gd.ty}",
-             gd.span, "TGDECL")
+             f"initializer of {gd.name!r} has type {ty}, declared {gd.ty}",
+             getattr(init, "span", None) or gd.span, "TGDECL")
     return gd if init is gd.init else replace(gd, init=init)
 
 
@@ -818,9 +796,8 @@ def _check_c_name(what: str, name: str, span: Optional[Span]) -> None:
 
 
 def check_program(p: Program) -> TypedProgram:
-    registry = default_helper_registry()
     pi: dict[str, Composite] = {}
-    for co in registry.composites + p.composites:
+    for co in KERNEL_STRUCTS + p.composites:
         if co.sid in pi:
             _err("DuplicateName", f"struct {co.sid!r} redefined", None, "TPROG")
         pi[co.sid] = co
@@ -834,10 +811,9 @@ def check_program(p: Program) -> TypedProgram:
                      "primitive, array or bytes type", None, "TPROG")
         struct_layout(co, pi)  # resolves sizes early
 
-    psi = dict(registry.entries)
-    globals_gamma: dict[str, Ty] = {}
-    funs: dict[str, Signature] = {}
-    names: set[str] = set(psi) | set(registry.constants)
+    psi = dict(HELPERS)
+    ctx = TypingContext({}, {}, pi, psi, CONSTANTS)
+    names: set[str] = set(psi) | set(CONSTANTS)
     decls = list(p.decls)
     for i, d in enumerate(decls):
         if d.name in names:
@@ -849,32 +825,26 @@ def check_program(p: Program) -> TypedProgram:
             psi[d.name] = Signature(d.arg_types, d.ef, d.res_type)
         elif isinstance(d, GlobDecl):
             decls[i] = check_glob_decl(d)
-            globals_gamma[d.name] = d.ty
+            ctx.gamma[d.name] = d.ty
 
-    typed_funs: dict[str, TypedFunDecl] = {}
-    elaborated: list = []
-    for d in decls:
+    effects: dict[str, Effect] = {}
+    for i, d in enumerate(decls):
         if isinstance(d, FunDecl):
             clash = ({x for x, _ in d.args} | {y for y, _ in d.vars}) \
-                & set(globals_gamma)
+                & ctx.gamma.keys()
             if clash:
                 _err("DuplicateName",
                      f"locals of {d.name!r} shadow globals: "
                      f"{sorted(clash)}", d.span, "TFDECL")
-            # Functions may only call functions declared before them, which
-            # rules out recursion and keeps every loop bounded.
-            ctx = TypingContext(dict(globals_gamma), {}, pi, psi, dict(funs),
-                                dict(registry.constants))
-            tf = check_fun_decl(ctx, d)
-            typed_funs[d.name] = tf
-            funs[d.name] = Signature(tuple(t for _, t in d.args), tf.effect,
-                                     d.rt)
-            elaborated.append(tf.decl)
-        else:
-            elaborated.append(d)
+            decls[i], effects[d.name] = check_fun_decl(ctx, d)
+            # A function joins psi only once its body is checked, so it
+            # calls only functions declared before it: no recursion, and
+            # every loop stays bounded.
+            psi[d.name] = Signature(tuple(t for _, t in d.args),
+                                    effects[d.name] if d.ef is None else d.ef,
+                                    d.rt)
 
-    program = Program(tuple(elaborated), p.composites)
-    return TypedProgram(program, pi, typed_funs, funs, psi)
+    return TypedProgram(Program(tuple(decls), p.composites), pi, psi, effects)
 
 
 def check_source(source: str, filename: str = "<input>") -> TypedProgram:

@@ -52,6 +52,21 @@ def test_check_prints_types_as_source_syntax(tmp_path, capsys):
     assert "let binds int, declared u8" in err
 
 
+def test_check_points_at_the_mismatched_expression(tmp_path, capsys):
+    # A let or global mismatch points at the bound expression or the
+    # initializer, not at the keyword, and names the initializer's type.
+    f = tmp_path / "wide.bpl"
+    f.write_text("fun main() : int { let x : u8 = 300 in (int)x }\n")
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == 1
+    assert f"{f}:1:33: error[LetTypeMismatch]" in err
+    f.write_text("global g : u8 = 300;\nfun main() : int { (int)g }\n")
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == 1
+    assert f"{f}:1:17: error[GlobalInitMismatch]: initializer of 'g' " \
+        "has type int, declared u8" in err
+
+
 def test_run_prints_value(capsys):
     code, out, err = run_cli(capsys, "run", str(corpus_path("shift64.bpl")))
     assert code == 0

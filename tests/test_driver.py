@@ -61,12 +61,12 @@ def test_property_suite_reproducible():
         [(r.outcome, r.steps) for r in b.reports]
 
 
-def test_suite_over_broken_interpreter_reports_undef():
+def test_suite_over_broken_interpreter_reports_undef(monkeypatch):
     # Removing the BOPV guard makes divisions-by-zero surface as undef.
+    monkeypatch.setattr(interp, "GUARD_UNSAFE", False)
     program = parse_program(
         "fun main() : int { let a : int = 5 in a % (a - a) }")
-    s = run_property_suite(1, GenConfig(), guard_unsafe=False,
-                           programs=[program])
+    s = run_property_suite(1, GenConfig(), programs=[program])
     assert not s.ok()
     assert any("undef" in v for r in s.failures for v in r.violations)
 
@@ -74,12 +74,12 @@ def test_suite_over_broken_interpreter_reports_undef():
 def test_guarded_interpreter_passes_same_program():
     program = parse_program(
         "fun main() : int { let a : int = 5 in a % (a - a) }")
-    s = run_property_suite(1, GenConfig(), guard_unsafe=True,
-                           programs=[program])
+    s = run_property_suite(1, GenConfig(), programs=[program])
     assert s.ok()
 
 
-def test_shrinking_preserves_violation():
+def test_shrinking_preserves_violation(monkeypatch):
+    monkeypatch.setattr(interp, "GUARD_UNSAFE", False)
     program = parse_program(
         "fun main() : int { let a : int = 5 in "
         "if a < 9 then (a + 1) % (a - a) else 2 }")
@@ -89,8 +89,7 @@ def test_shrinking_preserves_violation():
             tp = check_program(q)
         except TypeCheckError:
             return False
-        audit = evaluate_with_audit(tp, world_for_seed(0),
-                                    guard_unsafe=False)
+        audit = evaluate_with_audit(tp, world_for_seed(0))
         return any("undef" in v for v in audit.violations)
 
     assert still_fails(program)
@@ -157,10 +156,11 @@ def test_audit_memo_stays_as_small_as_the_live_term(monkeypatch):
     assert pruned >= 3 and max(sizes) <= 2 * JudgmentMemo.PRUNE_FLOOR
 
 
-def test_audit_reports_monitor_events():
+def test_audit_reports_monitor_events(monkeypatch):
+    monkeypatch.setattr(interp, "GUARD_UNSAFE", False)
     program = parse_program("fun main() : int { 3 % 0 }")
     tp = check_program(program)
-    audit = evaluate_with_audit(tp, world_for_seed(0), guard_unsafe=False)
+    audit = evaluate_with_audit(tp, world_for_seed(0))
     assert any("monitors" in v for v in audit.violations)
 
 
@@ -185,13 +185,13 @@ def _audit_both_ways(tp, world, monkeypatch):
         incremental.append(_judge(ctx, e, expected))
         return infer_expr(ctx, e, expected)
 
-    def eval_with_oracle(s, w, e, fuel, guard, on_step):
+    def eval_with_oracle(s, w, e, fuel, on_step):
         def both(s, expr, rule):
             ctx = driver._audit_ctx(tp, s)
             assert ctx.memo is None
             full.append(_judge(ctx, expr, tp.entry_point().rt))
             on_step(s, expr, rule)
-        return eval_multi(s, w, e, fuel, guard, both)
+        return eval_multi(s, w, e, fuel, both)
 
     with monkeypatch.context() as m:
         m.setattr(driver, "infer_expr", recording_infer)
@@ -239,8 +239,8 @@ def test_incremental_audit_judges_every_step_as_full_reinference(
 
 def _retyping_int_results(rule):
     """rule, broken so that every int it produces comes out as a long."""
-    def broken(s, w, e, values, guard):
-        out, name = rule(s, w, e, values, guard)
+    def broken(s, w, e, values):
+        out, name = rule(s, w, e, values)
         if type(out) is ConstInt:
             out = ConstLong(out.value)
         return out, name
@@ -268,17 +268,39 @@ def test_audit_catches_an_operator_rule_of_the_wrong_type(monkeypatch):
     assert caught > 10
 
 
+def test_audit_catches_a_long_stored_as_an_int(monkeypatch):
+    # The operator rule returns each long as an int.  The int is assigned
+    # where a long literal may stand and is never read again, so no step
+    # changes type and nothing gets stuck: only the stored cell shows it.
+    def int_for_long(s, w, e, values):
+        out, name = prim_rule(s, w, e, values)
+        if name == "BOPV" and type(out) is ConstLong:
+            out = ConstInt(out.value)
+        return out, name
+
+    prim_rule = interp._REDEX_RULES[Prim]
+    monkeypatch.setitem(interp._REDEX_RULES, Prim, int_for_long)
+    tp = check_source("fun main() : int { let x : long* = ref(5L) in "
+                      "let _ = x := !x + 1L in 0 }")
+    result, no_memo, incremental, full = \
+        _audit_both_ways(tp, world_for_seed(0), monkeypatch)
+    assert result.violations == [
+        "step 6 ill-formed state: block 1 of type long holds a ConstInt"]
+    assert _outcome(result) == _outcome(no_memo)
+    assert incremental == full
+
+
 def test_audit_empties_its_memo_when_a_rule_retypes_a_block(monkeypatch):
     # After `let _`, the remaining term is the let's body, the very node the
     # last step judged.  The broken rule retypes the int cell that `!p`
     # reads, so a memo kept across the step would still call that node an
     # int.
-    def retyping_let(s, w, e, values, guard):
+    def retyping_let(s, w, e, values):
         if e.name == "_":
             for bid, ty in s.sigma.items():
                 if ty == INT:
                     s.sigma[bid] = LONG
-        return let_rule(s, w, e, values, guard)
+        return let_rule(s, w, e, values)
 
     let_rule = interp._REDEX_RULES[Let]
     monkeypatch.setitem(interp._REDEX_RULES, Let, retyping_let)
@@ -299,7 +321,7 @@ def test_audit_catches_a_let_rule_that_forgets_to_substitute(monkeypatch):
     # The let's body comes back as it is, the very node the last step
     # judged under the binder; at the top it has a free variable.
     monkeypatch.setitem(interp._REDEX_RULES, Let,
-                        lambda s, w, e, values, guard: (e.body, "LETV"))
+                        lambda s, w, e, values: (e.body, "LETV"))
     tp = check_source("fun main() : int { let x : int = 5 in x + 1 }")
     result, no_memo, incremental, full = \
         _audit_both_ways(tp, world_for_seed(0), monkeypatch)

@@ -364,6 +364,22 @@ def test_well_formed_detects_deleted_block():
     assert bad == [f"store typing and memory differ on blocks [{stray}]"]
 
 
+def test_well_formed_ties_a_cell_to_its_block_type():
+    # An int, long or bool block holds a value of that lane; an unwritten
+    # cell is the uninitialized-read monitor's business, not this clause's.
+    s = empty_state()
+    s.theta.alloc(LONG, 8)
+    for ty, good, wrong in ((U8, VInt(7), VLong(7)), (LONG, VLong(7), VInt(7)),
+                            (BOOL, VBool(True), VInt(1))):
+        bid = s.theta.alloc(ty, sizeof(ty, {}))
+        s.theta.store(bid, 0, good)
+        assert well_formed({}, s) == (True, [])
+        s.theta.store(bid, 0, wrong)
+        assert well_formed({}, s)[1] == [
+            f"block {bid} of type {ty} holds a {type(wrong).__name__}"]
+        s.theta.store(bid, 0, good)
+
+
 def test_well_formed_after_refv():
     tp, w, s = _fresh_program_state()
     out = step(s, w, elaborated("ref(2)"))
@@ -404,10 +420,11 @@ def test_uninit_monitor_counts_missing_cell():
     assert s.monitors.uninit_read_events == 1
 
 
-def test_undef_monitor_without_guard():
+def test_undef_monitor_without_guard(monkeypatch):
+    monkeypatch.setattr(interp, "GUARD_UNSAFE", False)
     s = empty_state()
     w = ExternalWorld()
-    out = step(s, w, parse_expr("1 / 0"), guard_unsafe=False)
+    out = step(s, w, parse_expr("1 / 0"))
     assert isinstance(out, Stuck)
     assert s.monitors.undef_events == 1
 
@@ -505,7 +522,7 @@ def test_ref_allocates_at_its_checked_target_type():
     assert s.theta.blocks == blocks
 
 
-def test_operators_on_the_wrong_kind_of_value_are_stuck():
+def test_operators_on_the_wrong_kind_of_value_are_stuck(monkeypatch):
     # Unchecked terms: the operator rules name the operator and the operand
     # classes instead of raising out of step.
     s = empty_state()
@@ -530,7 +547,8 @@ def test_operators_on_the_wrong_kind_of_value_are_stuck():
     ]
     for e, reason in cases:
         for guard in (True, False):
-            assert step(s, w, e, guard) == Stuck(reason), e
+            monkeypatch.setattr(interp, "GUARD_UNSAFE", guard)
+            assert step(s, w, e) == Stuck(reason), e
     assert s.monitors.clean()
     assert step(s, w, Prim(Bop(BopKind.LOR), (VBool(False), VBool(True)))) \
         == Stepped(VBool(True), "BOPV")

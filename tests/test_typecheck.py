@@ -3,24 +3,23 @@ import pytest
 from beepl.core import (
     ALLOC, App, Assign, BOOL, Bop, BopKind, BYTES, ConstBool, ConstInt,
     ConstLong, Deref, Effect, EffectAtom, For, I8, INT, LONG, Let, Match,
-    OptionTy, Prim, Program, RefOp, RefTy, StructTy, UNIT, Var, effect_of,
-    effect_subset, expr_children, fvar,
+    OptionTy, Prim, Program, RefOp, RefTy, StructTy, U16, UNIT, Var,
+    effect_of, effect_subset, expr_children, fvar,
 )
 from beepl.frontend import parse_expr, parse_program, print_program
 from beepl.gen import GenConfig, generate_well_typed
+from beepl.interp import run_program
 from beepl.typecheck import (
-    JudgmentMemo, TypeCheckError, TypingContext, check_fun_decl, check_program,
-    check_source, default_helper_registry, infer_expr, section_ok,
+    CONSTANTS, HELPERS, JudgmentMemo, KERNEL_STRUCTS, TypeCheckError,
+    TypingContext, check_fun_decl, check_program, check_source, infer_elab,
+    infer_expr, section_ok,
 )
-
-REG = default_helper_registry()
 
 
 def ctx_with(**gamma):
     return TypingContext(gamma=dict(gamma),
-                         pi={c.sid: c for c in REG.composites},
-                         psi=dict(REG.entries),
-                         consts=dict(REG.constants))
+                         pi={c.sid: c for c in KERNEL_STRUCTS},
+                         psi=dict(HELPERS), consts=CONSTANTS)
 
 
 def infer_src(src, **gamma):
@@ -189,7 +188,7 @@ def test_returns_pointer_rejected():
 
 def test_minimal_fun_accepted_with_empty_effect():
     tp = check_source("fun f() : int { 1 }")
-    assert tp.funs["f"].inferred == Effect()
+    assert tp.effects["f"] == Effect()
 
 
 def test_bprog3_accepted_with_expected_effects():
@@ -208,7 +207,7 @@ fun bprog3(option(struct xdp_md*) ctx) : int {
 '''
     tp = check_source(src)
     assert {EffectAtom.ALLOC, EffectAtom.IO, EffectAtom.WRITE,
-            EffectAtom.READ} <= tp.funs["bprog3"].inferred
+            EffectAtom.READ} <= tp.effects["bprog3"]
 
 
 def test_effect_annotation_too_small():
@@ -232,7 +231,7 @@ def test_effect_annotation_diagnostic_names_each_atom_once():
 def test_effect_annotation_may_exceed_inferred():
     src = "fun f() : int, <alloc, read, io> { let x : int* = ref(2) in !x }"
     tp = check_source(src)
-    assert tp.funs["f"].effect == effect_of(["alloc", "read", "io"])
+    assert tp.psi["f"].eff == effect_of(["alloc", "read", "io"])
 
 
 def test_section_mismatch_on_argument():
@@ -301,7 +300,7 @@ def test_forward_call_rejected_backward_allowed():
     assert err_code(lambda: check_source(
         "fun f() : int { g() }\nfun g() : int { 1 }")) == "UnknownHelper"
     tp = check_source("fun g() : int { 1 }\nfun f() : int { g() }")
-    assert tp.funs["f"].inferred == Effect()
+    assert tp.effects["f"] == Effect()
 
 
 def test_locals_shadowing_globals_rejected():
@@ -309,31 +308,63 @@ def test_locals_shadowing_globals_rejected():
     assert err_code(lambda: check_source(src)) == "DuplicateName"
 
 
-# --- default_helper_registry ------------------------------------------------------
+# --- helpers and named constants ---------------------------------------------------
 
 def test_registry_lookup_map_helper():
-    sig = REG.entries.get("bpf_map_lookup_elem")
+    sig = HELPERS.get("bpf_map_lookup_elem")
     assert len(sig.arg_types) == 2
     assert sig.eff == effect_of(["read", "io"])
     assert sig.res_type == OptionTy(RefTy(LONG))
 
 
 def test_registry_lookup_uid_gid():
-    sig = REG.entries.get("bpf_get_current_uid_gid")
+    sig = HELPERS.get("bpf_get_current_uid_gid")
     assert sig.arg_types == ()
     assert sig.eff == effect_of(["io"])
     assert sig.res_type == LONG
 
 
 def test_registry_absent_helper():
-    assert REG.entries.get("no_such_helper") is None
+    assert HELPERS.get("no_such_helper") is None
 
 
 def test_registry_constants():
-    assert REG.constants["XDP_PASS"] == 2
-    assert REG.constants["XDP_DROP"] == 1
-    assert REG.constants["XDP_ABORTED"] == 0
-    assert REG.constants["ETH_P_IPV6"] == 0x86DD
+    assert CONSTANTS["XDP_PASS"] == 2
+    assert CONSTANTS["XDP_DROP"] == 1
+    assert CONSTANTS["XDP_ABORTED"] == 0
+    assert CONSTANTS["ETH_P_IPV6"] == 0x86DD
+
+
+
+def test_psi_holds_every_callable():
+    tp = check_source("extern fun g(int x) : int; "
+                      "fun f() : int { g(1) } fun main() : int { f() }")
+    assert set(tp.psi) == set(HELPERS) | {"g", "f", "main"}
+    assert tp.psi["f"].arg_types == () and tp.psi["f"].res_type == INT
+    assert set(tp.effects) == {"f", "main"}
+
+
+# --- htons ------------------------------------------------------------------------
+
+def test_htons_of_a_literal_folds():
+    e = parse_expr("htons(0x86DD)")
+    assert infer_elab(ctx_with(), e)[::2] == (INT, ConstInt(56710))
+    assert infer_elab(ctx_with(), e, U16)[::2] == (U16, ConstInt(56710))
+    tp = check_source("fun main() : int { let p : u16 = htons(ETH_P_IPV6) "
+                      "in (int)p }")
+    assert run_program(tp).value == ConstInt(56710)
+
+
+def test_htons_needs_one_constant_argument():
+    assert err_code(lambda: infer_src("htons(x)", x=INT)) == \
+        "HtonsNonConstant"
+    assert err_code(lambda: infer_src("htons(1, 2)")) == "ArgArityMismatch"
+
+
+def test_a_function_named_htons_is_called_not_folded():
+    tp = check_source("fun htons(int x) : int { x + 1 } "
+                      "fun main() : int { htons(5) }")
+    assert run_program(tp).value == ConstInt(6)
 
 
 # --- invariants over generated programs ---------------------------------------------
@@ -351,8 +382,8 @@ def test_determinism_of_inference():
 def test_generated_programs_never_infer_divergence():
     for seed in range(40):
         tp = check_program(_generated(seed, bytes_match=True, externals=True))
-        for name, tf in tp.funs.items():
-            assert EffectAtom.DIVERGENCE not in tf.inferred, name
+        for name, eff in tp.effects.items():
+            assert EffectAtom.DIVERGENCE not in eff, name
 
 
 def test_deref_of_any_option_is_rejected():

@@ -44,9 +44,12 @@ for extras in (False, True):
         except TypeCheckError as exc:
             runs.append([extras, seed, "rejected", str(exc)])
             continue
-        checked = {name: [sorted({a.value for a in tf.inferred}),
-                          list(nodes(tf.decl.body))]
-                   for name, tf in tp.funs.items()}
+        # Older checkouts keep each function's effect in tp.funs.
+        effects = tp.effects if hasattr(tp, "effects") else \
+            {name: tf.inferred for name, tf in tp.funs.items()}
+        checked = {name: [sorted({a.value for a in effects[name]}),
+                          list(nodes(fd.body))]
+                   for name, fd in tp.program.fun_decls().items()}
         t0 = time.perf_counter()
         audit = evaluate_with_audit(tp, world_for_seed(seed))
         audit_s += time.perf_counter() - t0
