@@ -24,7 +24,7 @@ from .core import (
     Direction, Expr, ExtDecl, Field, For, FunDecl, GlobDecl, HOST_TAKEN, INT,
     IntTy, Let, LOGIC_BOPS, LONG, LongTy, Match, NoneLit, OptionTy, Pnone,
     Prim, Psome, RefOp, RefTy, Sign, SomeLit, StructInit, StructTy, Ty, UNIT,
-    UnitTy, UnitLit, Uop, UopKind, Var, select_arm,
+    UnitTy, UnitLit, Uop, UopKind, Var, kernel_object, select_arm,
 )
 from .typecheck import TypedProgram, lane_type
 
@@ -79,6 +79,7 @@ static i64 (*bpf_get_current_uid_gid)(void) = (void *) 15;
 
 HOST_HELPERS = """\
 extern int printf(const char *, ...);
+struct bpf_map { int fd; };
 static i64 __bpl_world_uid_gid = 0x000003E8000003E8LL;
 static i64 bpf_get_current_uid_gid(void) { return __bpl_world_uid_gid; }
 static i64 __bpl_map_value;
@@ -693,6 +694,10 @@ class ProgramEmitter:
             text = d.init[:-1].decode()
             return f'{prefix}char {name}[]{sec} = "{text}";'
         if isinstance(d.init, NoneLit):
+            target = kernel_object(d.ty)
+            if target is not None and self.mode == "host":
+                return f"{prefix}{cdecl(d.ty, name)} = " \
+                       f"{c_kernel_object(target)};"
             return f"{prefix}{cdecl(d.ty, name)}{sec};"
         if isinstance(d.init, (ConstInt, ConstLong)):
             suffix = "LL" if isinstance(d.init, ConstLong) else ""
@@ -708,12 +713,9 @@ class ProgramEmitter:
             return "/* no entry point; translation unit is a library */"
         args = []
         for _, ty in entry.args:
-            if isinstance(ty, OptionTy) and \
-                    isinstance(ty.inner.target, StructTy) and \
-                    ty.inner.target.sid != "bpf_map":  # opaque in C
-                # Like the interpreter's entry call, pass a context that is
-                # never null: a zeroed struct, which holds an empty packet.
-                args.append(f"&(struct {ty.inner.target.sid}){{0}}")
+            target = kernel_object(ty)
+            if target is not None:
+                args.append(c_kernel_object(target))
             elif isinstance(ty, (OptionTy, RefTy)):
                 args.append(f"({ctype(ty)}) 0")
             else:
@@ -730,6 +732,12 @@ class ProgramEmitter:
                 f"    {ctype(entry.rt)} __bpl_result = {call};\n"
                 f"    printf(\"{fmt}\\n\", {cast} __bpl_result);\n"
                 "    return (int) (__bpl_result & 0xff);\n}")
+
+
+def c_kernel_object(target: StructTy) -> str:
+    """A kernel object in host C: a zeroed static struct, which holds an
+    empty packet, as the interpreter's ``make_kernel_object`` builds it."""
+    return f"&(struct {target.sid}){{0}}"
 
 
 def emit_program(tp: TypedProgram, mode: str = "host") -> CUnit:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import is_not
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 
 class CoreError(Exception):
@@ -74,10 +74,6 @@ def effect_concat(*effs: Effect) -> Effect:
 
 def effect_subset(a: Effect, b: Effect) -> bool:
     return a <= b
-
-
-def effect_of(names: Iterable[str]) -> Effect:
-    return Effect(EffectAtom(n) for n in names)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +202,14 @@ def is_basic(ty: Ty) -> bool:
 
 def is_pointer(ty: Ty) -> bool:
     return isinstance(ty, (RefTy, OptionTy))
+
+
+def kernel_object(ty: Ty) -> Optional[StructTy]:
+    """The struct S whose kernel object a parameter or global of type
+    ``option(struct S*)`` denotes, else None."""
+    if isinstance(ty, OptionTy) and isinstance(ty.inner.target, StructTy):
+        return ty.inner.target
+    return None
 
 
 def int_fits(value: int, ty: IntTy) -> bool:
@@ -597,11 +601,6 @@ VInt = ConstInt
 VLong = ConstLong
 VLoc = Loc
 VBytes = BytesView
-
-
-@dataclass(frozen=True)
-class VUndef:
-    """Internal sentinel for an undefined result; never an expression."""
 
 
 # ---------------------------------------------------------------------------

@@ -425,12 +425,12 @@ class Parser:
         types at the declared type."""
         if self.at("string"):
             return self.expect("string").lexeme.encode() + b"\x00"
-        if self.accept("kw", "none"):
-            return NoneLit()
-        if self.accept("kw", "true"):
-            return ConstBool(True)
-        if self.accept("kw", "false"):
-            return ConstBool(False)
+        t = self.accept("kw", "none")
+        if t:
+            return NoneLit(span=t.span)
+        t = self.accept("kw", "true") or self.accept("kw", "false")
+        if t:
+            return ConstBool(t.lexeme == "true", span=t.span)
         minus = self.accept("punct", "-")
         lit = self._int_literal(self.expect("int", what="initial value"))
         return _negated(lit, minus.span) if minus else lit

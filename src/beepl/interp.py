@@ -2,14 +2,15 @@
 
 Evaluation works over states <Delta, Omega, Theta> with a block-based memory
 model: fresh monotone block ids, a store typing that allocation alone
-writes, per-block cells, and a raw-byte shadow for byte regions.  External helpers are served by a deterministic
-ExternalWorld.  Division, modulo and shifts go through the unsafe-operand
-guard, which turns would-be undefined behavior into zero.
+writes, per-block cells, and a raw-byte shadow for byte regions.  External
+helpers are served by a deterministic ExternalWorld.  An unsafe division,
+modulo or shift is zero.  A null dereference, an uninitialized read or an
+operator applied to the wrong values is a stuck state, whose reason names
+the fault.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence, Union
 
@@ -19,8 +20,8 @@ from .core import (
     Expr, Field, For, FunDecl, GlobDecl, IntTy, Let, Loc, LONG, LongTy,
     Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild, RefOp,
     RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty, UNIT,
-    UnitLit, Uop, UopKind, VUndef, Var, SHAPES, is_value, rename_var, sizeof,
-    select_arm, struct_layout, subst,
+    UnitLit, Uop, UopKind, Var, SHAPES, is_prim, is_value, kernel_object,
+    rename_var, select_arm, sizeof, struct_layout, subst,
 )
 from .typecheck import TypedProgram
 
@@ -49,7 +50,6 @@ class TooShort(InterpError):
 
 @dataclass
 class Block:
-    size: int
     cells: dict[int, Expr] = dc_field(default_factory=dict)
     raw: Optional[bytearray] = None
 
@@ -63,11 +63,11 @@ class Memory:
     # The blocks stored into since the audit last checked their cells.
     written: set[int] = dc_field(default_factory=set)
 
-    def alloc(self, ty: Ty, size: int, raw: Optional[bytes] = None) -> int:
+    def alloc(self, ty: Ty, raw: Optional[bytes] = None) -> int:
         bid = self.next_block
         self.next_block += 1
         self.blocks[bid] = Block(
-            size, raw=bytearray(raw) if raw is not None else None)
+            raw=bytearray(raw) if raw is not None else None)
         self.sigma[bid] = ty
         return bid
 
@@ -86,19 +86,6 @@ class Memory:
         return True
 
 
-@dataclass
-class Monitors:
-    """Runtime monitors backing the safety lemmas; all must stay at zero."""
-
-    null_deref_events: int = 0
-    uninit_read_events: int = 0
-    undef_events: int = 0
-
-    def clean(self) -> bool:
-        return (self.null_deref_events == 0 and self.uninit_read_events == 0
-                and self.undef_events == 0)
-
-
 @dataclass(frozen=True)
 class GlobalBinding:
     block: int
@@ -110,16 +97,12 @@ class State:
     omega: dict[str, int]  # variable -> its block
     theta: Memory
     composites: dict[str, Composite]
-    monitors: Monitors = dc_field(default_factory=Monitors)
     rename_counter: int = 0
 
     @property
     def sigma(self) -> dict[int, Ty]:
         """The store typing, owned by the memory."""
         return self.theta.sigma
-
-    def snapshot(self) -> "State":
-        return copy.deepcopy(self)
 
     def fresh_name(self, base: str) -> str:
         self.rename_counter += 1
@@ -171,7 +154,7 @@ class ExternalWorld:
         stored = self.maps.get(name, {}).get(kv.value)
         if stored is None:
             return NoneLit()
-        bid = state.theta.alloc(LONG, 8)
+        bid = state.theta.alloc(LONG)
         state.theta.store(bid, 0, ConstLong(wrap(stored, 64)))
         return SomeLit(Loc(bid, 0))
 
@@ -205,11 +188,6 @@ def _mk(bits: int, v: int) -> Expr:
     return ConstInt(wrap(v, 32)) if bits == 32 else ConstLong(wrap(v, 64))
 
 
-# The BOPV guard: unsafe operand pairs step to zero.  Off, they reach
-# bop_sem's undef and trip the undef monitor.
-GUARD_UNSAFE = True
-
-
 def unsafe(op: BopKind, v1: Expr, v2: Expr) -> bool:
     """Operand pairs whose C meaning would be undefined; they evaluate to 0."""
     if op not in (BopKind.DIV, BopKind.MOD, BopKind.SHL, BopKind.SHR):
@@ -229,12 +207,9 @@ def _trunc_div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
-def bop_sem(op: BopKind, v1: Expr, v2: Expr) -> Union[Expr, VUndef]:
-    """Two's-complement wrapping semantics at the operand width.
-
-    Unsafe operand pairs yield the undef sentinel; the BOPV guard normally
-    intercepts them first and returns zero instead.
-    """
+def bop_sem(op: BopKind, v1: Expr, v2: Expr) -> Expr:
+    """Two's-complement wrapping semantics at the operand width; an unsafe
+    operand pair gives zero."""
     a, b = v1.value, v2.value
     if op is BopKind.LAND:
         return ConstBool(a and b)
@@ -252,9 +227,9 @@ def bop_sem(op: BopKind, v1: Expr, v2: Expr) -> Union[Expr, VUndef]:
         return ConstBool(a > b)
     if op is BopKind.GE:
         return ConstBool(a >= b)
-    if unsafe(op, v1, v2):
-        return VUndef()
     bits = _lane_bits(v1)
+    if unsafe(op, v1, v2):
+        return _mk(bits, 0)
     if op is BopKind.ADD:
         return _mk(bits, a + b)
     if op is BopKind.SUB:
@@ -338,7 +313,7 @@ def extract(v: BytesView, target: Ty, theta: Memory,
         return _decode_prim(data, target), {}
     co = composites[target.sid]
     offsets, _, _ = struct_layout(co, composites)
-    bid = theta.alloc(target, size)
+    bid = theta.alloc(target)
     values: dict[str, Expr] = {}
     for fname, fty in co.fields:
         if isinstance(fty, (ArrayTy, BytesTy)):
@@ -524,14 +499,12 @@ def _step_var(s: State, w: ExternalWorld, e: Var,
     if block is not None:
         v = s.theta.load(block, 0)
         if v is None:
-            s.monitors.uninit_read_events += 1
             _stuck(f"read of uninitialized variable {e.name!r}")
         return _typed_value_expr(v, s.sigma.get(block)), "LVAR"
     binding = s.delta.get(e.name)
     if isinstance(binding, GlobalBinding):
         v = s.theta.load(binding.block, 0)
         if v is None:
-            s.monitors.uninit_read_events += 1
             _stuck(f"read of uninitialized global {e.name!r}")
         return _typed_value_expr(v, s.sigma.get(binding.block)), "GVAR"
     _stuck(f"unbound variable {e.name!r}")
@@ -544,25 +517,22 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
         # The block takes the type the checker gave the reference.
         if not isinstance(e.ty, RefTy):
             _stuck("ref without a checked type")
-        bid = s.theta.alloc(e.ty.target, sizeof(e.ty.target, s.composites))
+        bid = s.theta.alloc(e.ty.target)
         s.theta.store(bid, 0, values[0])
         return Loc(bid, 0), "REFV"
     if isinstance(op, Deref):
         v, = values
         if isinstance(v, (NoneLit, SomeLit)):
-            s.monitors.null_deref_events += 1
             _stuck("dereference of an option value")
         if type(v) is not Loc:
             _stuck("dereference of a non-location")
         cell = s.theta.load(v.block, v.offset)
         if cell is None:
-            s.monitors.uninit_read_events += 1
             _stuck("read of uninitialized memory")
         return cell, "DREFV"
     if isinstance(op, Assign):
         lv, rv = values
         if isinstance(lv, (NoneLit, SomeLit)):
-            s.monitors.null_deref_events += 1
             _stuck("assignment through an option value")
         if type(lv) is not Loc:
             _stuck("assignment through a non-location")
@@ -573,15 +543,8 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
         _check_operands(op, values)
         return uop_sem(op, values[0]), "UOPV"
     if isinstance(op, Bop):
-        lv, rv = values
         _check_operands(op, values)
-        if GUARD_UNSAFE and unsafe(op.kind, lv, rv):
-            return _mk(_lane_bits(lv), 0), "BOPV"
-        result = bop_sem(op.kind, lv, rv)
-        if isinstance(result, VUndef):
-            s.monitors.undef_events += 1
-            _stuck("binary operator produced undef")
-        return result, "BOPV"
+        return bop_sem(op.kind, *values), "BOPV"
     _stuck(f"unknown primitive {op!r}")
 
 
@@ -626,19 +589,19 @@ def _apply_fun(s: State, fd: FunDecl, values: list[Expr]) -> Expr:
     for (x, ty), v in zip(fd.args, values):
         fresh = s.fresh_name(x)
         body = rename_var(body, x, fresh)
-        bid = s.theta.alloc(ty, sizeof(ty, s.composites))
+        bid = s.theta.alloc(ty)
         s.theta.store(bid, 0, v)
         s.omega[fresh] = bid
     for (y, ty) in fd.vars:
         fresh = s.fresh_name(y)
         body = rename_var(body, y, fresh)
-        bid = s.theta.alloc(ty, sizeof(ty, s.composites))
+        bid = s.theta.alloc(ty)
         s.omega[fresh] = bid
         # Struct locals receive their storage at call time, like C locals;
-        # the fields stay unwritten until initialization and field reads
-        # before that still trip the uninitialized-read monitor.
+        # the fields stay unwritten until initialization, and a field read
+        # before that is stuck.
         if isinstance(ty, RefTy) and isinstance(ty.target, StructTy):
-            sb = s.theta.alloc(ty.target, sizeof(ty.target, s.composites))
+            sb = s.theta.alloc(ty.target)
             s.theta.store(bid, 0, Loc(sb, 0))
     return body
 
@@ -659,8 +622,7 @@ def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
     if type(existing) is Loc:
         sb = existing.block  # re-initialization reuses the allocation
     else:
-        sb = s.theta.alloc(var_ty.target,
-                           sizeof(var_ty.target, s.composites))
+        sb = s.theta.alloc(var_ty.target)
         s.theta.store(var_block, 0, Loc(sb, 0))
     offsets, _, _ = struct_layout(co, s.composites)
     for (fname, _), v in zip(e.fields, values):
@@ -672,7 +634,6 @@ def _step_field(s: State, w: ExternalWorld, e: Field,
                 values: list[Expr]) -> tuple[Expr, str]:
     tv, = values
     if type(tv) is NoneLit:
-        s.monitors.null_deref_events += 1
         _stuck("field access through a null option")
     if type(tv) is SomeLit:
         tv = tv.value
@@ -689,7 +650,6 @@ def _step_field(s: State, w: ExternalWorld, e: Field,
         _stuck(f"struct {content.sid!r} has no field {e.fname!r}")
     cell = s.theta.load(tv.block, tv.offset + offsets[e.fname])
     if cell is None:
-        s.monitors.uninit_read_events += 1
         _stuck(f"read of uninitialized field {e.fname!r}")
     return cell, "FACCESSV"
 
@@ -804,48 +764,48 @@ def init_state(tp: TypedProgram, w: ExternalWorld) -> State:
 
 def _alloc_global(s: State, w: ExternalWorld, gd: GlobDecl) -> None:
     if isinstance(gd.init, bytes):
-        bid = s.theta.alloc(gd.ty, len(gd.init), raw=gd.init)
+        bid = s.theta.alloc(gd.ty, raw=gd.init)
         s.delta[gd.name] = GlobalBinding(bid)
         return
-    bid = s.theta.alloc(gd.ty, sizeof(gd.ty, s.composites))
+    bid = s.theta.alloc(gd.ty)
     init = gd.init
-    if isinstance(gd.ty, OptionTy) and isinstance(gd.ty.inner, RefTy) \
-            and isinstance(gd.ty.inner.target, StructTy):
-        # Globals of optional struct-pointer type back kernel objects such as
-        # maps: materialize the pointee so lookups can identify it.
-        target = gd.ty.inner.target
-        ob = s.theta.alloc(target, sizeof(target, s.composites))
-        if target.sid == "bpf_map":
-            w.map_blocks[ob] = gd.name
-        init = SomeLit(Loc(ob, 0))
+    target = kernel_object(gd.ty)
+    if target is not None:
+        init = make_kernel_object(s, w, target)
+        if target.sid == "bpf_map":  # so that lookups can identify the map
+            w.map_blocks[init.value.block] = gd.name
     s.theta.store(bid, 0, init)
     s.delta[gd.name] = GlobalBinding(bid)
 
 
-def make_context_arg(s: State, w: ExternalWorld, sid: str) -> Expr:
-    """Allocate a packet-backed context struct and return its option value."""
-    pb = s.theta.alloc(BYTES, len(w.packet), raw=w.packet)
-    ctx_ty = StructTy(sid)
-    cb = s.theta.alloc(ctx_ty, sizeof(ctx_ty, s.composites))
-    co = s.composites[sid]
+def make_kernel_object(s: State, w: ExternalWorld, target: StructTy) -> Expr:
+    """The kernel object that a parameter or global of type
+    ``option(struct S*)`` receives, never null and filled as C's ``{0}``
+    fills it: its primitive fields are zero and its bytes fields view the
+    packet, whose block is allocated first."""
+    co = s.composites[target.sid]
     offsets, _, _ = struct_layout(co, s.composites)
-    if "data" in offsets:
-        s.theta.store(cb, offsets["data"], BytesView(pb, 0, len(w.packet)))
-    return SomeLit(Loc(cb, 0))
+    if any(isinstance(fty, BytesTy) for _, fty in co.fields):
+        packet = BytesView(s.theta.alloc(BYTES, raw=w.packet), 0,
+                           len(w.packet))
+    ob = s.theta.alloc(target)
+    for fname, fty in co.fields:
+        if is_prim(fty):
+            s.theta.store(ob, offsets[fname], zero_value(fty))
+        elif isinstance(fty, BytesTy):
+            s.theta.store(ob, offsets[fname], packet)
+    return SomeLit(Loc(ob, 0))
 
 
 def entry_call(tp: TypedProgram, s: State, w: ExternalWorld,
                entry: FunDecl) -> Expr:
     args: list[Expr] = []
     for _, ty in entry.args:
-        if isinstance(ty, OptionTy) and isinstance(ty.inner, RefTy) \
-                and isinstance(ty.inner.target, StructTy) \
-                and ty.inner.target.sid in s.composites:
-            args.append(make_context_arg(s, w, ty.inner.target.sid))
-        elif isinstance(ty, (IntTy, LongTy, BoolTy)) or ty == UNIT:
+        target = kernel_object(ty)
+        if target is not None:
+            args.append(make_kernel_object(s, w, target))
+        elif is_prim(ty) or ty == UNIT or isinstance(ty, OptionTy):
             args.append(zero_value(ty))
-        elif isinstance(ty, OptionTy):
-            args.append(NoneLit())
         else:
             raise InterpError(
                 f"cannot synthesize a default argument of type {ty}")
@@ -894,7 +854,7 @@ def well_formed(gamma: dict[str, Ty], s: State) -> tuple[bool, list[str]]:
             elif binding.block not in sigma:
                 bad.append(f"global {x!r} block lacks store typing")
             elif s.theta.load(binding.block, 0) is None and \
-                    s.theta.blocks.get(binding.block, Block(0)).raw is None:
+                    s.theta.blocks.get(binding.block, Block()).raw is None:
                 bad.append(f"global {x!r} is uninitialized")
     blocks = s.theta.blocks
     if sigma.keys() != blocks.keys():

@@ -26,7 +26,7 @@ from .core import (
     Psome, Pwild, READ, RefOp, RefTy, Repeat, Seq, SomeLit, Span, StructInit,
     StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE, effect_concat,
     effect_subset, expr_children, fvar, int_fits, is_basic, is_pointer,
-    is_prim, struct_layout,
+    is_prim, kernel_object, struct_layout,
 )
 from .frontend import Diagnostic
 
@@ -697,12 +697,8 @@ def section_ok(ty: Ty, sec: Optional[str]) -> bool:
     if sec is None:
         return True
     required = {"xdp_md": "xdp", "__sk_buff": "socket"}
-    if isinstance(ty, OptionTy) and isinstance(ty.inner, RefTy) \
-            and isinstance(ty.inner.target, StructTy):
-        sid = ty.inner.target.sid
-        if sid in required:
-            return sec == required[sid]
-    return True
+    target = kernel_object(ty)
+    return target is None or required.get(target.sid, sec) == sec
 
 
 @dataclass(frozen=True)

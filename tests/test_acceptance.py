@@ -108,7 +108,7 @@ def test_criterion_3_bounds_exhaustion():
         assert sizeof(StructTy(sid), BOUNDS_COMPOSITES) == size
         for length in range(0, 2 * size + 1):
             s = State({}, {}, Memory(), dict(BOUNDS_COMPOSITES))
-            b = s.theta.alloc(BYTES, length, raw=bytes(length))
+            b = s.theta.alloc(BYTES, raw=bytes(length))
             v = VBytes(b, 0, length)
             try:
                 extract(v, StructTy(sid), s.theta, s.composites)

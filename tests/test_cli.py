@@ -67,6 +67,16 @@ def test_check_points_at_the_mismatched_expression(tmp_path, capsys):
         "has type int, declared u8" in err
 
 
+def test_check_points_at_a_none_or_boolean_initializer(tmp_path, capsys):
+    f = tmp_path / "init.bpl"
+    for init, ty in (("true", "bool"), ("false", "bool"), ("none", "option")):
+        f.write_text(f"global h : int = {init};\nfun main() : int {{ h }}\n")
+        code, out, err = run_cli(capsys, "check", str(f))
+        assert code == 1
+        assert f"{f}:1:18: error[GlobalInitMismatch]: initializer of 'h' " \
+            f"has type {ty}, declared int" in err
+
+
 def test_run_prints_value(capsys):
     code, out, err = run_cli(capsys, "run", str(corpus_path("shift64.bpl")))
     assert code == 0

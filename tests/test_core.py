@@ -10,7 +10,7 @@ from beepl.core import (
     IntTy, LEAVES, LONG, Let, Loc, LongTy, Match, NoneLit, OptionTy, Prim,
     Program, READ, RefTy, Repeat, SHAPES, Seq, Sign, SomeLit, StructTy, U16,
     U8, UNIT, UnitLit, UnknownStruct, Var, Assign, ArrayTy, Bop, BopKind,
-    Deref, Pbytes, RefOp, effect_concat, effect_of, effect_subset, expr_children,
+    Deref, Pbytes, RefOp, WRITE, effect_concat, effect_subset, expr_children,
     fvar, is_value, pattern_binders, rename_var, sizeof, subst,
     struct_layout, with_children,
 )
@@ -31,21 +31,22 @@ effects = atoms.map(lambda xs: Effect(tuple(xs)))
 # --- effect algebra ---------------------------------------------------------
 
 def test_effect_concat_examples():
-    assert effect_concat(ALLOC, READ) == effect_of(["alloc", "read"])
+    assert effect_concat(ALLOC, READ) == \
+        Effect((EffectAtom.ALLOC, EffectAtom.READ))
     assert effect_concat(Effect(), Effect()) == Effect()
-    assert effect_concat(READ, effect_of(["write", "read"])) == \
-        effect_of(["read", "write", "read"])
+    assert effect_concat(READ, Effect((EffectAtom.WRITE, EffectAtom.READ))) \
+        == Effect((EffectAtom.READ, EffectAtom.WRITE, EffectAtom.READ))
 
 
 def test_effect_subset_examples():
     assert effect_subset(Effect(), READ)
-    assert effect_subset(READ, effect_of(["alloc", "read"]))
-    assert not effect_subset(effect_of(["divergence"]),
-                             effect_of(["read", "write"]))
+    assert effect_subset(READ, effect_concat(ALLOC, READ))
+    assert not effect_subset(Effect((EffectAtom.DIVERGENCE,)),
+                             effect_concat(READ, WRITE))
 
 
 def test_effect_subset_ignores_multiplicity():
-    assert effect_subset(effect_of(["read", "read"]), READ)
+    assert effect_subset(Effect((EffectAtom.READ, EffectAtom.READ)), READ)
 
 
 @given(effects)

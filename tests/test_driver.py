@@ -3,7 +3,7 @@ import copy
 import pytest
 
 from beepl import driver, interp
-from beepl.core import ConstInt, ConstLong, INT, LONG, Let, Prim
+from beepl.core import Bop, ConstInt, ConstLong, INT, LONG, Let, Prim
 from beepl.driver import (
     evaluate_with_audit, find_cc, load_corpus, run_cve_corpus,
     run_differential, run_property_suite, world_for_seed,
@@ -61,9 +61,20 @@ def test_property_suite_reproducible():
         [(r.outcome, r.steps) for r in b.reports]
 
 
+def _stuck_on_unsafe_operands(monkeypatch):
+    """Break the operator rule: an unsafe operand pair is stuck, not zero."""
+    def broken(s, w, e, values):
+        if isinstance(e.op, Bop) and interp.unsafe(e.op.kind, *values):
+            raise interp.StuckState("binary operator produced undef")
+        return prim_rule(s, w, e, values)
+
+    prim_rule = interp._REDEX_RULES[Prim]
+    monkeypatch.setitem(interp._REDEX_RULES, Prim, broken)
+
+
 def test_suite_over_broken_interpreter_reports_undef(monkeypatch):
-    # Removing the BOPV guard makes divisions-by-zero surface as undef.
-    monkeypatch.setattr(interp, "GUARD_UNSAFE", False)
+    # Without the BOPV zero, divisions by zero get stuck as undef.
+    _stuck_on_unsafe_operands(monkeypatch)
     program = parse_program(
         "fun main() : int { let a : int = 5 in a % (a - a) }")
     s = run_property_suite(1, GenConfig(), programs=[program])
@@ -79,7 +90,7 @@ def test_guarded_interpreter_passes_same_program():
 
 
 def test_shrinking_preserves_violation(monkeypatch):
-    monkeypatch.setattr(interp, "GUARD_UNSAFE", False)
+    _stuck_on_unsafe_operands(monkeypatch)
     program = parse_program(
         "fun main() : int { let a : int = 5 in "
         "if a < 9 then (a + 1) % (a - a) else 2 }")
@@ -157,11 +168,12 @@ def test_audit_memo_stays_as_small_as_the_live_term(monkeypatch):
 
 
 def test_audit_reports_monitor_events(monkeypatch):
-    monkeypatch.setattr(interp, "GUARD_UNSAFE", False)
-    program = parse_program("fun main() : int { 3 % 0 }")
-    tp = check_program(program)
+    # A fault is its stuck reason, reported once.
+    _stuck_on_unsafe_operands(monkeypatch)
+    tp = check_source("fun main() : int { 3 % 0 }")
     audit = evaluate_with_audit(tp, world_for_seed(0))
-    assert any("monitors" in v for v in audit.violations)
+    assert audit.violations == [
+        "stuck after 1 steps: binary operator produced undef"]
 
 
 # --- the incremental audit against full re-inference -------------------------------
@@ -397,6 +409,34 @@ def test_differential_evaluation_order_cases():
     s = run_differential(len(programs), programs=programs)
     assert s.ok(), [(r.program_id, r.violations, r.reproducer)
                     for r in s.failures]
+
+
+# A parameter or global of type option(struct S*) receives a kernel object:
+# never null and zero-filled, in the interpreter and in host C alike.
+KERNEL_OBJECT_CASES = [
+    "global counter_table : option(struct bpf_map*) = none;\n"
+    "fun main() : int { match counter_table with "
+    "| pnone => 1 | psome m => 2 }",
+    "struct hdr2 { tag : int, len : long }\n"
+    "global h : option(struct hdr2*) = none;\n"
+    "fun main() : int { match h with | pnone => 1 | psome m => 2 }",
+    "fun main(option(struct bpf_map*) m) : int { match m with "
+    "| pnone => 1 | psome x => 2 }",
+    "struct hdr2 { tag : int, len : long }\n"
+    "fun main(option(struct hdr2*) c) : int { match c with "
+    "| pnone => 1 | psome x => 2 }",
+    "struct hdr2 { tag : int, len : long }\n"
+    "fun main(option(struct hdr2*) c) : int { (int)c.tag }",
+]
+
+
+@needs_cc
+def test_differential_kernel_objects_are_non_null_and_zeroed():
+    programs = [parse_program(src) for src in KERNEL_OBJECT_CASES]
+    assert [run_program(check_program(p)).value.value
+            for p in programs] == [2, 2, 2, 2, 0]
+    s = run_differential(len(programs), programs=programs)
+    assert s.ok(), [(r.program_id, r.violations) for r in s.failures]
 
 
 def test_differential_empty_is_skipped():

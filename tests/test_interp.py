@@ -9,13 +9,13 @@ from beepl.core import (
     ArrayTy, BOOL, BopKind, BYTES, Composite, ConstBool, ConstInt, ConstLong,
     Deref, Direction, I16, INT, IntTy, LONG, Loc, Match, NoneLit, Pnone, Prim,
     Psome, RefOp, RefTy, Shape, Sign, SomeLit, StructTy, U16, U32, U8, ULONG,
-    VBool, VBytes, VInt, VLoc, VLong, VUndef, VUnit, Var, expr_children,
+    VBool, VBytes, VInt, VLoc, VLong, VUnit, Var, expr_children,
     is_value, sizeof,
 )
 from beepl.driver import CORPUS_DIR, load_corpus, world_for_seed
 from beepl.frontend import parse_expr, parse_program
 from beepl.interp import (
-    Block, ExternalWorld, FuelExhausted, IsValue, Memory, Monitors, State, Stepped,
+    Block, ExternalWorld, FuelExhausted, IsValue, Memory, State, Stepped,
     Stuck, StuckState, TooShort, bop_sem, entry_call, eval_multi, extract,
     init_state, range_count, run_program, runtime_gamma, step, subst, uop_sem,
     unsafe, well_formed, wrap,
@@ -45,7 +45,7 @@ def eval_src(src, world=None, entry=None, fuel=10**6):
 def test_step_derefv_reads_cell():
     s = empty_state()
     w = ExternalWorld()
-    b = s.theta.alloc(INT, 4)
+    b = s.theta.alloc(INT)
     s.theta.store(b, 0, VInt(7))
     out = step(s, w, Prim(Deref(), (Loc(b, 0),)))
     assert isinstance(out, Stepped)
@@ -182,9 +182,9 @@ def test_bop_sem_matches_bigint_oracle_sampled_grid():
         checked += 1
 
 
-def test_bop_sem_unsafe_inputs_yield_undef():
-    assert bop_sem(BopKind.DIV, VInt(1), VInt(0)) == VUndef()
-    assert bop_sem(BopKind.SHL, VLong(1), VLong(64)) == VUndef()
+def test_bop_sem_unsafe_inputs_yield_zero():
+    assert bop_sem(BopKind.DIV, VInt(1), VInt(0)) == VInt(0)
+    assert bop_sem(BopKind.SHL, VLong(1), VLong(64)) == VLong(0)
 
 
 def test_comparisons_yield_bool():
@@ -255,7 +255,7 @@ H_PROTO_ONLY = Composite("h", (("h_proto", U16),))
 
 def region(data: bytes):
     s = empty_state(ethhdr=ETHHDR, h=H_PROTO_ONLY)
-    b = s.theta.alloc(BYTES, len(data), raw=data)
+    b = s.theta.alloc(BYTES, raw=data)
     return s, VBytes(b, 0, len(data))
 
 
@@ -359,19 +359,20 @@ def test_well_formed_detects_deleted_block():
     assert f"store typing and memory differ on blocks [{victim}]" in bad
     tp, w, s = _fresh_program_state()
     stray = s.theta.next_block
-    s.theta.blocks[stray] = Block(4)
+    s.theta.blocks[stray] = Block()
     ok, bad = well_formed(runtime_gamma(s), s)
     assert bad == [f"store typing and memory differ on blocks [{stray}]"]
 
 
 def test_well_formed_ties_a_cell_to_its_block_type():
     # An int, long or bool block holds a value of that lane; an unwritten
-    # cell is the uninitialized-read monitor's business, not this clause's.
+    # cell is for the uninitialized-read rules to get stuck on, not for this
+    # clause.
     s = empty_state()
-    s.theta.alloc(LONG, 8)
+    s.theta.alloc(LONG)
     for ty, good, wrong in ((U8, VInt(7), VLong(7)), (LONG, VLong(7), VInt(7)),
                             (BOOL, VBool(True), VInt(1))):
-        bid = s.theta.alloc(ty, sizeof(ty, {}))
+        bid = s.theta.alloc(ty)
         s.theta.store(bid, 0, good)
         assert well_formed({}, s) == (True, [])
         s.theta.store(bid, 0, wrong)
@@ -390,50 +391,35 @@ def test_well_formed_after_refv():
 
 def test_allocation_preserves_existing_blocks():
     tp, w, s = _fresh_program_state()
-    before = s.snapshot()
+    before = copy.deepcopy(s)
     out = step(s, w, elaborated("ref(2)"))
     assert isinstance(out, Stepped) and out.expr.block not in before.theta.blocks
     for bid, blk in before.theta.blocks.items():
         after = s.theta.blocks[bid]
         assert after.cells == blk.cells
-        assert after.size == blk.size
 
 
-# --- monitors ---------------------------------------------------------------------------
+# --- faults ---------------------------------------------------------------------------
 
 def test_null_monitor_counts_deref_of_none():
     s = empty_state()
     w = ExternalWorld()
-    from beepl.core import Deref, Prim
     out = step(s, w, Prim(Deref(), (NoneLit(),)))
-    assert isinstance(out, Stuck)
-    assert s.monitors.null_deref_events == 1
+    assert out == Stuck("dereference of an option value")
 
 
 def test_uninit_monitor_counts_missing_cell():
     s = empty_state()
     w = ExternalWorld()
-    b = s.theta.alloc(INT, 4)
-    from beepl.core import Deref, Prim
+    b = s.theta.alloc(INT)
     out = step(s, w, Prim(Deref(), (Loc(b, 0),)))
-    assert isinstance(out, Stuck)
-    assert s.monitors.uninit_read_events == 1
-
-
-def test_undef_monitor_without_guard(monkeypatch):
-    monkeypatch.setattr(interp, "GUARD_UNSAFE", False)
-    s = empty_state()
-    w = ExternalWorld()
-    out = step(s, w, parse_expr("1 / 0"))
-    assert isinstance(out, Stuck)
-    assert s.monitors.undef_events == 1
+    assert out == Stuck("read of uninitialized memory")
 
 
 def test_guarded_division_by_zero_steps_to_zero():
     s = empty_state()
     out = step(s, ExternalWorld(), parse_expr("1 / 0"))
     assert isinstance(out, Stepped) and out.expr == ConstInt(0)
-    assert s.monitors.clean()
 
 
 # --- external world ------------------------------------------------------------------------
@@ -512,7 +498,6 @@ def test_ref_allocates_at_its_checked_target_type():
         out = step(s, w, e)
         assert isinstance(out, Stepped) and out.rule == "REFV", src
         assert s.sigma[out.expr.block] == target, src
-        assert s.theta.blocks[out.expr.block].size == sizeof(target, {}), src
         assert s.theta.load(out.expr.block, 0) is e.operands[0], src
     # A ref the checker has not typed has no type to allocate at.
     blocks = dict(s.theta.blocks)
@@ -522,7 +507,7 @@ def test_ref_allocates_at_its_checked_target_type():
     assert s.theta.blocks == blocks
 
 
-def test_operators_on_the_wrong_kind_of_value_are_stuck(monkeypatch):
+def test_operators_on_the_wrong_kind_of_value_are_stuck():
     # Unchecked terms: the operator rules name the operator and the operand
     # classes instead of raising out of step.
     s = empty_state()
@@ -546,10 +531,7 @@ def test_operators_on_the_wrong_kind_of_value_are_stuck(monkeypatch):
          "cast to long does not apply to ConstBool"),
     ]
     for e, reason in cases:
-        for guard in (True, False):
-            monkeypatch.setattr(interp, "GUARD_UNSAFE", guard)
-            assert step(s, w, e) == Stuck(reason), e
-    assert s.monitors.clean()
+        assert step(s, w, e) == Stuck(reason), e
     assert step(s, w, Prim(Bop(BopKind.LOR), (VBool(False), VBool(True)))) \
         == Stepped(VBool(True), "BOPV")
 

@@ -3,8 +3,8 @@ import pytest
 from beepl.core import (
     ALLOC, App, Assign, BOOL, Bop, BopKind, BYTES, ConstBool, ConstInt,
     ConstLong, Deref, Effect, EffectAtom, For, I8, INT, LONG, Let, Match,
-    OptionTy, Prim, Program, RefOp, RefTy, StructTy, U16, UNIT, Var,
-    effect_of, effect_subset, expr_children, fvar,
+    IO, OptionTy, Prim, Program, READ, RefOp, RefTy, StructTy, U16, UNIT,
+    Var, WRITE, effect_concat, effect_subset, expr_children, fvar,
 )
 from beepl.frontend import parse_expr, parse_program, print_program
 from beepl.gen import GenConfig, generate_well_typed
@@ -51,7 +51,7 @@ def test_bar_body_effect_order():
     body = "let x : int* = ref(2) in let _ = x := !x + 1 in !x"
     ty, eff = infer_src(body)
     assert ty == INT
-    assert eff == effect_of(["alloc", "read", "write", "read"])
+    assert eff == effect_concat(ALLOC, READ, WRITE)
 
 
 def test_for_body_captures_bounds():
@@ -90,7 +90,7 @@ def test_nested_literal_loops_check_in_linear_time(monkeypatch):
 
 def test_foo_effect():
     ty, eff = infer_src("let x : int* = ref(2) in let r : int = !x + 1 in r")
-    assert (ty, eff) == (INT, effect_of(["alloc", "read"]))
+    assert (ty, eff) == (INT, effect_concat(ALLOC, READ))
 
 
 def test_pointer_arithmetic_rejected():
@@ -231,7 +231,7 @@ def test_effect_annotation_diagnostic_names_each_atom_once():
 def test_effect_annotation_may_exceed_inferred():
     src = "fun f() : int, <alloc, read, io> { let x : int* = ref(2) in !x }"
     tp = check_source(src)
-    assert tp.psi["f"].eff == effect_of(["alloc", "read", "io"])
+    assert tp.psi["f"].eff == effect_concat(ALLOC, READ, IO)
 
 
 def test_section_mismatch_on_argument():
@@ -313,14 +313,14 @@ def test_locals_shadowing_globals_rejected():
 def test_registry_lookup_map_helper():
     sig = HELPERS.get("bpf_map_lookup_elem")
     assert len(sig.arg_types) == 2
-    assert sig.eff == effect_of(["read", "io"])
+    assert sig.eff == effect_concat(READ, IO)
     assert sig.res_type == OptionTy(RefTy(LONG))
 
 
 def test_registry_lookup_uid_gid():
     sig = HELPERS.get("bpf_get_current_uid_gid")
     assert sig.arg_types == ()
-    assert sig.eff == effect_of(["io"])
+    assert sig.eff == IO
     assert sig.res_type == LONG
 
 
@@ -440,14 +440,14 @@ def test_accepted_for_loops_have_disjoint_bounds():
 
 def test_rule_audit_recomputes_conclusions():
     """Re-checking immediate subexpressions reconstructs each conclusion."""
-    from beepl.core import Cond, effect_concat
+    from beepl.core import Cond
 
     ctx = ctx_with(b=BOOL, p=RefTy(INT))
     cases = [
         ("ref(2)", lambda sub: (RefTy(sub[0][0]),
                                 effect_concat(ALLOC, sub[0][1]))),
         ("!p", lambda sub: (sub[0][0].target,
-                            effect_concat(effect_of(["read"]), sub[0][1]))),
+                            effect_concat(READ, sub[0][1]))),
         ("1 + 2", lambda sub: (sub[0][0],
                                effect_concat(sub[0][1], sub[1][1]))),
         ("if b then 1 else 2",
@@ -455,7 +455,7 @@ def test_rule_audit_recomputes_conclusions():
                       effect_concat(sub[0][1], sub[1][1], sub[2][1]))),
         ("p := !p + 1",
          lambda sub: (UNIT, effect_concat(sub[0][1], sub[1][1],
-                                          effect_of(["write"])))),
+                                          WRITE))),
     ]
     for src, conclusion in cases:
         e = parse_expr(src)
