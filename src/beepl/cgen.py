@@ -735,8 +735,8 @@ class ProgramEmitter:
 
 
 def c_kernel_object(target: StructTy) -> str:
-    """A kernel object in host C: a zeroed static struct, which holds an
-    empty packet, as the interpreter's ``make_kernel_object`` builds it."""
+    """A kernel object in host C, the address of a zeroed static struct:
+    the C side of ``interp.make_kernel_object``, with an empty packet."""
     return f"&(struct {target.sid}){{0}}"
 
 
