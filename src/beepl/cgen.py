@@ -716,7 +716,9 @@ class ProgramEmitter:
             target = kernel_object(ty)
             if target is not None:
                 args.append(c_kernel_object(target))
-            elif isinstance(ty, (OptionTy, RefTy)):
+            elif isinstance(ty, RefTy):
+                args.append(c_kernel_object(ty.target))
+            elif isinstance(ty, OptionTy):
                 args.append(f"({ctype(ty)}) 0")
             else:
                 args.append("0")
@@ -734,10 +736,11 @@ class ProgramEmitter:
                 "    return (int) (__bpl_result & 0xff);\n}")
 
 
-def c_kernel_object(target: StructTy) -> str:
-    """A kernel object in host C, the address of a zeroed static struct:
-    the C side of ``interp.make_kernel_object``, with an empty packet."""
-    return f"&(struct {target.sid}){{0}}"
+def c_kernel_object(target: Ty) -> str:
+    """A kernel object, or an entry parameter's referent, in host C: the
+    address of a zeroed object, the C side of ``interp.make_kernel_object``
+    with an empty packet."""
+    return f"&({ctype(target)}){{0}}"
 
 
 def emit_program(tp: TypedProgram, mode: str = "host") -> CUnit:

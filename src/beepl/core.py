@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import is_not
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class CoreError(Exception):
@@ -229,6 +229,12 @@ class Composite:
     sid: str
     fields: tuple[tuple[str, Ty], ...]
 
+    def __post_init__(self):
+        dup = _repeated(f for f, _ in self.fields)
+        if dup is not None:
+            raise CoreError(f"field {dup!r} of struct {self.sid} is declared "
+                            "twice")
+
     def field_type(self, name: str) -> Optional[Ty]:
         for f, t in self.fields:
             if f == name:
@@ -237,6 +243,16 @@ class Composite:
 
 
 Composites = dict  # str -> Composite
+
+
+def _repeated(names: Iterable[str]) -> Optional[str]:
+    """The first name that occurs a second time, if any."""
+    seen: set[str] = set()
+    for x in names:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
 
 
 def size_align(ty: Ty, composites: "Composites") -> tuple[int, int]:
@@ -619,9 +635,12 @@ class FunDecl:
     span: Optional[Span] = _aux_field()
 
     def __post_init__(self):
-        arg_names = {x for x, _ in self.args}
-        var_names = {y for y, _ in self.vars}
-        if arg_names & var_names:
+        for what, names in (("parameter", self.args), ("local", self.vars)):
+            dup = _repeated(x for x, _ in names)
+            if dup is not None:
+                raise CoreError(f"{what} {dup!r} of {self.name} is declared "
+                                "twice")
+        if {x for x, _ in self.args} & {y for y, _ in self.vars}:
             raise CoreError(f"args and vars of {self.name} overlap")
 
 
@@ -686,12 +705,15 @@ class Shape(NamedTuple):
     evaluation contexts index.  ``rebuild`` makes the node anew from a
     sequence of that length; it keeps ``ty`` and leaves ``span`` unset.
     ``binds`` is set only on binder nodes: for each child, the names the
-    node binds in it.
+    node binds in it.  ``own`` is set only on nodes that hold more than
+    children, ``span`` and ``ty``: what else they hold, which ``rebuild``
+    copies.
     """
 
     children: Callable[[Expr], tuple[Expr, ...]]
     rebuild: Callable[[Expr, Sequence[Expr]], Expr]
     binds: Optional[Callable[[Expr], tuple[frozenset[str], ...]]] = None
+    own: Optional[Callable[[Expr], tuple]] = None
 
 
 _NO_NAMES: frozenset[str] = frozenset()
@@ -702,29 +724,36 @@ SHAPES: dict[type, Shape] = {
     App: Shape(lambda e: (e.callee, *e.args),
                lambda e, c: App(c[0], tuple(c[1:]), ty=e.ty)),
     Prim: Shape(lambda e: e.operands,
-                lambda e, c: Prim(e.op, tuple(c), ty=e.ty)),
+                lambda e, c: Prim(e.op, tuple(c), ty=e.ty),
+                own=lambda e: (e.op,)),
     Let: Shape(lambda e: (e.bound, e.body),
                lambda e, c: Let(e.name, e.declared, c[0], c[1], ty=e.ty),
-               lambda e: (_NO_NAMES, frozenset((e.name,)))),
+               lambda e: (_NO_NAMES, frozenset((e.name,))),
+               lambda e: (e.name, e.declared)),
     Cond: Shape(lambda e: (e.guard, e.then, e.otherwise),
                 lambda e, c: Cond(c[0], c[1], c[2], ty=e.ty)),
     StructInit: Shape(lambda e: tuple(fe for _, fe in e.fields),
                       lambda e, c: StructInit(e.name, tuple(
                           (f, fe) for (f, _), fe in zip(e.fields, c)),
-                          ty=e.ty)),
+                          ty=e.ty),
+                      own=lambda e: (e.name, *(f for f, _ in e.fields))),
     Field: Shape(lambda e: (e.target,),
-                 lambda e, c: Field(c[0], e.fname, ty=e.ty)),
+                 lambda e, c: Field(c[0], e.fname, ty=e.ty),
+                 own=lambda e: (e.fname,)),
     Match: Shape(lambda e: (e.scrutinee, *(b for _, b in e.arms)),
                  lambda e, c: Match(c[0], tuple(
                      (p, b) for (p, _), b in zip(e.arms, c[1:])), ty=e.ty),
                  lambda e: (_NO_NAMES,
-                            *(pattern_binders(p) for p, _ in e.arms))),
+                            *(pattern_binders(p) for p, _ in e.arms)),
+                 lambda e: tuple(p for p, _ in e.arms)),
     For: Shape(lambda e: (e.lo, e.hi, e.body),
-               lambda e, c: For(c[0], c[1], e.direction, c[2], ty=e.ty)),
+               lambda e, c: For(c[0], c[1], e.direction, c[2], ty=e.ty),
+               own=lambda e: (e.direction,)),
     Seq: Shape(lambda e: e.parts,
                lambda e, c: Seq(tuple(c), ty=e.ty)),
     Repeat: Shape(lambda e: (e.body,),
-                  lambda e, c: Repeat(c[0], e.count, ty=e.ty)),
+                  lambda e, c: Repeat(c[0], e.count, ty=e.ty),
+                  own=lambda e: (e.count,)),
 }
 
 LEAVES = frozenset({Var, ConstInt, ConstLong, ConstBool, UnitLit, NoneLit,

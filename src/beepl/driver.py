@@ -9,6 +9,7 @@ no divergence effect).  A fault is reported once, by its stuck reason.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import re
@@ -28,8 +29,8 @@ from .frontend import parse_program, print_program
 from .gen import GenConfig, generate_well_typed, shrink_program
 from .interp import (
     DEFAULT_FUEL, ExternalWorld, FuelExhausted, State, StuckState,
-    entry_call, eval_multi, init_state, run_program, runtime_gamma,
-    well_formed,
+    entry_call, eval_multi, init_state, replaced_path, run_program,
+    runtime_gamma, well_formed,
 )
 from .typecheck import (
     JudgmentMemo, TypeCheckError, TypedProgram, TypingContext, check_program,
@@ -91,17 +92,26 @@ class AuditResult:
 
 def _audit_ctx(tp: TypedProgram, s: State,
                memo: Optional[JudgmentMemo] = None) -> TypingContext:
-    sigma = s.sigma
-    struct_vars = frozenset(
-        x for x, b in s.omega.items()
-        if isinstance(sigma[b], RefTy)
-        and isinstance(sigma[b].target, StructTy))
-    return TypingContext(runtime_gamma(s), sigma, tp.composites, tp.psi, {},
-                         struct_vars, memo)
+    """The typing context of a state: the runtime gamma, sigma and the
+    variables that hold a struct reference."""
+    gamma = runtime_gamma(s)
+    return TypingContext(gamma, s.sigma, tp.composites, tp.psi, {},
+                         _struct_refs(gamma, s.omega), memo)
 
 
-def _extends(new: dict, old: dict) -> bool:
-    return old.items() <= new.items()
+def _struct_refs(gamma: dict, names: Iterable[str]) -> frozenset[str]:
+    return frozenset(x for x in names if isinstance(gamma[x], RefTy)
+                     and isinstance(gamma[x].target, StructTy))
+
+
+def _rewritten(s: State) -> bool:
+    """Whether a write since the last call replaced or removed an entry of
+    omega, delta or sigma, which no rule does; forgets those writes."""
+    if not (s.omega.rewritten or s.delta.rewritten or s.sigma.rewritten):
+        return False
+    for m in (s.omega, s.delta, s.sigma):
+        m.rewritten.clear()
+    return True
 
 
 class _Violation(Exception):
@@ -117,8 +127,12 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
     binder, runtime names are fresh and block ids are never reused, so a
     judgment made at an earlier step still holds for the same node as long
     as the runtime gamma, sigma and struct variables extend the ones it was
-    made in (weakening).  The run's memo keeps those judgments and is
-    emptied whenever a step's context does not extend the last one's.
+    made in (weakening).  The run's memo keeps those judgments, and the
+    frames a step rebuilt are judged from the hole up only until one keeps
+    the judgment of the node it replaced (``JudgmentMemo.rejudge``).  The
+    context and the state check take in only the names and blocks a step
+    added; a step that rewrote an entry of omega, delta or sigma empties
+    the memo and is checked in full.
     """
     violations: list[str] = []
     for name, eff in tp.effects.items():
@@ -130,30 +144,34 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
     s = init_state(tp, world)
     expr = entry_call(tp, s, world, entry)
     memo = JudgmentMemo()
-    made_in: tuple = ({}, {}, frozenset())  # gamma, sigma, struct variables
-
-    def audit_ctx(s: State) -> TypingContext:
-        nonlocal made_in
-        ctx = _audit_ctx(tp, s, memo)
-        gamma, sigma, struct_vars = made_in
-        if not (_extends(ctx.gamma, gamma) and _extends(s.sigma, sigma)
-                and ctx.struct_vars >= struct_vars):
-            memo.judgments.clear()
-        made_in = (ctx.gamma, dict(s.sigma), ctx.struct_vars)
-        return ctx
-
+    ctx = _audit_ctx(tp, s, memo)
     try:
-        ty0, eff = infer_expr(audit_ctx(s), expr)
+        ty0, eff = infer_expr(ctx, expr)
     except TypeCheckError as exc:
         return AuditResult([f"initial call untypeable: {exc}"], 0)
     steps = 0
     value = None
+    last = expr  # the term the memo last judged
+    seen = (len(s.omega), s.theta.next_block)  # the names and blocks checked
 
     def recheck(s: State, expr: Expr, rule: str) -> None:
-        nonlocal steps, eff
+        nonlocal steps, eff, ctx, last, seen
         steps += 1
-        ctx = audit_ctx(s)
-        memo.prune(expr)
+        if _rewritten(s):  # the context need not extend the last one
+            ctx = _audit_ctx(tp, s, memo)
+            names = blocks = None
+            memo.judgments.clear()
+        else:
+            n_names, n_blocks = seen
+            names = list(itertools.islice(
+                reversed(s.omega), len(s.omega) - n_names))[::-1]
+            blocks = range(n_blocks, s.theta.next_block)
+            for x in names:
+                ctx.gamma[x] = s.sigma[s.omega[x]]
+            if struct_refs := _struct_refs(ctx.gamma, names):
+                ctx.struct_vars |= struct_refs
+            memo.rejudge(ctx, replaced_path(last, expr))
+        seen = (len(s.omega), s.theta.next_block)
         try:
             ty_i, eff_i = infer_expr(ctx, expr, ty0)
         except TypeCheckError as exc:
@@ -165,10 +183,12 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
             raise _Violation(f"step {steps} grew effects "
                              f"{eff} -> {eff_i} ({rule})")
         eff = eff_i
-        ok, clauses = well_formed(ctx.gamma, s)
+        ok, clauses = well_formed(ctx.gamma, s, names, blocks)
         if not ok:
             raise _Violation(f"step {steps} ill-formed state: {clauses[0]}")
         s.theta.written.clear()  # their cells are checked
+        memo.prune(expr)
+        last = expr
 
     try:
         value = eval_multi(s, world, expr, fuel, recheck).value
@@ -206,13 +226,7 @@ def run_property_suite(n_programs: int, cfg: GenConfig,
         if supplied is not None:
             program = supplied[i % len(supplied)]
         else:
-            try:
-                program = generate_well_typed(replace(cfg, seed=seed))
-            except Exception as exc:  # exhaustion is a reportable failure
-                summary.reports.append(RunReport(
-                    f"p{i}", seed, "violation",
-                    violations=[f"generation failed: {exc}"]))
-                continue
+            program = generate_well_typed(replace(cfg, seed=seed))
         try:
             tp = check_program(program)
         except TypeCheckError as exc:

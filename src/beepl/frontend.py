@@ -336,7 +336,10 @@ class Parser:
             if not self.accept("punct", ","):
                 break
         self.expect("punct", "}")
-        return Composite(name.lexeme, tuple(fields))
+        try:
+            return Composite(name.lexeme, tuple(fields))
+        except CoreError as exc:
+            self.fail(str(exc), name.span, code="P002")
 
     def parse_fun_decl(self, sec: Optional[str]) -> FunDecl:
         kw = self.expect("kw", "fun")

@@ -12,7 +12,8 @@ the fault.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence, Union
+from operator import is_not
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (
     App, ArrayTy, Assign, BoolTy, Bop, BopKind, BYTES, BytesTy, BytesView,
@@ -48,6 +49,28 @@ class TooShort(InterpError):
 # Memory
 # ---------------------------------------------------------------------------
 
+class GrowOnly(dict):
+    """A map that a run only adds to: omega, delta and the store typing.
+    A write through ``[]`` or ``del`` that replaces or removes an entry,
+    which no rule makes, notes its key in ``rewritten``, so that the audit
+    can tell whether a step kept every old entry without walking the map."""
+
+    __slots__ = ("rewritten",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rewritten: set = set()
+
+    def __setitem__(self, key, value) -> None:
+        if key in self:
+            self.rewritten.add(key)
+        dict.__setitem__(self, key, value)
+
+    def __delitem__(self, key) -> None:
+        self.rewritten.add(key)
+        dict.__delitem__(self, key)
+
+
 @dataclass
 class Block:
     cells: dict[int, Expr] = dc_field(default_factory=dict)
@@ -59,7 +82,7 @@ class Memory:
     blocks: dict[int, Block] = dc_field(default_factory=dict)
     next_block: int = 1
     # The store typing: block -> content type.  alloc is its one writer.
-    sigma: dict[int, Ty] = dc_field(default_factory=dict)
+    sigma: GrowOnly = dc_field(default_factory=GrowOnly)
     # The blocks stored into since the audit last checked their cells.
     written: set[int] = dc_field(default_factory=set)
 
@@ -100,7 +123,7 @@ class State:
     rename_counter: int = 0
 
     @property
-    def sigma(self) -> dict[int, Ty]:
+    def sigma(self) -> GrowOnly:
         """The store typing, owned by the memory."""
         return self.theta.sigma
 
@@ -454,6 +477,38 @@ def _plug(frames: list, e: Expr) -> Expr:
     return e
 
 
+def replaced_path(old: Expr, new: Expr) -> list[tuple[Expr, Expr]]:
+    """Where a step changed the term ``old`` into ``new``: the (old node,
+    new node) pairs at each position of the path to the hole the step
+    filled, from the root down.  The terms differ only along that path.
+    While the new node is the old one with one child in evaluation position
+    replaced and all else the same, its recorded type included, it is a
+    frame the step rebuilt and the path goes on into that child; the first
+    pair that is not, the contractum and the node it replaced, ends it."""
+    pairs = []
+    while old is not new:
+        pairs.append((old, new))
+        cls = type(new)
+        context = _CONTEXTS.get(cls)
+        if context is None or type(old) is not cls:
+            break
+        ty = new.ty
+        if ty is None or ty is not old.ty and ty != old.ty:
+            break
+        shape, start, stop = context
+        kids, before = shape.children(new), shape.children(old)
+        if len(kids) != len(before) or sum(map(is_not, kids, before)) != 1:
+            break
+        i, end = start, len(kids) if stop is None else stop
+        while i < end and kids[i] is before[i]:
+            i += 1
+        if i == end or shape.own is not None and shape.own(new) != \
+                shape.own(old):
+            break
+        old, new = before[i], kids[i]
+    return pairs
+
+
 def _contract(s: State, w: ExternalWorld, redex: Expr,
               values: list[Expr]) -> tuple[Expr, str]:
     """The redex reduced by its class's rule, and the rule's name."""
@@ -753,7 +808,7 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
 # ---------------------------------------------------------------------------
 
 def init_state(tp: TypedProgram, w: ExternalWorld) -> State:
-    s = State({}, {}, Memory(), dict(tp.composites))
+    s = State(GrowOnly(), GrowOnly(), Memory(), dict(tp.composites))
     for d in tp.program.decls:
         if isinstance(d, FunDecl):
             s.delta[d.name] = d
@@ -771,18 +826,23 @@ def _alloc_global(s: State, w: ExternalWorld, gd: GlobDecl) -> None:
     init = gd.init
     target = kernel_object(gd.ty)
     if target is not None:
-        init = make_kernel_object(s, w, target)
+        init = SomeLit(make_kernel_object(s, w, target))
         if target.sid == "bpf_map":  # so that lookups can identify the map
             w.map_blocks[init.value.block] = gd.name
     s.theta.store(bid, 0, init)
     s.delta[gd.name] = GlobalBinding(bid)
 
 
-def make_kernel_object(s: State, w: ExternalWorld, target: StructTy) -> Expr:
-    """The kernel object that a parameter or global of type
-    ``option(struct S*)`` receives, never null and filled as C's ``{0}``
-    fills it: its primitive fields are zero and its bytes fields view the
-    packet, whose block is allocated first."""
+def make_kernel_object(s: State, w: ExternalWorld, target: Ty) -> Loc:
+    """A fresh object of type ``target``, filled as C's ``{0}`` fills it: the
+    kernel object that a parameter or global of type ``option(struct S*)``
+    receives, never null, and the referent of an entry parameter of type
+    ``T*``.  Its one cell or its primitive fields are zero, and its bytes
+    fields view the packet, whose block is allocated first."""
+    if is_prim(target):
+        ob = s.theta.alloc(target)
+        s.theta.store(ob, 0, zero_value(target))
+        return Loc(ob, 0)
     co = s.composites[target.sid]
     offsets, _, _ = struct_layout(co, s.composites)
     if any(isinstance(fty, BytesTy) for _, fty in co.fields):
@@ -794,7 +854,7 @@ def make_kernel_object(s: State, w: ExternalWorld, target: StructTy) -> Expr:
             s.theta.store(ob, offsets[fname], zero_value(fty))
         elif isinstance(fty, BytesTy):
             s.theta.store(ob, offsets[fname], packet)
-    return SomeLit(Loc(ob, 0))
+    return Loc(ob, 0)
 
 
 def entry_call(tp: TypedProgram, s: State, w: ExternalWorld,
@@ -803,7 +863,9 @@ def entry_call(tp: TypedProgram, s: State, w: ExternalWorld,
     for _, ty in entry.args:
         target = kernel_object(ty)
         if target is not None:
-            args.append(make_kernel_object(s, w, target))
+            args.append(SomeLit(make_kernel_object(s, w, target)))
+        elif isinstance(ty, RefTy) and not isinstance(ty.target, ArrayTy):
+            args.append(make_kernel_object(s, w, ty.target))
         elif is_prim(ty) or ty == UNIT or isinstance(ty, OptionTy):
             args.append(zero_value(ty))
         else:
@@ -832,54 +894,61 @@ def run_program(tp: TypedProgram, w: Optional[ExternalWorld] = None,
 _CELL_CLASS = {IntTy: ConstInt, LongTy: ConstLong, BoolTy: ConstBool}
 
 
-def well_formed(gamma: dict[str, Ty], s: State) -> tuple[bool, list[str]]:
+def well_formed(gamma: dict[str, Ty], s: State,
+                names: Optional[Sequence[str]] = None,
+                blocks: Optional[Iterable[int]] = None
+                ) -> tuple[bool, list[str]]:
     """Checks the state-consistency contract; returns violated clauses.
+    The clauses on variables cover ``names`` of gamma (all of omega and of
+    gamma by default) and the domain clause the blocks ``blocks`` (all of
+    memory by default), so that the audit checks only what a step added.
     Only the cells of the blocks in ``theta.written`` are checked against
     their blocks' types: the audit empties it after each step."""
     bad: list[str] = []
-    sigma = s.sigma
-    if set(s.omega) & set(s.delta):
+    sigma, omega, delta = s.sigma, s.omega, s.delta
+    memory = s.theta.blocks
+    if any(x in omega and x in delta
+           for x in (omega if names is None else names)):
         bad.append("omega and delta domains overlap")
-    for x in gamma:
-        block = s.omega.get(x)
+    if names is None:
+        names = gamma
+    for x in names:
+        block = omega.get(x)
         if block is not None:
             if block not in sigma:
                 bad.append(f"variable {x!r} block lacks store typing")
             elif s.theta.load(block, 0) is None:
                 bad.append(f"variable {x!r} is uninitialized")
         else:
-            binding = s.delta.get(x)
+            binding = delta.get(x)
             if not isinstance(binding, GlobalBinding):
                 bad.append(f"variable {x!r} resolves nowhere")
             elif binding.block not in sigma:
                 bad.append(f"global {x!r} block lacks store typing")
             elif s.theta.load(binding.block, 0) is None and \
-                    s.theta.blocks.get(binding.block, Block()).raw is None:
+                    memory.get(binding.block, Block()).raw is None:
                 bad.append(f"global {x!r} is uninitialized")
-    blocks = s.theta.blocks
-    if sigma.keys() != blocks.keys():
+    # Both maps gain a block only through Memory.alloc, so when they hold
+    # as many blocks and each new one is in both, they hold the same.
+    if (sigma.keys() != memory.keys() if blocks is None else
+            len(sigma) != len(memory)
+            or not all(b in sigma and b in memory for b in blocks)):
         bad.append("store typing and memory differ on blocks "
-                   f"{sorted(sigma.keys() ^ blocks.keys())}")
+                   f"{sorted(sigma.keys() ^ memory.keys())}")
     else:
         for block in s.theta.written:
             ty = sigma[block]
             cls = _CELL_CLASS.get(type(ty))
-            cell = blocks[block].cells.get(0)
+            cell = memory[block].cells.get(0)
             if cls is not None and cell is not None and type(cell) is not cls:
                 bad.append(f"block {block} of type {ty} holds a "
                            f"{type(cell).__name__}")
-    for name, d in s.delta.items():
-        if isinstance(d, FunDecl):
-            if {x for x, _ in d.args} & {y for y, _ in d.vars}:
-                bad.append(f"function {name!r} has overlapping args and vars")
-    for x, ty in gamma.items():
-        sid = None
-        if isinstance(ty, StructTy):
-            sid = ty.sid
-        elif isinstance(ty, RefTy) and isinstance(ty.target, StructTy):
-            sid = ty.target.sid
-        if sid is not None and sid not in s.composites:
-            bad.append(f"struct {sid!r} of variable {x!r} is undeclared")
+    for x in names:
+        ty = gamma[x]
+        if isinstance(ty, RefTy):
+            ty = ty.target
+        if isinstance(ty, StructTy) and ty.sid not in s.composites:
+            bad.append(f"struct {ty.sid!r} of variable {x!r} is undeclared")
     return not bad, bad
 
 

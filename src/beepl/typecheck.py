@@ -23,10 +23,10 @@ from .core import (
     ConstLong, Deref, EMPTY_EFFECT, Effect, Expr, ExtDecl, Field, For,
     FunDecl, GlobDecl, HOST_TAKEN, I8, INT, IO, IntTy, LOGIC_BOPS, LONG, Let,
     Loc, LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim,
-    Psome, Pwild, READ, RefOp, RefTy, Repeat, Seq, SomeLit, Span, StructInit,
-    StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE, effect_concat,
-    effect_subset, expr_children, fvar, int_fits, is_basic, is_pointer,
-    is_prim, kernel_object, struct_layout,
+    Psome, Pwild, READ, RefOp, RefTy, Repeat, SHAPES, Seq, SomeLit, Span,
+    StructInit, StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE,
+    effect_concat, effect_subset, expr_children, fvar, int_fits, is_basic,
+    is_pointer, is_prim, kernel_object, struct_layout,
 )
 from .frontend import Diagnostic
 
@@ -79,9 +79,10 @@ KERNEL_STRUCTS: tuple[Composite, ...] = (
 class JudgmentMemo:
     """The successful judgments of one audited evaluation, by node identity.
 
-    A judgment is keyed by the node's ``id``, the expected type (None for
-    a node that records its type), and the types of those binders under
-    the runtime context (``TypingContext.local``) that are free in the
+    It keeps the judgments of compound nodes; a leaf's rule costs less than
+    a lookup.  A judgment is keyed by the node's ``id``, the expected type
+    (None for a node that records its type), and the types of those binders
+    under the runtime context (``TypingContext.local``) that are free in the
     node.  Each entry holds its node, so the ``id`` cannot be reused while
     the memo lives.  The owner empties ``judgments`` when the runtime
     context stops extending the one the judgments were made in; free
@@ -115,14 +116,46 @@ class JudgmentMemo:
         self._free = {k: v for k, v in self._free.items() if k in live}
         self._prune_at = max(2 * len(self.judgments), self.PRUNE_FLOOR)
 
+    def rejudge(self, ctx: "TypingContext",
+                path: list[tuple[Expr, Expr]]) -> None:
+        """Judge the nodes a step put in place of others, (old, new) pairs
+        from the root down (``interp.replaced_path``), deepest first, until
+        one has the judgment of the node it replaced; each node above it
+        then takes its predecessor's judgment, by the replacement lemma.
+        Only nodes with a recorded type are judged and compared: they sit
+        under no binder of the term, so the key of each is its identity
+        alone, and none is a literal, which ``_coerce_pair`` treats apart.
+        A contractum without one is judged by its parent's rule, at the type
+        its position expects.  A rule that fails is left to the walk from
+        the root, which reports the failure as full inference does."""
+        judgments = self.judgments
+        for i in range(len(path) - 1, -1, -1):
+            old, new = path[i]
+            if getattr(new, "ty", None) is None:
+                continue
+            try:
+                ty, eff, _ = infer_elab(ctx, new)
+            except TypeCheckError:
+                return
+            was = judgments.get((id(old), None)) \
+                if getattr(old, "ty", None) is not None else None
+            if was is not None and ty == was[1][0] and eff == was[1][1]:
+                for old, new in path[:i]:
+                    was = judgments.get((id(old), None))
+                    if was is not None:
+                        judgments[(id(new), None)] = (new, was[1])
+                return
+
     def key(self, ctx: "TypingContext", e: Expr,
             expected: Optional[Ty]) -> tuple:
-        key: tuple = (id(e), expected)
-        if ctx.local:
-            bound = fvar(e, self._free) & ctx.local.keys()
-            if bound:
-                key += (frozenset((x, ctx.local[x]) for x in bound),)
-        return key
+        local = ctx.local
+        if local:
+            known = self._free.get(id(e))
+            free = fvar(e, self._free) if known is None else known[1]
+            if not free.isdisjoint(local):
+                return (id(e), expected,
+                        frozenset((x, local[x]) for x in free & local.keys()))
+        return (id(e), expected)
 
 
 @dataclass
@@ -135,20 +168,25 @@ class TypingContext:
     # Declared locals eligible as struct-initialization targets; shadowing
     # binders knock names out of this set.
     struct_vars: frozenset[str] = frozenset()
-    # Set by the per-step audit only: its memo of judgments, and the binders
-    # that ``extended`` added on top of the runtime context.
+    # Set by the per-step audit only: its memo of judgments.
     memo: Optional[JudgmentMemo] = None
+    # The binders that ``extended`` added on top of gamma; they shadow it.
     local: Optional[dict[str, Ty]] = None
 
     def extended(self, **bindings: Ty) -> "TypingContext":
-        g = dict(self.gamma)
-        g.update(bindings)
-        ctx = TypingContext(g, self.sigma, self.pi, self.psi, self.consts,
-                            self.struct_vars - frozenset(bindings))
-        if self.memo is not None:
-            ctx.memo = self.memo
-            ctx.local = {**(self.local or {}), **bindings}
-        return ctx
+        struct_vars = self.struct_vars
+        if not struct_vars.isdisjoint(bindings):
+            struct_vars = struct_vars - frozenset(bindings)
+        return TypingContext(self.gamma, self.sigma, self.pi, self.psi,
+                             self.consts, struct_vars, self.memo,
+                             {**(self.local or {}), **bindings})
+
+    def lookup(self, name: str) -> Optional[Ty]:
+        """The type of variable ``name``, or None if it is unbound."""
+        local = self.local
+        if local and name in local:
+            return local[name]
+        return self.gamma.get(name)
 
 
 def _err(code, msg, span=None, rule=None):
@@ -182,9 +220,9 @@ def infer_elab(ctx: TypingContext, e: Expr,
     if recorded is not None:
         expected = None  # so the memo key names no type: e fixes it
     memo = ctx.memo
-    if memo is None or rule is _infer_unsupported:  # no key without a shape
+    if memo is None or type(e) not in SHAPES:  # a leaf costs less than a key
         return rule(ctx, e, recorded or expected)
-    key = memo.key(ctx, e, expected)
+    key = memo.key(ctx, e, expected) if ctx.local else (id(e), expected)
     entry = memo.judgments.get(key)
     if entry is None:
         entry = memo.judgments[key] = (e, rule(ctx, e, recorded or expected))
@@ -196,8 +234,8 @@ def _infer_unsupported(ctx: TypingContext, e: Expr, expected: Optional[Ty]):
 
 
 def _infer_var(ctx: TypingContext, e: Var, expected: Optional[Ty]):
-    if e.name in ctx.gamma:
-        ty = ctx.gamma[e.name]
+    ty = ctx.lookup(e.name)
+    if ty is not None:
         if isinstance(ty, ArrayTy):
             _err("ArrayNotFirstClass",
                  f"array variable {e.name!r} cannot be used as a value",
@@ -325,6 +363,8 @@ def _coerce_pair(ctx: TypingContext, ty1, e1, ty2, e2):
 
 def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
     op = e.op
+    if isinstance(op, Bop):
+        return _infer_bop(ctx, e, op.kind)
     if isinstance(op, RefOp):
         want = expected.target if isinstance(expected, RefTy) else None
         ity, ieff, ielab = infer_elab(ctx, e.operands[0], want)
@@ -333,7 +373,7 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
                  e.span, "TREF")
         ty = RefTy(ity)
         return ty, effect_concat(ALLOC, ieff), \
-            Prim(RefOp(), (ielab,), span=e.span, ty=ty)
+            Prim(op, (ielab,), span=e.span, ty=ty)
     if isinstance(op, Deref):
         want = RefTy(expected) if is_prim(expected) else None
         ity, ieff, ielab = infer_elab(ctx, e.operands[0], want)
@@ -348,7 +388,7 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
                  "aggregates are read through field access, not '!'",
                  e.span, "TDEREF")
         return ity.target, effect_concat(READ, ieff), \
-            Prim(Deref(), (ielab,), span=e.span, ty=ity.target)
+            Prim(op, (ielab,), span=e.span, ty=ity.target)
     if isinstance(op, Assign):
         lty, leff, lelab = infer_elab(ctx, e.operands[0])
         if isinstance(lty, OptionTy):
@@ -368,7 +408,7 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
                  f"assigning {rty} into a {lty.target} cell",
                  e.span, "TMASSGN")
         return UNIT, effect_concat(leff, reff, WRITE), \
-            Prim(Assign(), (lelab, relab), span=e.span, ty=UNIT)
+            Prim(op, (lelab, relab), span=e.span, ty=UNIT)
     if isinstance(op, Uop):
         ity, ieff, ielab = infer_elab(ctx, e.operands[0])
         if op.kind is UopKind.LOGNOT:
@@ -392,8 +432,6 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
         if not isinstance(ity, (IntTy, LongTy)):
             _err("UopTypeMismatch", f"cannot cast {ity}", e.span, "TUOP")
         return op.target, ieff, Prim(op, (ielab,), span=e.span, ty=op.target)
-    if isinstance(op, Bop):
-        return _infer_bop(ctx, e, op.kind)
     _err("UnsupportedExpr", f"unknown primitive {op!r}", e.span, None)
 
 
@@ -428,7 +466,7 @@ def _infer_bop(ctx: TypingContext, e: Prim, kind: BopKind):
                  f"got {lty} and {rty}", e.span, "TBOP")
         ty = lty
     return ty, effect_concat(leff, reff), \
-        Prim(Bop(kind), (lelab, relab), span=e.span, ty=ty)
+        Prim(e.op, (lelab, relab), span=e.span, ty=ty)
 
 
 def _infer_app(ctx: TypingContext, e: App, expected: Optional[Ty]):
@@ -478,7 +516,7 @@ def _fold_htons(ctx: TypingContext, e: App, expected: Optional[Ty]):
 
 def _infer_struct_init(ctx: TypingContext, e: StructInit,
                        expected: Optional[Ty]):
-    tty = ctx.gamma.get(e.name)
+    tty = ctx.lookup(e.name)
     if tty is None:
         _err("UnknownVariable", f"unbound struct variable {e.name!r}",
              e.span, "TSINIT")
@@ -577,17 +615,15 @@ def _infer_match(ctx: TypingContext, e: Match, expected: Optional[Ty]):
          e.span, "TMATCHO")
 
 
+# The pattern classes of the two arms of an exhaustive option match.
+_OPTION_ARMS = ({Pnone, Psome}, {Pnone, Pwild}, {Psome, Pwild})
+
+
 def _infer_match_option(ctx, e: Match, sty: OptionTy, seff, selab, expected):
     if len(e.arms) != 2:
         _err("NonExhaustiveOptionMatch",
              "an option match has exactly two arms", e.span, "TMATCHO")
-    pats = [p for p, _ in e.arms]
-    wilds = sum(isinstance(p, Pwild) for p in pats)
-    has_none = any(isinstance(p, Pnone) for p in pats)
-    has_some = any(isinstance(p, Psome) for p in pats)
-    ok = (wilds == 0 and has_none and has_some) or \
-         (wilds == 1 and (has_none or has_some))
-    if not ok or any(isinstance(p, Pbytes) for p in pats):
+    if {type(p) for p, _ in e.arms} not in _OPTION_ARMS:
         _err("NonExhaustiveOptionMatch",
              "option match must cover pnone and psome "
              "(a wildcard may replace one of them)", e.span, "TMATCHO")

@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from beepl import driver, interp
+from beepl import driver, interp, typecheck
 from beepl.core import Bop, ConstInt, ConstLong, INT, LONG, Let, Prim
 from beepl.driver import (
     evaluate_with_audit, find_cc, load_corpus, run_cve_corpus,
@@ -27,10 +27,12 @@ def test_generator_deterministic_text():
 
 
 def test_generated_programs_always_check():
-    for seed in range(80):
-        p = generate_well_typed(GenConfig(seed=seed, bytes_match=True,
-                                          externals=True))
-        check_program(p)  # must not raise
+    # generate_well_typed does not check what it makes; the checker accepts
+    # it all the same, plain and with packets and helpers.
+    for extras in (False, True):
+        for seed in range(200):
+            check_program(generate_well_typed(GenConfig(
+                seed=seed, bytes_match=extras, externals=extras)))
 
 
 def test_depth_one_program_is_a_literal_body():
@@ -148,6 +150,51 @@ def test_audit_of_a_thousand_iteration_loop_is_clean():
     assert len(plain.state.sigma) > 400 and len(plain.state.omega) == 200
 
 
+CALL_LOOP = ("fun g(int a) : int { a + 1 } "
+             "fun main() : int { let x : int* = ref(0) in "
+             "let _ = for (1 ... %d, Up) { let r : int* = ref(1) in "
+             "x := g(!x) + !r } in !x }")
+
+
+def _audit_cost_per_step(n, monkeypatch):
+    """Typing-rule runs, and the names, blocks and cells the state check
+    visits, per audited step of the call loop at n iterations."""
+    runs = visits = 0
+
+    def counted(rule):
+        def run(ctx, e, expected):
+            nonlocal runs
+            runs += ctx.memo is not None
+            return rule(ctx, e, expected)
+        return run
+
+    def counted_check(gamma, s, names=None, blocks=None):
+        nonlocal visits
+        visits += len(s.theta.written) + \
+            len(gamma if names is None else names) + \
+            len(s.theta.blocks if blocks is None else blocks)
+        return well_formed(gamma, s, names, blocks)
+
+    well_formed = driver.well_formed
+    with monkeypatch.context() as m:
+        for cls, rule in typecheck._TYPING_RULES.items():
+            m.setitem(typecheck._TYPING_RULES, cls, counted(rule))
+        m.setattr(driver, "well_formed", counted_check)
+        audit = evaluate_with_audit(check_source(CALL_LOOP % n),
+                                    world_for_seed(0))
+    assert audit.violations == [] and audit.value == ConstInt(2 * n)
+    return runs / audit.steps, visits / audit.steps
+
+
+def test_audit_cost_per_step_does_not_grow_with_the_run(monkeypatch):
+    # Each iteration adds a parameter name and two blocks that stay, so a
+    # check of every binding at every step would grow with the run.
+    short = _audit_cost_per_step(250, monkeypatch)
+    long = _audit_cost_per_step(1000, monkeypatch)
+    for a, b in zip(short, long):
+        assert abs(b - a) <= 0.05 * a, (short, long)
+
+
 def test_audit_memo_stays_as_small_as_the_live_term(monkeypatch):
     sizes = []
 
@@ -170,10 +217,13 @@ def test_audit_memo_stays_as_small_as_the_live_term(monkeypatch):
 def test_audit_reports_monitor_events(monkeypatch):
     # A fault is its stuck reason, reported once.
     _stuck_on_unsafe_operands(monkeypatch)
-    tp = check_source("fun main() : int { 3 % 0 }")
-    audit = evaluate_with_audit(tp, world_for_seed(0))
-    assert audit.violations == [
-        "stuck after 1 steps: binary operator produced undef"]
+    tp = check_source("fun main() : int { let a : int = 3 in 1 + a % 0 }")
+    result, no_memo, incremental, full = \
+        _audit_both_ways(tp, world_for_seed(0), monkeypatch)
+    assert result.violations == [
+        "stuck after 2 steps: binary operator produced undef"]
+    assert _outcome(result) == _outcome(no_memo)
+    assert incremental == full
 
 
 # --- the incremental audit against full re-inference -------------------------------
@@ -247,6 +297,20 @@ def test_incremental_audit_judges_every_step_as_full_reinference(
         assert result.violations == []
         steps += result.steps
     assert steps > 500
+
+
+def test_incremental_audit_agrees_where_a_literal_is_coerced(monkeypatch):
+    # Once `!r` steps to 200, the comparison's other side is still the u8
+    # parameter y, so _coerce_pair types the literal at u8: a judgment that
+    # differs from the one `!r` had only in that the node is a literal.
+    tp = check_source("fun g(u8 y) : int { let r : u8* = ref(200) in "
+                      "if (!r) == y then 1 else 0 } "
+                      "fun main() : int { g(7) }")
+    result, no_memo, incremental, full = \
+        _audit_both_ways(tp, world_for_seed(0), monkeypatch)
+    assert result.violations == [] and result.value == ConstInt(0)
+    assert _outcome(result) == _outcome(no_memo)
+    assert incremental == full and len(full) == result.steps
 
 
 def _retyping_int_results(rule):
@@ -323,8 +387,8 @@ def test_audit_empties_its_memo_when_a_rule_retypes_a_block(monkeypatch):
     assert result.violations[0].startswith("step 5 changed type")
     assert _outcome(result) == _outcome(no_memo)
     assert incremental == full
-    # With the extension check broken, the memo hides the retyped block.
-    monkeypatch.setattr(driver, "_extends", lambda new, old: True)
+    # With the rewrite check broken, the memo hides the retyped block.
+    monkeypatch.setattr(driver, "_rewritten", lambda s: False)
     stale = evaluate_with_audit(tp, world_for_seed(0))
     assert not any("changed type" in v for v in stale.violations)
 
@@ -435,6 +499,27 @@ def test_differential_kernel_objects_are_non_null_and_zeroed():
     programs = [parse_program(src) for src in KERNEL_OBJECT_CASES]
     assert [run_program(check_program(p)).value.value
             for p in programs] == [2, 2, 2, 2, 0]
+    s = run_differential(len(programs), programs=programs)
+    assert s.ok(), [(r.program_id, r.violations) for r in s.failures]
+
+
+# An entry parameter of type T* receives a fresh zero-filled T: in host C
+# the address of a zeroed compound literal.
+REF_PARAM_CASES = [
+    "fun main(int* p) : int { !p }",
+    "fun main(int* p, long* q) : int { let _ = p := !p + 3 in "
+    "!p + (int)!q }",
+    "struct s { a : int, b : long }\n"
+    "fun main(struct s* v, bool* b) : int { "
+    "(int)v.b + v.a + (if !b then 1 else 0) }",
+]
+
+
+@needs_cc
+def test_differential_reference_parameters_point_at_zero():
+    programs = [parse_program(src) for src in REF_PARAM_CASES]
+    assert [run_program(check_program(p)).value.value
+            for p in programs] == [0, 3, 0]
     s = run_differential(len(programs), programs=programs)
     assert s.ok(), [(r.program_id, r.violations) for r in s.failures]
 

@@ -190,6 +190,23 @@ def test_parse_error_has_span():
     assert d.code.startswith("P") and d.span.line == 1 and d.span.col > 1
 
 
+@pytest.mark.parametrize("src, message", [
+    ("fun f(int x, int x) : int { x }\nfun main() : int { f(3, 4) }",
+     "parameter 'x' of f is declared twice"),
+    ("struct s { a : int }\n"
+     "fun main() : int vars (struct s* v, struct s* v) { 1 }",
+     "local 'v' of main is declared twice"),
+    ("struct s { a : int, a : long }\nfun main() : int { 1 }",
+     "field 'a' of struct s is declared twice"),
+])
+def test_a_name_declared_twice_is_rejected(src, message):
+    # Each of these once checked and ran, and its C did not compile.
+    with pytest.raises(ParseError) as err:
+        parse_program(src)
+    assert err.value.diagnostic.code == "P002"
+    assert err.value.diagnostic.message == message
+
+
 def _check_code(check) -> str:
     with pytest.raises(TypeCheckError) as err:
         check()
