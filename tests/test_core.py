@@ -265,7 +265,24 @@ def test_with_children_rebuilds_every_subterm():
         for t in _subterms(body):
             seen.add(type(t))
             assert with_children(t, expr_children(t)) == t
+            if type(t) in SHAPES:  # all else it holds is its Shape.own
+                shape = SHAPES[type(t)]
+                known = [*shape.children(t),
+                         *(shape.own(t) if shape.own else ())]
+                for f in dataclasses.fields(t):
+                    if f.compare:
+                        for v in _held(getattr(t, f.name)):
+                            assert any(v is k for k in known), f.name
     assert seen == set(SHAPES) | LEAVES
+
+
+def _held(value):
+    """What a field holds, looking into tuples."""
+    if type(value) is tuple:
+        for v in value:
+            yield from _held(v)
+    else:
+        yield value
 
 
 # --- records: slotted, unhashable, left as they were ------------------------
