@@ -45,6 +45,7 @@ def _aux_field():
 # ---------------------------------------------------------------------------
 
 class EffectAtom(Enum):
+    __hash__ = object.__hash__
     DIVERGENCE = "divergence"
     READ = "read"
     WRITE = "write"
@@ -81,6 +82,7 @@ def effect_subset(a: Effect, b: Effect) -> bool:
 # ---------------------------------------------------------------------------
 
 class Sign(Enum):
+    __hash__ = object.__hash__
     SIGNED = "signed"
     UNSIGNED = "unsigned"
 
@@ -309,6 +311,7 @@ def _round_up(n: int, align: int) -> int:
 # ---------------------------------------------------------------------------
 
 class BopKind(Enum):
+    __hash__ = object.__hash__
     ADD = "+"
     SUB = "-"
     MUL = "*"
@@ -330,6 +333,7 @@ class BopKind(Enum):
 
 
 class UopKind(Enum):
+    __hash__ = object.__hash__
     NEG = "-"
     LOGNOT = "not"
     BITNOT = "~"
@@ -476,6 +480,7 @@ class SomeLit(Expr):
 
 
 class Direction(Enum):
+    __hash__ = object.__hash__
     UP = "Up"
     DOWN = "Down"
 

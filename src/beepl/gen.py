@@ -41,6 +41,17 @@ ARITH = [BopKind.ADD, BopKind.SUB, BopKind.MUL, BopKind.AND, BopKind.OR,
 COMPARE = [BopKind.EQ, BopKind.NE, BopKind.LT, BopKind.LE, BopKind.GT,
            BopKind.GE]
 
+# The types the generator writes are these objects (and struct references,
+# which no production asks for), so a type test is an identity test and
+# costs no generated dataclass __eq__.
+REF_INT, REF_LONG = RefTy(INT), RefTy(LONG)
+LET_TYPES = (INT, LONG, BOOL, REF_INT, REF_LONG)
+
+
+def _ref(lane: Ty) -> RefTy:
+    return REF_INT if lane is INT else REF_LONG
+
+
 PACKET_STRUCTS = (
     Composite("hdr2", (("tag", U16),)),
     Composite("hdr8", (("word_a", U32), ("word_b", U32))),
@@ -62,7 +73,7 @@ class _Env:
         return f"{base}{self.counter}"
 
     def vars_of(self, ty: Ty) -> list[str]:
-        return [x for x, t in self.vars if t == ty]
+        return [x for x, t in self.vars if t is ty]
 
 
 def generate_well_typed(cfg: GenConfig) -> Program:
@@ -115,9 +126,9 @@ def _gen_aux_fun(env: _Env, name: str) -> FunDecl:
 
 def _literal(env: _Env, ty: Ty) -> Expr:
     rng = env.rng
-    if ty == BOOL:
+    if ty is BOOL:
         return ConstBool(rng.random() < 0.5)
-    if ty == UNIT:
+    if ty is UNIT:
         return UnitLit()
     v = rng.randint(INT_LO, INT_HI)
     if isinstance(ty, LongTy):
@@ -139,19 +150,20 @@ def _gen_expr(env: _Env, ty: Ty, depth: int) -> Expr:
     prods = ["literal", "literal", "let", "cond"]
     if env.vars_of(ty):
         prods += ["var", "var"]
-    if ty in (INT, LONG):
+    lane = ty is INT or ty is LONG
+    if lane:
         prods += ["arith", "arith", "uop", "cast", "deref"]
-        if env.funs and any(f.rt == ty for f in env.funs):
+        if any(f.rt is ty for f in env.funs):
             prods.append("call")
-    if ty == LONG and env.cfg.externals:
+    if ty is LONG and env.cfg.externals:
         prods.append("uid_gid")
-    if ty == BOOL:
+    if ty is BOOL:
         prods += ["compare", "compare", "logic", "lognot"]
-    if ty == UNIT:
+    if ty is UNIT:
         prods += ["assign", "assign", "loop", "loop"]
-    if ty in (INT, LONG) and rng.random() < 0.2:
+    if lane and rng.random() < 0.2:
         prods.append("loop_then")
-    if ty in (INT, LONG, BOOL):
+    if lane or ty is BOOL:
         prods += ["match_option"]
         if env.cfg.externals and env.has_map:
             prods.append("match_lookup")
@@ -171,7 +183,7 @@ def _p_var(env, ty, depth):
 
 def _p_let(env, ty, depth):
     rng = env.rng
-    bty = rng.choice([INT, LONG, BOOL, RefTy(INT), RefTy(LONG)])
+    bty = rng.choice(LET_TYPES)
     name = env.fresh()
     if isinstance(bty, RefTy):
         bound = Prim(RefOp(), (_gen_expr(env, bty.target, depth - 1),))
@@ -208,12 +220,12 @@ def _p_uop(env, ty, depth):
 
 
 def _p_cast(env, ty, depth):
-    src = LONG if ty == INT else INT
+    src = LONG if ty is INT else INT
     return Prim(Cast(ty), (_gen_expr(env, src, depth - 1),))
 
 
 def _p_deref(env, ty, depth):
-    refs = env.vars_of(RefTy(ty))
+    refs = env.vars_of(_ref(ty))
     if refs and env.rng.random() < 0.6:
         return Prim(Deref(), (Var(env.rng.choice(refs)),))
     return Prim(Deref(), (Prim(RefOp(), (_gen_expr(env, ty, depth - 1),)),))
@@ -221,7 +233,7 @@ def _p_deref(env, ty, depth):
 
 def _p_call(env, ty, depth):
     rng = env.rng
-    candidates = [f for f in env.funs if f.rt == ty]
+    candidates = [f for f in env.funs if f.rt is ty]
     fd = rng.choice(candidates)
     args = tuple(_gen_expr(env, t, min(depth - 1, 2)) for _, t in fd.args)
     return App(Var(fd.name), args)
@@ -251,7 +263,7 @@ def _p_lognot(env, ty, depth):
 def _p_assign(env, ty, depth):
     rng = env.rng
     for lane in rng.sample([INT, LONG], 2):
-        refs = env.vars_of(RefTy(lane))
+        refs = env.vars_of(_ref(lane))
         if refs:
             return Prim(Assign(), (Var(rng.choice(refs)),
                                    _gen_expr(env, lane, depth - 1)))
@@ -278,11 +290,11 @@ def _p_match_option(env, ty, depth):
     inner_lane = rng.choice([INT, LONG])
     if rng.random() < 0.3:
         name = env.fresh("o")
-        oty = OptionTy(RefTy(inner_lane))
+        oty = OptionTy(_ref(inner_lane))
         scrut_bound: Expr = NoneLit() if rng.random() < 0.5 else \
             SomeLit(Prim(RefOp(), (_literal(env, inner_lane),)))
         some_name = env.fresh("p")
-        env.vars.append((some_name, RefTy(inner_lane)))
+        env.vars.append((some_name, _ref(inner_lane)))
         some_body = _gen_expr(env, ty, depth - 1)
         env.vars.pop()
         none_body = _gen_expr(env, ty, depth - 1)
@@ -292,7 +304,7 @@ def _p_match_option(env, ty, depth):
         return Let(name, oty, scrut_bound, Match(Var(name), arms))
     scrut = SomeLit(Prim(RefOp(), (_gen_expr(env, inner_lane, depth - 1),)))
     some_name = env.fresh("p")
-    env.vars.append((some_name, RefTy(inner_lane)))
+    env.vars.append((some_name, _ref(inner_lane)))
     some_body = _gen_expr(env, ty, depth - 1)
     env.vars.pop()
     arms = ((Pnone(), _gen_expr(env, ty, depth - 1)),
@@ -305,7 +317,7 @@ def _p_match_lookup(env, ty, depth):
     key = Prim(RefOp(), (ConstLong(rng.randint(0, 4)),))
     scrut = App(Var("bpf_map_lookup_elem"), (Var("counter_table"), key))
     some_name = env.fresh("p")
-    env.vars.append((some_name, RefTy(LONG)))
+    env.vars.append((some_name, REF_LONG))
     some_body = _gen_expr(env, ty, depth - 1)
     env.vars.pop()
     return Match(scrut, ((Pnone(), _gen_expr(env, ty, depth - 1)),

@@ -11,6 +11,7 @@ the fault.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from operator import is_not
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -203,26 +204,30 @@ def wrap(v: int, bits: int) -> int:
     return v - (1 << bits) if v >= (1 << (bits - 1)) else v
 
 
-def _lane_bits(v: Expr) -> int:
-    return 32 if type(v) is ConstInt else 64
+def _lane(cls: type, bits: int) -> Callable[[int], Expr]:
+    """The constructor of a lane's values, wrapping its argument."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+
+    def make(v: int) -> Expr:
+        v &= mask
+        return cls(v - mask - 1 if v >= half else v)
+    return make
 
 
-def _mk(bits: int, v: int) -> Expr:
-    return ConstInt(wrap(v, 32)) if bits == 32 else ConstLong(wrap(v, 64))
+# The integer lanes by value class: an operator's result wraps at the width
+# of its operands' lane.
+_WRAP = {ConstInt: _lane(ConstInt, 32), ConstLong: _lane(ConstLong, 64)}
 
 
 def unsafe(op: BopKind, v1: Expr, v2: Expr) -> bool:
     """Operand pairs whose C meaning would be undefined; they evaluate to 0."""
     if op not in (BopKind.DIV, BopKind.MOD, BopKind.SHL, BopKind.SHR):
         return False
-    bits = _lane_bits(v1)
+    bits = 32 if type(v1) is ConstInt else 64
     a, b = v1.value, v2.value
-    if op in (BopKind.DIV, BopKind.MOD):
-        if b == 0:
-            return True
-        return a == -(1 << (bits - 1)) and b == -1
-    # shifts
-    return b < 0 or b >= bits
+    if op is BopKind.DIV or op is BopKind.MOD:
+        return b == 0 or a == -(1 << (bits - 1)) and b == -1
+    return b < 0 or b >= bits  # shifts
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -230,65 +235,59 @@ def _trunc_div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
+# The three forms of an operator's meaning: a comparison or logical operator
+# gives a boolean, an arithmetic operator a value of its operands' lane, and
+# one that can be unsafe the lane's zero on an unsafe pair.
+def _test(fn: Callable[[int, int], bool]):
+    return lambda v1, v2: ConstBool(fn(v1.value, v2.value))
+
+
+def _arith(fn: Callable[[int, int], int]):
+    return lambda v1, v2: _WRAP[type(v1)](fn(v1.value, v2.value))
+
+
+def _guarded(op: BopKind, fn: Callable[[int, int], int]):
+    def sem(v1: Expr, v2: Expr) -> Expr:
+        make = _WRAP[type(v1)]
+        return make(0) if unsafe(op, v1, v2) else make(fn(v1.value, v2.value))
+    return sem
+
+
+_BOP_SEM = {
+    BopKind.ADD: _arith(operator.add), BopKind.SUB: _arith(operator.sub),
+    BopKind.MUL: _arith(operator.mul), BopKind.AND: _arith(operator.and_),
+    BopKind.OR: _arith(operator.or_), BopKind.XOR: _arith(operator.xor),
+    BopKind.DIV: _guarded(BopKind.DIV, _trunc_div),
+    BopKind.MOD: _guarded(BopKind.MOD,
+                          lambda a, b: a - _trunc_div(a, b) * b),
+    BopKind.SHL: _guarded(BopKind.SHL, operator.lshift),
+    # an arithmetic shift on the signed lane
+    BopKind.SHR: _guarded(BopKind.SHR, operator.rshift),
+    BopKind.EQ: _test(operator.eq), BopKind.NE: _test(operator.ne),
+    BopKind.LT: _test(operator.lt), BopKind.LE: _test(operator.le),
+    BopKind.GT: _test(operator.gt), BopKind.GE: _test(operator.ge),
+    BopKind.LAND: _test(lambda a, b: a and b),
+    BopKind.LOR: _test(lambda a, b: a or b),
+}
+_UOP_SEM = {
+    UopKind.NEG: lambda v: _WRAP[type(v)](-v.value),
+    UopKind.BITNOT: lambda v: _WRAP[type(v)](~v.value),
+    UopKind.LOGNOT: lambda v: ConstBool(not v.value),
+}
+_CAST_SEM = {IntTy: _WRAP[ConstInt], LongTy: _WRAP[ConstLong]}
+
+
 def bop_sem(op: BopKind, v1: Expr, v2: Expr) -> Expr:
     """Two's-complement wrapping semantics at the operand width; an unsafe
     operand pair gives zero."""
-    a, b = v1.value, v2.value
-    if op is BopKind.LAND:
-        return ConstBool(a and b)
-    if op is BopKind.LOR:
-        return ConstBool(a or b)
-    if op is BopKind.EQ:
-        return ConstBool(a == b)
-    if op is BopKind.NE:
-        return ConstBool(a != b)
-    if op is BopKind.LT:
-        return ConstBool(a < b)
-    if op is BopKind.LE:
-        return ConstBool(a <= b)
-    if op is BopKind.GT:
-        return ConstBool(a > b)
-    if op is BopKind.GE:
-        return ConstBool(a >= b)
-    bits = _lane_bits(v1)
-    if unsafe(op, v1, v2):
-        return _mk(bits, 0)
-    if op is BopKind.ADD:
-        return _mk(bits, a + b)
-    if op is BopKind.SUB:
-        return _mk(bits, a - b)
-    if op is BopKind.MUL:
-        return _mk(bits, a * b)
-    if op is BopKind.DIV:
-        return _mk(bits, _trunc_div(a, b))
-    if op is BopKind.MOD:
-        return _mk(bits, a - _trunc_div(a, b) * b)
-    if op is BopKind.AND:
-        return _mk(bits, a & b)
-    if op is BopKind.OR:
-        return _mk(bits, a | b)
-    if op is BopKind.XOR:
-        return _mk(bits, a ^ b)
-    if op is BopKind.SHL:
-        return _mk(bits, a << b)
-    if op is BopKind.SHR:
-        return _mk(bits, a >> b)  # arithmetic shift on the signed lane
-    raise InterpError(f"bop_sem: unknown operator {op}")
+    return _BOP_SEM[op](v1, v2)
 
 
-def uop_sem(op, v: Expr) -> Expr:
-    if isinstance(op, Uop):
-        if op.kind is UopKind.NEG:
-            return _mk(_lane_bits(v), -v.value)
-        if op.kind is UopKind.BITNOT:
-            return _mk(_lane_bits(v), ~v.value)
-        if op.kind is UopKind.LOGNOT:
-            return ConstBool(not v.value)
-    if isinstance(op, Cast):
-        if isinstance(op.target, IntTy):
-            return ConstInt(wrap(v.value, 32))
-        return ConstLong(wrap(v.value, 64))
-    raise InterpError(f"uop_sem: unknown operator {op}")
+def uop_sem(op: Union[Uop, Cast], v: Expr) -> Expr:
+    """A cast wraps to the lane of its target type."""
+    if type(op) is Cast:
+        return _CAST_SEM[type(op.target)](v.value)
+    return _UOP_SEM[op.kind](v)
 
 
 def range_count(v1: Expr, v2: Expr, d: Direction) -> int:
@@ -512,10 +511,12 @@ def replaced_path(old: Expr, new: Expr) -> list[tuple[Expr, Expr]]:
 def _contract(s: State, w: ExternalWorld, redex: Expr,
               values: list[Expr]) -> tuple[Expr, str]:
     """The redex reduced by its class's rule, and the rule's name."""
-    rule = _REDEX_RULES.get(type(redex))
-    if rule is None:
-        _stuck(f"no rule applies to {type(redex).__name__}")
-    return rule(s, w, redex, values)
+    return _REDEX_RULES.get(type(redex), _no_rule)(s, w, redex, values)
+
+
+def _no_rule(s: State, w: ExternalWorld, e: Expr,
+             values: list[Expr]) -> tuple[Expr, str]:
+    _stuck(f"no rule applies to {type(e).__name__}")
 
 
 def _step_let(s: State, w: ExternalWorld, e: Let,
@@ -567,58 +568,80 @@ def _step_var(s: State, w: ExternalWorld, e: Var,
 
 def _step_prim(s: State, w: ExternalWorld, e: Prim,
                values: list[Expr]) -> tuple[Expr, str]:
+    rule = _PRIM_RULES.get(type(e.op))
+    if rule is None:
+        _stuck(f"unknown primitive {e.op!r}")
+    return rule(s, e, values)
+
+
+def _prim_bop(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
+    kind = e.op.kind
+    v1, v2 = values
+    if (type(v1), type(v2)) not in _OPERANDS[kind]:
+        _operands_stuck(e.op, values)
+    return bop_sem(kind, v1, v2), "BOPV"
+
+
+def _prim_uop(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
     op = e.op
-    if isinstance(op, RefOp):
-        # The block takes the type the checker gave the reference.
-        if not isinstance(e.ty, RefTy):
-            _stuck("ref without a checked type")
-        bid = s.theta.alloc(e.ty.target)
-        s.theta.store(bid, 0, values[0])
-        return Loc(bid, 0), "REFV"
-    if isinstance(op, Deref):
-        v, = values
-        if isinstance(v, (NoneLit, SomeLit)):
-            _stuck("dereference of an option value")
-        if type(v) is not Loc:
-            _stuck("dereference of a non-location")
-        cell = s.theta.load(v.block, v.offset)
-        if cell is None:
-            _stuck("read of uninitialized memory")
-        return cell, "DREFV"
-    if isinstance(op, Assign):
-        lv, rv = values
-        if isinstance(lv, (NoneLit, SomeLit)):
-            _stuck("assignment through an option value")
-        if type(lv) is not Loc:
-            _stuck("assignment through a non-location")
-        if not s.theta.store(lv.block, lv.offset, rv):
-            _stuck("assignment into an invalid block")
-        return UnitLit(), "MASSGNV"
-    if isinstance(op, (Uop, Cast)):
-        _check_operands(op, values)
-        return uop_sem(op, values[0]), "UOPV"
-    if isinstance(op, Bop):
-        _check_operands(op, values)
-        return bop_sem(op.kind, *values), "BOPV"
-    _stuck(f"unknown primitive {op!r}")
+    v, = values
+    if (type(v),) not in _OPERANDS[getattr(op, "kind", None)]:
+        _operands_stuck(op, values)
+    return uop_sem(op, v), "UOPV"
 
 
-# The operand classes an operator's rule reads: booleans for the logical
-# operators, integers of one lane for every other operator and for casts.
+def _prim_ref(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
+    # The block takes the type the checker gave the reference.
+    if not isinstance(e.ty, RefTy):
+        _stuck("ref without a checked type")
+    bid = s.theta.alloc(e.ty.target)
+    s.theta.store(bid, 0, values[0])
+    return Loc(bid, 0), "REFV"
+
+
+def _prim_deref(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
+    v, = values
+    if isinstance(v, (NoneLit, SomeLit)):
+        _stuck("dereference of an option value")
+    if type(v) is not Loc:
+        _stuck("dereference of a non-location")
+    cell = s.theta.load(v.block, v.offset)
+    if cell is None:
+        _stuck("read of uninitialized memory")
+    return cell, "DREFV"
+
+
+def _prim_assign(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
+    lv, rv = values
+    if isinstance(lv, (NoneLit, SomeLit)):
+        _stuck("assignment through an option value")
+    if type(lv) is not Loc:
+        _stuck("assignment through a non-location")
+    if not s.theta.store(lv.block, lv.offset, rv):
+        _stuck("assignment into an invalid block")
+    return UnitLit(), "MASSGNV"
+
+
+# The rule of each primitive operator class.
+_PRIM_RULES = {Bop: _prim_bop, Deref: _prim_deref, Assign: _prim_assign,
+               RefOp: _prim_ref, Uop: _prim_uop, Cast: _prim_uop}
+
+# The operand classes each operator's rule reads, by operator kind (None for
+# a cast): booleans for the logical operators, integers of one lane for
+# every other operator and for casts.
 _BOOL_OPERANDS = frozenset({(ConstBool,), (ConstBool, ConstBool)})
 _INT_OPERANDS = frozenset({(ConstInt,), (ConstLong,), (ConstInt, ConstInt),
                            (ConstLong, ConstLong)})
-_LOGICAL = (BopKind.LAND, BopKind.LOR, UopKind.LOGNOT)
+_OPERANDS = {kind: _INT_OPERANDS for kind in (*BopKind, *UopKind, None)}
+_OPERANDS.update({kind: _BOOL_OPERANDS for kind in (
+    BopKind.LAND, BopKind.LOR, UopKind.LOGNOT)})
 
 
-def _check_operands(op, values: list[Expr]) -> None:
-    kinds = tuple(map(type, values))
-    logical = getattr(op, "kind", None) in _LOGICAL  # a cast has no kind
-    if kinds not in (_BOOL_OPERANDS if logical else _INT_OPERANDS):
-        name = f"cast to {op.target}" if isinstance(op, Cast) \
-            else f"operator {op.kind.value!r}"
-        _stuck(f"{name} does not apply to "
-               + " and ".join(k.__name__ for k in kinds))
+def _operands_stuck(op, values: list[Expr]):
+    name = f"cast to {op.target}" if isinstance(op, Cast) \
+        else f"operator {op.kind.value!r}"
+    _stuck(f"{name} does not apply to "
+           + " and ".join(type(v).__name__ for v in values))
 
 
 def _step_app(s: State, w: ExternalWorld, e: App,
@@ -790,8 +813,9 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
     steps = 0
     frames: list = []
     focus, values, children = _refocus(frames, e)
+    rules = _REDEX_RULES
     while not is_value(focus):
-        out, rule = _contract(s, w, focus, values)
+        out, rule = rules.get(type(focus), _no_rule)(s, w, focus, values)
         focus, values, children = _refocus(frames, out)
         steps += 1
         if on_step is not None:
@@ -864,7 +888,7 @@ def entry_call(tp: TypedProgram, s: State, w: ExternalWorld,
         target = kernel_object(ty)
         if target is not None:
             args.append(SomeLit(make_kernel_object(s, w, target)))
-        elif isinstance(ty, RefTy) and not isinstance(ty.target, ArrayTy):
+        elif isinstance(ty, RefTy):
             args.append(make_kernel_object(s, w, ty.target))
         elif is_prim(ty) or ty == UNIT or isinstance(ty, OptionTy):
             args.append(zero_value(ty))

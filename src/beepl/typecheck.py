@@ -762,7 +762,11 @@ def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> tuple[FunDecl, Effect]:
         _err("ReturnsPointer",
              f"function {fd.name!r} returns a pointer type", fd.span, "TFDECL")
     for x, ty in fd.args:
-        if ty == UNIT or isinstance(ty, ArrayTy):
+        # An array has no C parameter form, and neither has a reference to
+        # one, nullable or not.
+        ref = ty.inner if isinstance(ty, OptionTy) else ty
+        if ty == UNIT or isinstance(ty, ArrayTy) or \
+                isinstance(ref, RefTy) and isinstance(ref.target, ArrayTy):
             _err("BadParamType",
                  f"argument {x!r} of {fd.name!r} cannot have type {ty}",
                  fd.span, "TFDECL")

@@ -41,3 +41,13 @@ def bop_oracle(op: BopKind, a: int, b: int, bits: int) -> int:
     else:
         raise AssertionError(op)
     return wrap_oracle(v, bits)
+
+
+def unsafe_oracle(op: BopKind, a: int, b: int, bits: int) -> bool:
+    """The operand pairs whose C meaning is undefined: a zero divisor, the
+    lane's minimum over -1, and a shift count outside [0, bits)."""
+    if op in (BopKind.DIV, BopKind.MOD):
+        return b == 0 or (a == -(1 << (bits - 1)) and b == -1)
+    if op in (BopKind.SHL, BopKind.SHR):
+        return not 0 <= b < bits
+    return False

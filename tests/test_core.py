@@ -12,7 +12,7 @@ from beepl.core import (
     U8, UNIT, UnitLit, UnknownStruct, Var, Assign, ArrayTy, Bop, BopKind,
     Deref, Pbytes, RefOp, WRITE, effect_concat, effect_subset, expr_children,
     fvar, is_value, pattern_binders, rename_var, sizeof, subst,
-    struct_layout, with_children,
+    struct_layout, with_children, UopKind,
 )
 from beepl import interp, typecheck
 from beepl.cgen import emit_program
@@ -29,6 +29,14 @@ effects = atoms.map(lambda xs: Effect(tuple(xs)))
 
 
 # --- effect algebra ---------------------------------------------------------
+
+def test_every_enum_hashes_by_identity():
+    # Enum members key the operator tables and, through the types, the
+    # audit's memo: Enum's own __hash__ runs in Python on every lookup.
+    for cls in (BopKind, UopKind, Sign, EffectAtom, Direction):
+        assert cls.__hash__ is object.__hash__, cls
+        assert all(cls(m.value) is m for m in cls), cls
+
 
 def test_effect_concat_examples():
     assert effect_concat(ALLOC, READ) == \

@@ -1,5 +1,7 @@
 import copy
 import functools
+import itertools
+import operator
 
 import pytest
 
@@ -151,6 +153,7 @@ def test_unsafe_table():
 # --- bop_sem / uop_sem -------------------------------------------------------------------
 
 from oracles import bop_oracle as oracle  # noqa: E402  (shared test oracle)
+from oracles import unsafe_oracle, wrap_oracle  # noqa: E402
 
 
 def test_bop_wrapping_examples():
@@ -180,6 +183,71 @@ def test_bop_sem_matches_bigint_oracle_sampled_grid():
         got = bop_sem(op, mk(a), mk(b))
         assert got == mk(oracle(op, a, b, bits)), (op, a, b)
         checked += 1
+
+
+def _lane_edges(bits):
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return (lo, lo + 1, -1, 0, 1, bits - 1, bits, hi - 1, hi)
+
+
+LANES = ((32, VInt), (64, VLong))
+COMPARISONS = {BopKind.EQ: operator.eq, BopKind.NE: operator.ne,
+               BopKind.LT: operator.lt, BopKind.LE: operator.le,
+               BopKind.GT: operator.gt, BopKind.GE: operator.ge}
+LOGIC = {BopKind.LAND: lambda a, b: a and b,
+         BopKind.LOR: lambda a, b: a or b}
+
+
+def test_bop_sem_matches_the_oracle_on_every_operator_and_lane_edge():
+    for bits, mk in LANES:
+        edges = _lane_edges(bits)
+        for op in BopKind:
+            if op in LOGIC:
+                continue
+            for a, b in itertools.product(edges, edges):
+                got = bop_sem(op, mk(a), mk(b))
+                assert unsafe(op, mk(a), mk(b)) == \
+                    unsafe_oracle(op, a, b, bits), (op, a, b)
+                if op in COMPARISONS:
+                    expected = VBool(COMPARISONS[op](a, b))
+                elif unsafe_oracle(op, a, b, bits):
+                    expected = mk(0)
+                else:
+                    expected = mk(oracle(op, a, b, bits))
+                assert type(got) is type(expected), (op, a, b)
+                assert got == expected, (op, a, b)
+    for op, fn in LOGIC.items():
+        for a, b in itertools.product((False, True), repeat=2):
+            got = bop_sem(op, VBool(a), VBool(b))
+            assert type(got) is ConstBool and got == VBool(fn(a, b))
+
+
+def test_uop_sem_matches_the_oracle_on_lane_edges():
+    for bits, mk in LANES:
+        for a in _lane_edges(bits):
+            assert uop_sem(Uop(UopKind.NEG), mk(a)) == \
+                mk(wrap_oracle(-a, bits))
+            assert uop_sem(Uop(UopKind.BITNOT), mk(a)) == \
+                mk(wrap_oracle(~a, bits))
+            assert uop_sem(Cast(INT), mk(a)) == VInt(wrap_oracle(a, 32))
+            assert uop_sem(Cast(LONG), mk(a)) == VLong(wrap_oracle(a, 64))
+    for a in (False, True):
+        assert uop_sem(Uop(UopKind.LOGNOT), VBool(a)) == VBool(not a)
+
+
+def test_operators_on_mixed_lanes_or_booleans_are_stuck():
+    s, w = empty_state(), ExternalWorld()
+    for op in BopKind:
+        if op in LOGIC:
+            continue
+        for v1, v2 in ((VInt(1), VLong(1)), (VLong(1), VInt(1)),
+                       (VBool(True), VInt(1)), (VLong(1), VBool(False))):
+            names = " and ".join(type(v).__name__ for v in (v1, v2))
+            assert step(s, w, Prim(Bop(op), (v1, v2))) == Stuck(
+                f"operator {op.value!r} does not apply to {names}")
+    for kind in (UopKind.NEG, UopKind.BITNOT):
+        assert step(s, w, Prim(Uop(kind), (VBool(True),))) == Stuck(
+            f"operator {kind.value!r} does not apply to ConstBool")
 
 
 def test_bop_sem_unsafe_inputs_yield_zero():

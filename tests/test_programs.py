@@ -116,6 +116,17 @@ def test_unit_parameters_rejected():
     assert err.value.code == "BadParamType"
 
 
+def test_array_reference_parameters_rejected():
+    # A reference to an array has no C parameter form: before this was
+    # rejected, emit-c ended in a traceback and run could not start main.
+    for src in ("fun main(int[4]* p) : int { 1 }",
+                "fun main(option(int[4]*) p) : int { 1 }",
+                "fun f(long[2]* p) : int { 1 } fun main() : int { 2 }"):
+        with pytest.raises(TypeCheckError) as err:
+            check_source(src)
+        assert err.value.code == "BadParamType", src
+
+
 def test_corpus_print_parse_round_trip():
     from beepl.driver import load_corpus
     from beepl.frontend import parse_program, print_program
