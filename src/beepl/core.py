@@ -665,6 +665,7 @@ class GlobDecl:
     init: Union[Expr, bytes]  # a value node, or bytes for a string
     sec: Optional[str] = None
     span: Optional[Span] = _aux_field()
+    init_span: Optional[Span] = _aux_field()  # bytes carry no span
 
 
 Decl = Union[FunDecl, ExtDecl, GlobDecl]

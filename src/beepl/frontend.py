@@ -419,9 +419,11 @@ class Parser:
         self.expect("punct", ":")
         ty = self.parse_type()
         self.expect("punct", "=")
+        at = self.peek().span
         init = self.parse_glob_init()
         self.accept("punct", ";")
-        return GlobDecl(name.lexeme, ty, init, sec=sec, span=kw.span)
+        return GlobDecl(name.lexeme, ty, init, sec=sec, span=kw.span,
+                        init_span=at)
 
     def parse_glob_init(self) -> Union[Expr, bytes]:
         """A global's initial value: a string or a literal, which the checker

@@ -322,6 +322,9 @@ def _infer_some(ctx: TypingContext, e: SomeLit, expected: Optional[Ty]):
 
 
 def _infer_let(ctx: TypingContext, e: Let, expected: Optional[Ty]):
+    if _array_ref(e.declared):
+        _err("BadLetType", f"let {e.name!r} cannot have type {e.declared}",
+             e.span, "TBIND")
     bty, beff, belab = infer_elab(ctx, e.bound, e.declared)
     if bty != e.declared:
         _err("LetTypeMismatch", f"let binds {bty}, declared {e.declared}",
@@ -756,6 +759,13 @@ class TypedProgram:
         return None
 
 
+def _array_ref(ty: Ty) -> bool:
+    """ty is a reference to an array, nullable or not, which has no C form
+    as a parameter, global or local."""
+    ref = ty.inner if isinstance(ty, OptionTy) else ty
+    return isinstance(ref, RefTy) and isinstance(ref.target, ArrayTy)
+
+
 def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> tuple[FunDecl, Effect]:
     """fd with its body elaborated, and the body's inferred effect."""
     if is_pointer(fd.rt):
@@ -763,10 +773,8 @@ def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> tuple[FunDecl, Effect]:
              f"function {fd.name!r} returns a pointer type", fd.span, "TFDECL")
     for x, ty in fd.args:
         # An array has no C parameter form, and neither has a reference to
-        # one, nullable or not.
-        ref = ty.inner if isinstance(ty, OptionTy) else ty
-        if ty == UNIT or isinstance(ty, ArrayTy) or \
-                isinstance(ref, RefTy) and isinstance(ref.target, ArrayTy):
+        # one.
+        if ty == UNIT or isinstance(ty, ArrayTy) or _array_ref(ty):
             _err("BadParamType",
                  f"argument {x!r} of {fd.name!r} cannot have type {ty}",
                  fd.span, "TFDECL")
@@ -799,6 +807,9 @@ def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> tuple[FunDecl, Effect]:
 def check_glob_decl(gd: GlobDecl) -> GlobDecl:
     """gd, with an integer initializer typed by the literal rule at the
     declared type."""
+    if _array_ref(gd.ty):
+        _err("BadGlobalType", f"global {gd.name!r} cannot have type {gd.ty}",
+             gd.span, "TGDECL")
     if not section_ok(gd.ty, gd.sec):
         _err("SectionMismatch",
              f"global {gd.name!r} is incompatible with section {gd.sec!r}",
@@ -818,7 +829,7 @@ def check_glob_decl(gd: GlobDecl) -> GlobDecl:
     if not ok:
         _err("GlobalInitMismatch",
              f"initializer of {gd.name!r} has type {ty}, declared {gd.ty}",
-             getattr(init, "span", None) or gd.span, "TGDECL")
+             gd.init_span or gd.span, "TGDECL")
     return gd if init is gd.init else replace(gd, init=init)
 
 
@@ -858,6 +869,9 @@ def check_program(p: Program) -> TypedProgram:
         names.add(d.name)
         if isinstance(d, ExtDecl):
             _check_c_name("extern", d.name, d.span)
+            if any(map(_array_ref, (*d.arg_types, d.res_type))):
+                _err("BadExternType", f"extern {d.name!r} takes or returns "
+                     "a reference to an array", d.span, "TPROG")
             psi[d.name] = Signature(d.arg_types, d.ef, d.res_type)
         elif isinstance(d, GlobDecl):
             decls[i] = check_glob_decl(d)

@@ -13,7 +13,7 @@ from beepl.core import (
     Program, Psome, RefTy, StructTy, U16, U8, UNIT, VInt, expr_children,
     rename_var, with_children,
 )
-from beepl.driver import find_cc, load_corpus
+from beepl.driver import build_host, find_cc, load_corpus
 from beepl.gen import GenConfig, generate_well_typed
 from beepl.interp import ExternalWorld, run_program
 from beepl.typecheck import check_program, check_source
@@ -262,8 +262,7 @@ def test_host_output_compiles_and_matches(tmp_path):
         cfile = tmp_path / f"case{i}.c"
         cfile.write_text(emit_program(tp, "host").text)
         exe = tmp_path / f"case{i}"
-        r = subprocess.run([cc, "-std=c11", "-o", str(exe), str(cfile)],
-                           capture_output=True, text=True)
+        r = build_host(cc, cfile, exe)
         assert r.returncode == 0, r.stderr
         out = subprocess.run([str(exe)], capture_output=True, text=True)
         assert out.stdout.strip() == str(expected), src
@@ -281,8 +280,7 @@ def test_corpus_host_binaries_match_interpreter(tmp_path):
         cfile = tmp_path / f"{name}.c"
         cfile.write_text(emit_program(tp, "host").text)
         exe = tmp_path / name[:-4]
-        r = subprocess.run([cc, "-std=c11", "-O1", "-o", str(exe),
-                            str(cfile)], capture_output=True, text=True)
+        r = build_host(cc, cfile, exe, "-O1")
         assert r.returncode == 0, f"{name}: {r.stderr}"
         out = subprocess.run([str(exe)], capture_output=True, text=True,
                              timeout=30)
@@ -388,11 +386,10 @@ def test_hostile_binder_names_compile_and_match(tmp_path):
         for mode in ("ebpf", "host"):
             cfile = tmp_path / f"{seed}.{mode}.c"
             cfile.write_text(emit_program(tp, mode).text)
-            args = [cc, "-std=c11", "-o", str(tmp_path / f"{seed}.{mode}")]
-            if mode == "ebpf":
-                args.append("-c")
-            r = subprocess.run(args + [str(cfile)], capture_output=True,
-                               text=True)
+            exe = tmp_path / f"{seed}.{mode}"
+            r = build_host(cc, cfile, exe) if mode == "host" else \
+                subprocess.run([cc, "-std=c11", "-c", "-o", str(exe),
+                                str(cfile)], capture_output=True, text=True)
             assert r.returncode == 0, f"seed {seed} {mode}: {r.stderr}"
         out = subprocess.run([str(tmp_path / f"{seed}.host")],
                              capture_output=True, text=True, timeout=30)
@@ -406,8 +403,7 @@ def _sanitized(cc, tp, exe):
     """Build tp's host C under UBSan and ASan and run it."""
     cfile = exe.with_suffix(".c")
     cfile.write_text(emit_program(tp, "host").text)
-    r = subprocess.run([cc, "-std=c11", "-g", *SANITIZE, "-o", str(exe),
-                        str(cfile)], capture_output=True, text=True)
+    r = build_host(cc, cfile, exe, "-g", *SANITIZE)
     assert r.returncode == 0, r.stderr
     return subprocess.run([str(exe)], capture_output=True, text=True,
                           timeout=30)
@@ -421,8 +417,7 @@ def test_host_c_has_no_undefined_behaviour(tmp_path, monkeypatch):
     cc = find_cc()
     probe = tmp_path / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")
-    if subprocess.run([cc, *SANITIZE, "-o", str(tmp_path / "probe"),
-                       str(probe)], capture_output=True).returncode != 0:
+    if build_host(cc, probe, tmp_path / "probe", *SANITIZE).returncode != 0:
         pytest.skip("the C compiler does not link the sanitizers")
     for seed in range(20):
         for extras in (False, True):

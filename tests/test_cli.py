@@ -77,6 +77,32 @@ def test_check_points_at_a_none_or_boolean_initializer(tmp_path, capsys):
             f"has type {ty}, declared int" in err
 
 
+def test_check_points_at_a_string_initializer(tmp_path, capsys):
+    f = tmp_path / "init.bpl"
+    f.write_text('global h : int = "ab";\nfun main() : int { h }\n')
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == 1
+    assert f"{f}:1:18: error[GlobalInitMismatch]: initializer of 'h' " \
+        "has type i8[3], declared int" in err
+
+
+def test_emit_c_rejects_array_references(tmp_path, capsys):
+    # A global or let typed as a reference to an array has no C form: the
+    # checker rejects it, so emit-c reports a diagnostic in both modes.
+    f = tmp_path / "arr.bpl"
+    for src, where in (
+            ("global g : option(int[4]*) = none; fun main() : int { 2 }",
+             "1:1: error[BadGlobalType]"),
+            ("fun main() : int { let p : option(int[4]*) = none in 2 }",
+             "1:20: error[BadLetType]")):
+        f.write_text(src + "\n")
+        for mode in ("ebpf", "host"):
+            code, out, err = run_cli(capsys, "emit-c", str(f), "-o",
+                                     str(tmp_path / "arr.c"), f"--mode={mode}")
+            assert code == 1 and f"{f}:{where}" in err, (src, mode, err)
+            assert "Traceback" not in err
+
+
 def test_run_prints_value(capsys):
     code, out, err = run_cli(capsys, "run", str(corpus_path("shift64.bpl")))
     assert code == 0

@@ -439,6 +439,32 @@ def test_differential_guarded_mod_program():
     assert s.ok(), [r.violations for r in s.failures]
 
 
+@needs_cc
+@pytest.mark.parametrize("gold", [True, False])
+def test_differential_builds_each_program_once(monkeypatch, gold):
+    """One cc run and one binary run per program.  cc links with gold
+    exactly when ld.gold is on the PATH; hidden, the command is the plain
+    ``cc -std=c11 -O1 -o EXE FILE.c``."""
+    which, run = driver.shutil.which, driver.subprocess.run
+    if gold and which("ld.gold") is None:
+        pytest.skip("no ld.gold on the PATH")
+    monkeypatch.setattr(driver.shutil, "which", lambda name, *a, **k: (
+        which(name, *a, **k) if gold or name != "ld.gold" else None))
+    calls = []
+    monkeypatch.setattr(driver.subprocess, "run",
+                        lambda args, **kw: calls.append(args) or
+                        run(args, **kw))
+    s = run_differential(3, GenConfig(seed=40))
+    assert s.ok(), [r.violations for r in s.failures]
+    assert len(calls) == 6
+    for i, (build, binary) in enumerate(zip(calls[::2], calls[1::2])):
+        assert build[0] == find_cc()
+        assert build[1:] == ["-std=c11", "-O1",
+                             *["-fuse-ld=gold"] * gold,
+                             "-o", binary[0], build[-1]]
+        assert build[-1] == binary[0] + ".c" and binary[0].endswith(f"d{i}")
+
+
 EVAL_ORDER_CASES = [
     # the left operand is read before the right operand writes
     "fun main() : int { let x : int* = ref(5) in "

@@ -8,7 +8,9 @@ import pytest
 
 from beepl.cgen import emit_program
 from beepl.core import VInt, VLong
-from beepl.driver import evaluate_with_audit, find_cc, world_for_seed
+from beepl.driver import (
+    build_host, evaluate_with_audit, find_cc, world_for_seed,
+)
 from beepl.interp import ExternalWorld, run_program
 from beepl.typecheck import TypeCheckError, check_source
 
@@ -94,8 +96,7 @@ def test_struct_and_call_programs_compile_and_match(tmp_path):
         cfile = tmp_path / f"p{i}.c"
         cfile.write_text(emit_program(tp, "host").text)
         exe = tmp_path / f"p{i}"
-        r = subprocess.run([cc, "-std=c11", "-o", str(exe), str(cfile)],
-                           capture_output=True, text=True)
+        r = build_host(cc, cfile, exe)
         assert r.returncode == 0, r.stderr
         out = subprocess.run([str(exe)], capture_output=True, text=True)
         assert out.stdout.strip() == str(expected)
@@ -125,6 +126,24 @@ def test_array_reference_parameters_rejected():
         with pytest.raises(TypeCheckError) as err:
             check_source(src)
         assert err.value.code == "BadParamType", src
+
+
+def test_array_reference_globals_lets_and_externs_rejected():
+    # Nor has a reference to an array a C form as a global, a local or an
+    # extern's parameter or result: these checked and ran, and emit-c then
+    # ended in a traceback.
+    for src, code in (
+            ("global g : option(int[4]*) = none; fun main() : int { 2 }",
+             "BadGlobalType"),
+            ("fun main() : int { let p : option(int[4]*) = none in 2 }",
+             "BadLetType"),
+            ("extern fun f(int[4]*) : int; fun main() : int { 2 }",
+             "BadExternType"),
+            ("extern fun f(int) : option(u8[2]*); fun main() : int { 2 }",
+             "BadExternType")):
+        with pytest.raises(TypeCheckError) as err:
+            check_source(src)
+        assert err.value.code == code, src
 
 
 def test_corpus_print_parse_round_trip():
@@ -229,9 +248,7 @@ def test_narrow_ref_compiles_with_matching_pointer_types(tmp_path):
     cfile = tmp_path / "narrow_ref.c"
     cfile.write_text(emit_program(tp, "host").text)
     exe = tmp_path / "narrow_ref"
-    r = subprocess.run([find_cc(), "-std=c11",
-                        "-Werror=incompatible-pointer-types", "-o", str(exe),
-                        str(cfile)], capture_output=True, text=True)
+    r = build_host(find_cc(), cfile, exe, "-Werror=incompatible-pointer-types")
     assert r.returncode == 0, r.stderr
     out = subprocess.run([str(exe)], capture_output=True, text=True)
     assert out.stdout.strip() == str(expected)
