@@ -277,9 +277,9 @@ def find_cc(explicit: Optional[str] = None) -> Optional[str]:
 def build_host(compiler: str, cfile: Path, exe: Path, *flags: str
                ) -> subprocess.CompletedProcess:
     """One cc run: ``cc -std=c11 FLAGS -o EXE FILE.c``.  The binary is
-    linked by gold when ``ld.gold`` is on the PATH (it links against libc in
-    about 10 ms of CPU where GNU ld takes 17), by cc's default linker
-    otherwise."""
+    linked by gold when ``ld.gold`` is on the PATH, since linking against
+    libc is the part of a cc run that gold makes cheaper than GNU ld, and by
+    cc's default linker otherwise."""
     gold = ["-fuse-ld=gold"] if shutil.which("ld.gold") else []
     return subprocess.run([compiler, "-std=c11", *flags, *gold,
                            "-o", str(exe), str(cfile)],

@@ -761,7 +761,7 @@ class TypedProgram:
 
 def _array_ref(ty: Ty) -> bool:
     """ty is a reference to an array, nullable or not, which has no C form
-    as a parameter, global or local."""
+    as a parameter, global, local or extern type."""
     ref = ty.inner if isinstance(ty, OptionTy) else ty
     return isinstance(ref, RefTy) and isinstance(ref.target, ArrayTy)
 
