@@ -8,6 +8,7 @@ JSON.  Parsing is deterministic and stops at the first error.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -105,81 +106,123 @@ class Token:
 # blanks after it (blanks before it would make trailing blanks quadratic).
 # Digits are ASCII only.  A word may start with any letter or '_' and
 # continue with any letter, digit, '_' or "'"; the pattern also lets a
-# non-ASCII numeral start one, which tokenize rejects.  Punctuation is tried
-# longest first.
-_TOKEN_RE = re.compile("(?:" + "|".join((
-    r"(?P<newline>\n)",
-    r"(?P<comment>//[^\n]*)",
-    r'(?P<string>"[^"\n]*")',
-    r'(?P<open_string>"[^"\n]*)',
-    r"(?P<int>(?:0[xX][0-9a-fA-F]*|[0-9]+)L?)",
-    r"(?P<word>[^\W\d][\w']*)",
-    "(?P<punct>" + "|".join(
-        map(re.escape, sorted(PUNCT, key=len, reverse=True))) + ")",
-    r"(?P<illegal>.)",
-)) + r")[ \t\r]*")
+# non-ASCII numeral start one, which the lexer rejects.  A string that meets
+# a newline or the end of the input is open.  Punctuation is tried longest
+# first.  The last alternative takes any character but a newline, which the
+# first takes, so a match starts at every position: matches are contiguous.
+_TOKEN_RE = re.compile("(" + "|".join((
+    r"\n",
+    r"//[^\n]*",
+    r'"[^"\n]*"?',
+    r"(?:0[xX][0-9a-fA-F]*|[0-9]+)L?",
+    r"[^\W\d][\w']*",
+    *map(re.escape, sorted(PUNCT, key=len, reverse=True)),
+    r".",
+)) + r")([ \t\r]*)")
+
+# A token's class, from its first character.  '/' starts a comment or the
+# division operator.  A character missing here starts an identifier if it
+# is a letter (no keyword has a non-ASCII one) and is illegal otherwise.
+_FIRST_CHAR = {
+    **{p[0]: "punct" for p in PUNCT},
+    **dict.fromkeys("0123456789", "int"),
+    **dict.fromkeys("_abcdefghijklmnopqrstuvwxyz"
+                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "word"),
+    '"': "string", "\n": "newline", "/": "slash",
+}
+
+
+def _lex(source: str, filename: str):
+    """The tokens of ``source`` as parallel lists of kinds, texts (a
+    string's quotes included) and start offsets, ending with one ``eof``;
+    the offset of each line's start; and the offset the ``eof`` column is
+    counted at, which a trailing comment does not advance."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    lines = [0]
+    n = eof_at = len(source)
+    pos = n - len(source.lstrip(" \t\r"))
+    for text, blanks in _TOKEN_RE.findall(source, pos):
+        kind = _FIRST_CHAR.get(text[0], "other")
+        if kind != "punct":
+            if kind == "word":
+                if text in KEYWORDS:
+                    kind = "kw"
+                elif text == "_":
+                    kind = "punct"
+                elif text.startswith("__bpl_"):
+                    _lex_error("L003", "identifiers starting with '__bpl_' "
+                               "are reserved", lines, pos, len(text),
+                               filename)
+                else:
+                    kind = "ident"
+            elif kind == "int":
+                if text in ("0x", "0X", "0xL", "0XL"):
+                    _lex_error("L004", "hexadecimal literal has no digits",
+                               lines, pos, len(text), filename)
+            elif kind == "newline":
+                lines.append(pos + 1)
+                pos += 1 + len(blanks)
+                continue
+            elif kind == "slash":
+                if text != "/":  # a comment, which runs to the newline
+                    if pos + len(text) == n:
+                        eof_at = pos
+                    pos += len(text)
+                    continue
+                kind = "punct"
+            elif kind == "string":
+                if len(text) == 1 or text[-1] != '"':
+                    _lex_error("L002", "unterminated string literal",
+                               lines, pos, len(text), filename)
+            elif text[0].isalpha():
+                kind = "ident"
+            else:
+                _lex_error("L001", f"illegal character {text[0]!r}",
+                           lines, pos, 1, filename)
+        kinds.append(kind)
+        texts.append(text)
+        starts.append(pos)
+        pos += len(text) + len(blanks)
+    kinds.append("eof")
+    texts.append("")
+    starts.append(n)
+    return kinds, texts, starts, lines, eof_at
+
+
+def _span(lines: list[int], at: int, start: int, end: int) -> Span:
+    """The span from ``start`` to ``end``, with the line and column of
+    offset ``at``; ``lines`` holds the offset of each line's start."""
+    line = bisect_right(lines, at)
+    return Span(line, at - lines[line - 1] + 1, start, end)
+
+
+def _lex_error(code: str, message: str, lines: list[int], start: int,
+               length: int, filename: str):
+    raise LexError(Diagnostic("error", code, message,
+                              _span(lines, start, start, start + length),
+                              filename=filename))
+
+
+def _int_value(text: str) -> tuple[int, bool]:
+    """An int token's value, and whether it has the L suffix."""
+    is_long = text[-1] == "L"
+    digits = text[:-1] if is_long else text
+    if digits[1:2] in ("x", "X"):
+        return int(digits, 16), is_long
+    return int(digits), is_long
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start = 1, 0
-    m = None
-    first = len(source) - len(source.lstrip(" \t\r"))
-    for m in _TOKEN_RE.finditer(source, first):
-        kind = m.lastgroup
-        if kind == "comment":
-            continue
-        start = m.start()
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-            continue
-        text = m[kind]
-        span = Span(line, start - line_start + 1, start, start + len(text))
-        if kind == "punct":
-            append(Token("punct", text, span))
-        elif kind == "word":
-            if text in KEYWORDS:
-                append(Token("kw", text, span))
-            elif text == "_":
-                append(Token("punct", text, span))
-            elif not (text[0].isalpha() or text[0] == "_"):
-                _lex_error("L001", f"illegal character {text[0]!r}",
-                           Span(span.line, span.col, start, start + 1),
-                           filename)
-            elif text.startswith("__bpl_"):
-                _lex_error("L003",
-                           "identifiers starting with '__bpl_' are reserved",
-                           span, filename)
-            else:
-                append(Token("ident", text, span))
-        elif kind == "int":
-            is_long = text[-1] == "L"
-            digits = text[:-1] if is_long else text
-            if digits[1:2] in ("x", "X"):
-                if len(digits) == 2:
-                    _lex_error("L004", "hexadecimal literal has no digits",
-                               span, filename)
-                value = int(digits, 16)
-            else:
-                value = int(digits)
-            append(Token("int", text, span, value, is_long))
-        elif kind == "string":
-            append(Token("string", text[1:-1], span))
-        elif kind == "open_string":
-            _lex_error("L002", "unterminated string literal", span, filename)
-        else:
-            _lex_error("L001", f"illegal character {text!r}", span, filename)
-    # A trailing comment does not advance the end-of-input column.
-    n = len(source)
-    end = m.start() if m is not None and m.lastgroup == "comment" else n
-    append(Token("eof", "", Span(line, end - line_start + 1, n, n)))
+    """The lexer's tokens as ``Token`` objects, each with its span; the
+    parser reads the lexer's lists directly."""
+    p = Parser(source, filename)
+    tokens = []
+    for i, kind in enumerate(p.kinds[:-2]):
+        payload = _int_value(p.texts[i]) if kind == "int" else ()
+        tokens.append(Token(kind, p.lexeme(i), p.span(i), *payload))
     return tokens
-
-
-def _lex_error(code: str, message: str, span: Span, filename: str):
-    raise LexError(Diagnostic("error", code, message, span, filename=filename))
 
 
 # ---------------------------------------------------------------------------
@@ -244,46 +287,66 @@ def _negated(lit: Expr, span: Optional[Span]) -> Expr:
 
 
 class Parser:
+    """Reads the lexer's lists by index.  A token's span is built only for a
+    node or a diagnostic that keeps it (``span``)."""
+
     def __init__(self, source: str, filename: str = "<input>"):
         self.filename = filename
-        self.tokens = tokenize(source, filename)
-        self.tokens += self.tokens[-1:] * 2  # peek and at look 2 ahead at most
+        (self.kinds, self.texts, self.starts, self.lines,
+         self.eof_at) = _lex(source, filename)
+        # Two more eof entries: the parser looks at most two tokens ahead.
+        self.kinds += ("eof", "eof")
+        self.texts += ("", "")
+        self.starts += self.starts[-1:] * 2
         self.pos = 0
         self._depth = 0  # parse_expr calls now open
         self._height = 0  # see parse_expr
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
+    def span(self, i: int) -> Span:
+        start = self.starts[i]
+        if self.kinds[i] == "eof":
+            return _span(self.lines, self.eof_at, start, start)
+        return _span(self.lines, start, start, start + len(self.texts[i]))
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def lexeme(self, i: int) -> str:
+        """Token i's text, a string's without its quotes."""
+        text = self.texts[i]
+        return text[1:-1] if self.kinds[i] == "string" else text
 
-    def at(self, kind: str, lexeme: Optional[str] = None, ahead: int = 0) -> bool:
-        t = self.tokens[self.pos + ahead]
-        return t.kind == kind and (lexeme is None or t.lexeme == lexeme)
+    def at(self, kind: str, lexeme: Optional[str] = None,
+           ahead: int = 0) -> bool:
+        i = self.pos + ahead
+        return self.kinds[i] == kind and (lexeme is None
+                                          or self.texts[i] == lexeme)
 
-    def accept(self, kind: str, lexeme: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, lexeme):
-            return self.next()
+    def accept(self, kind: str, lexeme: Optional[str] = None
+               ) -> Optional[int]:
+        """The next token's index, if it is a ``kind`` (and ``lexeme``):
+        the token is consumed."""
+        i = self.pos
+        if self.kinds[i] == kind and (lexeme is None
+                                      or self.texts[i] == lexeme):
+            self.pos = i + 1
+            return i
         return None
 
-    def expect(self, kind: str, lexeme: Optional[str] = None, what: str = "") -> Token:
-        if self.at(kind, lexeme):
-            return self.next()
-        t = self.peek()
+    def expect(self, kind: str, lexeme: Optional[str] = None,
+               what: str = "") -> int:
+        i = self.accept(kind, lexeme)
+        if i is not None:
+            return i
+        i = self.pos
         wanted = lexeme or kind
-        msg = f"expected {what or wanted!r}, found {t.lexeme or t.kind!r}"
-        raise ParseError(Diagnostic("error", "P001", msg, t.span,
+        msg = (f"expected {what or wanted!r}, "
+               f"found {self.lexeme(i) or self.kinds[i]!r}")
+        raise ParseError(Diagnostic("error", "P001", msg, self.span(i),
                                     filename=self.filename))
 
     def fail(self, message: str, span: Optional[Span] = None, code: str = "P001"):
         raise ParseError(Diagnostic("error", code, message,
-                                    span or self.peek().span,
+                                    span or self.span(self.pos),
                                     filename=self.filename))
 
     # -- programs ------------------------------------------------------------
@@ -319,9 +382,9 @@ class Parser:
     def parse_section_attr(self) -> str:
         self.expect("punct", "#")
         name = self.expect("ident", what="section")
-        if name.lexeme != "section":
-            self.fail("expected 'section' after '#'", name.span)
-        return self.expect("string", what="section name").lexeme
+        if self.texts[name] != "section":
+            self.fail("expected 'section' after '#'", self.span(name))
+        return self.lexeme(self.expect("string", what="section name"))
 
     def parse_struct_def(self) -> Composite:
         self.expect("kw", "struct")
@@ -332,14 +395,14 @@ class Parser:
             fname = self.expect("ident", what="field name")
             self.expect("punct", ":")
             fty = self.parse_type()
-            fields.append((fname.lexeme, fty))
-            if not self.accept("punct", ","):
+            fields.append((self.texts[fname], fty))
+            if self.accept("punct", ",") is None:
                 break
         self.expect("punct", "}")
         try:
-            return Composite(name.lexeme, tuple(fields))
+            return Composite(self.texts[name], tuple(fields))
         except CoreError as exc:
-            self.fail(str(exc), name.span, code="P002")
+            self.fail(str(exc), self.span(name), code="P002")
 
     def parse_fun_decl(self, sec: Optional[str]) -> FunDecl:
         kw = self.expect("kw", "fun")
@@ -349,35 +412,35 @@ class Parser:
         while not self.at("punct", ")"):
             ty = self.parse_type()
             arg = self.expect("ident", what="parameter name")
-            args.append((arg.lexeme, ty))
-            if not self.accept("punct", ","):
+            args.append((self.texts[arg], ty))
+            if self.accept("punct", ",") is None:
                 break
         self.expect("punct", ")")
         self.expect("punct", ":")
         rt = self.parse_type()
         ef = None
-        if self.accept("punct", ","):
+        if self.accept("punct", ",") is not None:
             ef = self.parse_effect_annotation()
         local_vars = []
-        if self.accept("kw", "vars"):
+        if self.accept("kw", "vars") is not None:
             self.expect("punct", "(")
             while not self.at("punct", ")"):
                 vty = self.parse_type()
                 v = self.expect("ident", what="local name")
-                local_vars.append((v.lexeme, vty))
-                if not self.accept("punct", ","):
+                local_vars.append((self.texts[v], vty))
+                if self.accept("punct", ",") is None:
                     break
             self.expect("punct", ")")
         self.expect("punct", "{")
         body = self.parse_expr()
         self.accept("punct", ";")
         self.expect("punct", "}")
+        span = self.span(kw)
         try:
-            return FunDecl(name.lexeme, rt, tuple(args), body,
-                           vars=tuple(local_vars), ef=ef, sec=sec,
-                           span=kw.span)
+            return FunDecl(self.texts[name], rt, tuple(args), body,
+                           vars=tuple(local_vars), ef=ef, sec=sec, span=span)
         except CoreError as exc:
-            self.fail(str(exc), kw.span, code="P002")
+            self.fail(str(exc), span, code="P002")
 
     def parse_effect_annotation(self) -> Effect:
         self.expect("punct", "<")
@@ -385,10 +448,10 @@ class Parser:
         while not self.at("punct", ">"):
             t = self.expect("ident", what="effect name")
             try:
-                atoms.append(EffectAtom(t.lexeme))
+                atoms.append(EffectAtom(self.texts[t]))
             except ValueError:
-                self.fail(f"unknown effect {t.lexeme!r}", t.span)
-            if not self.accept("punct", ","):
+                self.fail(f"unknown effect {self.texts[t]!r}", self.span(t))
+            if self.accept("punct", ",") is None:
                 break
         self.expect("punct", ">")
         return Effect(atoms)
@@ -402,16 +465,17 @@ class Parser:
         while not self.at("punct", ")"):
             arg_types.append(self.parse_type())
             self.accept("ident")  # optional parameter name
-            if not self.accept("punct", ","):
+            if self.accept("punct", ",") is None:
                 break
         self.expect("punct", ")")
         self.expect("punct", ":")
         rt = self.parse_type()
         ef = Effect()
-        if self.accept("punct", ","):
+        if self.accept("punct", ",") is not None:
             ef = self.parse_effect_annotation()
         self.accept("punct", ";")
-        return ExtDecl(name.lexeme, tuple(arg_types), rt, ef, span=kw.span)
+        return ExtDecl(self.texts[name], tuple(arg_types), rt, ef,
+                       span=self.span(kw))
 
     def parse_glob_decl(self, sec: Optional[str]) -> GlobDecl:
         kw = self.expect("kw", "global")
@@ -419,26 +483,28 @@ class Parser:
         self.expect("punct", ":")
         ty = self.parse_type()
         self.expect("punct", "=")
-        at = self.peek().span
+        at = self.span(self.pos)
         init = self.parse_glob_init()
         self.accept("punct", ";")
-        return GlobDecl(name.lexeme, ty, init, sec=sec, span=kw.span,
-                        init_span=at)
+        return GlobDecl(self.texts[name], ty, init, sec=sec,
+                        span=self.span(kw), init_span=at)
 
     def parse_glob_init(self) -> Union[Expr, bytes]:
         """A global's initial value: a string or a literal, which the checker
         types at the declared type."""
         if self.at("string"):
-            return self.expect("string").lexeme.encode() + b"\x00"
+            return self.lexeme(self.expect("string")).encode() + b"\x00"
         t = self.accept("kw", "none")
-        if t:
-            return NoneLit(span=t.span)
-        t = self.accept("kw", "true") or self.accept("kw", "false")
-        if t:
-            return ConstBool(t.lexeme == "true", span=t.span)
+        if t is not None:
+            return NoneLit(span=self.span(t))
+        t = self.accept("kw", "true")
+        if t is None:
+            t = self.accept("kw", "false")
+        if t is not None:
+            return ConstBool(self.texts[t] == "true", span=self.span(t))
         minus = self.accept("punct", "-")
         lit = self._int_literal(self.expect("int", what="initial value"))
-        return _negated(lit, minus.span) if minus else lit
+        return lit if minus is None else _negated(lit, self.span(minus))
 
     def parse_char_array_decl(self, sec: Optional[str]) -> GlobDecl:
         kw = self.expect("kw", "char")
@@ -450,48 +516,50 @@ class Parser:
         self.expect("punct", "=")
         text = self.expect("string", what="string initializer")
         self.accept("punct", ";")
-        data = text.lexeme.encode() + b"\x00"
-        return GlobDecl(name.lexeme, ArrayTy(I8, len(data)), data, sec=sec,
-                        span=kw.span)
+        data = self.lexeme(text).encode() + b"\x00"
+        return GlobDecl(self.texts[name], ArrayTy(I8, len(data)), data,
+                        sec=sec, span=self.span(kw))
 
     # -- types ----------------------------------------------------------------
 
     def parse_type(self) -> Ty:
-        t = self.peek()
-        if t.kind == "kw" and t.lexeme in PRIM_TYPE_NAMES:
-            self.next()
-            base: Ty = PRIM_TYPE_NAMES[t.lexeme]
-        elif self.accept("kw", "unit"):
+        t = self.pos
+        lexeme = self.texts[t]
+        if self.kinds[t] == "kw" and lexeme in PRIM_TYPE_NAMES:
+            self.pos += 1
+            base: Ty = PRIM_TYPE_NAMES[lexeme]
+        elif self.accept("kw", "unit") is not None:
             base = UNIT
-        elif self.accept("kw", "bytes"):
+        elif self.accept("kw", "bytes") is not None:
             base = BYTES
-        elif self.accept("kw", "struct"):
+        elif self.accept("kw", "struct") is not None:
             name = self.expect("ident", what="struct name")
-            base = StructTy(name.lexeme)
-        elif self.accept("kw", "option"):
+            base = StructTy(self.texts[name])
+        elif self.accept("kw", "option") is not None:
             self.expect("punct", "(")
             inner = self.parse_type()
             self.expect("punct", ")")
-            if not isinstance(inner, (RefTy,)):
-                self.fail("option wraps a pointer type", t.span, code="P004")
+            if not isinstance(inner, RefTy):
+                self.fail(f"option wraps a pointer type, not {inner}",
+                          self.span(t), code="P004")
             return OptionTy(inner)
         else:
             self.fail("expected a type")
         while True:
             if self.at("punct", "*"):
-                self.next()
+                self.pos += 1
                 try:
                     base = RefTy(base)
                 except CoreError as exc:
-                    self.fail(str(exc), t.span, code="P004")
+                    self.fail(str(exc), self.span(t), code="P004")
             elif self.at("punct", "[") and self.at("int", ahead=1):
-                self.next()
-                length = self.expect("int").value
+                self.pos += 1
+                length = _int_value(self.texts[self.expect("int")])[0]
                 self.expect("punct", "]")
                 try:
                     base = ArrayTy(base, length)
                 except CoreError as exc:
-                    self.fail(str(exc), t.span, code="P004")
+                    self.fail(str(exc), self.span(t), code="P004")
             else:
                 break
         return base
@@ -509,42 +577,42 @@ class Parser:
         siblings = self._height
         self._depth += 1
         if self._depth > MAX_EXPR_DEPTH:
-            self._too_deep(self.peek())
+            self._too_deep(self.pos)
         self._height = 0
         lhs = self.parse_prefix()
         height = self._height + 1
-        tokens = self.tokens
+        kinds, texts = self.kinds, self.texts
         while True:
-            t = tokens[self.pos]
-            if t.kind != "punct":
+            t = self.pos
+            if kinds[t] != "punct":
                 break
-            lexeme = t.lexeme
+            lexeme = texts[t]
             self._height = 0
             if lexeme in BINARY_OPS:
                 kind, bp = BINARY_OPS[lexeme]
                 if bp < min_bp or (kind is BopKind.OR
                                    and self._bar_starts_pattern()):
                     break
-                self.pos += 1
+                self.pos = t + 1
                 lhs = Prim(Bop(kind), (lhs, self.parse_expr(bp + 1)),
-                           span=t.span)
+                           span=self.span(t))
             elif lexeme == "(":
-                self.pos += 1
+                self.pos = t + 1
                 args = []
                 while not self.at("punct", ")"):
                     args.append(self.parse_expr())
-                    if not self.accept("punct", ","):
+                    if self.accept("punct", ",") is None:
                         break
                 self.expect("punct", ")")
-                lhs = App(lhs, tuple(args), span=t.span)
+                lhs = App(lhs, tuple(args), span=self.span(t))
             elif lexeme == ".":
-                self.pos += 1
+                self.pos = t + 1
                 fname = self.expect("ident", what="field name")
-                lhs = Field(lhs, fname.lexeme, span=fname.span)
+                lhs = Field(lhs, texts[fname], span=self.span(fname))
             elif lexeme == ":=" and min_bp == _LOW_PREC:
-                self.pos += 1
+                self.pos = t + 1
                 lhs = Prim(Assign(), (lhs, self.parse_expr(_LOW_PREC)),
-                           span=t.span)
+                           span=self.span(t))
             else:
                 break
             height = max(height, self._height) + 1
@@ -554,58 +622,56 @@ class Parser:
         self._height = max(siblings, height)
         return lhs
 
-    def _too_deep(self, t: Token):
+    def _too_deep(self, t: int):
         self.fail(f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
-                  t.span, code="P005")
+                  self.span(t), code="P005")
 
     def _bar_starts_pattern(self) -> bool:
-        nxt = self.peek(1)
-        if nxt.kind == "kw" and nxt.lexeme in ("pnone", "psome"):
+        i = self.pos + 1
+        kind, lexeme = self.kinds[i], self.texts[i]
+        if kind == "kw" and lexeme in ("pnone", "psome"):
             return True
-        if nxt.kind == "punct" and nxt.lexeme == "_":
+        if kind == "punct" and lexeme == "_":
             return True
-        if nxt.kind == "ident":
-            after = self.peek(2)
-            if after.kind == "punct" and after.lexeme in (",", "=>"):
-                return True
-        return False
+        return kind == "ident" and self.kinds[i + 1] == "punct" \
+            and self.texts[i + 1] in (",", "=>")
 
     def parse_prefix(self) -> Expr:
         """A prefix operator or cast with its operand, or a primary."""
-        t = self.tokens[self.pos]
-        kind, lexeme = t.kind, t.lexeme
+        t = self.pos
+        kind, lexeme = self.kinds[t], self.texts[t]
         if kind == "ident":
-            self.pos += 1
+            self.pos = t + 1
             if self.at("punct", "{"):
                 return self.parse_struct_init(t)
-            return Var(lexeme, span=t.span)
+            return Var(lexeme, span=self.span(t))
         if kind == "int":
-            self.pos += 1
+            self.pos = t + 1
             return self._int_literal(t)
         if kind == "punct" and lexeme == "(":
-            self.pos += 1
-            ty = self.peek()
-            if (ty.kind == "kw" and ty.lexeme in PRIM_TYPE_NAMES
+            self.pos = t + 1
+            ty = self.texts[t + 1]
+            if (self.kinds[t + 1] == "kw" and ty in PRIM_TYPE_NAMES
                     and self.at("punct", ")", ahead=1)):
-                self.pos += 2
-                return Prim(Cast(PRIM_TYPE_NAMES[ty.lexeme]),
-                            (self.parse_expr(_UNARY_PREC),), span=t.span)
-            if self.accept("punct", ")"):
-                return UnitLit(span=t.span)
+                self.pos = t + 3
+                return Prim(Cast(PRIM_TYPE_NAMES[ty]),
+                            (self.parse_expr(_UNARY_PREC),), span=self.span(t))
+            if self.accept("punct", ")") is not None:
+                return UnitLit(span=self.span(t))
             inner = self.parse_expr()
             self.expect("punct", ")")
             return inner
         if kind == "punct" or kind == "kw":
             op = _PREFIX_OPS.get(lexeme)
             if op is not None:
-                self.pos += 1
+                self.pos = t + 1
                 operand = self.parse_expr(_UNARY_PREC)
                 # Fold negated literals so printed constants re-parse
                 # structurally.
                 if lexeme == "-" and isinstance(operand,
                                                 (ConstInt, ConstLong)):
-                    return _negated(operand, t.span)
-                return Prim(op, (operand,), span=t.span)
+                    return _negated(operand, self.span(t))
+                return Prim(op, (operand,), span=self.span(t))
         if kind == "kw":
             if lexeme == "let":
                 return self.parse_let()
@@ -616,56 +682,59 @@ class Parser:
             if lexeme == "for":
                 return self.parse_for()
             if lexeme in ("true", "false"):
-                self.pos += 1
-                return ConstBool(lexeme == "true", span=t.span)
+                self.pos = t + 1
+                return ConstBool(lexeme == "true", span=self.span(t))
             if lexeme == "none":
-                self.pos += 1
-                return NoneLit(span=t.span)
+                self.pos = t + 1
+                return NoneLit(span=self.span(t))
             if lexeme in ("some", "ref"):
-                self.pos += 1
+                self.pos = t + 1
                 self.expect("punct", "(")
                 inner = self.parse_expr()
                 self.expect("punct", ")")
                 if lexeme == "some":
-                    return SomeLit(inner, span=t.span)
-                return Prim(RefOp(), (inner,), span=t.span)
+                    return SomeLit(inner, span=self.span(t))
+                return Prim(RefOp(), (inner,), span=self.span(t))
         self.fail("expected an expression")
 
-    def _int_literal(self, t: Token) -> Expr:
-        if t.value > LONG_MAX:
-            self.fail("integer literal exceeds 64 bits", t.span, code="P003")
-        if t.is_long or t.value > INT_MAX:
-            return ConstLong(t.value, span=t.span)
-        return ConstInt(t.value, span=t.span)
+    def _int_literal(self, t: int) -> Expr:
+        value, is_long = _int_value(self.texts[t])
+        if value > LONG_MAX:
+            self.fail("integer literal exceeds 64 bits", self.span(t),
+                      code="P003")
+        if is_long or value > INT_MAX:
+            return ConstLong(value, span=self.span(t))
+        return ConstInt(value, span=self.span(t))
 
-    def parse_struct_init(self, name: Token) -> Expr:
+    def parse_struct_init(self, name: int) -> Expr:
         self.expect("punct", "{")
         fields = []
         while not self.at("punct", "}"):
             fname = self.expect("ident", what="field name")
             self.expect("punct", "=")
-            fields.append((fname.lexeme, self.parse_expr()))
-            if not self.accept("punct", ","):
+            fields.append((self.texts[fname], self.parse_expr()))
+            if self.accept("punct", ",") is None:
                 break
         self.expect("punct", "}")
-        return StructInit(name.lexeme, tuple(fields), span=name.span)
+        return StructInit(self.texts[name], tuple(fields),
+                          span=self.span(name))
 
     def parse_let(self) -> Expr:
         kw = self.expect("kw", "let")
-        if self.accept("punct", "_"):
+        if self.accept("punct", "_") is not None:
             name = "_"
             declared = UNIT
-            if self.accept("punct", ":"):
+            if self.accept("punct", ":") is not None:
                 declared = self.parse_type()
         else:
-            name = self.expect("ident", what="binder").lexeme
+            name = self.texts[self.expect("ident", what="binder")]
             self.expect("punct", ":")
             declared = self.parse_type()
         self.expect("punct", "=")
         bound = self.parse_expr()
         self.expect("kw", "in")
         body = self.parse_expr()
-        return Let(name, declared, bound, body, span=kw.span)
+        return Let(name, declared, bound, body, span=self.span(kw))
 
     def parse_if(self) -> Expr:
         kw = self.expect("kw", "if")
@@ -674,7 +743,7 @@ class Parser:
         then = self.parse_expr()
         self.expect("kw", "else")
         otherwise = self.parse_expr()
-        return Cond(guard, then, otherwise, span=kw.span)
+        return Cond(guard, then, otherwise, span=self.span(kw))
 
     def parse_for(self) -> Expr:
         kw = self.expect("kw", "for")
@@ -683,9 +752,9 @@ class Parser:
         self.expect("punct", "...")
         hi = self.parse_expr()
         self.expect("punct", ",")
-        if self.accept("kw", "Up"):
+        if self.accept("kw", "Up") is not None:
             d = Direction.UP
-        elif self.accept("kw", "Down"):
+        elif self.accept("kw", "Down") is not None:
             d = Direction.DOWN
         else:
             self.fail("expected Up or Down")
@@ -694,48 +763,46 @@ class Parser:
         body = self.parse_expr()
         self.accept("punct", ";")
         self.expect("punct", "}")
-        return For(lo, hi, d, body, span=kw.span)
+        return For(lo, hi, d, body, span=self.span(kw))
 
     def parse_match(self) -> Expr:
         kw = self.expect("kw", "match")
         scrutinee = self.parse_expr()
         self.expect("kw", "with")
         arms = []
-        while self.at("punct", "|"):
-            self.next()
+        while self.accept("punct", "|") is not None:
             pat = self.parse_pattern()
             self.expect("punct", "=>")
             arms.append((pat, self.parse_expr()))
         if not arms:
             self.fail("match needs at least one arm")
-        return Match(scrutinee, tuple(arms), span=kw.span)
+        return Match(scrutinee, tuple(arms), span=self.span(kw))
 
     def parse_pattern(self) -> Pattern:
-        if self.accept("kw", "pnone"):
+        if self.accept("kw", "pnone") is not None:
             return Pnone()
-        if self.accept("kw", "psome"):
+        if self.accept("kw", "psome") is not None:
             binder = self.expect("ident", what="binder")
-            return Psome(binder.lexeme)
-        if self.accept("punct", "_"):
+            return Psome(self.texts[binder])
+        if self.accept("punct", "_") is not None:
             return Pwild()
         binder = self.expect("ident", what="pattern binder")
         self.expect("punct", ",")
         target = self.parse_type()
         fields = []
-        if self.accept("punct", ":"):
-            while self.at("punct", "("):
-                self.next()
+        if self.accept("punct", ":") is not None:
+            while self.accept("punct", "(") is not None:
                 y = self.expect("ident", what="field binder")
                 self.expect("punct", ",")
                 fty = self.parse_type()
                 self.expect("punct", ")")
-                fields.append((y.lexeme, fty))
-                if not self.accept("punct", ","):
+                fields.append((self.texts[y], fty))
+                if self.accept("punct", ",") is None:
                     break
         try:
-            return Pbytes(binder.lexeme, target, tuple(fields))
+            return Pbytes(self.texts[binder], target, tuple(fields))
         except CoreError as exc:
-            self.fail(str(exc), binder.span, code="P004")
+            self.fail(str(exc), self.span(binder), code="P004")
 
 
 def parse_program(source: str, filename: str = "<input>") -> Program:

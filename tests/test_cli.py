@@ -86,6 +86,23 @@ def test_check_points_at_a_string_initializer(tmp_path, capsys):
         "has type i8[3], declared int" in err
 
 
+def test_check_names_the_type_an_option_wraps(tmp_path, capsys):
+    # The diagnostic points at 'option' and names the type given, which is
+    # not a pointer.
+    f = tmp_path / "opt.bpl"
+    for src, where, given in (
+            ("global g : option(int[4]) = none;", "1:12", "int[4]"),
+            ("fun main() : int { let p : option(option(int*)) = none in 1 }",
+             "1:28", "option(int*)"),
+            ("fun main() : int { let p : option(int) = none in 1 }",
+             "1:28", "int")):
+        f.write_text(src + "\n")
+        code, out, err = run_cli(capsys, "check", str(f))
+        assert code == 1
+        assert f"{f}:{where}: error[P004]: option wraps a pointer type, " \
+            f"not {given}" in err, (src, err)
+
+
 def test_emit_c_rejects_array_references(tmp_path, capsys):
     # A global or let typed as a reference to an array has no C form: the
     # checker rejects it, so emit-c reports a diagnostic in both modes.

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -10,10 +11,10 @@ from beepl.core import (
     App, Assign, Bop, BopKind, BOOL, Cast, Cond, ConstBool, ConstInt,
     ConstLong, Deref, Direction, EffectAtom, Expr, For, FunDecl, GlobDecl,
     INT, Let, LONG, Loc, Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome,
-    Pwild, RefOp, RefTy, Seq, SomeLit, Span, StructTy, U16, UNIT, UnitLit,
-    Uop, UopKind, Var, contains_internal,
+    Program, Pwild, RefOp, RefTy, Seq, SomeLit, Span, StructTy, U16, UNIT,
+    UnitLit, Uop, UopKind, Var, contains_internal, expr_children,
 )
-from beepl.driver import corpus_path, evaluate_with_audit
+from beepl.driver import CORPUS_DIR, corpus_path, evaluate_with_audit
 from beepl.frontend import (
     MAX_EXPR_DEPTH, PRIM_TYPE_NAMES, Diagnostic, LexError, ParseError, Parser,
     UnprintableInternalNode, parse_expr, parse_program, print_expr,
@@ -102,6 +103,48 @@ def test_lex_error_unterminated_string():
 def test_reserved_prefix_rejected():
     with pytest.raises(LexError):
         tokenize("let __bpl_x : int = 1 in 2")
+
+
+def _line_col(source: str, start: int) -> tuple[int, int]:
+    """The line and column of an offset, counted from the text itself."""
+    return source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)
+
+
+# What may lie between two tokens, and after the last: blanks, newlines and
+# comments, a comment ending at a newline unless it ends the input.
+_GAP = re.compile(r"(?:[ \t\r\n]|//[^\n]*\n)*")
+_LAST_GAP = re.compile(r"(?:[ \t\r\n]|//[^\n]*\n)*(?://[^\n]*)?")
+# Characters that start, end or break each kind of token.
+_LEXER_TEXT = st.text(st.sampled_from(list(
+    " \t\r\n/\"_xXL09az(){}.:=<>|-!#$'\u00e9\u00b2\u0663")), max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_LEXER_TEXT, st.text(max_size=40)))
+@example("x // c\n\"s\" 0x1fL_")
+def test_tokens_tile_the_input(source):
+    """Each token's offset is a sum of the lengths before it; whatever the
+    text, the tokens lie in order over it with only blanks, newlines and
+    comments between them, or lexing stops at an error inside it."""
+    try:
+        *tokens, eof = tokenize(source)
+    except LexError as exc:
+        span = exc.diagnostic.span
+        assert 0 <= span.start < span.end <= len(source)
+        assert (span.line, span.col) == _line_col(source, span.start)
+        return
+    pos = 0
+    for t in tokens:
+        s = t.span
+        assert _GAP.fullmatch(source, pos, s.start), (pos, t)
+        assert source[s.start:s.end] == (
+            f'"{t.lexeme}"' if t.kind == "string" else t.lexeme)
+        assert (s.line, s.col) == _line_col(source, s.start)
+        pos = s.end
+    assert _LAST_GAP.fullmatch(source, pos)
+    assert (eof.kind, eof.span.start, eof.span.end) == \
+        ("eof", len(source), len(source))
+    assert eof.span.line == source.count("\n") + 1
 
 
 # --- parser ----------------------------------------------------------------------
@@ -275,6 +318,34 @@ def test_assign_precedence():
     assert isinstance(e.op, Assign)
     rhs = e.operands[1]
     assert isinstance(rhs.op, Bop) and rhs.op.kind is BopKind.ADD
+
+
+def _spans(p: Program):
+    """The span of every declaration and expression node of p, and of each
+    global's initializer, where the parser set one."""
+    for d in p.decls:
+        todo = [e for e in (getattr(d, "body", None), getattr(d, "init", None))
+                if isinstance(e, Expr)]
+        yield d.span
+        if isinstance(d, GlobDecl):
+            yield d.init_span
+        while todo:
+            e = todo.pop()
+            yield e.span
+            todo.extend(expr_children(e))
+
+
+def test_node_spans_agree_with_the_text():
+    sources = [path.read_text() for path in sorted(CORPUS_DIR.glob("*.bpl"))]
+    for seed in range(200):
+        for cfg in (GenConfig(seed=seed),
+                    GenConfig(seed=seed, bytes_match=True, externals=True)):
+            sources.append(print_program(generate_well_typed(cfg)))
+    for source in sources:
+        tokens = {(t.span.start, t.span.end) for t in tokenize(source)}
+        for s in filter(None, _spans(parse_program(source))):
+            assert (s.line, s.col) == _line_col(source, s.start), (s, source)
+            assert (s.start, s.end) in tokens, (s, source)
 
 
 # --- printer ---------------------------------------------------------------------
