@@ -107,7 +107,8 @@ def test_reserved_prefix_rejected():
 
 def _line_col(source: str, start: int) -> tuple[int, int]:
     """The line and column of an offset, counted from the text itself."""
-    return source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)
+    return (source.count("\n", 0, start) + 1,
+            start - source.rfind("\n", 0, start))
 
 
 # What may lie between two tokens, and after the last: blanks, newlines and
