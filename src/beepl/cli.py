@@ -12,14 +12,17 @@ from pathlib import Path
 
 from .cgen import emit_program
 from .core import (
-    ConstBool, ConstInt, ConstLong, Loc, NoneLit, SomeLit, UnitLit,
+    BytesView, ConstBool, ConstInt, ConstLong, Loc, NoneLit, Repeat, Seq,
+    SomeLit, UnitLit, Var, expr_children, with_children,
 )
 from .driver import (
     run_cve_corpus, run_differential, run_property_suite,
 )
-from .frontend import FrontendError, parse_program
-from .gen import GenConfig
-from .interp import DEFAULT_FUEL, ExternalWorld, InterpError, run_program
+from .frontend import FrontendError, parse_program, print_expr
+from .gen import GenConfig, expr_size
+from .interp import (
+    DEFAULT_FUEL, ExternalWorld, InterpError, StuckState, run_program,
+)
 from .typecheck import TypeCheckError, check_program
 
 EXIT_OK = 0
@@ -68,6 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trace", action="store_true",
                    help="print per step the rule name, the class of the "
                         "whole resulting term and the block count")
+    r.add_argument("--json", action="store_true",
+                   help="with --trace, write each step as a JSON object")
     r.add_argument("--packet", default=None,
                    help="hex-string file backing the packet context")
 
@@ -149,20 +154,48 @@ def cmd_run(args) -> int:
         except ValueError as exc:
             _usage_error(f"packet file {args.packet} does not hold hex "
                          f"bytes: {exc}")
-    on_step = None
-    if args.trace:
-        def on_step(state, expr, rule):
-            summary = type(expr).__name__
-            print(f"{rule:10s} {summary:12s} blocks={len(state.theta.blocks)}",
-                  file=sys.stderr)
+    if args.json and not args.trace:
+        _usage_error("--json goes with --trace")
+
+    def on_event(ev) -> None:
+        print(json.dumps(_trace_record(ev)) if args.json else
+              f"{ev.rule:10s} {type(ev.term).__name__:12s} "
+              f"blocks={len(ev.state.theta.blocks)}", file=sys.stderr)
     try:
         result = run_program(tp, world, entry=args.entry, fuel=args.fuel,
-                             on_step=on_step)
+                             on_event=on_event if args.trace else None)
     except InterpError as exc:
+        if args.json and isinstance(exc, StuckState):
+            print(json.dumps({**_trace_record(exc.event),
+                              "stuck": exc.reason}), file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     print(_render_value(result.value))
     return EXIT_OK
+
+
+def _trace_record(ev) -> dict:
+    """A step of ``run --trace --json``, from its ``interp.StepEvent``."""
+    return {"rule": ev.rule, "redex": _print_term(ev.redex), "depth": ev.depth,
+            "size": expr_size(ev.term), "blocks": len(ev.state.theta.blocks)}
+
+
+# The nodes that only evaluation makes have no surface syntax; a trace prints
+# each as a variable named by its runtime form.
+_RUNTIME_FORMS = {
+    Loc: lambda e: f"<loc {e.block}+{e.offset}>",
+    BytesView: lambda e: f"<bytes {e.block}+{e.offset}:{e.length}>",
+    Seq: lambda e: f"<seq {'; '.join(map(_print_term, e.parts))}>",
+    Repeat: lambda e: f"<repeat {e.count} {{ {_print_term(e.body)} }}>",
+}
+
+
+def _print_term(e) -> str:
+    def forms(e):
+        form = _RUNTIME_FORMS.get(type(e))
+        return Var(form(e)) if form else \
+            with_children(e, [forms(c) for c in expr_children(e)])
+    return print_expr(forms(e))
 
 
 def cmd_emit_c(args) -> int:

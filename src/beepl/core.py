@@ -539,9 +539,6 @@ class Repeat(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
-INTERNAL_EXPRS = (Loc, BytesView, Seq, Repeat)
-
-
 # ---------------------------------------------------------------------------
 # Patterns
 # ---------------------------------------------------------------------------
@@ -814,32 +811,40 @@ def fvar(e: Expr, known: Optional[dict[int, tuple[Expr, frozenset[str]]]]
     return out
 
 
-def _replace_free(e: Expr, x: str, v: Expr, rename: Optional[str]) -> Expr:
-    """The walk behind subst and rename_var: free ``Var(x)`` becomes v.
+def _replace_free(e: Expr, subs: dict[str, Expr], rename: bool) -> Expr:
+    """The walk behind subst and rename_var: each free ``Var(x)`` with x in
+    subs becomes ``subs[x]``.
 
-    The two differ only at a struct initialization of x: substitution stops
-    there, since the initialized variable shadows it, while renaming (when
-    ``rename`` is the new name) renames the target and goes on into the
-    fields.
+    The two differ only at a struct initialization of such an x:
+    substitution drops x there, since the initialized variable shadows it,
+    while renaming (when subs maps each name to a ``Var``) renames the
+    target and goes on into the fields.
 
     A node none of whose children changed is returned itself, so every
-    subterm without a free x keeps its identity (and its ``span`` and
-    ``ty``); the audit's memo of judgments keys on that identity.
+    subterm without a free name of subs keeps its identity (and its
+    ``span`` and ``ty``); the audit's memo of judgments keys on that
+    identity.
     """
     if type(e) is Var:
-        return v if e.name == x else e
+        return subs.get(e.name, e)
     shape = _shape(e)
     if shape is None:
         return e
-    if type(e) is StructInit and e.name == x:
-        if rename is None:
-            return e
-        e = StructInit(rename, e.fields, ty=e.ty)
+    if type(e) is StructInit and e.name in subs:
+        if rename:
+            e = StructInit(subs[e.name].name, e.fields, ty=e.ty)
+        else:
+            subs = {x: v for x, v in subs.items() if x != e.name}
+            if not subs:
+                return e
     children = shape.children(e)
     if shape.binds is None:
-        new = [_replace_free(c, x, v, rename) for c in children]
+        new = [_replace_free(c, subs, rename) for c in children]
     else:
-        new = [c if x in bound else _replace_free(c, x, v, rename)
+        # A binder shadows the names it binds.
+        new = [_replace_free(c, inner, rename)
+               if (inner := subs if bound.isdisjoint(subs) else
+                   {x: v for x, v in subs.items() if x not in bound}) else c
                for c, bound in zip(children, shape.binds(e))]
     if not any(map(is_not, new, children)):
         return e
@@ -848,23 +853,16 @@ def _replace_free(e: Expr, x: str, v: Expr, rename: Optional[str]) -> Expr:
 
 def subst(e: Expr, x: str, v: Expr) -> Expr:
     """Capture-avoiding substitution e[x <- v]; same-named binders shadow."""
-    return _replace_free(e, x, v, None)
+    return _replace_free(e, {x: v}, False)
 
 
-def rename_var(e: Expr, old: str, new: str) -> Expr:
-    """Rename free occurrences of a variable, including struct-init targets.
+def rename_var(e: Expr, names: dict[str, str]) -> Expr:
+    """Rename the free occurrences of each variable of ``names``, which must
+    not map to a name that occurs in e, in one walk.
 
     Used when a call binds parameters and locals apart; unlike subst, the
     name slot of a struct initialization is an occurrence to rename.
     """
-    return _replace_free(e, old, Var(new), new)
-
-
-def contains_internal(e: Expr) -> bool:
-    """True when e contains a node that only evaluation may produce."""
-    if isinstance(e, INTERNAL_EXPRS):
-        return True
-    for child in expr_children(e):
-        if contains_internal(child):
-            return True
-    return False
+    if not names:
+        return e
+    return _replace_free(e, {x: Var(new) for x, new in names.items()}, True)

@@ -28,8 +28,8 @@ from .core import (
 from .frontend import parse_program, print_program
 from .gen import GenConfig, generate_well_typed, shrink_program
 from .interp import (
-    DEFAULT_FUEL, ExternalWorld, FuelExhausted, State, StuckState,
-    entry_call, eval_multi, init_state, replaced_path, run_program,
+    DEFAULT_FUEL, ExternalWorld, FuelExhausted, State, StepEvent,
+    StuckState, entry_call, eval_multi, init_state, run_program,
     runtime_gamma, well_formed,
 )
 from .typecheck import (
@@ -121,18 +121,18 @@ class _Violation(Exception):
 def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
                         fuel: int = DEFAULT_FUEL) -> AuditResult:
     """Evaluate the entry point, re-checking the term and the state after
-    every step through ``eval_multi``'s step hook.
+    every step through ``eval_multi``'s event hook.
 
     The re-check is incremental and exact.  Evaluation never goes under a
     binder, runtime names are fresh and block ids are never reused, so a
     judgment made at an earlier step still holds for the same node as long
     as the runtime gamma, sigma and struct variables extend the ones it was
     made in (weakening).  The run's memo keeps those judgments, and the
-    frames a step rebuilt are judged from the hole up only until one keeps
-    the judgment of the node it replaced (``JudgmentMemo.rejudge``).  The
-    context and the state check take in only the names and blocks a step
-    added; a step that rewrote an entry of omega, delta or sigma empties
-    the memo and is checked in full.
+    frames a step rebuilt, its event's path, are judged from the hole up
+    only until one keeps the judgment of the node it replaced
+    (``JudgmentMemo.rejudge``).  The context and the state check take in
+    only the names and blocks a step added; a step that rewrote an entry of
+    omega, delta or sigma empties the memo and is checked in full.
     """
     violations: list[str] = []
     for name, eff in tp.effects.items():
@@ -151,12 +151,12 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         return AuditResult([f"initial call untypeable: {exc}"], 0)
     steps = 0
     value = None
-    last = expr  # the term the memo last judged
     seen = (len(s.omega), s.theta.next_block)  # the names and blocks checked
 
-    def recheck(s: State, expr: Expr, rule: str) -> None:
-        nonlocal steps, eff, ctx, last, seen
+    def recheck(ev: StepEvent) -> None:
+        nonlocal steps, eff, ctx, seen
         steps += 1
+        expr, rule = ev.term, ev.rule  # the new term, and the rule that fired
         if _rewritten(s):  # the context need not extend the last one
             ctx = _audit_ctx(tp, s, memo)
             names = blocks = None
@@ -170,7 +170,7 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
                 ctx.gamma[x] = s.sigma[s.omega[x]]
             if struct_refs := _struct_refs(ctx.gamma, names):
                 ctx.struct_vars |= struct_refs
-            memo.rejudge(ctx, replaced_path(last, expr))
+            memo.rejudge(ctx, ev.path)
         seen = (len(s.omega), s.theta.next_block)
         try:
             ty_i, eff_i = infer_expr(ctx, expr, ty0)
@@ -188,7 +188,6 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
             raise _Violation(f"step {steps} ill-formed state: {clauses[0]}")
         s.theta.written.clear()  # their cells are checked
         memo.prune(expr)
-        last = expr
 
     try:
         value = eval_multi(s, world, expr, fuel, recheck).value

@@ -211,6 +211,10 @@ def _int_value(text: str) -> tuple[int, bool]:
     digits = text[:-1] if is_long else text
     if digits[1:2] in ("x", "X"):
         return int(digits, 16), is_long
+    # Past 20 digits it exceeds 64 bits, and int() refuses past 4,300 digits.
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 20:
+        return 1 << 64, is_long
     return int(digits), is_long
 
 
@@ -554,7 +558,7 @@ class Parser:
                     self.fail(str(exc), self.span(t), code="P004")
             elif self.at("punct", "[") and self.at("int", ahead=1):
                 self.pos += 1
-                length = _int_value(self.texts[self.expect("int")])[0]
+                length = self._int_literal(self.expect("int")).value
                 self.expect("punct", "]")
                 try:
                     base = ArrayTy(base, length)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field
-from operator import is_not
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     App, ArrayTy, Assign, BoolTy, Bop, BopKind, BYTES, BytesTy, BytesView,
@@ -37,9 +36,12 @@ class FuelExhausted(InterpError):
 
 
 class StuckState(InterpError):
+    """No rule applies; under a hook, ``event`` is the step that got stuck."""
+
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+        self.event: Optional[StepEvent] = None
 
 
 class TooShort(InterpError):
@@ -351,26 +353,20 @@ def extract(v: BytesView, target: Ty, theta: Memory,
 # Small-step evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Stepped:
-    expr: Expr
-    rule: str
-    # The contracted subterm of the term stepped, and its path's length.
-    redex: Optional[Expr] = dc_field(default=None, compare=False)
-    depth: int = dc_field(default=0, compare=False)
+class StepEvent(NamedTuple):
+    """One step of ``eval_multi``, as its hook sees it: the rule, the redex
+    (a node of the term before the step) and the length of its path from the
+    root, the whole term after the step, and that path as (old node, new
+    node) pairs from the root down to the hole the contractum fills, the
+    redex and the contractum last; the two terms differ only there.  A step
+    that gets stuck has no rule and an empty path."""
 
-
-@dataclass
-class IsValue:
-    value: Expr
-
-
-@dataclass
-class Stuck:
-    reason: str
-
-
-StepOutcome = Union[Stepped, IsValue, Stuck]
+    state: State
+    rule: Optional[str]
+    redex: Expr
+    depth: int
+    term: Expr
+    path: list[tuple[Expr, Expr]]
 
 
 def _typed_value_expr(v: Expr, ty: Optional[Ty]) -> Expr:
@@ -378,19 +374,6 @@ def _typed_value_expr(v: Expr, ty: Optional[Ty]) -> Expr:
     if type(v) is NoneLit and isinstance(ty, OptionTy):
         return NoneLit(ty=ty)
     return v
-
-
-def step(s: State, w: ExternalWorld, e: Expr) -> StepOutcome:
-    """One computational step; exactly one rule applies to a non-value."""
-    if is_value(e):
-        return IsValue(e)
-    frames: list = []
-    redex, values, _ = _refocus(frames, e)
-    try:
-        out, rule = _contract(s, w, redex, values)
-    except StuckState as exc:
-        return Stuck(exc.reason)
-    return Stepped(_plug(frames, out), rule, redex, len(frames))
 
 
 def _stuck(reason: str):
@@ -420,11 +403,9 @@ _CONTEXTS = {cls: (SHAPES[cls], start, stop)
              for cls, (start, stop) in EVAL_POSITIONS.items()}
 
 
-def _refocus(frames: list, e: Expr
-             ) -> tuple[Expr, Sequence[Expr], Optional[list[Expr]]]:
+def _refocus(frames: list, e: Expr) -> tuple[Expr, Sequence[Expr]]:
     """The next redex once e stands in the hole of the context ``frames``:
-    the redex, the values of its children in evaluation position, and its
-    new children when they are not its own (else None).
+    the redex and the values of its children in evaluation position.
 
     A frame is [node, context, children, hole, own], outermost first; own
     holds while children are the node's own.  A non-value is searched from
@@ -432,13 +413,14 @@ def _refocus(frames: list, e: Expr
     at the frame's next child in evaluation position that is not a value.
     A frame with none left is popped and is the redex as it stands: its rule
     reads the values, so it is not rebuilt.  Only ``some`` is, since around
-    a location it is a value that fills the next hole up.
+    a location it is a value that fills the next hole up, unless its node
+    already holds that value.
     """
     while True:
         if not is_value(e):
             context = _CONTEXTS.get(type(e))
             if context is None:
-                return e, (), None
+                return e, ()
             frame = [e, context, context[0].children(e), context[1], True]
             frames.append(frame)
         elif frames:
@@ -448,8 +430,8 @@ def _refocus(frames: list, e: Expr
             frame[2][frame[3]] = e
             frame[3] += 1
         else:
-            return e, (), None
-        node, (shape, start, stop), children, i, own = frame
+            return e, ()
+        node, (shape, start, stop), children, i, _ = frame
         end = len(children) if stop is None else stop
         while i < end and is_value(children[i]):
             i += 1
@@ -459,59 +441,11 @@ def _refocus(frames: list, e: Expr
             continue
         frames.pop()
         if type(node) is not SomeLit:
-            return node, children[start:end], None if own else children
-        e = node if own else shape.rebuild(node, children)
+            return node, children[start:end]
+        e = node if node.value is children[0] \
+            else shape.rebuild(node, children)
         if not is_value(e):
-            return e, (), None
-
-
-def _plug(frames: list, e: Expr) -> Expr:
-    """The whole term with e in the context's hole.  Only the frames whose
-    hole or children changed are rebuilt; the others give back their node."""
-    for node, (shape, _, _), children, i, own in reversed(frames):
-        if own and e is children[i]:
-            e = node
-        else:
-            e = shape.rebuild(node, (*children[:i], e, *children[i + 1:]))
-    return e
-
-
-def replaced_path(old: Expr, new: Expr) -> list[tuple[Expr, Expr]]:
-    """Where a step changed the term ``old`` into ``new``: the (old node,
-    new node) pairs at each position of the path to the hole the step
-    filled, from the root down.  The terms differ only along that path.
-    While the new node is the old one with one child in evaluation position
-    replaced and all else the same, its recorded type included, it is a
-    frame the step rebuilt and the path goes on into that child; the first
-    pair that is not, the contractum and the node it replaced, ends it."""
-    pairs = []
-    while old is not new:
-        pairs.append((old, new))
-        cls = type(new)
-        context = _CONTEXTS.get(cls)
-        if context is None or type(old) is not cls:
-            break
-        ty = new.ty
-        if ty is None or ty is not old.ty and ty != old.ty:
-            break
-        shape, start, stop = context
-        kids, before = shape.children(new), shape.children(old)
-        if len(kids) != len(before) or sum(map(is_not, kids, before)) != 1:
-            break
-        i, end = start, len(kids) if stop is None else stop
-        while i < end and kids[i] is before[i]:
-            i += 1
-        if i == end or shape.own is not None and shape.own(new) != \
-                shape.own(old):
-            break
-        old, new = before[i], kids[i]
-    return pairs
-
-
-def _contract(s: State, w: ExternalWorld, redex: Expr,
-              values: list[Expr]) -> tuple[Expr, str]:
-    """The redex reduced by its class's rule, and the rule's name."""
-    return _REDEX_RULES.get(type(redex), _no_rule)(s, w, redex, values)
+            return e, ()
 
 
 def _no_rule(s: State, w: ExternalWorld, e: Expr,
@@ -661,27 +595,25 @@ def _step_app(s: State, w: ExternalWorld, e: App,
 def _apply_fun(s: State, fd: FunDecl, values: list[Expr]) -> Expr:
     if len(values) != len(fd.args):
         _stuck(f"arity mismatch calling {fd.name!r}")
-    body = fd.body
     # Rename parameters and locals apart so nested calls cannot collide in
     # the shared variable environment.
+    fresh = {}
     for (x, ty), v in zip(fd.args, values):
-        fresh = s.fresh_name(x)
-        body = rename_var(body, x, fresh)
+        fresh[x] = s.fresh_name(x)
         bid = s.theta.alloc(ty)
         s.theta.store(bid, 0, v)
-        s.omega[fresh] = bid
+        s.omega[fresh[x]] = bid
     for (y, ty) in fd.vars:
-        fresh = s.fresh_name(y)
-        body = rename_var(body, y, fresh)
+        fresh[y] = s.fresh_name(y)
         bid = s.theta.alloc(ty)
-        s.omega[fresh] = bid
+        s.omega[fresh[y]] = bid
         # Struct locals receive their storage at call time, like C locals;
         # the fields stay unwritten until initialization, and a field read
         # before that is stuck.
         if isinstance(ty, RefTy) and isinstance(ty.target, StructTy):
             sb = s.theta.alloc(ty.target)
             s.theta.store(bid, 0, Loc(sb, 0))
-    return body
+    return rename_var(fd.body, fresh)
 
 
 def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
@@ -803,25 +735,50 @@ class EvalResult:
 
 def eval_multi(s: State, w: ExternalWorld, e: Expr,
                fuel: int = DEFAULT_FUEL,
-               on_step: Optional[Callable[[State, Expr, str], None]] = None
+               on_event: Optional[Callable[[StepEvent], None]] = None
                ) -> EvalResult:
-    """Iterate step until a value; returns the exact step count.  The
-    context is kept between steps (refocusing), and the redex rebuilt and
-    the whole term plugged together only for on_step."""
+    """Iterate the redex rules until a value; returns the exact step count.
+    The context is kept between steps (refocusing).  Only for on_event is
+    the whole term plugged together, and each step handed to it as a
+    ``StepEvent``."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     steps = 0
     frames: list = []
-    focus, values, children = _refocus(frames, e)
+    focus, values = _refocus(frames, e)
     rules = _REDEX_RULES
+    if on_event is None:
+        while not is_value(focus):
+            out, rule = rules.get(type(focus), _no_rule)(s, w, focus, values)
+            focus, values = _refocus(frames, out)
+            steps += 1
+            if steps >= fuel:
+                raise FuelExhausted(f"no value after {fuel} steps")
+        return EvalResult(s, focus, steps)
+    term = e
     while not is_value(focus):
-        out, rule = rules.get(type(focus), _no_rule)(s, w, focus, values)
-        focus, values, children = _refocus(frames, out)
+        try:
+            out, rule = rules.get(type(focus), _no_rule)(s, w, focus, values)
+        except StuckState as exc:
+            exc.event = StepEvent(s, None, focus, len(frames), term, [])
+            raise
+        # Plug before refocusing, while the frames are the redex's, and put
+        # each rebuilt node back into its frame: a frame's node is then its
+        # node in the last whole term, where the next step's path starts,
+        # and a frame that a value completes gives back the node itself.
+        redex, depth = focus, len(frames)
+        path = [(redex, out)]
+        term = out
+        for frame in reversed(frames):
+            node, (shape, _, _), children, i, _ = frame
+            kids = (*children[:i], term, *children[i + 1:])
+            term = shape.rebuild(node, kids)
+            path.append((node, term))
+            frame[0], frame[2], frame[4] = term, kids, True
+        path.reverse()
+        focus, values = _refocus(frames, out)
         steps += 1
-        if on_step is not None:
-            whole = focus if children is None \
-                else SHAPES[type(focus)].rebuild(focus, children)
-            on_step(s, _plug(frames, whole), rule)
+        on_event(StepEvent(s, rule, redex, depth, term, path))
         if steps >= fuel:
             raise FuelExhausted(f"no value after {fuel} steps")
     return EvalResult(s, focus, steps)
@@ -900,14 +857,21 @@ def entry_call(tp: TypedProgram, s: State, w: ExternalWorld,
 
 def run_program(tp: TypedProgram, w: Optional[ExternalWorld] = None,
                 entry: Optional[str] = None, fuel: int = DEFAULT_FUEL,
-                on_step=None) -> EvalResult:
+                on_step: Optional[Callable[[State, Expr, str], None]] = None,
+                on_event: Optional[Callable[[StepEvent], None]] = None
+                ) -> EvalResult:
+    """Evaluate the entry point's call.  on_event is eval_multi's hook;
+    on_step, an older one in its place, sees each state, term and rule."""
     w = w if w is not None else ExternalWorld()
     fd = tp.entry_point(entry)
     if fd is None:
         raise InterpError("no entry point (declare main or one #section fun)")
     s = init_state(tp, w)
     call = entry_call(tp, s, w, fd)
-    return eval_multi(s, w, call, fuel=fuel, on_step=on_step)
+    if on_step is not None:
+        def on_event(ev: StepEvent) -> None:
+            on_step(ev.state, ev.term, ev.rule)
+    return eval_multi(s, w, call, fuel=fuel, on_event=on_event)
 
 
 # ---------------------------------------------------------------------------

@@ -119,9 +119,9 @@ class JudgmentMemo:
     def rejudge(self, ctx: "TypingContext",
                 path: list[tuple[Expr, Expr]]) -> None:
         """Judge the nodes a step put in place of others, (old, new) pairs
-        from the root down (``interp.replaced_path``), deepest first, until
-        one has the judgment of the node it replaced; each node above it
-        then takes its predecessor's judgment, by the replacement lemma.
+        from the root down (an ``interp.StepEvent``'s path), deepest first,
+        until one has the judgment of the node it replaced; each node above
+        it then takes its predecessor's judgment, by the replacement lemma.
         Only nodes with a recorded type are judged and compared: they sit
         under no binder of the term, so the key of each is its identity
         alone, and none is a literal, which ``_coerce_pair`` treats apart.

@@ -332,12 +332,12 @@ def _rename_binders(e, new):
     e = with_children(e, [_rename_binders(c, new) for c in expr_children(e)])
     if isinstance(e, Let) and e.name in new:
         return Let(new[e.name], e.declared, e.bound,
-                   rename_var(e.body, e.name, new[e.name]))
+                   rename_var(e.body, {e.name: new[e.name]}))
     if isinstance(e, Match):
         arms = []
         for p, body in e.arms:
             if isinstance(p, (Psome, Pbytes)) and p.binder in new:
-                body = rename_var(body, p.binder, new[p.binder])
+                body = rename_var(body, {p.binder: new[p.binder]})
                 p = Psome(new[p.binder]) if isinstance(p, Psome) else \
                     Pbytes(new[p.binder], p.target, p.fields)
             arms.append((p, body))
@@ -358,10 +358,9 @@ def _with_hostile_names(p: Program, tp) -> Program:
     decls = []
     for d in p.decls:
         if isinstance(d, FunDecl):
-            body = _rename_binders(d.body, new)
-            for x in [x for x, _ in d.args] + [f.name for f in funs]:
-                if x in new:
-                    body = rename_var(body, x, new[x])
+            body = rename_var(_rename_binders(d.body, new), {
+                x: new[x] for x in [x for x, _ in d.args]
+                + [f.name for f in funs] if x in new})
             d = FunDecl(new.get(d.name, d.name), d.rt,
                         tuple((new[x], ty) for x, ty in d.args), body,
                         d.vars, d.ef, d.sec)

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import beepl
 from beepl.cli import main
 from beepl.driver import corpus_path
-from beepl.frontend import KEYWORDS, MAX_EXPR_DEPTH, PUNCT
+from beepl.frontend import KEYWORDS, MAX_EXPR_DEPTH, PUNCT, parse_program
+from beepl.interp import run_program
+from beepl.typecheck import check_program
 from test_frontend import NESTED, NESTED_VALUE, nested_program
 
 
@@ -152,6 +154,50 @@ def test_run_trace_lists_rules(tmp_path, capsys):
     assert "REFV" in err and "blocks=" in err
 
 
+def test_run_trace_keeps_its_plain_format(tmp_path, capsys):
+    f = tmp_path / "p.bpl"
+    f.write_text("fun main() : int { let x : int* = ref(2) in !x }\n")
+    code, out, err = run_cli(capsys, "run", str(f), "--trace")
+    assert (code, out) == (0, "2\n")
+    assert err.splitlines() == [
+        "APP3       Let          blocks=0", "REFV       Let          blocks=1",
+        "LETV       Prim         blocks=1", "DREFV      ConstInt     blocks=1"]
+
+
+def test_run_trace_json_writes_a_line_per_step(capsys):
+    path = corpus_path("bprog3.bpl")
+    code, out, err = run_cli(capsys, "run", str(path), "--trace", "--json")
+    assert (code, out) == (0, "-1\n")
+    lines = [json.loads(line) for line in err.splitlines()]
+    steps = run_program(check_program(parse_program(path.read_text())))
+    assert len(lines) == steps.steps
+    assert lines[0] == {"rule": "APP3", "redex": "bprog3(some(<loc 5+0>))",
+                        "depth": 0, "size": 22, "blocks": 6}
+    assert lines[3] == {"rule": "EAPP", "redex": "bpf_get_current_uid_gid()",
+                        "depth": 3, "size": 18, "blocks": 7}
+    assert [line["rule"] for line in lines][-2:] == ["LETV", "MNONE"]
+
+
+def test_run_trace_json_gives_the_stuck_step(tmp_path, capsys):
+    f = tmp_path / "p.bpl"
+    f.write_text("struct pt { x : int, y : int }\n"
+                 "fun main() : int vars (struct pt* s) { s.x }\n")
+    code, out, err = run_cli(capsys, "run", str(f), "--trace", "--json")
+    assert code == 1
+    *steps, stuck, error = err.splitlines()
+    assert [json.loads(line)["rule"] for line in steps] == ["APP3", "LVAR"]
+    assert json.loads(stuck) == {
+        "rule": None, "redex": "<loc 2+0>.x", "depth": 0, "size": 2,
+        "blocks": 2, "stuck": "read of uninitialized field 'x'"}
+    assert error == "error: read of uninitialized field 'x'"
+
+
+def test_run_json_needs_trace(capsys):
+    code, out, err = run_cli(capsys, "run", str(corpus_path("bprog3.bpl")),
+                             "--json")
+    assert code == 3 and "--json goes with --trace" in err
+
+
 def test_run_fuel_exhaustion_is_an_error(tmp_path, capsys):
     f = tmp_path / "p.bpl"
     f.write_text("fun main() : int { 1 + 2 + 3 + 4 }\n")
@@ -206,6 +252,24 @@ def test_run_bad_packet_hex_exit_3(tmp_path, capsys):
                              "--packet", str(pkt))
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1 and "bad.hex" in err
+
+
+def test_check_a_literal_of_5000_digits_is_p003(tmp_path, capsys):
+    # Past 4,300 digits int() refuses a decimal string; the literal is still
+    # one that exceeds 64 bits, as an expression and as an array length.
+    nines = "9" * 5000
+    f = tmp_path / "big.bpl"
+    for src, col in ((f"fun main() : long {{ {nines} }}", 21),
+                     (f"fun main() : int {{ let a : int[{nines}] = 0 in 1 }}",
+                      32),
+                     (f"global g : long = {nines};", 19)):
+        f.write_text(src + "\n")
+        code, out, err = run_cli(capsys, "check", str(f))
+        assert (code, out) == (1, "")
+        assert err == f"{f}:1:{col}: error[P003]: integer literal exceeds " \
+            "64 bits\n", src[:40]
+    f.write_text(f"fun main() : long {{ {'0' * 5000}7L }}\n")
+    assert run_cli(capsys, "run", str(f)) == (0, "7\n", "")
 
 
 def test_check_non_utf8_source_exit_3(tmp_path, capsys):

@@ -156,19 +156,27 @@ def test_fvar_after_subst_closed_value(v, seed):
 @given(st.integers(0, 199))
 def test_rename_var_renames_exactly_the_free_occurrences(seed):
     for e in _fun_bodies(seed):
-        for x in sorted(_names(e)):
-            renamed = rename_var(e, x, "fresh#1")
+        names = sorted(_names(e))
+        for x in names:
+            renamed = rename_var(e, {x: "fresh#1"})
             if x in fvar(e):
                 assert fvar(renamed) == fvar(e) - {x} | {"fresh#1"}
             else:
                 assert renamed == e
-            assert rename_var(renamed, "fresh#1", x) == e
+            assert rename_var(renamed, {"fresh#1": x}) == e
+        # Renaming every name in one walk renames them one after another.
+        fresh = {x: f"{x}#{i}" for i, x in enumerate(names)}
+        one_by_one = e
+        for x in names:
+            one_by_one = rename_var(one_by_one, {x: fresh[x]})
+        assert rename_var(e, fresh) == one_by_one
 
 
 def test_rename_var_renames_struct_init_targets():
     e = parse_expr("s { f = s2 }")
-    assert rename_var(e, "s", "t") == parse_expr("t { f = s2 }")
-    assert fvar(rename_var(e, "s2", "s")) == {"s"}
+    assert rename_var(e, {"s": "t"}) == parse_expr("t { f = s2 }")
+    assert fvar(rename_var(e, {"s2": "s"})) == {"s"}
+    assert rename_var(e, {"s": "t", "s2": "t2"}) == parse_expr("t { f = t2 }")
 
 
 def _corpus_bodies():
@@ -195,7 +203,7 @@ def test_subst_and_rename_var_share_every_untouched_subterm():
     for e in bodies:
         for x in sorted(_names(e) | {"x", "s"}):
             _assert_shared(e, subst(e, x, ConstInt(0)), x)
-            _assert_shared(e, rename_var(e, x, "fresh#1"), x)
+            _assert_shared(e, rename_var(e, {x: "fresh#1"}), x)
 
 
 def _rebuilt(e):
@@ -225,7 +233,7 @@ def test_sharing_changes_no_run(monkeypatch):
     monkeypatch.setattr(interp, "subst",
                         lambda e, x, v: _rebuilt(subst(e, x, v)))
     monkeypatch.setattr(interp, "rename_var",
-                        lambda e, x, new: _rebuilt(rename_var(e, x, new)))
+                        lambda e, names: _rebuilt(rename_var(e, names)))
     assert outcomes() == shared
     assert all(a_violations == [] for *_, a_violations in shared)
 

@@ -236,7 +236,7 @@ def _judge(ctx, e, expected=None):
 
 
 def _audit_both_ways(tp, world, monkeypatch):
-    """The incremental audit with an on_step oracle beside it that re-infers
+    """The incremental audit with an oracle hook beside it that re-infers
     each step's whole term with no memo, at the entry's result type, then
     the same audit with its memo taken away.  Returns both results and both
     per-step judgments."""
@@ -247,12 +247,12 @@ def _audit_both_ways(tp, world, monkeypatch):
         incremental.append(_judge(ctx, e, expected))
         return infer_expr(ctx, e, expected)
 
-    def eval_with_oracle(s, w, e, fuel, on_step):
-        def both(s, expr, rule):
-            ctx = driver._audit_ctx(tp, s)
+    def eval_with_oracle(s, w, e, fuel, on_event):
+        def both(ev):
+            ctx = driver._audit_ctx(tp, ev.state)
             assert ctx.memo is None
-            full.append(_judge(ctx, expr, tp.entry_point().rt))
-            on_step(s, expr, rule)
+            full.append(_judge(ctx, ev.term, tp.entry_point().rt))
+            on_event(ev)
         return eval_multi(s, w, e, fuel, both)
 
     with monkeypatch.context() as m:

@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from beepl import frontend
 from beepl.cgen import emit_program
 from beepl.core import (
-    App, Assign, Bop, BopKind, BOOL, Cast, Cond, ConstBool, ConstInt,
-    ConstLong, Deref, Direction, EffectAtom, Expr, For, FunDecl, GlobDecl,
-    INT, Let, LONG, Loc, Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome,
-    Program, Pwild, RefOp, RefTy, Seq, SomeLit, Span, StructTy, U16, UNIT,
-    UnitLit, Uop, UopKind, Var, contains_internal, expr_children,
+    App, Assign, Bop, BopKind, BOOL, BytesView, Cast, Cond, ConstBool,
+    ConstInt, ConstLong, Deref, Direction, EffectAtom, Expr, For, FunDecl,
+    GlobDecl, INT, Let, LONG, Loc, Match, NoneLit, OptionTy, Pbytes, Pnone,
+    Prim, Psome, Program, Pwild, RefOp, RefTy, Repeat, Seq, SomeLit, Span,
+    StructTy, U16, UNIT, UnitLit, Uop, UopKind, Var, expr_children,
 )
 from beepl.driver import CORPUS_DIR, corpus_path, evaluate_with_audit
 from beepl.frontend import (
@@ -272,9 +272,13 @@ def test_global_literal_obeys_the_let_bounds():
         program = parse_program(f"global {decl};")
         assert _check_code(lambda: check_program(program)) == \
             "GlobalInitMismatch", decl
-    with pytest.raises(ParseError) as err:
-        parse_program("global g : long = 99999999999999999999;")
-    assert err.value.diagnostic.code == "P003"
+    for src in ("global g : long = 99999999999999999999;",
+                "global g : int[99999999999999999999] = 0;",
+                f"global g : long = {'9' * 5000};",
+                f"global g : int[{'9' * 5000}] = 0;"):
+        with pytest.raises(ParseError) as err:
+            parse_program(src)
+        assert err.value.diagnostic.code == "P003", src[:40]
     e = parse_expr("let x : u8 = 300L in x")
     assert _check_code(lambda: infer_expr(TypingContext(), e)) == \
         "LetTypeMismatch"
@@ -298,6 +302,17 @@ def test_negated_int_min_is_a_long_literal():
     assert parse_expr("-2147483648") == ConstInt(-(1 << 31))
     assert parse_expr("- -2147483648") == ConstLong(1 << 31)
     assert parse_expr("-(-2147483647)") == ConstInt(2147483647)
+
+
+def contains_internal(e: Expr) -> bool:
+    """Whether e holds a node that only evaluation produces."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, (Loc, BytesView, Seq, Repeat)):
+            return True
+        todo.extend(expr_children(e))
+    return False
 
 
 def test_no_internal_nodes_from_surface():

@@ -17,10 +17,9 @@ from beepl.core import (
 from beepl.driver import CORPUS_DIR, load_corpus, world_for_seed
 from beepl.frontend import parse_expr, parse_program
 from beepl.interp import (
-    Block, ExternalWorld, FuelExhausted, IsValue, Memory, State, Stepped,
-    Stuck, StuckState, TooShort, bop_sem, entry_call, eval_multi, extract,
-    init_state, range_count, run_program, runtime_gamma, step, subst, uop_sem,
-    unsafe, well_formed, wrap,
+    Block, ExternalWorld, FuelExhausted, Memory, State, StuckState, TooShort,
+    bop_sem, entry_call, eval_multi, extract, init_state, range_count,
+    run_program, runtime_gamma, subst, uop_sem, unsafe, well_formed, wrap,
 )
 from beepl.core import Bop, BytesView, Cast, Uop, UopKind
 from beepl.gen import GenConfig, generate_well_typed
@@ -44,15 +43,38 @@ def eval_src(src, world=None, entry=None, fuel=10**6):
 
 # --- step ------------------------------------------------------------------------
 
+def step(s, w, e):
+    """The event of e's first step from its root, through eval_multi; None
+    when e is a value.  A step that gets stuck raises StuckState."""
+    events = []
+    try:
+        eval_multi(s, w, e, fuel=1, on_event=events.append)
+    except FuelExhausted:
+        pass
+    return events[0] if events else None
+
+
+def stuck(s, w, e):
+    """The reason e, a redex, gets stuck; its event is the step's."""
+    with pytest.raises(StuckState) as info:
+        step(s, w, e)
+    event = info.value.event
+    assert event.rule is None and event.depth == 0 and event.path == []
+    assert event.redex is e and event.term is e
+    return info.value.reason
+
+
 def test_step_derefv_reads_cell():
     s = empty_state()
     w = ExternalWorld()
     b = s.theta.alloc(INT)
     s.theta.store(b, 0, VInt(7))
-    out = step(s, w, Prim(Deref(), (Loc(b, 0),)))
-    assert isinstance(out, Stepped)
-    assert out.expr == ConstInt(7)
+    e = Prim(Deref(), (Loc(b, 0),))
+    out = step(s, w, e)
+    assert out.term == ConstInt(7)
     assert out.rule == "DREFV"
+    assert out.redex is e and out.depth == 0
+    assert out.path == [(e, out.term)]
 
 
 def test_step_refv_allocates_fresh_block():
@@ -60,12 +82,12 @@ def test_step_refv_allocates_fresh_block():
     w = ExternalWorld()
     before = set(s.theta.blocks)
     out = step(s, w, elaborated("ref(2)"))
-    assert isinstance(out, Stepped) and out.rule == "REFV"
+    assert out.rule == "REFV"
     (new,) = set(s.theta.blocks) - before
-    assert out.expr == Loc(new, 0)
+    assert out.term == Loc(new, 0)
     assert s.sigma[new] == INT  # the new location types as a ref to int
     ctx = TypingContext(sigma=s.sigma)
-    assert infer_expr(ctx, out.expr)[0] == RefTy(INT)
+    assert infer_expr(ctx, out.term)[0] == RefTy(INT)
     assert s.theta.load(new, 0) == VInt(2)
 
 
@@ -75,7 +97,7 @@ def test_step_freshness_is_monotone():
     ids = []
     for _ in range(5):
         out = step(s, w, elaborated("ref(1)"))
-        ids.append(out.expr.block)
+        ids.append(out.term.block)
     assert ids == sorted(ids) and len(set(ids)) == 5
 
 
@@ -85,13 +107,15 @@ def test_step_match_none():
     m = Match(NoneLit(), ((Pnone(), ConstInt(-1)),
                           (Psome("p"), ConstInt(0))))
     out = step(s, w, m)
-    assert isinstance(out, Stepped) and out.rule == "MNONE"
-    assert out.expr == ConstInt(-1)
+    assert out.rule == "MNONE"
+    assert out.term == ConstInt(-1)
 
 
 def test_step_on_value_is_value():
-    out = step(empty_state(), ExternalWorld(), ConstInt(3))
-    assert isinstance(out, IsValue) and out.value == VInt(3)
+    events = []
+    r = eval_multi(empty_state(), ExternalWorld(), ConstInt(3),
+                   on_event=events.append)
+    assert r.value == VInt(3) and r.steps == 0 and events == []
 
 
 # --- eval_multi --------------------------------------------------------------------
@@ -243,11 +267,11 @@ def test_operators_on_mixed_lanes_or_booleans_are_stuck():
         for v1, v2 in ((VInt(1), VLong(1)), (VLong(1), VInt(1)),
                        (VBool(True), VInt(1)), (VLong(1), VBool(False))):
             names = " and ".join(type(v).__name__ for v in (v1, v2))
-            assert step(s, w, Prim(Bop(op), (v1, v2))) == Stuck(
-                f"operator {op.value!r} does not apply to {names}")
+            assert stuck(s, w, Prim(Bop(op), (v1, v2))) == \
+                f"operator {op.value!r} does not apply to {names}"
     for kind in (UopKind.NEG, UopKind.BITNOT):
-        assert step(s, w, Prim(Uop(kind), (VBool(True),))) == Stuck(
-            f"operator {kind.value!r} does not apply to ConstBool")
+        assert stuck(s, w, Prim(Uop(kind), (VBool(True),))) == \
+            f"operator {kind.value!r} does not apply to ConstBool"
 
 
 def test_bop_sem_unsafe_inputs_yield_zero():
@@ -452,7 +476,7 @@ def test_well_formed_ties_a_cell_to_its_block_type():
 def test_well_formed_after_refv():
     tp, w, s = _fresh_program_state()
     out = step(s, w, elaborated("ref(2)"))
-    assert isinstance(out, Stepped)
+    assert out.rule == "REFV"
     ok, bad = well_formed(runtime_gamma(s), s)
     assert ok, bad
 
@@ -461,7 +485,7 @@ def test_allocation_preserves_existing_blocks():
     tp, w, s = _fresh_program_state()
     before = copy.deepcopy(s)
     out = step(s, w, elaborated("ref(2)"))
-    assert isinstance(out, Stepped) and out.expr.block not in before.theta.blocks
+    assert out.rule == "REFV" and out.term.block not in before.theta.blocks
     for bid, blk in before.theta.blocks.items():
         after = s.theta.blocks[bid]
         assert after.cells == blk.cells
@@ -472,22 +496,22 @@ def test_allocation_preserves_existing_blocks():
 def test_null_monitor_counts_deref_of_none():
     s = empty_state()
     w = ExternalWorld()
-    out = step(s, w, Prim(Deref(), (NoneLit(),)))
-    assert out == Stuck("dereference of an option value")
+    assert stuck(s, w, Prim(Deref(), (NoneLit(),))) == \
+        "dereference of an option value"
 
 
 def test_uninit_monitor_counts_missing_cell():
     s = empty_state()
     w = ExternalWorld()
     b = s.theta.alloc(INT)
-    out = step(s, w, Prim(Deref(), (Loc(b, 0),)))
-    assert out == Stuck("read of uninitialized memory")
+    assert stuck(s, w, Prim(Deref(), (Loc(b, 0),))) == \
+        "read of uninitialized memory"
 
 
 def test_guarded_division_by_zero_steps_to_zero():
     s = empty_state()
     out = step(s, ExternalWorld(), parse_expr("1 / 0"))
-    assert isinstance(out, Stepped) and out.expr == ConstInt(0)
+    assert out.rule == "BOPV" and out.term == ConstInt(0)
 
 
 # --- external world ------------------------------------------------------------------------
@@ -564,20 +588,20 @@ def test_ref_allocates_at_its_checked_target_type():
         e = elaborated(src, expected)
         assert e.ty == RefTy(target), src
         out = step(s, w, e)
-        assert isinstance(out, Stepped) and out.rule == "REFV", src
-        assert s.sigma[out.expr.block] == target, src
-        assert s.theta.load(out.expr.block, 0) is e.operands[0], src
+        assert out.rule == "REFV", src
+        assert s.sigma[out.term.block] == target, src
+        assert s.theta.load(out.term.block, 0) is e.operands[0], src
     # A ref the checker has not typed has no type to allocate at.
     blocks = dict(s.theta.blocks)
     for v in (ConstInt(3), ConstLong(1 << 40), ConstBool(True)):
-        assert step(s, w, Prim(RefOp(), (v,))) == \
-            Stuck("ref without a checked type"), v
+        assert stuck(s, w, Prim(RefOp(), (v,))) == \
+            "ref without a checked type", v
     assert s.theta.blocks == blocks
 
 
 def test_operators_on_the_wrong_kind_of_value_are_stuck():
     # Unchecked terms: the operator rules name the operator and the operand
-    # classes instead of raising out of step.
+    # classes in a stuck reason instead of failing with a Python error.
     s = empty_state()
     w = ExternalWorld()
     cases = [
@@ -599,17 +623,28 @@ def test_operators_on_the_wrong_kind_of_value_are_stuck():
          "cast to long does not apply to ConstBool"),
     ]
     for e, reason in cases:
-        assert step(s, w, e) == Stuck(reason), e
-    assert step(s, w, Prim(Bop(BopKind.LOR), (VBool(False), VBool(True)))) \
-        == Stepped(VBool(True), "BOPV")
+        assert stuck(s, w, e) == reason, e
+    out = step(s, w, Prim(Bop(BopKind.LOR), (VBool(False), VBool(True))))
+    assert (out.term, out.rule) == (VBool(True), "BOPV")
 
 
 # --- the refocusing machine ---------------------------------------------------
 
+# A `some` that its child's steps turn into a value while an argument after
+# it still has steps to take.
+SOME_BEFORE_A_STEP = """
+fun f(option(int*) p, int y) : int {
+  match p with | pnone => y | psome q => !q + y
+}
+fun main() : int { f(some(ref(1)), 2 + 3) }
+"""
+
+
 def _machine_programs(n_generated):
-    """The corpus programs the checker accepts and n generated programs,
-    plain and with packets and helpers, each with its world."""
-    programs = []
+    """The corpus programs the checker accepts, SOME_BEFORE_A_STEP and n
+    generated programs, plain and with packets and helpers, each with its
+    world."""
+    programs = [check_source(SOME_BEFORE_A_STEP)]
     for path in sorted(CORPUS_DIR.glob("*.bpl")):
         try:
             programs.append(check_program(load_corpus(path.name)))
@@ -645,40 +680,50 @@ def _path_lengths(e, target, depth=0):
         yield from _path_lengths(c, target, depth + 1)
 
 
-def test_stepped_gives_the_redex_and_the_length_of_its_path():
+def test_each_event_redex_is_a_node_of_the_term_before_the_step():
+    # One run per program, the context kept between steps: each event's
+    # redex is found, by identity, at its depth in the term before the step,
+    # and its path leads from the root of that term to the redex, each new
+    # node the old one with only the next node on the path replaced.
     steps = 0
-    for tp, world in _machine_programs(20):
+    for tp, world in _machine_programs(50):
         s, e = _start(tp, world)
-        while True:
-            out = step(s, world, e)
-            if isinstance(out, IsValue):
-                break
-            assert isinstance(out, Stepped), out
-            assert out.depth in set(_path_lengths(e, out.redex))
-            e = out.expr
-            steps += 1
-    assert steps > 500
+        events = []
+        r = eval_multi(s, world, e, on_event=events.append)
+        for ev in events:
+            assert ev.depth in set(_path_lengths(e, ev.redex))
+            assert len(ev.path) == ev.depth + 1
+            assert ev.path[0][0] is e and ev.path[0][1] is ev.term
+            assert ev.path[-1][0] is ev.redex
+            for (old, new), (old_kid, new_kid) in zip(ev.path, ev.path[1:]):
+                kids, before = expr_children(new), expr_children(old)
+                hole = next(i for i, c in enumerate(before) if c is old_kid)
+                assert kids[hole] is new_kid
+                assert all(a is b for i, (a, b) in
+                           enumerate(zip(kids, before)) if i != hole)
+            e = ev.term
+        assert e is r.value
+        steps += r.steps
+    assert steps > 1000
 
 
 def test_eval_multi_hook_sees_the_terms_of_stepping_from_the_root():
     # The machine keeps its context between steps; stepping from the root
-    # rebuilds it each time.  The hook sees the same terms, down to the
-    # class and ty of every node.
+    # rebuilds it each time.  The hook sees the same rules and terms, down
+    # to the class and ty of every node.
     steps = 0
     for tp, world in _machine_programs(30):
         seen = []
         w = copy.deepcopy(world)
         s, e = _start(tp, w)
-        r = eval_multi(s, w, e,
-                       on_step=lambda s, e, rule: seen.append((e, rule)))
+        r = eval_multi(s, w, e, on_event=seen.append)
         s, e = _start(tp, world)
-        for term, rule in seen:
+        for ev in seen:
             out = step(s, world, e)
-            assert isinstance(out, Stepped)
-            assert (out.expr, out.rule) == (term, rule)
-            assert _nodes(out.expr) == _nodes(term)
-            e = out.expr
-        assert step(s, world, e) == IsValue(r.value)
+            assert (out.term, out.rule) == (ev.term, ev.rule)
+            assert _nodes(out.term) == _nodes(ev.term)
+            e = out.term
+        assert step(s, world, e) is None and e == r.value
         steps += r.steps
     assert steps > 1000
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from checkout import dump
 
 DUMP = r"""
-import dataclasses, hashlib, json, random, sys, time
+import dataclasses, hashlib, inspect, json, random, sys, time
 from beepl.core import FunDecl, Program, expr_children, with_children
 from beepl.driver import world_for_seed
 from beepl.gen import GenConfig, generate_well_typed
@@ -51,6 +51,12 @@ def memory(s):
             for bid, b in sorted(s.theta.blocks.items())]
 
 
+# Older checkouts hand the hook the state, the term and the rule, newer ones
+# a step event.  Either hook is called by the step loop itself, so that a
+# term too deep to print fails at the same depth of the stack.
+EVENTS = "on_event" in inspect.signature(run_program).parameters
+
+
 def run(tp, seed, fuel):
     # The hooked run gives the steps, the run without a hook the outcome.
     digests = []
@@ -60,11 +66,16 @@ def run(tp, seed, fuel):
         digests.append(rule + ":" + hashlib.sha256(
             record.encode()).hexdigest()[:16])
 
+    def on_event(ev):
+        record = json.dumps([ev.rule, repr(ev.term), tys(ev.term)])
+        digests.append(ev.rule + ":" + hashlib.sha256(
+            record.encode()).hexdigest()[:16])
+
     out = {}
-    for key, on_step in (("hooked", hook), ("plain", None)):
+    hooked = {"on_event": on_event} if EVENTS else {"on_step": hook}
+    for key, hooks in (("hooked", hooked), ("plain", {})):
         try:
-            r = run_program(tp, world_for_seed(seed), fuel=fuel,
-                            on_step=on_step)
+            r = run_program(tp, world_for_seed(seed), fuel=fuel, **hooks)
             out[key] = ["value", repr(r.value), r.steps, memory(r.state)]
         except Exception as exc:
             out[key] = [type(exc).__name__, str(exc)]
