@@ -211,11 +211,8 @@ def _int_value(text: str) -> tuple[int, bool]:
     digits = text[:-1] if is_long else text
     if digits[1:2] in ("x", "X"):
         return int(digits, 16), is_long
-    # Past 20 digits it exceeds 64 bits, and int() refuses past 4,300 digits.
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > 20:
-        return 1 << 64, is_long
-    return int(digits), is_long
+    # int() counts leading zeros against its limit of 4,300 digits.
+    return int(digits.lstrip("0") or "0"), is_long
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
@@ -702,8 +699,13 @@ class Parser:
         self.fail("expected an expression")
 
     def _int_literal(self, t: int) -> Expr:
-        value, is_long = _int_value(self.texts[t])
-        if value > LONG_MAX:
+        text = self.texts[t]
+        # Past 20 significant digits a decimal exceeds 64 bits; int() would
+        # refuse one past 4,300 digits, so it is not converted.
+        wide = len(text) > 20 and text[1:2] not in "xX" and \
+            len(text.rstrip("L").lstrip("0")) > 20
+        value, is_long = (0, False) if wide else _int_value(text)
+        if wide or value > LONG_MAX:
             self.fail("integer literal exceeds 64 bits", self.span(t),
                       code="P003")
         if is_long or value > INT_MAX:

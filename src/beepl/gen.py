@@ -416,7 +416,12 @@ def _positions(e: Expr, prefix: tuple[int, ...] = ()):
 
 
 def expr_size(e: Expr) -> int:
-    return 1 + sum(expr_size(c) for c in expr_children(e))
+    """The number of nodes in e, counted with a stack, not recursion."""
+    size, todo = 0, [e]
+    while todo:
+        size += 1
+        todo.extend(expr_children(todo.pop()))
+    return size
 
 
 def shrink_program(p: Program, still_fails) -> Program:

@@ -747,38 +747,30 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
     frames: list = []
     focus, values = _refocus(frames, e)
     rules = _REDEX_RULES
-    if on_event is None:
-        while not is_value(focus):
-            out, rule = rules.get(type(focus), _no_rule)(s, w, focus, values)
-            focus, values = _refocus(frames, out)
-            steps += 1
-            if steps >= fuel:
-                raise FuelExhausted(f"no value after {fuel} steps")
-        return EvalResult(s, focus, steps)
     term = e
     while not is_value(focus):
         try:
             out, rule = rules.get(type(focus), _no_rule)(s, w, focus, values)
         except StuckState as exc:
-            exc.event = StepEvent(s, None, focus, len(frames), term, [])
+            if on_event is not None:
+                exc.event = StepEvent(s, None, focus, len(frames), term, [])
             raise
-        # Plug before refocusing, while the frames are the redex's, and put
-        # each rebuilt node back into its frame: a frame's node is then its
-        # node in the last whole term, where the next step's path starts,
-        # and a frame that a value completes gives back the node itself.
-        redex, depth = focus, len(frames)
-        path = [(redex, out)]
-        term = out
-        for frame in reversed(frames):
-            node, (shape, _, _), children, i, _ = frame
-            kids = (*children[:i], term, *children[i + 1:])
-            term = shape.rebuild(node, kids)
-            path.append((node, term))
-            frame[0], frame[2], frame[4] = term, kids, True
-        path.reverse()
+        if on_event is not None:
+            # Plug while the frames are the redex's, writing each rebuilt
+            # node back: a frame's node is its node in the last whole term,
+            # and a frame that a value completes gives back that node.
+            path = [(focus, out)]
+            term = out
+            for frame in reversed(frames):
+                node, (shape, _, _), children, i, _ = frame
+                kids = (*children[:i], term, *children[i + 1:])
+                term = shape.rebuild(node, kids)
+                path.append((node, term))
+                frame[0], frame[2], frame[4] = term, kids, True
+            path.reverse()
+            on_event(StepEvent(s, rule, focus, len(frames), term, path))
         focus, values = _refocus(frames, out)
         steps += 1
-        on_event(StepEvent(s, rule, redex, depth, term, path))
         if steps >= fuel:
             raise FuelExhausted(f"no value after {fuel} steps")
     return EvalResult(s, focus, steps)
@@ -862,6 +854,8 @@ def run_program(tp: TypedProgram, w: Optional[ExternalWorld] = None,
                 ) -> EvalResult:
     """Evaluate the entry point's call.  on_event is eval_multi's hook;
     on_step, an older one in its place, sees each state, term and rule."""
+    if on_step is not None and on_event is not None:
+        raise ValueError("give on_step or on_event, not both")
     w = w if w is not None else ExternalWorld()
     fd = tp.entry_point(entry)
     if fd is None:

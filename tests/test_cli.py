@@ -192,6 +192,25 @@ def test_run_trace_json_gives_the_stuck_step(tmp_path, capsys):
     assert error == "error: read of uninitialized field 'x'"
 
 
+def test_run_trace_json_on_a_term_deeper_than_any_source(tmp_path, capsys):
+    # Each function nests its callee's call at the nesting limit, and a call
+    # inlines its body at the call's depth, so the term grows about three
+    # limits deep: a recursive walk of it would pass Python's stack limit.
+    n = MAX_EXPR_DEPTH
+    chain = [("f2", "1"), ("f1", "f2()"), ("f0", "f1()")]
+    f = tmp_path / "chain.bpl"
+    f.write_text("".join(
+        f"fun {name}() : int {{ {'let x : int = ' * (n - 1)}{inner}"
+        f"{' in x' * (n - 1)} }}\n" for name, inner in chain)
+        + "fun main() : int { f0() }\n")
+    code, out, err = run_cli(capsys, "run", str(f), "--trace", "--json")
+    assert (code, out) == (0, "1\n")
+    lines = [json.loads(line) for line in err.splitlines()]
+    steps = run_program(check_program(parse_program(f.read_text())))
+    assert len(lines) == steps.steps
+    assert max(line["depth"] for line in lines) >= 3 * (n - 2)
+
+
 def test_run_json_needs_trace(capsys):
     code, out, err = run_cli(capsys, "run", str(corpus_path("bprog3.bpl")),
                              "--json")

@@ -49,6 +49,18 @@ def test_tokenize_wide_hex_literal():
     assert isinstance(parse_expr("0x100000000"), ConstLong)
 
 
+def test_tokenize_keeps_a_wide_decimal_exact():
+    # The parser reports a decimal past 64 bits without converting it; the
+    # token view still gives its value, leading zeros not counted.
+    wide = "1" + "0" * 24
+    toks = tokenize(f"{wide} {'0' * 5000}{wide}L")
+    assert [(t.value, t.is_long) for t in toks[:2]] == \
+        [(10 ** 24, False), (10 ** 24, True)]
+    with pytest.raises(ParseError) as err:
+        parse_expr(wide)
+    assert err.value.diagnostic.code == "P003"
+
+
 def test_tokenize_comments_skipped():
     toks = tokenize("1 // trailing comment\n2")
     assert [t.lexeme for t in toks[:-1]] == ["1", "2"]

@@ -325,6 +325,13 @@ def test_loop_term_depth_does_not_grow_with_iterations():
     assert max(depths) < 20
 
 
+def test_run_program_takes_one_hook():
+    tp = check_source("fun main() : int { 1 + 2 }")
+    with pytest.raises(ValueError):
+        run_program(tp, on_step=lambda s, e, rule: None,
+                    on_event=lambda ev: None)
+
+
 def test_loop_semantics_against_range():
     # Each loop adds 1 per iteration; final cell equals the range size.
     for lo in range(-3, 4):
