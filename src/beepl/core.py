@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import is_not
+from functools import lru_cache
+from operator import is_not, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -543,18 +544,29 @@ class Repeat(Expr):
 # Patterns
 # ---------------------------------------------------------------------------
 
+# The names a binder binds, one set for each tuple of names in use, so that
+# a visit of a binder builds none.
+_name_set = lru_cache(maxsize=1024)(frozenset)
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 class Pattern:
+    """``binders`` holds the names a pattern binds in its arm."""
+
     __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Pnone(Pattern):
-    pass
+    binders = _NO_NAMES
 
 
 @dataclass(frozen=True)
 class Psome(Pattern):
     binder: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "binders", _name_set((self.binder,)))
 
 
 @dataclass(frozen=True)
@@ -568,11 +580,13 @@ class Pbytes(Pattern):
             raise CoreError("pbytes target must be a prim or struct type")
         if is_prim(self.target) and self.fields:
             raise CoreError("pbytes on a prim type binds no fields")
+        object.__setattr__(self, "binders", _name_set(
+            (self.binder, *map(itemgetter(0), self.fields))))
 
 
 @dataclass(frozen=True)
 class Pwild(Pattern):
-    pass
+    binders = _NO_NAMES
 
 
 def select_arm(arms, cls: type):
@@ -586,14 +600,6 @@ def select_arm(arms, cls: type):
         if wild is None and isinstance(arm[0], Pwild):
             wild = arm
     return wild
-
-
-def pattern_binders(p: Pattern) -> frozenset[str]:
-    if isinstance(p, Psome):
-        return frozenset((p.binder,))
-    if isinstance(p, Pbytes):
-        return frozenset((p.binder,)) | frozenset(y for y, _ in p.fields)
-    return frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +725,6 @@ class Shape(NamedTuple):
     own: Optional[Callable[[Expr], tuple]] = None
 
 
-_NO_NAMES: frozenset[str] = frozenset()
-
 SHAPES: dict[type, Shape] = {
     SomeLit: Shape(lambda e: (e.value,),
                    lambda e, c: SomeLit(c[0], ty=e.ty)),
@@ -731,7 +735,7 @@ SHAPES: dict[type, Shape] = {
                 own=lambda e: (e.op,)),
     Let: Shape(lambda e: (e.bound, e.body),
                lambda e, c: Let(e.name, e.declared, c[0], c[1], ty=e.ty),
-               lambda e: (_NO_NAMES, frozenset((e.name,))),
+               lambda e: (_NO_NAMES, _name_set((e.name,))),
                lambda e: (e.name, e.declared)),
     Cond: Shape(lambda e: (e.guard, e.then, e.otherwise),
                 lambda e, c: Cond(c[0], c[1], c[2], ty=e.ty)),
@@ -746,8 +750,7 @@ SHAPES: dict[type, Shape] = {
     Match: Shape(lambda e: (e.scrutinee, *(b for _, b in e.arms)),
                  lambda e, c: Match(c[0], tuple(
                      (p, b) for (p, _), b in zip(e.arms, c[1:])), ty=e.ty),
-                 lambda e: (_NO_NAMES,
-                            *(pattern_binders(p) for p, _ in e.arms)),
+                 lambda e: (_NO_NAMES, *[p.binders for p, _ in e.arms]),
                  lambda e: tuple(p for p, _ in e.arms)),
     For: Shape(lambda e: (e.lo, e.hi, e.body),
                lambda e, c: For(c[0], c[1], e.direction, c[2], ty=e.ty),

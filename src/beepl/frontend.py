@@ -215,13 +215,28 @@ def _int_value(text: str) -> tuple[int, bool]:
     return int(digits.lstrip("0") or "0"), is_long
 
 
+def _exact_int_value(text: str) -> tuple[int, bool]:
+    """_int_value for a decimal of any length: int() converts at most 4,300
+    digits at once, so the digits go 4,000 at a time."""
+    is_long = text[-1] == "L"
+    digits = text[:-1] if is_long else text
+    if digits[1:2] in ("x", "X"):
+        return _int_value(text)
+    value = 0
+    for k in range(0, len(digits), 4000):
+        chunk = digits[k:k + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value, is_long
+
+
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:
-    """The lexer's tokens as ``Token`` objects, each with its span; the
-    parser reads the lexer's lists directly."""
+    """The lexer's tokens as ``Token`` objects, each with its span and an int
+    token with its exact value; the parser reads the lexer's lists
+    directly."""
     p = Parser(source, filename)
     tokens = []
     for i, kind in enumerate(p.kinds[:-2]):
-        payload = _int_value(p.texts[i]) if kind == "int" else ()
+        payload = _exact_int_value(p.texts[i]) if kind == "int" else ()
         tokens.append(Token(kind, p.lexeme(i), p.span(i), *payload))
     return tokens
 

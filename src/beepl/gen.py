@@ -17,7 +17,7 @@ from .core import (
     GlobDecl, INT, Let, LONG, LongTy, Match, NoneLit, OptionTy, Pbytes,
     Pnone, Prim, Program, Psome, Pwild, RefOp, RefTy, SomeLit, StructTy, Ty,
     U16, U32, U8, UNIT, UnitLit, Uop, UopKind, Var, expr_children,
-    fvar, pattern_binders, with_children,
+    fvar, with_children,
 )
 from .typecheck import TypeCheckError, check_program
 
@@ -383,7 +383,7 @@ def shrink_candidates(e: Expr) -> list[Expr]:
         out.append(e.body)
     if isinstance(e, Match):
         for p, body in e.arms:
-            if not (pattern_binders(p) & fvar(body)):
+            if not (p.binders & fvar(body)):
                 out.append(body)
     if isinstance(e, Prim) and isinstance(e.op, Bop) \
             and e.op.kind in ARITH:

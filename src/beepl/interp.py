@@ -21,8 +21,8 @@ from .core import (
     Expr, Field, For, FunDecl, GlobDecl, IntTy, Let, Loc, LONG, LongTy,
     Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild, RefOp,
     RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty, UNIT,
-    UnitLit, Uop, UopKind, Var, SHAPES, is_prim, is_value, kernel_object,
-    rename_var, select_arm, sizeof, struct_layout, subst,
+    UnitLit, Uop, UopKind, Var, SHAPES, _VALUE_CLASSES, is_prim, is_value,
+    kernel_object, rename_var, select_arm, sizeof, struct_layout, subst,
 )
 from .typecheck import TypedProgram
 
@@ -281,7 +281,7 @@ _CAST_SEM = {IntTy: _WRAP[ConstInt], LongTy: _WRAP[ConstLong]}
 
 def bop_sem(op: BopKind, v1: Expr, v2: Expr) -> Expr:
     """Two's-complement wrapping semantics at the operand width; an unsafe
-    operand pair gives zero."""
+    operand pair gives zero.  The Prim rule reads this table itself."""
     return _BOP_SEM[op](v1, v2)
 
 
@@ -415,37 +415,47 @@ def _refocus(frames: list, e: Expr) -> tuple[Expr, Sequence[Expr]]:
     reads the values, so it is not rebuilt.  Only ``some`` is, since around
     a location it is a value that fills the next hole up, unless its node
     already holds that value.
+
+    A value is tested inline by its class; only ``some`` goes to
+    ``is_value``, which reads its child.
     """
     while True:
-        if not is_value(e):
-            context = _CONTEXTS.get(type(e))
+        cls = type(e)
+        if cls in _VALUE_CLASSES or cls is SomeLit and is_value(e):
+            if not frames:
+                return e, ()
+            frame = frames[-1]
+            node, (shape, start, stop), children, i, own = frame
+            if own:
+                children = frame[2] = list(children)
+                frame[4] = False
+            children[i] = e
+            i += 1
+        else:
+            context = _CONTEXTS.get(cls)
             if context is None:
                 return e, ()
-            frame = [e, context, context[0].children(e), context[1], True]
+            shape, start, stop = context
+            node, children, i = e, shape.children(e), start
+            frame = [node, context, children, i, True]
             frames.append(frame)
-        elif frames:
-            frame = frames[-1]
-            if frame[4]:
-                frame[2], frame[4] = list(frame[2]), False
-            frame[2][frame[3]] = e
-            frame[3] += 1
-        else:
-            return e, ()
-        node, (shape, start, stop), children, i, _ = frame
         end = len(children) if stop is None else stop
-        while i < end and is_value(children[i]):
-            i += 1
-        if i < end:
-            frame[3] = i
+        while i < end:
             e = children[i]
-            continue
-        frames.pop()
-        if type(node) is not SomeLit:
-            return node, children[start:end]
-        e = node if node.value is children[0] \
-            else shape.rebuild(node, children)
-        if not is_value(e):
-            return e, ()
+            cls = type(e)
+            if cls not in _VALUE_CLASSES and (cls is not SomeLit
+                                              or not is_value(e)):
+                frame[3] = i
+                break
+            i += 1
+        else:
+            frames.pop()
+            if type(node) is not SomeLit:
+                return node, children[start:end]
+            e = node if node.value is children[0] \
+                else shape.rebuild(node, children)
+            if not is_value(e):
+                return e, ()
 
 
 def _no_rule(s: State, w: ExternalWorld, e: Expr,
@@ -502,18 +512,18 @@ def _step_var(s: State, w: ExternalWorld, e: Var,
 
 def _step_prim(s: State, w: ExternalWorld, e: Prim,
                values: list[Expr]) -> tuple[Expr, str]:
-    rule = _PRIM_RULES.get(type(e.op))
+    op = e.op
+    if type(op) is Bop:
+        # A binary operator's meaning is one lookup in bop_sem's table.
+        kind = op.kind
+        v1, v2 = values
+        if (type(v1), type(v2)) not in _OPERANDS[kind]:
+            _operands_stuck(op, values)
+        return _BOP_SEM[kind](v1, v2), "BOPV"
+    rule = _PRIM_RULES.get(type(op))
     if rule is None:
-        _stuck(f"unknown primitive {e.op!r}")
+        _stuck(f"unknown primitive {op!r}")
     return rule(s, e, values)
-
-
-def _prim_bop(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
-    kind = e.op.kind
-    v1, v2 = values
-    if (type(v1), type(v2)) not in _OPERANDS[kind]:
-        _operands_stuck(e.op, values)
-    return bop_sem(kind, v1, v2), "BOPV"
 
 
 def _prim_uop(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
@@ -556,9 +566,10 @@ def _prim_assign(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
     return UnitLit(), "MASSGNV"
 
 
-# The rule of each primitive operator class.
-_PRIM_RULES = {Bop: _prim_bop, Deref: _prim_deref, Assign: _prim_assign,
-               RefOp: _prim_ref, Uop: _prim_uop, Cast: _prim_uop}
+# The rule of each primitive operator class but Bop, whose case is in
+# _step_prim.
+_PRIM_RULES = {Deref: _prim_deref, Assign: _prim_assign, RefOp: _prim_ref,
+               Uop: _prim_uop, Cast: _prim_uop}
 
 # The operand classes each operator's rule reads, by operator kind (None for
 # a cast): booleans for the logical operators, integers of one lane for
@@ -748,7 +759,8 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
     focus, values = _refocus(frames, e)
     rules = _REDEX_RULES
     term = e
-    while not is_value(focus):
+    while type(focus) not in _VALUE_CLASSES and not (
+            type(focus) is SomeLit and is_value(focus)):
         try:
             out, rule = rules.get(type(focus), _no_rule)(s, w, focus, values)
         except StuckState as exc:

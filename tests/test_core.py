@@ -11,7 +11,7 @@ from beepl.core import (
     Program, READ, RefTy, Repeat, SHAPES, Seq, Sign, SomeLit, StructTy, U16,
     U8, UNIT, UnitLit, UnknownStruct, Var, Assign, ArrayTy, Bop, BopKind,
     Deref, Pbytes, RefOp, WRITE, effect_concat, effect_subset, expr_children,
-    fvar, is_value, pattern_binders, rename_var, sizeof, subst,
+    fvar, is_value, rename_var, sizeof, subst,
     struct_layout, with_children, UopKind,
 )
 from beepl import interp, typecheck
@@ -140,7 +140,7 @@ def _names(e):
             out.add(t.name)
         elif isinstance(t, Match):
             for p, _ in t.arms:
-                out |= pattern_binders(p)
+                out |= p.binders
     return out
 
 

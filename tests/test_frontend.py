@@ -61,6 +61,14 @@ def test_tokenize_keeps_a_wide_decimal_exact():
     assert err.value.diagnostic.code == "P003"
 
 
+def test_tokenize_keeps_a_5000_digit_decimal_exact():
+    # Past int()'s 4,300-digit limit, with and without leading zeros.
+    nines = "9" * 5000
+    toks = tokenize(f"{nines} {'0' * 5000}{nines}L")
+    assert [(t.value, t.is_long) for t in toks[:2]] == \
+        [(10 ** 5000 - 1, False), (10 ** 5000 - 1, True)]
+
+
 def test_tokenize_comments_skipped():
     toks = tokenize("1 // trailing comment\n2")
     assert [t.lexeme for t in toks[:-1]] == ["1", "2"]

@@ -2,6 +2,7 @@ import copy
 import functools
 import itertools
 import operator
+import sys
 
 import pytest
 
@@ -763,3 +764,25 @@ def test_eval_multi_descends_and_rebuilds_in_linear_total_work(monkeypatch):
         functools.reduce(lambda x, _: 3 * x + 1, range(50), 2), 32))
     assert r.steps > 350
     assert calls <= 3 * r.steps + 3 * depth, (calls, r.steps)
+
+
+def test_a_loop_step_makes_at_most_six_python_calls():
+    # The step loop's dispatch budget: a value is tested inline and a binary
+    # operator's meaning is one lookup from its rule, so a step of CI's int
+    # loop makes about 5.3 Python-level calls.
+    tp = check_source("fun main() : int { let x : int* = ref(2) in let _ = "
+                      "for (1 ... 1000, Up) { x := !x * 3 + 1 } in !x }")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    before = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        r = run_program(tp)
+    finally:
+        sys.setprofile(before)
+    assert r.steps == 6007
+    assert calls <= 6 * r.steps, (calls, r.steps)

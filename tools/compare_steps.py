@@ -9,10 +9,13 @@ bytes and cells) of the same run without a hook.  It also runs unchecked
 mutants of seeds 0-59 (--mutants N), each a random subterm of a function
 body replaced by another subterm of the program, under a fuel of 1,000
 steps, and compares their steps and their value, stuck message or
-exception.
+exception.  Generated programs run only short loops, so it also runs
+written loop programs (--loops N) of 50-300 iterations on the int and the
+long lane: one accumulator, two accumulators, nested loops, and a
+conditional body with division, modulo and comparisons.
 
     python3 tools/compare_steps.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N]
-                                   [--mutants N]
+                                   [--mutants N] [--loops N]
 
 Exits 0 when the results are identical and 1 otherwise.
 """
@@ -28,6 +31,7 @@ DUMP = r"""
 import dataclasses, hashlib, inspect, json, random, sys, time
 from beepl.core import FunDecl, Program, expr_children, with_children
 from beepl.driver import world_for_seed
+from beepl.frontend import parse_program
 from beepl.gen import GenConfig, generate_well_typed
 from beepl.interp import run_program
 from beepl.typecheck import TypeCheckError, check_program
@@ -108,8 +112,38 @@ def mutant(tp, rng):
         tp, program=Program(decls, tp.program.composites))
 
 
-seeds, n_mutants = int(sys.argv[1]), int(sys.argv[2])
-runs, mutants, t0 = [], [], time.perf_counter()
+# The loop bodies by shape; {s} is the lane's literal suffix.
+LOOP_BODIES = {
+    "one-acc": "x := !x * {m}{s} + {c}{s}",
+    "two-acc": "let _ = x := !x * {m}{s} - {c}{s} in y := !y ^ (!x >> 3{s})",
+    "nested": "for ({i} ... 1, Down) {{ x := (!x ^ {c}{s}) * {m}{s} }}",
+    "cond": "x := if !x % 7{s} == 0{s} || !x < 0{s} then !x / 3{s} + {c}{s} "
+            "else !x * {m}{s} - (!y & 255{s})",
+}
+
+
+# Loop program k: its shape and lane cycle with k, and it runs 50-300
+# iterations in all.
+def loop_source(k):
+    rng = random.Random(k)
+    shape = list(LOOP_BODIES)[k % len(LOOP_BODIES)]
+    t, s = ("long", "L") if k // len(LOOP_BODIES) % 2 else ("int", "")
+    n = rng.randint(50, 300)
+    outer = rng.randint(2, 5) if shape == "nested" else n
+    lo = rng.randint(-50, 50)
+    up = rng.random() < 0.5
+    hi = lo + outer - 1 if up else lo - outer + 1
+    body = LOOP_BODIES[shape].format(
+        m=rng.randrange(3, 1 << 20, 2), c=rng.randint(0, 10_000),
+        i=max(1, n // outer), s=s)
+    return f"{shape}-{t}", (
+        f"fun main() : {t} {{ let x : {t}* = ref({rng.randint(-1000, 1000)}"
+        f"{s}) in let y : {t}* = ref(1{s}) in let _ = for ({lo} ... {hi}, "
+        f"{'Up' if up else 'Down'}) {{ {body} }} in !x + !y }}")
+
+
+seeds, n_mutants, n_loops = map(int, sys.argv[1:4])
+runs, mutants, loops, t0 = [], [], [], time.perf_counter()
 for extras in (False, True):
     for seed in range(seeds):
         program = generate_well_typed(
@@ -125,7 +159,15 @@ for extras in (False, True):
             for k in range(4):
                 mutants.append({"id": [extras, seed, k],
                                 **run(mutant(tp, rng), seed, 1000)})
-print(json.dumps({"runs": runs, "mutants": mutants,
+for k in range(n_loops):
+    name, src = loop_source(k)
+    try:
+        tp = check_program(parse_program(src, name))
+    except TypeCheckError as exc:
+        loops.append({"id": [name, k], "rejected": str(exc)})
+        continue
+    loops.append({"id": [name, k], **run(tp, k, 10 ** 6)})
+print(json.dumps({"runs": runs, "mutants": mutants, "loops": loops,
                   "seconds": time.perf_counter() - t0}))
 """
 
@@ -150,11 +192,13 @@ def main() -> int:
     p.add_argument("--seeds", type=int, default=300)
     p.add_argument("--mutants", type=int, default=60,
                    help="mutate the first N seeds, four mutants each")
+    p.add_argument("--loops", type=int, default=40,
+                   help="run N written loop programs")
     args = p.parse_args()
-    old = dump(args.old, DUMP, args.seeds, args.mutants)
-    new = dump(args.new, DUMP, args.seeds, args.mutants)
+    old = dump(args.old, DUMP, args.seeds, args.mutants, args.loops)
+    new = dump(args.new, DUMP, args.seeds, args.mutants, args.loops)
     ok = True
-    for key in ("runs", "mutants"):
+    for key in ("runs", "mutants", "loops"):
         pairs = list(zip(old[key], new[key]))
         differ = [(a, b) for a, b in pairs if a != b]
         ran = [r for r in new[key] if "rejected" not in r]
