@@ -211,17 +211,11 @@ def _int_value(text: str) -> tuple[int, bool]:
     digits = text[:-1] if is_long else text
     if digits[1:2] in ("x", "X"):
         return int(digits, 16), is_long
-    # int() counts leading zeros against its limit of 4,300 digits.
-    return int(digits.lstrip("0") or "0"), is_long
-
-
-def _exact_int_value(text: str) -> tuple[int, bool]:
-    """_int_value for a decimal of any length: int() converts at most 4,300
-    digits at once, so the digits go 4,000 at a time."""
-    is_long = text[-1] == "L"
-    digits = text[:-1] if is_long else text
-    if digits[1:2] in ("x", "X"):
-        return _int_value(text)
+    # int() converts at most 4,300 decimal digits, leading zeros counted, so
+    # a wider decimal goes 4,000 digits at a time.
+    digits = digits.lstrip("0") or "0"
+    if len(digits) <= 4300:
+        return int(digits), is_long
     value = 0
     for k in range(0, len(digits), 4000):
         chunk = digits[k:k + 4000]
@@ -236,7 +230,7 @@ def tokenize(source: str, filename: str = "<input>") -> list[Token]:
     p = Parser(source, filename)
     tokens = []
     for i, kind in enumerate(p.kinds[:-2]):
-        payload = _exact_int_value(p.texts[i]) if kind == "int" else ()
+        payload = _int_value(p.texts[i]) if kind == "int" else ()
         tokens.append(Token(kind, p.lexeme(i), p.span(i), *payload))
     return tokens
 

@@ -9,13 +9,13 @@ bytes and cells) of the same run without a hook.  It also runs unchecked
 mutants of seeds 0-59 (--mutants N), each a random subterm of a function
 body replaced by another subterm of the program, under a fuel of 1,000
 steps, and compares their steps and their value, stuck message or
-exception.  Generated programs run only short loops, so it also runs
-written loop programs (--loops N) of 50-300 iterations on the int and the
-long lane: one accumulator, two accumulators, nested loops, and a
-conditional body with division, modulo and comparisons.
+exception.  Generated programs run only short loops, so it also runs 40
+written loop programs of 50-300 iterations on the int and the long lane:
+one accumulator, two accumulators, nested loops, and a conditional body
+with division, modulo and comparisons.
 
     python3 tools/compare_steps.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N]
-                                   [--mutants N] [--loops N]
+                                   [--mutants N]
 
 Exits 0 when the results are identical and 1 otherwise.
 """
@@ -122,6 +122,9 @@ LOOP_BODIES = {
 }
 
 
+LOOPS = 40
+
+
 # Loop program k: its shape and lane cycle with k, and it runs 50-300
 # iterations in all.
 def loop_source(k):
@@ -142,7 +145,7 @@ def loop_source(k):
         f"{'Up' if up else 'Down'}) {{ {body} }} in !x + !y }}")
 
 
-seeds, n_mutants, n_loops = map(int, sys.argv[1:4])
+seeds, n_mutants = int(sys.argv[1]), int(sys.argv[2])
 runs, mutants, loops, t0 = [], [], [], time.perf_counter()
 for extras in (False, True):
     for seed in range(seeds):
@@ -159,7 +162,7 @@ for extras in (False, True):
             for k in range(4):
                 mutants.append({"id": [extras, seed, k],
                                 **run(mutant(tp, rng), seed, 1000)})
-for k in range(n_loops):
+for k in range(LOOPS):
     name, src = loop_source(k)
     try:
         tp = check_program(parse_program(src, name))
@@ -192,11 +195,9 @@ def main() -> int:
     p.add_argument("--seeds", type=int, default=300)
     p.add_argument("--mutants", type=int, default=60,
                    help="mutate the first N seeds, four mutants each")
-    p.add_argument("--loops", type=int, default=40,
-                   help="run N written loop programs")
     args = p.parse_args()
-    old = dump(args.old, DUMP, args.seeds, args.mutants, args.loops)
-    new = dump(args.new, DUMP, args.seeds, args.mutants, args.loops)
+    old = dump(args.old, DUMP, args.seeds, args.mutants)
+    new = dump(args.new, DUMP, args.seeds, args.mutants)
     ok = True
     for key in ("runs", "mutants", "loops"):
         pairs = list(zip(old[key], new[key]))
