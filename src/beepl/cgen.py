@@ -15,7 +15,7 @@ interpreter.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -34,19 +34,8 @@ class CgenError(Exception):
 
 
 @dataclass
-class NameSupply:
-    counters: dict[str, int] = dc_field(default_factory=dict)
-
-    def fresh(self, prefix: str) -> str:
-        n = self.counters.get(prefix, 0)
-        self.counters[prefix] = n + 1
-        return f"__bpl_{prefix}{n}"
-
-
-@dataclass
 class CUnit:
     text: str
-    mode: str
     guarded_ops: int  # div/mod/shift sites emitted with an operand guard
     const_safe_ops: int  # sites proven safe from literal operands
 
@@ -166,7 +155,7 @@ class FunctionEmitter:
     def __init__(self, gen: "ProgramEmitter", fd: FunDecl):
         self.gen = gen
         self.fd = fd
-        self.names = NameSupply()
+        self.hoisted: dict[str, int] = {}  # temps made so far, by prefix
         self.locals: list[str] = []  # hoisted declarations
         # Each source name in scope: its C name (None for a binder that
         # carries no C value) and its type; shadowed entries wait below.
@@ -196,7 +185,9 @@ class FunctionEmitter:
         return ty
 
     def hoist(self, ty: Ty, prefix: str = "tmp") -> str:
-        name = self.names.fresh(prefix)
+        n = self.hoisted.get(prefix, 0)
+        self.hoisted[prefix] = n + 1
+        name = f"__bpl_{prefix}{n}"
         self.locals.append(cdecl(ty, name) + ";")
         return name
 
@@ -397,75 +388,47 @@ class FunctionEmitter:
         rhs = self.emit_value(rhs_e)
         if rhs.stmts:
             lhs = self.materialize(lhs, lty)
+        u, s, width, tmin = (("u64", "i64", 64, "BPL_LONG_MIN")
+                             if isinstance(lty, LongTy)
+                             else ("u32", "i32", 32, "BPL_INT_MIN"))
+        # A literal right operand can prove a division or a shift safe.
+        # Otherwise a guard reads both operands of / and %, or the amount
+        # of a shift, a second time, so materialize pins them first.
+        n = rhs_e.value if isinstance(rhs_e, (ConstInt, ConstLong)) else None
+        divmod_ = kind is BopKind.DIV or kind is BopKind.MOD
+        shift = kind is BopKind.SHL or kind is BopKind.SHR
+        guarded = (divmod_ and n in (None, 0, -1)
+                   or shift and (n is None or not 0 <= n < width))
+        if guarded:
+            if divmod_:
+                lhs = self.materialize(lhs, lty)
+            rhs = self.materialize(rhs, lty)
         stmts = lhs.stmts + rhs.stmts
         pure = lhs.pure and rhs.pure and not stmts
-        a, b = lhs.cexpr, rhs.cexpr
-        u, s = ("u64", "i64") if isinstance(lty, LongTy) else ("u32", "i32")
+        a, b, cop = _p(lhs.cexpr), _p(rhs.cexpr), kind.value
         if kind in COMPARE_BOPS:
-            return _Frag(stmts, f"({_p(a)} {kind.value} {_p(b)})", pure)
+            return _Frag(stmts, f"({a} {cop} {b})", pure)
         if kind in LOGIC_BOPS:
             # Both operands are already evaluated 0/1 values; bitwise '&' and
             # '|' mirror the source semantics, which never short-circuits.
             cop = "&" if kind is BopKind.LAND else "|"
-            return _Frag(stmts, f"({_p(a)} {cop} {_p(b)})", pure)
-        if kind in (BopKind.ADD, BopKind.SUB, BopKind.MUL, BopKind.AND,
-                    BopKind.OR, BopKind.XOR):
-            return _Frag(stmts,
-                         f"({s})(({u}){_p(a)} {kind.value} ({u}){_p(b)})",
-                         pure)
-        if kind in (BopKind.DIV, BopKind.MOD):
-            return self.emit_divmod(e, kind, stmts, lty, a, b, lhs, rhs)
-        if kind in (BopKind.SHL, BopKind.SHR):
-            return self.emit_shift(e, kind, stmts, lty, a, b, lhs, rhs)
-        raise CgenError(f"cannot emit operator {kind}")
-
-    def _const_int_value(self, e: Expr) -> Optional[int]:
-        if isinstance(e, (ConstInt, ConstLong)):
-            return e.value
-        return None
-
-    def emit_divmod(self, e, kind, stmts, lty, a, b, lhs, rhs) -> _Frag:
-        tmin = "BPL_LONG_MIN" if isinstance(lty, LongTy) else "BPL_INT_MIN"
-        cop = kind.value
-        bval = self._const_int_value(e.operands[1])
-        if bval is not None and bval != 0 and bval != -1:
-            self.gen.const_safe_ops += 1
-            return _Frag(stmts, f"({_p(a)} {cop} {_p(b)})",
-                         lhs.pure and rhs.pure and not stmts)
-        # The guard mentions each operand twice, so pin them first.
-        if not (lhs.pure and _is_simple(a)):
-            t = self.hoist(lty)
-            stmts = stmts + [f"{t} = {a};"]
-            a = t
-        if not (rhs.pure and _is_simple(b)):
-            t = self.hoist(lty)
-            stmts = stmts + [f"{t} = {b};"]
-            b = t
-        guard = (f"({_p(b)} == 0 ? 0 : "
-                 f"(({_p(a)} == {tmin} && {_p(b)} == -1) ? 0 : "
-                 f"{_p(a)} {cop} {_p(b)}))")
-        self.gen.guarded_ops += 1
-        return _Frag(stmts, guard, False)
-
-    def emit_shift(self, e, kind, stmts, lty, a, b, lhs, rhs) -> _Frag:
-        is_long = isinstance(lty, LongTy)
-        u, s = ("u64", "i64") if is_long else ("u32", "i32")
-        width = 64 if is_long else 32
-        bval = self._const_int_value(e.operands[1])
-        safe = bval is not None and 0 <= bval < width
-        if not safe and not (rhs.pure and _is_simple(b)):
-            t = self.hoist(lty)
-            stmts = stmts + [f"{t} = {b};"]
-            b = t
+            return _Frag(stmts, f"({a} {cop} {b})", pure)
+        if not (divmod_ or shift):
+            return _Frag(stmts, f"({s})(({u}){a} {cop} ({u}){b})", pure)
         if kind is BopKind.SHL:
-            body = f"({s})(({u}){_p(a)} << {_p(b)})"
+            c = f"({s})(({u}){a} << {b})"
         else:
-            body = f"({_p(a)} >> {_p(b)})"
-        if safe:
+            c = f"({a} {cop} {b})"
+        if not guarded:
             self.gen.const_safe_ops += 1
-            return _Frag(stmts, body, lhs.pure and rhs.pure and not stmts)
+            return _Frag(stmts, c, pure)
         self.gen.guarded_ops += 1
-        return _Frag(stmts, f"(({u}){_p(b)} >= {width} ? 0 : {body})", False)
+        if divmod_:
+            c = (f"({b} == 0 ? 0 : "
+                 f"(({a} == {tmin} && {b} == -1) ? 0 : {a} {cop} {b}))")
+        else:
+            c = f"(({u}){b} >= {width} ? 0 : {c})"
+        return _Frag(stmts, c, False)
 
     # -- calls, fields, structs ---------------------------------------------
 
@@ -672,7 +635,7 @@ class ProgramEmitter:
         if self.mode == "host":
             parts.append(self.emit_main_shim())
         text = "\n\n".join(p.rstrip() for p in parts if p) + "\n"
-        return CUnit(text, self.mode, self.guarded_ops, self.const_safe_ops)
+        return CUnit(text, self.guarded_ops, self.const_safe_ops)
 
     def emit_extern(self, d: ExtDecl) -> str:
         if self.mode == "host":

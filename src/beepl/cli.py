@@ -12,8 +12,8 @@ from pathlib import Path
 
 from .cgen import emit_program
 from .core import (
-    BytesView, ConstBool, ConstInt, ConstLong, Loc, NoneLit, Repeat, Seq,
-    SomeLit, UnitLit, Var, expr_children, with_children,
+    BytesView, ConstBool, ConstInt, ConstLong, Loc, Repeat, Seq, UnitLit,
+    Var, expr_children, with_children,
 )
 from .driver import (
     run_cve_corpus, run_differential, run_property_suite,
@@ -134,13 +134,7 @@ def _render_value(v) -> str:
         return "true" if v.value else "false"
     if isinstance(v, UnitLit):
         return "()"
-    if isinstance(v, NoneLit):
-        return "none"
-    if isinstance(v, SomeLit):
-        return f"some(loc {v.value.block})"
-    if isinstance(v, Loc):
-        return f"loc {v.block}+{v.offset}"
-    return repr(v)
+    return repr(v)  # a bytes result; no function returns a pointer
 
 
 def cmd_run(args) -> int:

@@ -23,6 +23,10 @@ class UnknownStruct(CoreError):
     pass
 
 
+class RepeatedName(CoreError):
+    """A name declared or bound twice where names must be distinct."""
+
+
 @dataclass(slots=True)
 class Span:
     line: int
@@ -235,8 +239,8 @@ class Composite:
     def __post_init__(self):
         dup = _repeated(f for f, _ in self.fields)
         if dup is not None:
-            raise CoreError(f"field {dup!r} of struct {self.sid} is declared "
-                            "twice")
+            raise RepeatedName(f"field {dup!r} of struct {self.sid} is "
+                               "declared twice")
 
     def field_type(self, name: str) -> Optional[Ty]:
         for f, t in self.fields:
@@ -580,8 +584,11 @@ class Pbytes(Pattern):
             raise CoreError("pbytes target must be a prim or struct type")
         if is_prim(self.target) and self.fields:
             raise CoreError("pbytes on a prim type binds no fields")
-        object.__setattr__(self, "binders", _name_set(
-            (self.binder, *map(itemgetter(0), self.fields))))
+        names = (self.binder, *map(itemgetter(0), self.fields))
+        dup = _repeated(names)
+        if dup is not None:
+            raise RepeatedName(f"pattern binds {dup!r} twice")
+        object.__setattr__(self, "binders", _name_set(names))
 
 
 @dataclass(frozen=True)
@@ -646,8 +653,8 @@ class FunDecl:
         for what, names in (("parameter", self.args), ("local", self.vars)):
             dup = _repeated(x for x, _ in names)
             if dup is not None:
-                raise CoreError(f"{what} {dup!r} of {self.name} is declared "
-                                "twice")
+                raise RepeatedName(f"{what} {dup!r} of {self.name} is "
+                                   "declared twice")
         if {x for x, _ in self.args} & {y for y, _ in self.vars}:
             raise CoreError(f"args and vars of {self.name} overlap")
 
@@ -714,15 +721,12 @@ class Shape(NamedTuple):
     evaluation contexts index.  ``rebuild`` makes the node anew from a
     sequence of that length; it keeps ``ty`` and leaves ``span`` unset.
     ``binds`` is set only on binder nodes: for each child, the names the
-    node binds in it.  ``own`` is set only on nodes that hold more than
-    children, ``span`` and ``ty``: what else they hold, which ``rebuild``
-    copies.
+    node binds in it.
     """
 
     children: Callable[[Expr], tuple[Expr, ...]]
     rebuild: Callable[[Expr, Sequence[Expr]], Expr]
     binds: Optional[Callable[[Expr], tuple[frozenset[str], ...]]] = None
-    own: Optional[Callable[[Expr], tuple]] = None
 
 
 SHAPES: dict[type, Shape] = {
@@ -731,35 +735,28 @@ SHAPES: dict[type, Shape] = {
     App: Shape(lambda e: (e.callee, *e.args),
                lambda e, c: App(c[0], tuple(c[1:]), ty=e.ty)),
     Prim: Shape(lambda e: e.operands,
-                lambda e, c: Prim(e.op, tuple(c), ty=e.ty),
-                own=lambda e: (e.op,)),
+                lambda e, c: Prim(e.op, tuple(c), ty=e.ty)),
     Let: Shape(lambda e: (e.bound, e.body),
                lambda e, c: Let(e.name, e.declared, c[0], c[1], ty=e.ty),
-               lambda e: (_NO_NAMES, _name_set((e.name,))),
-               lambda e: (e.name, e.declared)),
+               lambda e: (_NO_NAMES, _name_set((e.name,)))),
     Cond: Shape(lambda e: (e.guard, e.then, e.otherwise),
                 lambda e, c: Cond(c[0], c[1], c[2], ty=e.ty)),
     StructInit: Shape(lambda e: tuple(fe for _, fe in e.fields),
                       lambda e, c: StructInit(e.name, tuple(
                           (f, fe) for (f, _), fe in zip(e.fields, c)),
-                          ty=e.ty),
-                      own=lambda e: (e.name, *(f for f, _ in e.fields))),
+                          ty=e.ty)),
     Field: Shape(lambda e: (e.target,),
-                 lambda e, c: Field(c[0], e.fname, ty=e.ty),
-                 own=lambda e: (e.fname,)),
+                 lambda e, c: Field(c[0], e.fname, ty=e.ty)),
     Match: Shape(lambda e: (e.scrutinee, *(b for _, b in e.arms)),
                  lambda e, c: Match(c[0], tuple(
                      (p, b) for (p, _), b in zip(e.arms, c[1:])), ty=e.ty),
-                 lambda e: (_NO_NAMES, *[p.binders for p, _ in e.arms]),
-                 lambda e: tuple(p for p, _ in e.arms)),
+                 lambda e: (_NO_NAMES, *[p.binders for p, _ in e.arms])),
     For: Shape(lambda e: (e.lo, e.hi, e.body),
-               lambda e, c: For(c[0], c[1], e.direction, c[2], ty=e.ty),
-               own=lambda e: (e.direction,)),
+               lambda e, c: For(c[0], c[1], e.direction, c[2], ty=e.ty)),
     Seq: Shape(lambda e: e.parts,
                lambda e, c: Seq(tuple(c), ty=e.ty)),
     Repeat: Shape(lambda e: (e.body,),
-                  lambda e, c: Repeat(c[0], e.count, ty=e.ty),
-                  own=lambda e: (e.count,)),
+                  lambda e, c: Repeat(c[0], e.count, ty=e.ty)),
 }
 
 LEAVES = frozenset({Var, ConstInt, ConstLong, ConstBool, UnitLit, NoneLit,

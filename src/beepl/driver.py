@@ -319,12 +319,18 @@ def _differential_one(program: Program, compiler: str, tmp: Path,
     t1 = time.monotonic()
     try:
         tp = check_program(program)
-        interp = eval_multi(
-            s := init_state(tp, w := ExternalWorld()), w,
-            entry_call(tp, s, w, tp.entry_point()), fuel=DEFAULT_FUEL)
+        entry = tp.entry_point()
+        if entry is not None:
+            interp = eval_multi(
+                s := init_state(tp, w := ExternalWorld()), w,
+                entry_call(tp, s, w, entry), fuel=DEFAULT_FUEL)
     except Exception as exc:
         return RunReport(f"d{idx}", seed, "violation",
                          violations=[f"interpreter failed: {exc}"],
+                         reproducer=print_program(program))
+    if entry is None:
+        return RunReport(f"d{idx}", seed, "violation",
+                         violations=["no entry point"],
                          reproducer=print_program(program))
     cu = emit_program(tp, "host")
     cfile = tmp / f"d{idx}.c"

@@ -17,9 +17,9 @@ from .core import (
     Composite, Cond, ConstBool, ConstInt, ConstLong, CoreError, Deref,
     Direction, Effect, EffectAtom, Expr, ExtDecl, Field, For, FunDecl,
     GlobDecl, I8, I16, INT, Let, LONG, Loc, Match, NoneLit, OptionTy,
-    Pattern, Pbytes, Pnone, Program, Prim, Psome, Pwild, RefOp, RefTy, Seq,
-    SomeLit, Span, StructInit, StructTy, Ty, U8, U16, U32, ULONG, UNIT,
-    UnitLit, Uop, UopKind, Var,
+    Pattern, Pbytes, Pnone, Program, Prim, Psome, Pwild, RefOp, RefTy,
+    RepeatedName, Seq, SomeLit, Span, StructInit, StructTy, Ty, U8, U16,
+    U32, ULONG, UNIT, UnitLit, Uop, UopKind, Var,
 )
 
 
@@ -817,7 +817,8 @@ class Parser:
         try:
             return Pbytes(self.texts[binder], target, tuple(fields))
         except CoreError as exc:
-            self.fail(str(exc), self.span(binder), code="P004")
+            self.fail(str(exc), self.span(binder),
+                      code="P002" if isinstance(exc, RepeatedName) else "P004")
 
 
 def parse_program(source: str, filename: str = "<input>") -> Program:

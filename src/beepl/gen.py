@@ -147,30 +147,29 @@ def _gen_expr(env: _Env, ty: Ty, depth: int) -> Expr:
         if choices and rng.random() < 0.5:
             return Var(rng.choice(choices))
         return _literal(env, ty)
-    prods = ["literal", "literal", "let", "cond"]
+    prods = [_p_literal, _p_literal, _p_let, _p_cond]
     if env.vars_of(ty):
-        prods += ["var", "var"]
+        prods += [_p_var, _p_var]
     lane = ty is INT or ty is LONG
     if lane:
-        prods += ["arith", "arith", "uop", "cast", "deref"]
+        prods += [_p_arith, _p_arith, _p_uop, _p_cast, _p_deref]
         if any(f.rt is ty for f in env.funs):
-            prods.append("call")
+            prods.append(_p_call)
     if ty is LONG and env.cfg.externals:
-        prods.append("uid_gid")
+        prods.append(_p_uid_gid)
     if ty is BOOL:
-        prods += ["compare", "compare", "logic", "lognot"]
+        prods += [_p_compare, _p_compare, _p_logic, _p_lognot]
     if ty is UNIT:
-        prods += ["assign", "assign", "loop", "loop"]
+        prods += [_p_assign, _p_assign, _p_loop, _p_loop]
     if lane and rng.random() < 0.2:
-        prods.append("loop_then")
+        prods.append(_p_loop_then)
     if lane or ty is BOOL:
-        prods += ["match_option"]
+        prods += [_p_match_option]
         if env.cfg.externals and env.has_map:
-            prods.append("match_lookup")
+            prods.append(_p_match_lookup)
         if env.has_ctx:
-            prods += ["match_bytes", "match_bytes"]
-    kind = rng.choice(prods)
-    return _PRODUCTIONS[kind](env, ty, depth)
+            prods += [_p_match_bytes, _p_match_bytes]
+    return rng.choice(prods)(env, ty, depth)
 
 
 def _p_literal(env, ty, depth):
@@ -345,29 +344,6 @@ def _p_match_bytes(env, ty, depth):
     fail_body = _gen_expr(env, ty, depth - 1)
     return Match(Field(Var("ctx"), "data"),
                  ((pat, ok_body), (Pwild(), fail_body)))
-
-
-_PRODUCTIONS = {
-    "literal": _p_literal,
-    "var": _p_var,
-    "let": _p_let,
-    "cond": _p_cond,
-    "arith": _p_arith,
-    "uop": _p_uop,
-    "cast": _p_cast,
-    "deref": _p_deref,
-    "call": _p_call,
-    "uid_gid": _p_uid_gid,
-    "compare": _p_compare,
-    "logic": _p_logic,
-    "lognot": _p_lognot,
-    "assign": _p_assign,
-    "loop": _p_loop,
-    "loop_then": _p_loop_then,
-    "match_option": _p_match_option,
-    "match_lookup": _p_match_lookup,
-    "match_bytes": _p_match_bytes,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from .core import (
     Expr, Field, For, FunDecl, GlobDecl, IntTy, Let, Loc, LONG, LongTy,
     Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild, RefOp,
     RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty, UNIT,
-    UnitLit, Uop, UopKind, Var, SHAPES, _VALUE_CLASSES, is_prim, is_value,
-    kernel_object, rename_var, select_arm, sizeof, struct_layout, subst,
+    UnitLit, Uop, UopKind, Var, SHAPES, _VALUE_CLASSES, _replace_free,
+    is_prim, is_value, kernel_object, rename_var, select_arm, sizeof,
+    struct_layout, subst,
 )
 from .typecheck import TypedProgram
 
@@ -712,12 +713,9 @@ def _step_match(s: State, w: ExternalWorld, e: Match,
             if fallback is None:
                 _stuck("region too short and no fallback arm")
             return fallback[1], "MBYTESF"
-        out = body
-        for y, yv in bindings.items():
-            if any(y == name for name, _ in p.fields):
-                out = subst(out, y, yv)
-        out = subst(out, p.binder, vx)
-        return out, "MBYTES"
+        subs = {y: bindings[y] for y, _ in p.fields if y in bindings}
+        subs[p.binder] = vx
+        return _replace_free(body, subs, False), "MBYTES"
     _stuck("match scrutinee is neither an option nor bytes")
 
 

@@ -128,6 +128,28 @@ def test_run_prints_value(capsys):
     assert out.strip() == "0"
 
 
+def test_run_prints_bool_and_unit_results(tmp_path, capsys):
+    f = tmp_path / "main.bpl"
+    for src, shown in (("fun main() : bool { 1 < 2 }", "true"),
+                       ("fun main() : unit { () }", "()")):
+        f.write_text(src + "\n")
+        assert run_cli(capsys, "run", str(f)) == (0, shown + "\n", ""), src
+
+
+def test_check_rejects_a_bytes_pattern_that_binds_a_name_twice(tmp_path,
+                                                               capsys):
+    # The checker gave 'tag' the binder's type while evaluation substituted
+    # the field's value, so the program checked and then got stuck.
+    f = tmp_path / "dup.bpl"
+    f.write_text('struct hdr2 { tag : u16 } #section "xdp" '
+                 "fun prog(option(struct xdp_md*) ctx) : int { "
+                 "match ctx.data with | tag, struct hdr2 : (tag, u16) "
+                 "=> tag.tag | _ => 0 }\n")
+    code, out, err = run_cli(capsys, "check", str(f))
+    assert code == 1
+    assert f"{f}:1:109: error[P002]: pattern binds 'tag' twice" in err
+
+
 def test_run_with_packet(tmp_path, capsys):
     pkt = tmp_path / "packet.hex"
     pkt.write_text("00 00 00 00 00 00 00 00 00 00 00 00 86 dd 00 00\n")

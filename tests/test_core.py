@@ -281,14 +281,13 @@ def test_with_children_rebuilds_every_subterm():
         for t in _subterms(body):
             seen.add(type(t))
             assert with_children(t, expr_children(t)) == t
-            if type(t) in SHAPES:  # all else it holds is its Shape.own
-                shape = SHAPES[type(t)]
-                known = [*shape.children(t),
-                         *(shape.own(t) if shape.own else ())]
-                for f in dataclasses.fields(t):
-                    if f.compare:
-                        for v in _held(getattr(t, f.name)):
-                            assert any(v is k for k in known), f.name
+            # Every expression the node holds is one of its children.
+            children = expr_children(t)
+            for f in dataclasses.fields(t):
+                if f.compare:
+                    for v in _held(getattr(t, f.name)):
+                        if isinstance(v, Expr):
+                            assert any(v is c for c in children), f.name
     assert seen == set(SHAPES) | LEAVES
 
 
@@ -349,6 +348,12 @@ def test_no_stage_changes_a_node():
             hash(record)
     hash(INT)
     hash(Pbytes("b", StructTy("s"), (("f", U8),)))
+
+
+def test_a_bytes_pattern_binds_each_name_once():
+    for fields in ((("b", U8),), (("f", U8), ("f", U16))):
+        with pytest.raises(CoreError, match="binds '[bf]' twice"):
+            Pbytes("b", StructTy("s"), fields)
 
 
 # --- sizes and layout --------------------------------------------------------

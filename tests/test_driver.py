@@ -433,6 +433,14 @@ def test_differential_small_run():
 
 
 @needs_cc
+def test_differential_reports_a_program_without_an_entry_point():
+    program = parse_program("fun f() : int { 1 } fun g() : int { 2 }")
+    (report,) = run_differential(1, programs=[program]).reports
+    assert (report.outcome, report.violations) == \
+        ("violation", ["no entry point"])
+
+
+@needs_cc
 def test_differential_guarded_mod_program():
     program = parse_program("fun main() : int { 7 % 0 }")
     s = run_differential(1, programs=[program])

@@ -7,12 +7,13 @@ import subprocess
 import pytest
 
 from beepl.cgen import emit_program
-from beepl.core import VInt, VLong
+from beepl.core import UnitLit, VInt, VLong
 from beepl.driver import (
     build_host, evaluate_with_audit, find_cc, world_for_seed,
 )
+from beepl.frontend import parse_program, print_program
 from beepl.interp import ExternalWorld, run_program
-from beepl.typecheck import TypeCheckError, check_source
+from beepl.typecheck import TypeCheckError, check_program, check_source
 
 needs_cc = pytest.mark.skipif(find_cc() is None, reason="no C compiler")
 
@@ -252,3 +253,44 @@ def test_narrow_ref_compiles_with_matching_pointer_types(tmp_path):
     assert r.returncode == 0, r.stderr
     out = subprocess.run([str(exe)], capture_output=True, text=True)
     assert out.stdout.strip() == str(expected)
+
+
+# Constructs the generator never writes: externs, one of them unit-typed, a
+# bool global, integer, bool and option entry parameters (the host shim
+# passes 0 and a null pointer), and a unit entry point.
+WRITTEN = [
+    "extern fun probe(int, long) : int, <io>;\n"
+    "extern fun note(int) : unit, <io>;\n"
+    "fun main() : int, <io> { let _ : unit = note(1) in probe(2, 3L) + 5 }",
+    "global flag : bool = true; fun main() : int { if flag then 3 else 4 }",
+    "fun main(int a, long b, bool c) : int { "
+    "if c then 1 else a + (int) b + 7 }",
+    "fun main(option(int*) p) : int { "
+    "match p with | pnone => 11 | psome q => !q }",
+    "fun main() : unit { let x : int* = ref(1) in x := 2 }",
+]
+
+
+@needs_cc
+def test_written_programs_print_emit_and_run_as_interpreted(tmp_path):
+    cc = find_cc()
+    for i, src in enumerate(WRITTEN):
+        p = parse_program(src)
+        assert parse_program(print_program(p)) == p, src
+        tp = check_program(p)
+        cfile = tmp_path / f"w{i}.ebpf.c"
+        cfile.write_text(emit_program(tp, "ebpf").text)
+        r = subprocess.run([cc, "-fsyntax-only", str(cfile)],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, (src, r.stderr)
+        value = run_program(tp, ExternalWorld()).value
+        # A unit entry point's host binary prints 0.
+        expected = 0 if isinstance(value, UnitLit) else value.value
+        cfile = tmp_path / f"w{i}.c"
+        cfile.write_text(emit_program(tp, "host").text)
+        exe = tmp_path / f"w{i}"
+        r = build_host(cc, cfile, exe)
+        assert r.returncode == 0, (src, r.stderr)
+        out = subprocess.run([str(exe)], capture_output=True, text=True)
+        assert (out.stdout, out.returncode) == \
+            (f"{expected}\n", expected & 0xFF), src

@@ -1,10 +1,12 @@
 """Compare the C backend's output between two checkouts.
 
-Emits eBPF and host C, in each checkout's own src/, for the corpus and for
+Emits eBPF and host C, in each checkout's own src/, for the corpus, for
 GenConfig seeds 0-299 (or --seeds N), plain and with packets and helpers,
-and checks that every unit is identical: the C text and the guarded_ops and
-const_safe_ops counts.  A program the checker rejects, or one the backend
-cannot emit, is compared by its error.
+and for five written programs with what neither of those has: externs (one
+unit-typed), a bool global, integer, bool and option entry parameters, and
+a unit entry point.  Checks that every unit is identical: the C text and the
+guarded_ops and const_safe_ops counts.  A program the checker rejects, or
+one the backend cannot emit, is compared by its error.
 
     python3 tools/compare_c.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N]
 
@@ -23,8 +25,21 @@ DUMP = r"""
 import json, sys, time
 from beepl.cgen import emit_program
 from beepl.driver import CORPUS_DIR, load_corpus
+from beepl.frontend import parse_program
 from beepl.gen import GenConfig, generate_well_typed
 from beepl.typecheck import TypeCheckError, check_program
+
+WRITTEN = [
+    "extern fun probe(int, long) : int, <io>;\n"
+    "extern fun note(int) : unit, <io>;\n"
+    "fun main() : int, <io> { let _ : unit = note(1) in probe(2, 3L) + 5 }",
+    "global flag : bool = true; fun main() : int { if flag then 3 else 4 }",
+    "fun main(int a, long b, bool c) : int { "
+    "if c then 1 else a + (int) b + 7 }",
+    "fun main(option(int*) p) : int { "
+    "match p with | pnone => 11 | psome q => !q }",
+    "fun main() : unit { let x : int* = ref(1) in x := 2 }",
+]
 
 programs = [(path.name, lambda name=path.name: load_corpus(name))
             for path in sorted(CORPUS_DIR.glob("*.bpl"))]
@@ -33,6 +48,8 @@ for extras in (False, True):
         cfg = GenConfig(seed=seed, bytes_match=extras, externals=extras)
         programs.append((f"seed {seed}" + " packets" * extras,
                          lambda cfg=cfg: generate_well_typed(cfg)))
+programs += [(f"written {k}", lambda src=src: parse_program(src))
+             for k, src in enumerate(WRITTEN)]
 units, emit_s = [], 0.0
 for name, make in programs:
     try:
