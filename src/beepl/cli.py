@@ -12,8 +12,8 @@ from pathlib import Path
 
 from .cgen import emit_program
 from .core import (
-    BytesView, ConstBool, ConstInt, ConstLong, Loc, Repeat, Seq, UnitLit,
-    Var, expr_children, with_children,
+    BytesView, ConstBool, ConstInt, ConstLong, Loc, Repeat, Seq, Var,
+    expr_children, with_children,
 )
 from .driver import (
     run_cve_corpus, run_differential, run_property_suite,
@@ -132,9 +132,7 @@ def _render_value(v) -> str:
         return str(v.value)
     if isinstance(v, ConstBool):
         return "true" if v.value else "false"
-    if isinstance(v, UnitLit):
-        return "()"
-    return repr(v)  # a bytes result; no function returns a pointer
+    return "()"  # no function returns a pointer or bytes
 
 
 def cmd_run(args) -> int:

@@ -26,6 +26,10 @@ class UnknownStruct(CoreError):
 class RepeatedName(CoreError):
     """A name declared or bound twice where names must be distinct."""
 
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
 
 @dataclass(slots=True)
 class Span:
@@ -239,8 +243,8 @@ class Composite:
     def __post_init__(self):
         dup = _repeated(f for f, _ in self.fields)
         if dup is not None:
-            raise RepeatedName(f"field {dup!r} of struct {self.sid} is "
-                               "declared twice")
+            raise RepeatedName(dup, f"field {dup!r} of struct {self.sid} "
+                               "is declared twice")
 
     def field_type(self, name: str) -> Optional[Ty]:
         for f, t in self.fields:
@@ -472,9 +476,8 @@ class Field(Expr):
 
 @dataclass(slots=True)
 class NoneLit(Expr):
-    # Also set by evaluation when it reads a null option from a typed
-    # variable or receives one from a helper, so that re-inference can type
-    # it.
+    # Set by elaboration, and by interp.zero_value for a null that
+    # evaluation makes, so that every null a run holds is typed.
     ty: Optional[Ty] = _aux_field()
 
 
@@ -587,7 +590,7 @@ class Pbytes(Pattern):
         names = (self.binder, *map(itemgetter(0), self.fields))
         dup = _repeated(names)
         if dup is not None:
-            raise RepeatedName(f"pattern binds {dup!r} twice")
+            raise RepeatedName(dup, f"pattern binds {dup!r} twice")
         object.__setattr__(self, "binders", _name_set(names))
 
 
@@ -650,13 +653,12 @@ class FunDecl:
     span: Optional[Span] = _aux_field()
 
     def __post_init__(self):
-        for what, names in (("parameter", self.args), ("local", self.vars)):
+        for what, names in (("parameter", self.args), ("local", self.vars),
+                            ("parameter and local", self.args + self.vars)):
             dup = _repeated(x for x, _ in names)
             if dup is not None:
-                raise RepeatedName(f"{what} {dup!r} of {self.name} is "
+                raise RepeatedName(dup, f"{what} {dup!r} of {self.name} is "
                                    "declared twice")
-        if {x for x, _ in self.args} & {y for y, _ in self.vars}:
-            raise CoreError(f"args and vars of {self.name} overlap")
 
 
 @dataclass(frozen=True)
@@ -687,11 +689,9 @@ class Program:
     composites: tuple[Composite, ...] = ()
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for d in self.decls:
-            if d.name in seen:
-                raise CoreError(f"duplicate declaration name {d.name}")
-            seen.add(d.name)
+        dup = _repeated(d.name for d in self.decls)
+        if dup is not None:
+            raise RepeatedName(dup, f"duplicate declaration name {dup}")
 
     def fun_decls(self) -> dict[str, FunDecl]:
         return {d.name: d for d in self.decls if isinstance(d, FunDecl)}

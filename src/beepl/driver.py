@@ -28,9 +28,9 @@ from .core import (
 from .frontend import parse_program, print_program
 from .gen import GenConfig, generate_well_typed, shrink_program
 from .interp import (
-    DEFAULT_FUEL, ExternalWorld, FuelExhausted, State, StepEvent,
-    StuckState, entry_call, eval_multi, init_state, run_program,
-    runtime_gamma, well_formed,
+    DEFAULT_FUEL, ExternalWorld, FuelExhausted, NoEntryPoint, State,
+    StepEvent, StuckState, eval_multi, run_program, runtime_gamma, start,
+    well_formed,
 )
 from .typecheck import (
     JudgmentMemo, TypeCheckError, TypedProgram, TypingContext, check_program,
@@ -138,11 +138,10 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
     for name, eff in tp.effects.items():
         if EffectAtom.DIVERGENCE in eff:
             violations.append(f"divergence effect inferred for {name}")
-    entry = tp.entry_point()
-    if entry is None:
+    try:
+        s, expr = start(tp, world)
+    except NoEntryPoint:
         return AuditResult(["no entry point"], 0)
-    s = init_state(tp, world)
-    expr = entry_call(tp, s, world, entry)
     memo = JudgmentMemo()
     ctx = _audit_ctx(tp, s, memo)
     try:
@@ -317,38 +316,31 @@ def run_differential(n_programs: int, cfg: Optional[GenConfig] = None,
 def _differential_one(program: Program, compiler: str, tmp: Path,
                       idx: int, seed: int) -> RunReport:
     t1 = time.monotonic()
+
+    def violation(*found: str) -> RunReport:
+        return RunReport(f"d{idx}", seed, "violation", violations=list(found),
+                         reproducer=print_program(program))
     try:
         tp = check_program(program)
-        entry = tp.entry_point()
-        if entry is not None:
-            interp = eval_multi(
-                s := init_state(tp, w := ExternalWorld()), w,
-                entry_call(tp, s, w, entry), fuel=DEFAULT_FUEL)
+        s, call = start(tp, w := ExternalWorld())
+        interp = eval_multi(s, w, call, fuel=DEFAULT_FUEL)
+    except NoEntryPoint:
+        return violation("no entry point")
     except Exception as exc:
-        return RunReport(f"d{idx}", seed, "violation",
-                         violations=[f"interpreter failed: {exc}"],
-                         reproducer=print_program(program))
-    if entry is None:
-        return RunReport(f"d{idx}", seed, "violation",
-                         violations=["no entry point"],
-                         reproducer=print_program(program))
+        return violation(f"interpreter failed: {exc}")
     cu = emit_program(tp, "host")
     cfile = tmp / f"d{idx}.c"
     exe = tmp / f"d{idx}"
     cfile.write_text(cu.text)
     comp = build_host(compiler, cfile, exe, "-O1")
     if comp.returncode != 0:
-        return RunReport(f"d{idx}", seed, "violation",
-                         violations=[f"cc failed: {comp.stderr[:500]}"],
-                         reproducer=print_program(program))
+        return violation(f"cc failed: {comp.stderr[:500]}")
     run = subprocess.run([str(exe)], capture_output=True, text=True,
                          timeout=30)
     line = run.stdout.strip().splitlines()[0] if run.stdout.strip() else ""
     expected = interp.value
     if not isinstance(expected, (ConstInt, ConstLong)):
-        return RunReport(f"d{idx}", seed, "violation",
-                         violations=["entry did not return an integer"],
-                         reproducer=print_program(program))
+        return violation("entry did not return an integer")
     mismatch = []
     if line != str(expected.value):
         mismatch.append(f"printed {line!r}, interpreter {expected.value}")
@@ -356,9 +348,7 @@ def _differential_one(program: Program, compiler: str, tmp: Path,
         mismatch.append(f"exit {run.returncode}, "
                         f"interpreter low byte {expected.value & 0xFF}")
     if mismatch:
-        return RunReport(f"d{idx}", seed, "violation",
-                         violations=mismatch,
-                         reproducer=print_program(program))
+        return violation(*mismatch)
     return RunReport(f"d{idx}", seed, "value", interp.steps,
                      elapsed=time.monotonic() - t1)
 

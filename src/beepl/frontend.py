@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import (
     App, ArrayTy, Assign, Bop, BopKind, BOOL, BYTES, BytesView, Cast,
@@ -359,6 +359,17 @@ class Parser:
                                     span or self.span(self.pos),
                                     filename=self.filename))
 
+    def items(self, close: str, item: Callable[[], object]) -> list:
+        """The ``item``s of a comma-separated list up to the punctuation
+        ``close``, which is consumed; a trailing comma is allowed."""
+        out = []
+        while not self.at("punct", close):
+            out.append(item())
+            if self.accept("punct", ",") is None:
+                break
+        self.expect("punct", close)
+        return out
+
     # -- programs ------------------------------------------------------------
 
     def parse_program(self) -> Program:
@@ -386,8 +397,9 @@ class Parser:
                 self.fail("expected a declaration")
         try:
             return Program(tuple(decls), tuple(composites))
-        except CoreError as exc:
-            self.fail(str(exc), Span(1, 1), code="P002")
+        except RepeatedName as exc:  # reported at the second declaration
+            again = [d for d in decls if d.name == exc.name][1]
+            self.fail(str(exc), again.span, code="P002")
 
     def parse_section_attr(self) -> str:
         self.expect("punct", "#")
@@ -400,15 +412,12 @@ class Parser:
         self.expect("kw", "struct")
         name = self.expect("ident", what="struct name")
         self.expect("punct", "{")
-        fields = []
-        while not self.at("punct", "}"):
+
+        def field() -> tuple[str, Ty]:
             fname = self.expect("ident", what="field name")
             self.expect("punct", ":")
-            fty = self.parse_type()
-            fields.append((self.texts[fname], fty))
-            if self.accept("punct", ",") is None:
-                break
-        self.expect("punct", "}")
+            return self.texts[fname], self.parse_type()
+        fields = self.items("}", field)
         try:
             return Composite(self.texts[name], tuple(fields))
         except CoreError as exc:
@@ -418,14 +427,7 @@ class Parser:
         kw = self.expect("kw", "fun")
         name = self.expect("ident", what="function name")
         self.expect("punct", "(")
-        args = []
-        while not self.at("punct", ")"):
-            ty = self.parse_type()
-            arg = self.expect("ident", what="parameter name")
-            args.append((self.texts[arg], ty))
-            if self.accept("punct", ",") is None:
-                break
-        self.expect("punct", ")")
+        args = self.items(")", lambda: self.typed_name("parameter name"))
         self.expect("punct", ":")
         rt = self.parse_type()
         ef = None
@@ -434,13 +436,7 @@ class Parser:
         local_vars = []
         if self.accept("kw", "vars") is not None:
             self.expect("punct", "(")
-            while not self.at("punct", ")"):
-                vty = self.parse_type()
-                v = self.expect("ident", what="local name")
-                local_vars.append((self.texts[v], vty))
-                if self.accept("punct", ",") is None:
-                    break
-            self.expect("punct", ")")
+            local_vars = self.items(")", lambda: self.typed_name("local name"))
         self.expect("punct", "{")
         body = self.parse_expr()
         self.accept("punct", ";")
@@ -452,32 +448,33 @@ class Parser:
         except CoreError as exc:
             self.fail(str(exc), span, code="P002")
 
+    def typed_name(self, what: str) -> tuple[str, Ty]:
+        """A parameter or a local, ``T x``, as ``(x, T)``."""
+        ty = self.parse_type()
+        return self.texts[self.expect("ident", what=what)], ty
+
     def parse_effect_annotation(self) -> Effect:
         self.expect("punct", "<")
-        atoms = []
-        while not self.at("punct", ">"):
+
+        def atom() -> EffectAtom:
             t = self.expect("ident", what="effect name")
             try:
-                atoms.append(EffectAtom(self.texts[t]))
+                return EffectAtom(self.texts[t])
             except ValueError:
                 self.fail(f"unknown effect {self.texts[t]!r}", self.span(t))
-            if self.accept("punct", ",") is None:
-                break
-        self.expect("punct", ">")
-        return Effect(atoms)
+        return Effect(self.items(">", atom))
 
     def parse_extern_decl(self) -> ExtDecl:
         kw = self.expect("kw", "extern")
         self.expect("kw", "fun")
         name = self.expect("ident", what="function name")
         self.expect("punct", "(")
-        arg_types = []
-        while not self.at("punct", ")"):
-            arg_types.append(self.parse_type())
+
+        def param() -> Ty:
+            ty = self.parse_type()
             self.accept("ident")  # optional parameter name
-            if self.accept("punct", ",") is None:
-                break
-        self.expect("punct", ")")
+            return ty
+        arg_types = self.items(")", param)
         self.expect("punct", ":")
         rt = self.parse_type()
         ef = Effect()
@@ -608,12 +605,7 @@ class Parser:
                            span=self.span(t))
             elif lexeme == "(":
                 self.pos = t + 1
-                args = []
-                while not self.at("punct", ")"):
-                    args.append(self.parse_expr())
-                    if self.accept("punct", ",") is None:
-                        break
-                self.expect("punct", ")")
+                args = self.items(")", self.parse_expr)
                 lhs = App(lhs, tuple(args), span=self.span(t))
             elif lexeme == ".":
                 self.pos = t + 1
@@ -723,14 +715,12 @@ class Parser:
 
     def parse_struct_init(self, name: int) -> Expr:
         self.expect("punct", "{")
-        fields = []
-        while not self.at("punct", "}"):
+
+        def field() -> tuple[str, Expr]:
             fname = self.expect("ident", what="field name")
             self.expect("punct", "=")
-            fields.append((self.texts[fname], self.parse_expr()))
-            if self.accept("punct", ",") is None:
-                break
-        self.expect("punct", "}")
+            return self.texts[fname], self.parse_expr()
+        fields = self.items("}", field)
         return StructInit(self.texts[name], tuple(fields),
                           span=self.span(name))
 

@@ -20,7 +20,7 @@ from .core import (
     Cast, Composite, Cond, ConstBool, ConstInt, ConstLong, Deref, Direction,
     Expr, Field, For, FunDecl, GlobDecl, IntTy, Let, Loc, LONG, LongTy,
     Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild, RefOp,
-    RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty, UNIT,
+    RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty,
     UnitLit, Uop, UopKind, Var, SHAPES, _VALUE_CLASSES, _replace_free,
     is_prim, is_value, kernel_object, rename_var, select_arm, sizeof,
     struct_layout, subst,
@@ -30,6 +30,10 @@ from .typecheck import TypedProgram
 
 class InterpError(Exception):
     pass
+
+
+class NoEntryPoint(InterpError):
+    """The program has no entry point for ``start`` to call."""
 
 
 class FuelExhausted(InterpError):
@@ -159,34 +163,30 @@ class ExternalWorld:
         if name == "bpf_get_current_uid_gid":
             return ConstLong(wrap(self.uid_gid, 64))
         if name == "bpf_map_lookup_elem":
-            return self._map_lookup(args, state)
+            return self._map_lookup(args, state) or zero_value(res_type)
         # Unknown externals answer with the zero value of their result type,
         # keeping evaluation total and deterministic.
         return zero_value(res_type)
 
-    def _map_lookup(self, args: list[Expr], state: State) -> Expr:
-        if len(args) != 2:
-            return NoneLit()
+    def _map_lookup(self, args: list[Expr], state: State) -> Optional[Expr]:
+        """The found value's location, or None for a miss."""
+        if len(args) != 2 or any(type(a) is not SomeLit for a in args):
+            return None
         m, k = args
-        if type(m) is not SomeLit:
-            return NoneLit()
         name = self.map_blocks.get(m.value.block)
-        if name is None:
-            return NoneLit()
-        if type(k) is not SomeLit:
-            return NoneLit()
         kv = state.theta.load(k.value.block, k.value.offset)
-        if not isinstance(kv, (ConstInt, ConstLong)):
-            return NoneLit()
+        if name is None or not isinstance(kv, (ConstInt, ConstLong)):
+            return None
         stored = self.maps.get(name, {}).get(kv.value)
         if stored is None:
-            return NoneLit()
+            return None
         bid = state.theta.alloc(LONG)
         state.theta.store(bid, 0, ConstLong(wrap(stored, 64)))
         return SomeLit(Loc(bid, 0))
 
 
 def zero_value(ty: Ty) -> Expr:
+    """The zero of a primitive, unit or option type; a null is typed."""
     if isinstance(ty, IntTy):
         return ConstInt(0)
     if isinstance(ty, LongTy):
@@ -194,7 +194,7 @@ def zero_value(ty: Ty) -> Expr:
     if isinstance(ty, BoolTy):
         return ConstBool(False)
     if isinstance(ty, OptionTy):
-        return NoneLit()
+        return NoneLit(ty=ty)
     return UnitLit()
 
 
@@ -370,13 +370,6 @@ class StepEvent(NamedTuple):
     path: list[tuple[Expr, Expr]]
 
 
-def _typed_value_expr(v: Expr, ty: Optional[Ty]) -> Expr:
-    """v, with a null option given its type so that re-inference can type it."""
-    if type(v) is NoneLit and isinstance(ty, OptionTy):
-        return NoneLit(ty=ty)
-    return v
-
-
 def _stuck(reason: str):
     raise StuckState(reason)
 
@@ -501,13 +494,13 @@ def _step_var(s: State, w: ExternalWorld, e: Var,
         v = s.theta.load(block, 0)
         if v is None:
             _stuck(f"read of uninitialized variable {e.name!r}")
-        return _typed_value_expr(v, s.sigma.get(block)), "LVAR"
+        return v, "LVAR"
     binding = s.delta.get(e.name)
     if isinstance(binding, GlobalBinding):
         v = s.theta.load(binding.block, 0)
         if v is None:
             _stuck(f"read of uninitialized global {e.name!r}")
-        return _typed_value_expr(v, s.sigma.get(binding.block)), "GVAR"
+        return v, "GVAR"
     _stuck(f"unbound variable {e.name!r}")
 
 
@@ -601,7 +594,7 @@ def _step_app(s: State, w: ExternalWorld, e: App,
     # A helper's result has the type the checker gave the call.
     if e.ty is None:
         _stuck(f"unknown function {name!r}")
-    return _typed_value_expr(w.call(name, values, s, e.ty), e.ty), "EAPP"
+    return w.call(name, values, s, e.ty), "EAPP"
 
 
 def _apply_fun(s: State, fd: FunDecl, values: list[Expr]) -> Expr:
@@ -640,12 +633,11 @@ def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
     co = s.composites.get(sid)
     if co is None:
         _stuck(f"unknown struct {sid!r}")
+    # The storage that the call gave the local; re-initialization reuses it.
     existing = s.theta.load(var_block, 0)
-    if type(existing) is Loc:
-        sb = existing.block  # re-initialization reuses the allocation
-    else:
-        sb = s.theta.alloc(var_ty.target)
-        s.theta.store(var_block, 0, Loc(sb, 0))
+    if type(existing) is not Loc:
+        _stuck(f"struct variable {e.name!r} has no storage")
+    sb = existing.block
     offsets, _, _ = struct_layout(co, s.composites)
     for (fname, _), v in zip(e.fields, values):
         s.theta.store(sb, offsets[fname], v)
@@ -801,19 +793,16 @@ def init_state(tp: TypedProgram, w: ExternalWorld) -> State:
 
 
 def _alloc_global(s: State, w: ExternalWorld, gd: GlobDecl) -> None:
-    if isinstance(gd.init, bytes):
-        bid = s.theta.alloc(gd.ty, raw=gd.init)
-        s.delta[gd.name] = GlobalBinding(bid)
-        return
-    bid = s.theta.alloc(gd.ty)
-    init = gd.init
-    target = kernel_object(gd.ty)
-    if target is not None:
-        init = SomeLit(make_kernel_object(s, w, target))
-        if target.sid == "bpf_map":  # so that lookups can identify the map
-            w.map_blocks[init.value.block] = gd.name
-    s.theta.store(bid, 0, init)
+    raw = gd.init if isinstance(gd.init, bytes) else None  # a string
+    bid = s.theta.alloc(gd.ty, raw=raw)
     s.delta[gd.name] = GlobalBinding(bid)
+    if raw is None:
+        init, target = gd.init, kernel_object(gd.ty)
+        if target is not None:
+            init = SomeLit(make_kernel_object(s, w, target))
+            if target.sid == "bpf_map":  # so that lookups can find the map
+                w.map_blocks[init.value.block] = gd.name
+        s.theta.store(bid, 0, init)
 
 
 def make_kernel_object(s: State, w: ExternalWorld, target: Ty) -> Loc:
@@ -840,21 +829,28 @@ def make_kernel_object(s: State, w: ExternalWorld, target: Ty) -> Loc:
     return Loc(ob, 0)
 
 
-def entry_call(tp: TypedProgram, s: State, w: ExternalWorld,
-               entry: FunDecl) -> Expr:
+def start(tp: TypedProgram, w: ExternalWorld,
+          entry: Optional[str] = None) -> tuple[State, Expr]:
+    """The initial state and the call of the entry point (``entry``, or main
+    or the one sectioned function), each parameter given a kernel object, a
+    fresh zero-filled referent or its type's zero."""
+    fd = tp.entry_point(entry)
+    if fd is None:
+        raise NoEntryPoint("no entry point (declare main or one #section fun)")
+    s = init_state(tp, w)
     args: list[Expr] = []
-    for _, ty in entry.args:
+    for _, ty in fd.args:
         target = kernel_object(ty)
         if target is not None:
             args.append(SomeLit(make_kernel_object(s, w, target)))
         elif isinstance(ty, RefTy):
             args.append(make_kernel_object(s, w, ty.target))
-        elif is_prim(ty) or ty == UNIT or isinstance(ty, OptionTy):
+        elif is_prim(ty) or isinstance(ty, OptionTy):
             args.append(zero_value(ty))
         else:
             raise InterpError(
                 f"cannot synthesize a default argument of type {ty}")
-    return App(Var(entry.name), tuple(args))
+    return s, App(Var(fd.name), tuple(args))
 
 
 def run_program(tp: TypedProgram, w: Optional[ExternalWorld] = None,
@@ -867,11 +863,7 @@ def run_program(tp: TypedProgram, w: Optional[ExternalWorld] = None,
     if on_step is not None and on_event is not None:
         raise ValueError("give on_step or on_event, not both")
     w = w if w is not None else ExternalWorld()
-    fd = tp.entry_point(entry)
-    if fd is None:
-        raise InterpError("no entry point (declare main or one #section fun)")
-    s = init_state(tp, w)
-    call = entry_call(tp, s, w, fd)
+    s, call = start(tp, w, entry)
     if on_step is not None:
         def on_event(ev: StepEvent) -> None:
             on_step(ev.state, ev.term, ev.rule)

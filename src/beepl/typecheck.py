@@ -766,15 +766,19 @@ def _array_ref(ty: Ty) -> bool:
     return isinstance(ref, RefTy) and isinstance(ref.target, ArrayTy)
 
 
+def _bad_param(ty: Ty) -> bool:
+    """ty has no C parameter form: unit, an array or a reference to one."""
+    return ty == UNIT or isinstance(ty, ArrayTy) or _array_ref(ty)
+
+
 def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> tuple[FunDecl, Effect]:
     """fd with its body elaborated, and the body's inferred effect."""
-    if is_pointer(fd.rt):
+    # A bytes view is a pair of packet pointers.
+    if is_pointer(fd.rt) or isinstance(fd.rt, BytesTy):
         _err("ReturnsPointer",
              f"function {fd.name!r} returns a pointer type", fd.span, "TFDECL")
     for x, ty in fd.args:
-        # An array has no C parameter form, and neither has a reference to
-        # one.
-        if ty == UNIT or isinstance(ty, ArrayTy) or _array_ref(ty):
+        if _bad_param(ty):
             _err("BadParamType",
                  f"argument {x!r} of {fd.name!r} cannot have type {ty}",
                  fd.span, "TFDECL")
@@ -805,8 +809,8 @@ def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> tuple[FunDecl, Effect]:
 
 
 def check_glob_decl(gd: GlobDecl) -> GlobDecl:
-    """gd, with an integer initializer typed by the literal rule at the
-    declared type."""
+    """gd, with an integer initializer typed by the literal rule, and a
+    ``none``, at the declared type."""
     if _array_ref(gd.ty):
         _err("BadGlobalType", f"global {gd.name!r} cannot have type {gd.ty}",
              gd.span, "TGDECL")
@@ -818,14 +822,15 @@ def check_glob_decl(gd: GlobDecl) -> GlobDecl:
     if type(init) in (ConstInt, ConstLong):
         ty, _, init = _infer_literal(None, init, gd.ty)
         ok = ty == gd.ty
+    elif type(init) is NoneLit:
+        ok, ty = isinstance(gd.ty, OptionTy), "option"
+        init = NoneLit(span=init.span, ty=gd.ty)
     else:
         ok = ((isinstance(init, ConstBool) and gd.ty == BOOL) or
-              (isinstance(init, NoneLit) and isinstance(gd.ty, OptionTy)) or
               (isinstance(init, bytes) and isinstance(gd.ty, ArrayTy)
                and gd.ty.elem.size == 8 and len(init) == gd.ty.length))
-        ty = (BOOL if isinstance(init, ConstBool) else
-              "option" if isinstance(init, NoneLit) else
-              ArrayTy(I8, len(init)))  # a string
+        ty = BOOL if isinstance(init, ConstBool) else \
+            ArrayTy(I8, len(init))  # a string
     if not ok:
         _err("GlobalInitMismatch",
              f"initializer of {gd.name!r} has type {ty}, declared {gd.ty}",
@@ -869,9 +874,16 @@ def check_program(p: Program) -> TypedProgram:
         names.add(d.name)
         if isinstance(d, ExtDecl):
             _check_c_name("extern", d.name, d.span)
-            if any(map(_array_ref, (*d.arg_types, d.res_type))):
-                _err("BadExternType", f"extern {d.name!r} takes or returns "
-                     "a reference to an array", d.span, "TPROG")
+            for ty in d.arg_types:
+                if _bad_param(ty):
+                    _err("BadExternType", f"extern {d.name!r} cannot take "
+                         f"{ty}", d.span, "TPROG")
+            # A call answers with the zero value of the extern's result type.
+            rt = d.res_type
+            if _array_ref(rt) or not (is_prim(rt) or rt == UNIT
+                                      or isinstance(rt, OptionTy)):
+                _err("BadExternType", f"extern {d.name!r} cannot return "
+                     f"{rt}", d.span, "TPROG")
             psi[d.name] = Signature(d.arg_types, d.ef, d.res_type)
         elif isinstance(d, GlobDecl):
             decls[i] = check_glob_decl(d)

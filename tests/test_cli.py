@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import beepl
 from beepl.cli import main
-from beepl.driver import corpus_path
+from beepl.driver import corpus_path, find_cc
 from beepl.frontend import KEYWORDS, MAX_EXPR_DEPTH, PUNCT, parse_program
 from beepl.interp import run_program
 from beepl.typecheck import check_program
+from test_driver import _stuck_on_unsafe_operands
 from test_frontend import NESTED, NESTED_VALUE, nested_program
 
 
@@ -268,6 +269,22 @@ def test_selftest_small(capsys):
     assert "[skip] differential" in out
 
 
+def test_selftest_prints_the_seed_and_a_shrunk_reproducer(monkeypatch,
+                                                        capsys):
+    # Seed 11's generated program shifts by a negative amount; with the
+    # BOPV zero broken, the metatheory suite reports it, shrunk.
+    _stuck_on_unsafe_operands(monkeypatch)
+    code, out, err = run_cli(capsys, "selftest", "--n", "1", "--seed", "11",
+                             "--skip-differential")
+    assert code == 2
+    assert "metatheory: 0/1" in out
+    assert "  seed 11: stuck after 4 steps: binary operator produced undef" \
+        in out
+    repro = out.split("  reproducer:\n", 1)[1].split("[skip]", 1)[0]
+    assert "fun prog(option(struct xdp_md*) ctx) : int" in repro
+    assert all(line.startswith("    ") for line in repro.splitlines())
+
+
 def test_usage_error_exit_3(capsys):
     assert main(["no-such-command"]) == 3
     assert main([]) == 3
@@ -458,3 +475,52 @@ def test_hostile_inputs_exit_cleanly(workdir, source, command, flags):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 3), err.getvalue()
+
+
+# --- declared types ------------------------------------------------------------------
+
+_DECLARED = ["int", "u8", "long", "bool", "unit", "bytes", "struct s",
+             "struct s*", "int*", "option(int*)", "int[4]", "int[4]*"]
+_POSITIONS = {"f": "fun f({0} x) : int {{ 0 }}",
+              "g": "fun g({0} x) : {0} {{ x }}",
+              "e": "extern fun e({0}) : int", "h": "extern fun h() : {0}"}
+# The declarations the checker rejects, by position and type.
+_REJECTED = {
+    **{("f", t): "BadParamType" for t in ("unit", "int[4]", "int[4]*")},
+    **{("g", t): "BadParamType" for t in ("unit", "int[4]")},
+    **{("g", t): "ReturnsPointer"
+       for t in ("bytes", "struct s*", "int*", "option(int*)", "int[4]*")},
+    **{("e", t): "BadExternType" for t in ("unit", "int[4]", "int[4]*")},
+    **{("h", t): "BadExternType"
+       for t in ("bytes", "struct s", "struct s*", "int*", "int[4]",
+                 "int[4]*")},
+}
+
+
+def test_every_declared_type_is_accepted_and_emitted_or_rejected(tmp_path,
+                                                                 capsys):
+    # An extern of a type that neither the interpreter nor C can honour
+    # used to check, and then emit-c ended in a traceback, or its host C did
+    # not compile, or a call answered with a value of another type.
+    cc = find_cc()
+    f = tmp_path / "decl.bpl"
+    rejected = {}
+    for name, pos in _POSITIONS.items():
+        for ty in _DECLARED:
+            decl = pos.format(ty)
+            f.write_text("struct s { a : int }\n" + decl + "\n")
+            code, _, err = run_cli(capsys, "check", str(f))
+            if code == 1:
+                rejected[name, ty] = err.split("error[")[1].split("]")[0]
+                continue
+            assert code == 0, (decl, err)
+            for mode in ("ebpf", "host"):
+                out = tmp_path / f"decl-{mode}.c"
+                assert run_cli(capsys, "emit-c", str(f), "-o", str(out),
+                               f"--mode={mode}") == (0, "", ""), (decl, mode)
+                if cc is not None:
+                    r = subprocess.run([cc, "-std=c11", "-fsyntax-only",
+                                        str(out)], capture_output=True,
+                                       text=True)
+                    assert r.returncode == 0, (decl, mode, r.stderr)
+    assert rejected == _REJECTED

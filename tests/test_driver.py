@@ -98,19 +98,32 @@ def test_shrinking_preserves_violation(monkeypatch):
         "if a < 9 then (a + 1) % (a - a) else 2 }")
 
     def still_fails(q):
-        try:
-            tp = check_program(q)
-        except TypeCheckError:
-            return False
-        audit = evaluate_with_audit(tp, world_for_seed(0))
-        return any("undef" in v for v in audit.violations)
+        return driver._still_fails(q, 0, interp.DEFAULT_FUEL)
 
     assert still_fails(program)
     shrunk = shrink_program(program, still_fails)
-    assert still_fails(shrunk)
+    audit = evaluate_with_audit(check_program(shrunk), world_for_seed(0))
+    assert any("undef" in v for v in audit.violations)
     old = [d for d in program.decls if hasattr(d, "body")][0].body
     new = [d for d in shrunk.decls if hasattr(d, "body")][0].body
     assert expr_size(new) < expr_size(old)
+
+
+def test_suite_shrinks_a_generated_program_that_fails(monkeypatch):
+    # Seed 11's generated program shifts by a negative amount: with the
+    # BOPV zero broken, the suite reports it with a shrunk reproducer.
+    _stuck_on_unsafe_operands(monkeypatch)
+    cfg = GenConfig(seed=11, bytes_match=True, externals=True)
+    s = run_property_suite(1, cfg)
+    failure, = s.failures
+    assert failure.seed == 11 and failure.outcome == "violation"
+    assert failure.violations == [
+        "stuck after 4 steps: binary operator produced undef"]
+    shrunk = parse_program(failure.reproducer)
+    assert driver._still_fails(shrunk, 11, interp.DEFAULT_FUEL)
+    original = generate_well_typed(cfg)
+    assert expr_size(shrunk.decls[-1].body) < \
+        expr_size(original.decls[-1].body)
 
 
 def test_audit_agrees_with_plain_evaluation():

@@ -262,13 +262,26 @@ def test_parse_error_has_span():
      "local 'v' of main is declared twice"),
     ("struct s { a : int, a : long }\nfun main() : int { 1 }",
      "field 'a' of struct s is declared twice"),
+    ("fun main(int a) : int vars (int a) { 1 }",
+     "parameter and local 'a' of main is declared twice"),
 ])
 def test_a_name_declared_twice_is_rejected(src, message):
-    # Each of these once checked and ran, and its C did not compile.
+    # Each of these but the last once checked and ran, and its C did not
+    # compile; the last was reported without naming 'a'.
     with pytest.raises(ParseError) as err:
         parse_program(src)
     assert err.value.diagnostic.code == "P002"
     assert err.value.diagnostic.message == message
+
+
+def test_a_repeated_declaration_is_reported_where_it_repeats():
+    with pytest.raises(ParseError) as err:
+        parse_program("fun f() : int { 1 }\n"
+                      "global g : int = 2;\n"
+                      "  fun f() : int { 3 }\n")
+    d = err.value.diagnostic
+    assert (d.code, d.message) == ("P002", "duplicate declaration name f")
+    assert (d.span.line, d.span.col) == (3, 3)
 
 
 def _check_code(check) -> str:

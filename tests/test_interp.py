@@ -9,18 +9,21 @@ import pytest
 from beepl import interp
 
 from beepl.core import (
-    ArrayTy, BOOL, BopKind, BYTES, Composite, ConstBool, ConstInt, ConstLong,
-    Deref, Direction, I16, INT, IntTy, LONG, Loc, Match, NoneLit, Pnone, Prim,
-    Psome, RefOp, RefTy, Shape, Sign, SomeLit, StructTy, U16, U32, U8, ULONG,
-    VBool, VBytes, VInt, VLoc, VLong, VUnit, Var, expr_children,
-    is_value, sizeof,
+    App, ArrayTy, BOOL, BopKind, BYTES, Composite, ConstBool, ConstInt,
+    ConstLong, Deref, Direction, I16, INT, IntTy, LONG, Loc, Match, NoneLit,
+    OptionTy, Pnone, Prim, Psome, RefOp, RefTy, Shape, Sign, SomeLit,
+    StructInit, StructTy, U16, U32, U8, ULONG, VBool, VBytes, VInt, VLoc,
+    VLong, VUnit, Var, expr_children, is_value, sizeof,
 )
-from beepl.driver import CORPUS_DIR, load_corpus, world_for_seed
+from beepl.driver import (
+    CORPUS_DIR, evaluate_with_audit, load_corpus, world_for_seed,
+)
 from beepl.frontend import parse_expr, parse_program
 from beepl.interp import (
-    Block, ExternalWorld, FuelExhausted, Memory, State, StuckState, TooShort,
-    bop_sem, entry_call, eval_multi, extract, init_state, range_count,
-    run_program, runtime_gamma, subst, uop_sem, unsafe, well_formed, wrap,
+    Block, ExternalWorld, FuelExhausted, InterpError, Memory, NoEntryPoint,
+    State, StuckState, TooShort,
+    bop_sem, eval_multi, extract, init_state, range_count, run_program,
+    runtime_gamma, start, subst, uop_sem, unsafe, well_formed, wrap,
 )
 from beepl.core import Bop, BytesView, Cast, Uop, UopKind
 from beepl.gen import GenConfig, generate_well_typed
@@ -582,6 +585,66 @@ def test_memory_cells_and_results_are_values():
                 assert is_value(cell), (i, bid, off, cell)
 
 
+NULLS = """
+global g : option(int*) = none;
+extern fun maybe() : option(long*);
+#section ".maps"
+global counter_table : option(struct bpf_map*) = none;
+fun f(option(int*) o) : int { match o with | pnone => 1 | psome p => !p }
+fun main(option(int*) o) : long {
+    let k : long* = ref(7L) in
+    let a : int = f(o) + f(g) in
+    match maybe() with
+    | pnone => (match bpf_map_lookup_elem(counter_table, k) with
+                | pnone => (long)a | psome v => !v)
+    | psome q => !q
+}
+"""
+
+
+def test_every_null_a_run_holds_is_typed():
+    # A null is typed where it is made: by the checker, a global's by its
+    # declaration, and an entry argument's or a helper's answer by
+    # zero_value.  A read or a call gives the null back as it is.
+    tp = check_source(NULLS)
+    w = ExternalWorld()
+    s, call = start(tp, w)
+    assert call.args == (NoneLit(),)
+    assert call.args[0].ty == OptionTy(RefTy(INT))
+    nulls, rules = [], set()
+
+    def on_event(ev):
+        rules.add(ev.rule)
+        nulls.extend(ty for cls, ty in _nodes(ev.term) if cls is NoneLit)
+        nulls.extend(cell.ty for block in s.theta.blocks.values()
+                     for cell in block.cells.values() if type(cell) is NoneLit)
+    assert eval_multi(s, w, call, on_event=on_event).value == VLong(2)
+    assert {"LVAR", "GVAR", "EAPP"} <= rules
+    assert nulls and all(isinstance(ty, OptionTy) for ty in nulls)
+    assert evaluate_with_audit(tp, ExternalWorld()).violations == []
+
+
+def test_start_needs_an_entry_point():
+    tp = check_source("fun f() : int { 1 } fun g() : int { 2 }")
+    with pytest.raises(NoEntryPoint):
+        start(tp, ExternalWorld())
+    with pytest.raises(InterpError, match="no entry point"):
+        run_program(tp)
+    s, call = start(tp, ExternalWorld(), "g")
+    assert call == App(Var("g"), ()) and s.delta.keys() == {"f", "g"}
+
+
+def test_struct_initialization_uses_the_storage_of_its_call():
+    # A call gives each struct local its storage; a cell without it is an
+    # ill-typed term, which gets stuck and allocates nothing.
+    s = empty_state(pt=Composite("pt", (("x", INT),)))
+    s.omega["p"] = s.theta.alloc(RefTy(StructTy("pt")))
+    init = StructInit("p", (("x", ConstInt(1)),))
+    assert stuck(s, ExternalWorld(), init) == \
+        "struct variable 'p' has no storage"
+    assert len(s.theta.blocks) == 1
+
+
 def test_ref_allocates_at_its_checked_target_type():
     # The block takes the type the checker gave the ref, whatever the value:
     # a literal checked at u8 gets a one-byte u8 block.
@@ -665,11 +728,6 @@ def _machine_programs(n_generated):
     return [(tp, world_for_seed(i)) for i, tp in enumerate(programs)]
 
 
-def _start(tp, world):
-    s = init_state(tp, world)
-    return s, entry_call(tp, s, world, tp.entry_point())
-
-
 def _nodes(e):
     """Every node in pre-order, with its class and its ty."""
     todo, out = [e], []
@@ -695,7 +753,7 @@ def test_each_event_redex_is_a_node_of_the_term_before_the_step():
     # node the old one with only the next node on the path replaced.
     steps = 0
     for tp, world in _machine_programs(50):
-        s, e = _start(tp, world)
+        s, e = start(tp, world)
         events = []
         r = eval_multi(s, world, e, on_event=events.append)
         for ev in events:
@@ -723,9 +781,9 @@ def test_eval_multi_hook_sees_the_terms_of_stepping_from_the_root():
     for tp, world in _machine_programs(30):
         seen = []
         w = copy.deepcopy(world)
-        s, e = _start(tp, w)
+        s, e = start(tp, w)
         r = eval_multi(s, w, e, on_event=seen.append)
-        s, e = _start(tp, world)
+        s, e = start(tp, world)
         for ev in seen:
             out = step(s, world, e)
             assert (out.term, out.rule) == (ev.term, ev.rule)
