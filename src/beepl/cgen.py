@@ -24,7 +24,8 @@ from .core import (
     Direction, Expr, ExtDecl, Field, For, FunDecl, GlobDecl, HOST_TAKEN, INT,
     IntTy, Let, LOGIC_BOPS, LONG, LongTy, Match, NoneLit, OptionTy, Pnone,
     Prim, Psome, RefOp, RefTy, Sign, SomeLit, StructInit, StructTy, Ty, UNIT,
-    UnitTy, UnitLit, Uop, UopKind, Var, kernel_object, select_arm,
+    UnitTy, UnitLit, Uop, UopKind, Var, entry_arg_given, kernel_object,
+    select_arm,
 )
 from .typecheck import TypedProgram, lane_type
 
@@ -671,16 +672,16 @@ class ProgramEmitter:
         raise CgenError(f"cannot emit global {d.name}")
 
     def emit_main_shim(self) -> str:
-        entry = self.tp.entry_point()
+        entry = self.tp.program.entry_point()
         if entry is None:
             return "/* no entry point; translation unit is a library */"
         args = []
         for _, ty in entry.args:
+            if not entry_arg_given(ty):
+                raise CgenError(f"cannot give an entry argument of type {ty}")
             target = kernel_object(ty)
-            if target is not None:
-                args.append(c_kernel_object(target))
-            elif isinstance(ty, RefTy):
-                args.append(c_kernel_object(ty.target))
+            if target is not None or isinstance(ty, RefTy):
+                args.append(c_kernel_object(target or ty.target))
             elif isinstance(ty, OptionTy):
                 args.append(f"({ctype(ty)}) 0")
             else:

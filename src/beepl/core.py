@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from operator import is_not, itemgetter
+from operator import attrgetter, is_not, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 
@@ -223,6 +223,12 @@ def kernel_object(ty: Ty) -> Optional[StructTy]:
     return None
 
 
+def entry_arg_given(ty: Ty) -> bool:
+    """Whether ``interp.start`` and the host shim can give an entry point an
+    argument of type ty, of those a parameter may have: a prim or pointer."""
+    return is_prim(ty) or is_pointer(ty)
+
+
 def int_fits(value: int, ty: IntTy) -> bool:
     """Whether an integer literal's value is one of int type ty's.  Int
     values live in the signed 32-bit lane, so ``u32`` stops at INT_MAX."""
@@ -239,6 +245,7 @@ def int_fits(value: int, ty: IntTy) -> bool:
 class Composite:
     sid: str
     fields: tuple[tuple[str, Ty], ...]
+    span: Optional[Span] = _aux_field()  # the struct's name
 
     def __post_init__(self):
         dup = _repeated(f for f, _ in self.fields)
@@ -403,20 +410,12 @@ class Var(Expr):
 
 @dataclass(slots=True)
 class ConstInt(Expr):
-    value: int  # canonical signed 32-bit representative
-
-    def __post_init__(self):
-        if not (-(1 << 31) <= self.value < (1 << 31)):
-            raise CoreError(f"int literal out of range: {self.value}")
+    value: int  # signed 32-bit; typecheck._infer_literal rejects others
 
 
 @dataclass(slots=True)
 class ConstLong(Expr):
-    value: int
-
-    def __post_init__(self):
-        if not (-(1 << 63) <= self.value < (1 << 63)):
-            raise CoreError(f"long literal out of range: {self.value}")
+    value: int  # signed 64-bit, likewise
 
 
 @dataclass(slots=True)
@@ -696,6 +695,17 @@ class Program:
     def fun_decls(self) -> dict[str, FunDecl]:
         return {d.name: d for d in self.decls if isinstance(d, FunDecl)}
 
+    def entry_point(self, name: Optional[str] = None) -> Optional[FunDecl]:
+        """The function a run and the host shim call: ``name``, else main,
+        else the one function with a section."""
+        decls = self.fun_decls()
+        if name is not None:
+            return decls.get(name)
+        if "main" in decls:
+            return decls["main"]
+        sections = [d for d in decls.values() if d.sec is not None]
+        return sections[0] if len(sections) == 1 else None
+
 
 # C names no BeePL name may take as it is: the C11 keywords and what the
 # emitted prelude and helper stubs define; in host mode also what the shim
@@ -729,17 +739,18 @@ class Shape(NamedTuple):
     binds: Optional[Callable[[Expr], tuple[frozenset[str], ...]]] = None
 
 
+# ``attrgetter`` reads fixed fields in C, so it pushes no Python frame.
 SHAPES: dict[type, Shape] = {
     SomeLit: Shape(lambda e: (e.value,),
                    lambda e, c: SomeLit(c[0], ty=e.ty)),
     App: Shape(lambda e: (e.callee, *e.args),
                lambda e, c: App(c[0], tuple(c[1:]), ty=e.ty)),
-    Prim: Shape(lambda e: e.operands,
+    Prim: Shape(attrgetter("operands"),
                 lambda e, c: Prim(e.op, tuple(c), ty=e.ty)),
-    Let: Shape(lambda e: (e.bound, e.body),
+    Let: Shape(attrgetter("bound", "body"),
                lambda e, c: Let(e.name, e.declared, c[0], c[1], ty=e.ty),
                lambda e: (_NO_NAMES, _name_set((e.name,)))),
-    Cond: Shape(lambda e: (e.guard, e.then, e.otherwise),
+    Cond: Shape(attrgetter("guard", "then", "otherwise"),
                 lambda e, c: Cond(c[0], c[1], c[2], ty=e.ty)),
     StructInit: Shape(lambda e: tuple(fe for _, fe in e.fields),
                       lambda e, c: StructInit(e.name, tuple(
@@ -751,9 +762,9 @@ SHAPES: dict[type, Shape] = {
                  lambda e, c: Match(c[0], tuple(
                      (p, b) for (p, _), b in zip(e.arms, c[1:])), ty=e.ty),
                  lambda e: (_NO_NAMES, *[p.binders for p, _ in e.arms])),
-    For: Shape(lambda e: (e.lo, e.hi, e.body),
+    For: Shape(attrgetter("lo", "hi", "body"),
                lambda e, c: For(c[0], c[1], e.direction, c[2], ty=e.ty)),
-    Seq: Shape(lambda e: e.parts,
+    Seq: Shape(attrgetter("parts"),
                lambda e, c: Seq(tuple(c), ty=e.ty)),
     Repeat: Shape(lambda e: (e.body,),
                   lambda e, c: Repeat(c[0], e.count, ty=e.ty)),

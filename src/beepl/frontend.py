@@ -419,7 +419,8 @@ class Parser:
             return self.texts[fname], self.parse_type()
         fields = self.items("}", field)
         try:
-            return Composite(self.texts[name], tuple(fields))
+            return Composite(self.texts[name], tuple(fields),
+                             span=self.span(name))
         except CoreError as exc:
             self.fail(str(exc), self.span(name), code="P002")
 

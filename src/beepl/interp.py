@@ -17,13 +17,13 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     App, ArrayTy, Assign, BoolTy, Bop, BopKind, BYTES, BytesTy, BytesView,
-    Cast, Composite, Cond, ConstBool, ConstInt, ConstLong, Deref, Direction,
-    Expr, Field, For, FunDecl, GlobDecl, IntTy, Let, Loc, LONG, LongTy,
-    Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild, RefOp,
-    RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty,
+    Cast, COMPARE_BOPS, Composite, Cond, ConstBool, ConstInt, ConstLong,
+    Deref, Direction, Expr, Field, For, FunDecl, GlobDecl, IntTy, Let, Loc,
+    LONG, LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild,
+    RefOp, RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty,
     UnitLit, Uop, UopKind, Var, SHAPES, _VALUE_CLASSES, _replace_free,
-    is_prim, is_value, kernel_object, rename_var, select_arm, sizeof,
-    struct_layout, subst,
+    entry_arg_given, is_prim, is_value, kernel_object, rename_var,
+    select_arm, sizeof, struct_layout, subst,
 )
 from .typecheck import TypedProgram
 
@@ -104,9 +104,7 @@ class Memory:
 
     def load(self, bid: int, off: int) -> Optional[Expr]:
         b = self.blocks.get(bid)
-        if b is None:
-            return None
-        return b.cells.get(off)
+        return None if b is None else b.cells.get(off)
 
     def store(self, bid: int, off: int, v: Expr) -> bool:
         b = self.blocks.get(bid)
@@ -185,6 +183,11 @@ class ExternalWorld:
         return SomeLit(Loc(bid, 0))
 
 
+# The one unit value that rules give: no code mutates a value node, and the
+# audit memoizes the judgments of compound nodes only.
+_UNIT = UnitLit()
+
+
 def zero_value(ty: Ty) -> Expr:
     """The zero of a primitive, unit or option type; a null is typed."""
     if isinstance(ty, IntTy):
@@ -195,7 +198,7 @@ def zero_value(ty: Ty) -> Expr:
         return ConstBool(False)
     if isinstance(ty, OptionTy):
         return NoneLit(ty=ty)
-    return UnitLit()
+    return _UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +208,6 @@ def zero_value(ty: Ty) -> Expr:
 def wrap(v: int, bits: int) -> int:
     v &= (1 << bits) - 1
     return v - (1 << bits) if v >= (1 << (bits - 1)) else v
-
-
-def _lane(cls: type, bits: int) -> Callable[[int], Expr]:
-    """The constructor of a lane's values, wrapping its argument."""
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-
-    def make(v: int) -> Expr:
-        v &= mask
-        return cls(v - mask - 1 if v >= half else v)
-    return make
-
-
-# The integer lanes by value class: an operator's result wraps at the width
-# of its operands' lane.
-_WRAP = {ConstInt: _lane(ConstInt, 32), ConstLong: _lane(ConstLong, 64)}
 
 
 def unsafe(op: BopKind, v1: Expr, v2: Expr) -> bool:
@@ -238,59 +226,72 @@ def _trunc_div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
-# The three forms of an operator's meaning: a comparison or logical operator
-# gives a boolean, an arithmetic operator a value of its operands' lane, and
-# one that can be unsafe the lane's zero on an unsafe pair.
+# An operator's meaning is one function that computes, wraps and builds its
+# value: a comparison or logical operator gives a boolean, an arithmetic
+# operator a value of its operands' lane, or the lane's zero on a pair that
+# ``unsafe`` names, and a cast a value of its target's lane.
 def _test(fn: Callable[[int, int], bool]):
     return lambda v1, v2: ConstBool(fn(v1.value, v2.value))
 
 
-def _arith(fn: Callable[[int, int], int]):
-    return lambda v1, v2: _WRAP[type(v1)](fn(v1.value, v2.value))
+def _arith(cls: type, bits: int, fn: Callable[..., int],
+           op: Optional[BopKind] = None):
+    """fn on the lane of cls: binary operator op's meaning, or with no op a
+    unary operator's or a cast's."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    guarded = op in (BopKind.DIV, BopKind.MOD, BopKind.SHL, BopKind.SHR)
+
+    def unary(v: Expr) -> Expr:
+        r = fn(v.value) & mask
+        return cls(r - mask - 1 if r >= half else r)
+
+    def binary(v1: Expr, v2: Expr) -> Expr:
+        if guarded and unsafe(op, v1, v2):
+            return cls(0)
+        r = fn(v1.value, v2.value) & mask
+        return cls(r - mask - 1 if r >= half else r)
+    return unary if op is None else binary
 
 
-def _guarded(op: BopKind, fn: Callable[[int, int], int]):
-    def sem(v1: Expr, v2: Expr) -> Expr:
-        make = _WRAP[type(v1)]
-        return make(0) if unsafe(op, v1, v2) else make(fn(v1.value, v2.value))
-    return sem
-
-
+# Each operator's meaning by its kind (a cast's by its target's type class)
+# and its operands' classes: booleans for the logical operators, one
+# integer lane for every other.  A key the table lacks is a stuck step.
+_LANES = ((ConstInt, 32, IntTy), (ConstLong, 64, LongTy))
 _BOP_SEM = {
-    BopKind.ADD: _arith(operator.add), BopKind.SUB: _arith(operator.sub),
-    BopKind.MUL: _arith(operator.mul), BopKind.AND: _arith(operator.and_),
-    BopKind.OR: _arith(operator.or_), BopKind.XOR: _arith(operator.xor),
-    BopKind.DIV: _guarded(BopKind.DIV, _trunc_div),
-    BopKind.MOD: _guarded(BopKind.MOD,
-                          lambda a, b: a - _trunc_div(a, b) * b),
-    BopKind.SHL: _guarded(BopKind.SHL, operator.lshift),
-    # an arithmetic shift on the signed lane
-    BopKind.SHR: _guarded(BopKind.SHR, operator.rshift),
-    BopKind.EQ: _test(operator.eq), BopKind.NE: _test(operator.ne),
-    BopKind.LT: _test(operator.lt), BopKind.LE: _test(operator.le),
-    BopKind.GT: _test(operator.gt), BopKind.GE: _test(operator.ge),
-    BopKind.LAND: _test(lambda a, b: a and b),
-    BopKind.LOR: _test(lambda a, b: a or b),
-}
-_UOP_SEM = {
-    UopKind.NEG: lambda v: _WRAP[type(v)](-v.value),
-    UopKind.BITNOT: lambda v: _WRAP[type(v)](~v.value),
-    UopKind.LOGNOT: lambda v: ConstBool(not v.value),
-}
-_CAST_SEM = {IntTy: _WRAP[ConstInt], LongTy: _WRAP[ConstLong]}
+    (kind, cls, cls): _test(fn) if kind in COMPARE_BOPS
+    else _arith(cls, bits, fn, kind)
+    for cls, bits, _ in _LANES for kind, fn in (
+        (BopKind.ADD, operator.add), (BopKind.SUB, operator.sub),
+        (BopKind.MUL, operator.mul), (BopKind.AND, operator.and_),
+        (BopKind.OR, operator.or_), (BopKind.XOR, operator.xor),
+        (BopKind.DIV, _trunc_div),
+        (BopKind.MOD, lambda a, b: a - _trunc_div(a, b) * b),
+        # an arithmetic shift on the signed lane
+        (BopKind.SHL, operator.lshift), (BopKind.SHR, operator.rshift),
+        (BopKind.EQ, operator.eq), (BopKind.NE, operator.ne),
+        (BopKind.LT, operator.lt), (BopKind.LE, operator.le),
+        (BopKind.GT, operator.gt), (BopKind.GE, operator.ge))}
+_BOP_SEM[BopKind.LAND, ConstBool, ConstBool] = _test(lambda a, b: a and b)
+_BOP_SEM[BopKind.LOR, ConstBool, ConstBool] = _test(lambda a, b: a or b)
+_UOP_SEM = {(kind, cls): _arith(cls, bits, fn) for cls, bits, _ in _LANES
+            for kind, fn in ((UopKind.NEG, operator.neg),
+                             (UopKind.BITNOT, operator.invert))}
+_UOP_SEM[UopKind.LOGNOT, ConstBool] = lambda v: ConstBool(not v.value)
+_CAST_SEM = {(target, operand): _arith(cls, bits, operator.pos)
+             for cls, bits, target in _LANES for operand, _, _ in _LANES}
 
 
 def bop_sem(op: BopKind, v1: Expr, v2: Expr) -> Expr:
     """Two's-complement wrapping semantics at the operand width; an unsafe
     operand pair gives zero.  The Prim rule reads this table itself."""
-    return _BOP_SEM[op](v1, v2)
+    return _BOP_SEM[op, type(v1), type(v2)](v1, v2)
 
 
 def uop_sem(op: Union[Uop, Cast], v: Expr) -> Expr:
     """A cast wraps to the lane of its target type."""
     if type(op) is Cast:
-        return _CAST_SEM[type(op.target)](v.value)
-    return _UOP_SEM[op.kind](v)
+        return _CAST_SEM[type(op.target), type(v)](v)
+    return _UOP_SEM[op.kind, type(v)](v)
 
 
 def range_count(v1: Expr, v2: Expr, d: Direction) -> int:
@@ -403,53 +404,50 @@ def _refocus(frames: list, e: Expr) -> tuple[Expr, Sequence[Expr]]:
 
     A frame is [node, context, children, hole, own], outermost first; own
     holds while children are the node's own.  A non-value is searched from
-    its top, a value fills the innermost hole; either way the search goes on
-    at the frame's next child in evaluation position that is not a value.
-    A frame with none left is popped and is the redex as it stands: its rule
-    reads the values, so it is not rebuilt.  Only ``some`` is, since around
-    a location it is a value that fills the next hole up, unless its node
-    already holds that value.
-
-    A value is tested inline by its class; only ``some`` goes to
-    ``is_value``, which reads its child.
+    its top; a value fills the innermost hole, popping its frame.  The
+    search goes on at the node's next child in evaluation position that is
+    not a value, and only then is the node's frame pushed.  A node with none
+    left is the redex as it stands, handed over with the values (its
+    children themselves when they are all of them), so it is not rebuilt.
+    Only ``some`` is, since around a location it is a value that fills the
+    next hole up.  A value is tested inline by its class; only ``some``
+    goes to ``is_value``, which reads its child.
     """
     while True:
         cls = type(e)
         if cls in _VALUE_CLASSES or cls is SomeLit and is_value(e):
             if not frames:
                 return e, ()
-            frame = frames[-1]
-            node, (shape, start, stop), children, i, own = frame
+            node, context, children, i, own = frames.pop()
             if own:
-                children = frame[2] = list(children)
-                frame[4] = False
+                children = list(children)
             children[i] = e
-            i += 1
+            i, own = i + 1, False
         else:
             context = _CONTEXTS.get(cls)
             if context is None:
                 return e, ()
-            shape, start, stop = context
-            node, children, i = e, shape.children(e), start
-            frame = [node, context, children, i, True]
-            frames.append(frame)
+            node, children, own = e, context[0].children(e), True
+            i = context[1]
+        shape, start, stop = context
         end = len(children) if stop is None else stop
         while i < end:
             e = children[i]
             cls = type(e)
             if cls not in _VALUE_CLASSES and (cls is not SomeLit
                                               or not is_value(e)):
-                frame[3] = i
                 break
             i += 1
         else:
-            frames.pop()
             if type(node) is not SomeLit:
-                return node, children[start:end]
+                return node, children if start == 0 and end == len(
+                    children) else children[start:end]
             e = node if node.value is children[0] \
                 else shape.rebuild(node, children)
             if not is_value(e):
                 return e, ()
+            continue
+        frames.append([node, context, children, i, own])
 
 
 def _no_rule(s: State, w: ExternalWorld, e: Expr,
@@ -483,7 +481,7 @@ def _step_seq(s: State, w: ExternalWorld, e: Seq,
 def _step_repeat(s: State, w: ExternalWorld, e: Repeat,
                  values: list[Expr]) -> tuple[Expr, str]:
     if e.count <= 0:
-        return UnitLit(), "FORV0"
+        return _UNIT, "FORV0"
     return Seq((e.body, Repeat(e.body, e.count - 1))), "FORVN"
 
 
@@ -509,11 +507,11 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
     op = e.op
     if type(op) is Bop:
         # A binary operator's meaning is one lookup in bop_sem's table.
-        kind = op.kind
         v1, v2 = values
-        if (type(v1), type(v2)) not in _OPERANDS[kind]:
+        sem = _BOP_SEM.get((op.kind, type(v1), type(v2)))
+        if sem is None:
             _operands_stuck(op, values)
-        return _BOP_SEM[kind](v1, v2), "BOPV"
+        return sem(v1, v2), "BOPV"
     rule = _PRIM_RULES.get(type(op))
     if rule is None:
         _stuck(f"unknown primitive {op!r}")
@@ -523,9 +521,11 @@ def _step_prim(s: State, w: ExternalWorld, e: Prim,
 def _prim_uop(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
     op = e.op
     v, = values
-    if (type(v),) not in _OPERANDS[getattr(op, "kind", None)]:
+    sem = _UOP_SEM.get((op.kind, type(v))) if type(op) is Uop \
+        else _CAST_SEM.get((type(op.target), type(v)))
+    if sem is None:
         _operands_stuck(op, values)
-    return uop_sem(op, v), "UOPV"
+    return sem(v), "UOPV"
 
 
 def _prim_ref(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
@@ -557,23 +557,13 @@ def _prim_assign(s: State, e: Prim, values: list[Expr]) -> tuple[Expr, str]:
         _stuck("assignment through a non-location")
     if not s.theta.store(lv.block, lv.offset, rv):
         _stuck("assignment into an invalid block")
-    return UnitLit(), "MASSGNV"
+    return _UNIT, "MASSGNV"
 
 
 # The rule of each primitive operator class but Bop, whose case is in
 # _step_prim.
 _PRIM_RULES = {Deref: _prim_deref, Assign: _prim_assign, RefOp: _prim_ref,
                Uop: _prim_uop, Cast: _prim_uop}
-
-# The operand classes each operator's rule reads, by operator kind (None for
-# a cast): booleans for the logical operators, integers of one lane for
-# every other operator and for casts.
-_BOOL_OPERANDS = frozenset({(ConstBool,), (ConstBool, ConstBool)})
-_INT_OPERANDS = frozenset({(ConstInt,), (ConstLong,), (ConstInt, ConstInt),
-                           (ConstLong, ConstLong)})
-_OPERANDS = {kind: _INT_OPERANDS for kind in (*BopKind, *UopKind, None)}
-_OPERANDS.update({kind: _BOOL_OPERANDS for kind in (
-    BopKind.LAND, BopKind.LOR, UopKind.LOGNOT)})
 
 
 def _operands_stuck(op, values: list[Expr]):
@@ -749,10 +739,10 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
     focus, values = _refocus(frames, e)
     rules = _REDEX_RULES
     term = e
-    while type(focus) not in _VALUE_CLASSES and not (
-            type(focus) is SomeLit and is_value(focus)):
+    while (cls := type(focus)) not in _VALUE_CLASSES and not (
+            cls is SomeLit and is_value(focus)):
         try:
-            out, rule = rules.get(type(focus), _no_rule)(s, w, focus, values)
+            out, rule = rules.get(cls, _no_rule)(s, w, focus, values)
         except StuckState as exc:
             if on_event is not None:
                 exc.event = StepEvent(s, None, focus, len(frames), term, [])
@@ -834,22 +824,21 @@ def start(tp: TypedProgram, w: ExternalWorld,
     """The initial state and the call of the entry point (``entry``, or main
     or the one sectioned function), each parameter given a kernel object, a
     fresh zero-filled referent or its type's zero."""
-    fd = tp.entry_point(entry)
+    fd = tp.program.entry_point(entry)
     if fd is None:
         raise NoEntryPoint("no entry point (declare main or one #section fun)")
     s = init_state(tp, w)
     args: list[Expr] = []
     for _, ty in fd.args:
+        if not entry_arg_given(ty):
+            raise InterpError(f"cannot give an entry argument of type {ty}")
         target = kernel_object(ty)
         if target is not None:
             args.append(SomeLit(make_kernel_object(s, w, target)))
         elif isinstance(ty, RefTy):
             args.append(make_kernel_object(s, w, ty.target))
-        elif is_prim(ty) or isinstance(ty, OptionTy):
-            args.append(zero_value(ty))
         else:
-            raise InterpError(
-                f"cannot synthesize a default argument of type {ty}")
+            args.append(zero_value(ty))
     return s, App(Var(fd.name), tuple(args))
 
 

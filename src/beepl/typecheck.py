@@ -25,8 +25,8 @@ from .core import (
     Loc, LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim,
     Psome, Pwild, READ, RefOp, RefTy, Repeat, SHAPES, Seq, SomeLit, Span,
     StructInit, StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE,
-    effect_concat, effect_subset, expr_children, fvar, int_fits, is_basic,
-    is_pointer, is_prim, kernel_object, struct_layout,
+    effect_concat, effect_subset, entry_arg_given, expr_children, fvar,
+    int_fits, is_basic, is_pointer, is_prim, kernel_object, struct_layout,
 )
 from .frontend import Diagnostic
 
@@ -256,8 +256,13 @@ def _infer_literal(ctx: TypingContext, e: Expr, expected: Optional[Ty]):
     becomes a long literal; an int literal takes an expected int type that
     its value fits; otherwise a literal keeps its own lane.  A long literal
     never takes an int type, so a rule that returns a long where an int
-    belongs cannot pass the audit."""
-    cls = type(e)
+    belongs cannot pass the audit, nor one that returns a literal outside
+    its lane, which the parser never builds."""
+    cls, v = type(e), e.value
+    if not (-(1 << 31) <= v < 1 << 31 if cls is ConstInt
+            else -(1 << 63) <= v < 1 << 63):
+        _err("LiteralOutOfRange", f"{'int' if cls is ConstInt else 'long'} "
+             f"literal out of range: {v}", e.span, "TCONST")
     if isinstance(expected, LongTy):
         return expected, EMPTY_EFFECT, \
             e if cls is ConstLong else ConstLong(e.value, span=e.span)
@@ -747,17 +752,6 @@ class TypedProgram:
     psi: dict[str, Signature]  # every callable: helpers, externs, functions
     effects: dict[str, Effect]  # each function body's inferred effect
 
-    def entry_point(self, name: Optional[str] = None) -> Optional[FunDecl]:
-        decls = self.program.fun_decls()
-        if name is not None:
-            return decls.get(name)
-        if "main" in decls:
-            return decls["main"]
-        sections = [d for d in decls.values() if d.sec is not None]
-        if len(sections) == 1:
-            return sections[0]
-        return None
-
 
 def _array_ref(ty: Ty) -> bool:
     """ty is a reference to an array, nullable or not, which has no C form
@@ -771,14 +765,16 @@ def _bad_param(ty: Ty) -> bool:
     return ty == UNIT or isinstance(ty, ArrayTy) or _array_ref(ty)
 
 
-def check_fun_decl(ctx: TypingContext, fd: FunDecl) -> tuple[FunDecl, Effect]:
-    """fd with its body elaborated, and the body's inferred effect."""
+def check_fun_decl(ctx: TypingContext, fd: FunDecl,
+                   entry: bool = False) -> tuple[FunDecl, Effect]:
+    """fd with its body elaborated, and the body's inferred effect.  The
+    default entry point takes only what a run and C can give it."""
     # A bytes view is a pair of packet pointers.
     if is_pointer(fd.rt) or isinstance(fd.rt, BytesTy):
         _err("ReturnsPointer",
              f"function {fd.name!r} returns a pointer type", fd.span, "TFDECL")
     for x, ty in fd.args:
-        if _bad_param(ty):
+        if _bad_param(ty) or entry and not entry_arg_given(ty):
             _err("BadParamType",
                  f"argument {x!r} of {fd.name!r} cannot have type {ty}",
                  fd.span, "TFDECL")
@@ -851,16 +847,17 @@ def check_program(p: Program) -> TypedProgram:
     pi: dict[str, Composite] = {}
     for co in KERNEL_STRUCTS + p.composites:
         if co.sid in pi:
-            _err("DuplicateName", f"struct {co.sid!r} redefined", None, "TPROG")
+            _err("DuplicateName", f"struct {co.sid!r} redefined", co.span,
+                 "TPROG")
         pi[co.sid] = co
     for co in p.composites:
-        _check_c_name("struct", co.sid, None)
+        _check_c_name("struct", co.sid, co.span)
         for fname, fty in co.fields:
-            _check_c_name("field", fname, None)
+            _check_c_name("field", fname, co.span)
             if not (is_prim(fty) or isinstance(fty, (ArrayTy, BytesTy))):
                 _err("BadFieldType",
                      f"field {fname!r} of struct {co.sid!r} must be a "
-                     "primitive, array or bytes type", None, "TPROG")
+                     "primitive, array or bytes type", co.span, "TPROG")
         struct_layout(co, pi)  # resolves sizes early
 
     psi = dict(HELPERS)
@@ -890,6 +887,7 @@ def check_program(p: Program) -> TypedProgram:
             ctx.gamma[d.name] = d.ty
 
     effects: dict[str, Effect] = {}
+    entry = p.entry_point()
     for i, d in enumerate(decls):
         if isinstance(d, FunDecl):
             clash = ({x for x, _ in d.args} | {y for y, _ in d.vars}) \
@@ -898,7 +896,7 @@ def check_program(p: Program) -> TypedProgram:
                 _err("DuplicateName",
                      f"locals of {d.name!r} shadow globals: "
                      f"{sorted(clash)}", d.span, "TFDECL")
-            decls[i], effects[d.name] = check_fun_decl(ctx, d)
+            decls[i], effects[d.name] = check_fun_decl(ctx, d, d is entry)
             # A function joins psi only once its body is checked, so it
             # calls only functions declared before it: no recursion, and
             # every loop stays bounded.

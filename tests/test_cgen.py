@@ -347,7 +347,7 @@ def _rename_binders(e, new):
 def _with_hostile_names(p: Program, tp) -> Program:
     """p with its locals, parameters and non-entry functions renamed to
     distinct hostile or primed names."""
-    entry = tp.entry_point().name
+    entry = tp.program.entry_point().name
     funs = [d for d in p.decls if isinstance(d, FunDecl)]
     old = sorted({n for d in funs for n in _binders(d.body)}
                  | {x for d in funs for x, _ in d.args}

@@ -89,6 +89,28 @@ def test_check_points_at_a_string_initializer(tmp_path, capsys):
         "has type i8[3], declared int" in err
 
 
+def test_check_points_at_the_struct_a_diagnostic_is_about(tmp_path, capsys):
+    # A struct's diagnostics point at its name: the second one for a
+    # redefinition, the struct's own for a field, which has no span.
+    f = tmp_path / "s.bpl"
+    main_fun = "fun main() : int { 1 }\n"
+    for structs, where, diagnostic in (
+            ("struct s { a : int[4]* }\n", "2:8", "BadFieldType]: field 'a' "
+             "of struct 's' must be a primitive, array or bytes type"),
+            ("struct s { a : int }\n  struct s { a : int }\n", "3:10",
+             "DuplicateName]: struct 's' redefined"),
+            ("struct xdp_md { a : int }\n", "2:8",
+             "DuplicateName]: struct 'xdp_md' redefined"),
+            ("  struct main { a : int }\n", "2:10",
+             "ReservedName]: struct name 'main' is not free in the emitted C"),
+            ("struct s {\n  a : int,\n  NULL : int\n}\n", "2:8",
+             "ReservedName]: field name 'NULL' is not free in the emitted C")):
+        f.write_text(main_fun + structs)
+        code, out, err = run_cli(capsys, "check", str(f))
+        assert code == 1
+        assert f"{f}:{where}: error[{diagnostic} (TPROG)" in err, err
+
+
 def test_check_names_the_type_an_option_wraps(tmp_path, capsys):
     # The diagnostic points at 'option' and names the type given, which is
     # not a pointer.
@@ -495,6 +517,34 @@ _REJECTED = {
        for t in ("bytes", "struct s", "struct s*", "int*", "int[4]",
                  "int[4]*")},
 }
+
+
+def test_every_entry_parameter_is_given_or_rejected(tmp_path, capsys):
+    # A default entry point with a by-value struct or a bytes parameter
+    # used to check; then `run` could not give it an argument (exit 1) and
+    # its host C did not compile.  A function that is not the entry point
+    # may still take them (see the test below).
+    cc = find_cc()
+    f = tmp_path / "entry.bpl"
+    for entry in ("fun main({0} x) : int {{ 0 }}",
+                  '#section "xdp" fun prog(int y, {0} x) : int {{ 0 }}'):
+        rejected = []
+        for ty in _DECLARED + ["option(struct xdp_md*)"]:
+            f.write_text("struct s { a : int }\n" + entry.format(ty) + "\n")
+            code, _, err = run_cli(capsys, "check", str(f))
+            if code == 1:
+                assert f"{f}:2:" in err and "error[BadParamType]" in err, err
+                rejected.append(ty)
+                continue
+            assert run_cli(capsys, "run", str(f)) == (0, "0\n", ""), ty
+            out = tmp_path / "entry.c"
+            assert run_cli(capsys, "emit-c", str(f), "-o", str(out),
+                           "--mode=host") == (0, "", ""), ty
+            if cc is not None:
+                r = subprocess.run([cc, "-std=c11", "-fsyntax-only",
+                                    str(out)], capture_output=True, text=True)
+                assert r.returncode == 0, (ty, r.stderr)
+        assert rejected == ["unit", "bytes", "struct s", "int[4]", "int[4]*"]
 
 
 def test_every_declared_type_is_accepted_and_emitted_or_rejected(tmp_path,

@@ -448,9 +448,20 @@ def test_is_value_is_exactly_the_value_forms():
 
 
 def test_integer_literals_hold_their_lane_range():
-    ConstInt((1 << 31) - 1), ConstInt(-(1 << 31))
-    ConstLong((1 << 63) - 1), ConstLong(-(1 << 63))
-    for bad in ((ConstInt, 1 << 31), (ConstInt, -(1 << 31) - 1),
-                (ConstLong, 1 << 63), (ConstLong, -(1 << 63) - 1)):
-        with pytest.raises(CoreError):
-            bad[0](bad[1])
+    # The checker, which judges every literal for the checker and the
+    # audit, is where a literal's lane range is enforced; the parser and
+    # the rules' wrapping never build one outside it.
+    for lit, ty in ((ConstInt((1 << 31) - 1), INT),
+                    (ConstInt(-(1 << 31)), INT),
+                    (ConstLong((1 << 63) - 1), LONG),
+                    (ConstLong(-(1 << 63)), LONG)):
+        assert infer_expr(TypingContext(), lit) == (ty, Effect())
+    for cls, v in ((ConstInt, 1 << 31), (ConstInt, -(1 << 31) - 1),
+                   (ConstLong, 1 << 63), (ConstLong, -(1 << 63) - 1)):
+        lane = "int" if cls is ConstInt else "long"
+        for expected in (None, INT, LONG):
+            with pytest.raises(TypeCheckError) as info:
+                infer_expr(TypingContext(), cls(v), expected)
+            assert (info.value.code, info.value.rule, info.value.message) \
+                == ("LiteralOutOfRange", "TCONST",
+                    f"{lane} literal out of range: {v}")

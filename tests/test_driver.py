@@ -264,7 +264,7 @@ def _audit_both_ways(tp, world, monkeypatch):
         def both(ev):
             ctx = driver._audit_ctx(tp, ev.state)
             assert ctx.memo is None
-            full.append(_judge(ctx, ev.term, tp.entry_point().rt))
+            full.append(_judge(ctx, ev.term, tp.program.entry_point().rt))
             on_event(ev)
         return eval_multi(s, w, e, fuel, both)
 
@@ -416,6 +416,28 @@ def test_audit_catches_a_let_rule_that_forgets_to_substitute(monkeypatch):
         _audit_both_ways(tp, world_for_seed(0), monkeypatch)
     assert result.violations == [
         "step 2 untypeable (LETV): UnknownVariable: unbound variable 'x'"]
+    assert _outcome(result) == _outcome(no_memo)
+    assert incremental == full
+
+
+def test_audit_catches_a_rule_value_outside_its_lane(monkeypatch):
+    # A node class no longer checks its value's range; the checker's
+    # literal rule does, and the audit runs it on the value the step made.
+    def unwrapped_bop(s, w, e, values):
+        out, rule = prim_rule(s, w, e, values)
+        if rule == "BOPV" and type(out) is ConstInt:
+            out = ConstInt(out.value + 2 ** 32)
+        return out, rule
+
+    prim_rule = interp._REDEX_RULES[Prim]
+    monkeypatch.setitem(interp._REDEX_RULES, Prim, unwrapped_bop)
+    tp = check_source("fun main() : int { let x : int* = ref(2) in "
+                      "let _ = x := !x * 3 + 1 in !x + 0 }")
+    result, no_memo, incremental, full = \
+        _audit_both_ways(tp, world_for_seed(0), monkeypatch)
+    assert result.violations == [
+        "step 5 untypeable (BOPV): LiteralOutOfRange: int literal out of "
+        f"range: {6 + 2 ** 32}"]
     assert _outcome(result) == _outcome(no_memo)
     assert incremental == full
 

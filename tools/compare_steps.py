@@ -12,7 +12,13 @@ steps, and compares their steps and their value, stuck message or
 exception.  Generated programs run only short loops, so it also runs 40
 written loop programs of 50-300 iterations on the int and the long lane:
 one accumulator, two accumulators, nested loops, and a conditional body
-with division, modulo and comparisons.
+with division, modulo and comparisons.  And since generated operands seldom
+sit at a lane's edge, it runs written edge programs: every binary operator
+on both lanes with each edge operand (the lane's minimum and maximum, -1,
+0, 1 and the shift counts 31, 32, 63 and 64) on either side, so that
+INT_MIN / -1, % 0 and every out-of-range shift take the guarded zero;
+negation and complement of each edge, including the minimum; casts of each
+edge both ways; and the logical operators.
 
     python3 tools/compare_steps.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N]
                                    [--mutants N]
@@ -145,8 +151,46 @@ def loop_source(k):
         f"{'Up' if up else 'Down'}) {{ {body} }} in !x + !y }}")
 
 
+# The edge operands of each lane as source text.  The long lane's minimum
+# is written as an expression: its magnitude is no long literal (P003).
+EDGES = {
+    "int": ["-2147483648", "-2147483647", "-1", "0", "1", "31", "32", "63",
+            "64", "2147483647"],
+    "long": ["(-9223372036854775807L - 1L)", "-9223372036854775807L", "-1L",
+             "0L", "1L", "31L", "32L", "63L", "64L", "9223372036854775807L"],
+}
+BINARY = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
+          "==", "!=", "<", "<=", ">", ">="]
+
+
+# (name, source) of each edge program.  Each binds its left operand to a
+# variable, so that no literal is folded, and xors every result into one
+# cell; a comparison xors in its index when it holds.
+def edge_sources():
+    for t, edges in EDGES.items():
+        s = "L" if t == "long" else ""
+        other = "int" if t == "long" else "long"
+        head = f"fun main() : {t} {{ let x : {t}* = ref(0{s}) in "
+        for op in BINARY:
+            for i, a in enumerate(edges):
+                if op in ("==", "!=", "<", "<=", ">", ">="):
+                    results = [f"(if a {op} {b} then {k}{s} else 0{s})"
+                               for k, b in enumerate(edges)]
+                else:
+                    results = [f"(a {op} {b})" for b in edges]
+                uses = "".join(f"let _ = x := !x ^ {r} in " for r in results)
+                yield f"{t}{op}{i}", f"{head}let a : {t} = {a} in {uses}!x }}"
+        uses = "".join(
+            f"let a : {t} = {a} in let _ = x := !x ^ -a ^ ~a ^ ({t})a ^ "
+            f"({t})({other})a in " for a in edges)
+        yield f"{t}-unary", f"{head}{uses}!x }}"
+    yield "logic", ("fun main() : bool { let t : bool = true in let f : bool "
+                    "= false in (t && f || f && t || t && t) && not (f || f) "
+                    "&& (t || f) && not not t }")
+
+
 seeds, n_mutants = int(sys.argv[1]), int(sys.argv[2])
-runs, mutants, loops, t0 = [], [], [], time.perf_counter()
+runs, mutants, loops, edges, t0 = [], [], [], [], time.perf_counter()
 for extras in (False, True):
     for seed in range(seeds):
         program = generate_well_typed(
@@ -170,8 +214,15 @@ for k in range(LOOPS):
         loops.append({"id": [name, k], "rejected": str(exc)})
         continue
     loops.append({"id": [name, k], **run(tp, k, 10 ** 6)})
+for name, src in edge_sources():
+    try:
+        tp = check_program(parse_program(src, name))
+    except TypeCheckError as exc:
+        edges.append({"id": [name], "rejected": str(exc)})
+        continue
+    edges.append({"id": [name], **run(tp, 0, 10 ** 6)})
 print(json.dumps({"runs": runs, "mutants": mutants, "loops": loops,
-                  "seconds": time.perf_counter() - t0}))
+                  "edges": edges, "seconds": time.perf_counter() - t0}))
 """
 
 
@@ -199,7 +250,7 @@ def main() -> int:
     old = dump(args.old, DUMP, args.seeds, args.mutants)
     new = dump(args.new, DUMP, args.seeds, args.mutants)
     ok = True
-    for key in ("runs", "mutants", "loops"):
+    for key in ("runs", "mutants", "loops", "edges"):
         pairs = list(zip(old[key], new[key]))
         differ = [(a, b) for a, b in pairs if a != b]
         ran = [r for r in new[key] if "rejected" not in r]
