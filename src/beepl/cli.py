@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .cgen import emit_program
 from .core import (
-    BytesView, ConstBool, ConstInt, ConstLong, Loc, Repeat, Seq, Var,
+    BytesView, ConstBool, ConstInt, ConstLong, Frame, Loc, Repeat, Seq, Var,
     expr_children, with_children,
 )
 from .driver import (
@@ -173,12 +173,16 @@ def _trace_record(ev) -> dict:
 
 
 # The nodes that only evaluation makes have no surface syntax; a trace prints
-# each as a variable named by its runtime form.
+# each as a variable named by its runtime form.  A frame shows each of its
+# variables' blocks.
 _RUNTIME_FORMS = {
     Loc: lambda e: f"<loc {e.block}+{e.offset}>",
     BytesView: lambda e: f"<bytes {e.block}+{e.offset}:{e.length}>",
     Seq: lambda e: f"<seq {'; '.join(map(_print_term, e.parts))}>",
     Repeat: lambda e: f"<repeat {e.count} {{ {_print_term(e.body)} }}>",
+    Frame: lambda e: "<frame " + " ".join(
+        [e.name, *(f"{x}={b}" for x, b in e.env.items())])
+        + f" {{ {_print_term(e.body)} }}>",
 }
 
 

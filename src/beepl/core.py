@@ -546,6 +546,18 @@ class Repeat(Expr):
     ty: Optional[Ty] = _aux_field()
 
 
+@dataclass(slots=True)
+class Frame(Expr):
+    """A call of function ``name`` in progress: ``env`` maps each parameter
+    and local to the block the call gave it, and ``body`` starts as the
+    function's elaborated body itself, shared by every call."""
+
+    name: str
+    env: dict[str, int]
+    body: Expr
+    ty: Optional[Ty] = _aux_field()
+
+
 # ---------------------------------------------------------------------------
 # Patterns
 # ---------------------------------------------------------------------------
@@ -768,6 +780,9 @@ SHAPES: dict[type, Shape] = {
                lambda e, c: Seq(tuple(c), ty=e.ty)),
     Repeat: Shape(lambda e: (e.body,),
                   lambda e, c: Repeat(c[0], e.count, ty=e.ty)),
+    Frame: Shape(lambda e: (e.body,),
+                 lambda e, c: Frame(e.name, e.env, c[0], ty=e.ty),
+                 lambda e: (_name_set(tuple(e.env)),)),
 }
 
 LEAVES = frozenset({Var, ConstInt, ConstLong, ConstBool, UnitLit, NoneLit,
@@ -822,14 +837,11 @@ def fvar(e: Expr, known: Optional[dict[int, tuple[Expr, frozenset[str]]]]
     return out
 
 
-def _replace_free(e: Expr, subs: dict[str, Expr], rename: bool) -> Expr:
-    """The walk behind subst and rename_var: each free ``Var(x)`` with x in
-    subs becomes ``subs[x]``.
-
-    The two differ only at a struct initialization of such an x:
-    substitution drops x there, since the initialized variable shadows it,
-    while renaming (when subs maps each name to a ``Var``) renames the
-    target and goes on into the fields.
+def subst(e: Expr, subs: dict[str, Expr]) -> Expr:
+    """Capture-avoiding substitution: each free ``Var(x)`` with x in subs
+    becomes ``subs[x]``, all in one walk.  A binder shadows the names it
+    binds, and a struct initialization of x shadows x, since it names the
+    variable it initializes.
 
     A node none of whose children changed is returned itself, so every
     subterm without a free name of subs keeps its identity (and its
@@ -842,38 +854,17 @@ def _replace_free(e: Expr, subs: dict[str, Expr], rename: bool) -> Expr:
     if shape is None:
         return e
     if type(e) is StructInit and e.name in subs:
-        if rename:
-            e = StructInit(subs[e.name].name, e.fields, ty=e.ty)
-        else:
-            subs = {x: v for x, v in subs.items() if x != e.name}
-            if not subs:
-                return e
+        subs = {x: v for x, v in subs.items() if x != e.name}
+        if not subs:
+            return e
     children = shape.children(e)
     if shape.binds is None:
-        new = [_replace_free(c, subs, rename) for c in children]
+        new = [subst(c, subs) for c in children]
     else:
-        # A binder shadows the names it binds.
-        new = [_replace_free(c, inner, rename)
+        new = [subst(c, inner)
                if (inner := subs if bound.isdisjoint(subs) else
                    {x: v for x, v in subs.items() if x not in bound}) else c
                for c, bound in zip(children, shape.binds(e))]
     if not any(map(is_not, new, children)):
         return e
     return shape.rebuild(e, new)
-
-
-def subst(e: Expr, x: str, v: Expr) -> Expr:
-    """Capture-avoiding substitution e[x <- v]; same-named binders shadow."""
-    return _replace_free(e, {x: v}, False)
-
-
-def rename_var(e: Expr, names: dict[str, str]) -> Expr:
-    """Rename the free occurrences of each variable of ``names``, which must
-    not map to a name that occurs in e, in one walk.
-
-    Used when a call binds parameters and locals apart; unlike subst, the
-    name slot of a struct initialization is an occurrence to rename.
-    """
-    if not names:
-        return e
-    return _replace_free(e, {x: Var(new) for x, new in names.items()}, True)

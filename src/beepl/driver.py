@@ -9,7 +9,6 @@ no divergence effect).  A fault is reported once, by its stuck reason.
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 import re
@@ -22,9 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from .cgen import emit_program
-from .core import (
-    ConstInt, ConstLong, EffectAtom, Expr, Program, RefTy, StructTy,
-)
+from .core import ConstInt, ConstLong, EffectAtom, Expr, Program
 from .frontend import parse_program, print_program
 from .gen import GenConfig, generate_well_typed, shrink_program
 from .interp import (
@@ -34,7 +31,7 @@ from .interp import (
 )
 from .typecheck import (
     JudgmentMemo, TypeCheckError, TypedProgram, TypingContext, check_program,
-    infer_expr,
+    fun_context, infer_expr,
 )
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -92,25 +89,22 @@ class AuditResult:
 
 def _audit_ctx(tp: TypedProgram, s: State,
                memo: Optional[JudgmentMemo] = None) -> TypingContext:
-    """The typing context of a state: the runtime gamma, sigma and the
-    variables that hold a struct reference."""
-    gamma = runtime_gamma(s)
-    return TypingContext(gamma, s.sigma, tp.composites, tp.psi, {},
-                         _struct_refs(gamma, s.omega), memo)
-
-
-def _struct_refs(gamma: dict, names: Iterable[str]) -> frozenset[str]:
-    return frozenset(x for x in names if isinstance(gamma[x], RefTy)
-                     and isinstance(gamma[x].target, StructTy))
+    """The typing context of a state's term: the globals, sigma, and each
+    function's context for its frames, built once."""
+    ctx = TypingContext(runtime_gamma(s), s.sigma, tp.composites, tp.psi,
+                        {}, memo=memo)
+    for fd in tp.program.fun_decls().values():
+        ctx.funs[fd.name] = fd, fun_context(ctx, fd)
+    return ctx
 
 
 def _rewritten(s: State) -> bool:
     """Whether a write since the last call replaced or removed an entry of
-    omega, delta or sigma, which no rule does; forgets those writes."""
-    if not (s.omega.rewritten or s.delta.rewritten or s.sigma.rewritten):
+    delta or sigma, which no rule does; forgets those writes."""
+    if not (s.delta.rewritten or s.sigma.rewritten):
         return False
-    for m in (s.omega, s.delta, s.sigma):
-        m.rewritten.clear()
+    s.delta.rewritten.clear()
+    s.sigma.rewritten.clear()
     return True
 
 
@@ -124,15 +118,15 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
     every step through ``eval_multi``'s event hook.
 
     The re-check is incremental and exact.  Evaluation never goes under a
-    binder, runtime names are fresh and block ids are never reused, so a
-    judgment made at an earlier step still holds for the same node as long
-    as the runtime gamma, sigma and struct variables extend the ones it was
-    made in (weakening).  The run's memo keeps those judgments, and the
-    frames a step rebuilt, its event's path, are judged from the hole up
-    only until one keeps the judgment of the node it replaced
-    (``JudgmentMemo.rejudge``).  The context and the state check take in
-    only the names and blocks a step added; a step that rewrote an entry of
-    omega, delta or sigma empties the memo and is checked in full.
+    binder, a frame's body is judged in its function's fixed context, and
+    block ids are never reused, so a judgment made at an earlier step still
+    holds for the same node as long as sigma extends the one it was made in
+    (weakening).  The run's memo keeps those judgments, and the frames a
+    step rebuilt, its event's path, are judged from the hole up only until
+    one keeps the judgment of the node it replaced
+    (``JudgmentMemo.rejudge``).  The state check takes in only the blocks a
+    step added; a step that rewrote an entry of delta or sigma empties the
+    memo and is checked in full.
     """
     violations: list[str] = []
     for name, eff in tp.effects.items():
@@ -150,7 +144,7 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         return AuditResult([f"initial call untypeable: {exc}"], 0)
     steps = 0
     value = None
-    seen = (len(s.omega), s.theta.next_block)  # the names and blocks checked
+    seen = s.theta.next_block  # the blocks checked
 
     def recheck(ev: StepEvent) -> None:
         nonlocal steps, eff, ctx, seen
@@ -158,19 +152,12 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         expr, rule = ev.term, ev.rule  # the new term, and the rule that fired
         if _rewritten(s):  # the context need not extend the last one
             ctx = _audit_ctx(tp, s, memo)
-            names = blocks = None
+            blocks = None
             memo.judgments.clear()
         else:
-            n_names, n_blocks = seen
-            names = list(itertools.islice(
-                reversed(s.omega), len(s.omega) - n_names))[::-1]
-            blocks = range(n_blocks, s.theta.next_block)
-            for x in names:
-                ctx.gamma[x] = s.sigma[s.omega[x]]
-            if struct_refs := _struct_refs(ctx.gamma, names):
-                ctx.struct_vars |= struct_refs
+            blocks = range(seen, s.theta.next_block)
             memo.rejudge(ctx, ev.path)
-        seen = (len(s.omega), s.theta.next_block)
+        seen = s.theta.next_block
         try:
             ty_i, eff_i = infer_expr(ctx, expr, ty0)
         except TypeCheckError as exc:
@@ -182,7 +169,7 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
             raise _Violation(f"step {steps} grew effects "
                              f"{eff} -> {eff_i} ({rule})")
         eff = eff_i
-        ok, clauses = well_formed(ctx.gamma, s, names, blocks)
+        ok, clauses = well_formed(s, blocks)
         if not ok:
             raise _Violation(f"step {steps} ill-formed state: {clauses[0]}")
         s.theta.written.clear()  # their cells are checked
@@ -196,6 +183,9 @@ def evaluate_with_audit(tp: TypedProgram, world: ExternalWorld,
         violations.append(f"fuel exhausted at {fuel} steps")
     except _Violation as exc:
         violations.append(str(exc))
+    # The function contexts and their map refer to each other: emptying the
+    # map frees the run's memo now rather than at a full collection.
+    ctx.funs.clear()
     return AuditResult(violations, steps, value)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 from .core import (
     App, ArrayTy, Assign, Bop, BopKind, BOOL, BYTES, BytesView, Cast,
     Composite, Cond, ConstBool, ConstInt, ConstLong, CoreError, Deref,
-    Direction, Effect, EffectAtom, Expr, ExtDecl, Field, For, FunDecl,
+    Direction, Effect, EffectAtom, Expr, ExtDecl, Field, For, Frame, FunDecl,
     GlobDecl, I8, I16, INT, Let, LONG, Loc, Match, NoneLit, OptionTy,
     Pattern, Pbytes, Pnone, Program, Prim, Psome, Pwild, RefOp, RefTy,
     RepeatedName, Seq, SomeLit, Span, StructInit, StructTy, Ty, U8, U16,
@@ -832,7 +832,7 @@ def print_expr(e: Expr) -> str:
 
 
 def _pe(e: Expr, ctx: int) -> str:
-    if isinstance(e, (Loc, BytesView, Seq)):
+    if isinstance(e, (Loc, BytesView, Seq, Frame)):
         raise UnprintableInternalNode(f"{type(e).__name__} has no surface syntax")
     if isinstance(e, Var):
         return e.name

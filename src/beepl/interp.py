@@ -1,8 +1,10 @@
 """Reference small-step interpreter for BeePL.
 
-Evaluation works over states <Delta, Omega, Theta> with a block-based memory
+Evaluation works over states <Delta, Theta> with a block-based memory
 model: fresh monotone block ids, a store typing that allocation alone
-writes, per-block cells, and a raw-byte shadow for byte regions.  External
+writes, per-block cells, and a raw-byte shadow for byte regions.  A call
+steps to a frame that holds its own variables' blocks, and the state keeps
+the environments of the calls in progress as a stack.  External
 helpers are served by a deterministic ExternalWorld.  An unsafe division,
 modulo or shift is zero.  A null dereference, an uninitialized read or an
 operator applied to the wrong values is a stuck state, whose reason names
@@ -18,12 +20,12 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 from .core import (
     App, ArrayTy, Assign, BoolTy, Bop, BopKind, BYTES, BytesTy, BytesView,
     Cast, COMPARE_BOPS, Composite, Cond, ConstBool, ConstInt, ConstLong,
-    Deref, Direction, Expr, Field, For, FunDecl, GlobDecl, IntTy, Let, Loc,
-    LONG, LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome, Pwild,
-    RefOp, RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty,
-    UnitLit, Uop, UopKind, Var, SHAPES, _VALUE_CLASSES, _replace_free,
-    entry_arg_given, is_prim, is_value, kernel_object, rename_var,
-    select_arm, sizeof, struct_layout, subst,
+    Deref, Direction, Expr, Field, For, Frame, FunDecl, GlobDecl, IntTy, Let,
+    Loc, LONG, LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome,
+    Pwild, RefOp, RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy,
+    Ty, UnitLit, Uop, UopKind, Var, SHAPES, _VALUE_CLASSES, entry_arg_given,
+    is_prim, is_value, kernel_object, select_arm, sizeof, struct_layout,
+    subst,
 )
 from .typecheck import TypedProgram
 
@@ -58,7 +60,7 @@ class TooShort(InterpError):
 # ---------------------------------------------------------------------------
 
 class GrowOnly(dict):
-    """A map that a run only adds to: omega, delta and the store typing.
+    """A map that a run only adds to: delta and the store typing.
     A write through ``[]`` or ``del`` that replaces or removes an entry,
     which no rule makes, notes its key in ``rewritten``, so that the audit
     can tell whether a step kept every old entry without walking the map."""
@@ -123,19 +125,16 @@ class GlobalBinding:
 @dataclass
 class State:
     delta: dict[str, Union[FunDecl, GlobalBinding]]
-    omega: dict[str, int]  # variable -> its block
     theta: Memory
     composites: dict[str, Composite]
-    rename_counter: int = 0
+    # The env of each call in progress, innermost last: a call pushes its
+    # frame's, and the frame's return pops it.
+    stack: list[dict[str, int]] = dc_field(default_factory=list)
 
     @property
     def sigma(self) -> GrowOnly:
         """The store typing, owned by the memory."""
         return self.theta.sigma
-
-    def fresh_name(self, base: str) -> str:
-        self.rename_counter += 1
-        return f"{base}#{self.rename_counter}"
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +341,8 @@ def extract(v: BytesView, target: Ty, theta: Memory,
     bid = theta.alloc(target)
     values: dict[str, Expr] = {}
     for fname, fty in co.fields:
-        if isinstance(fty, (ArrayTy, BytesTy)):
-            continue  # aggregate fields are not readable as values
+        if isinstance(fty, ArrayTy):
+            continue  # an array field is not readable as a value
         off = offsets[fname]
         fsize = sizeof(fty, composites)
         values[fname] = _decode_prim(data[off:off + fsize], fty)
@@ -390,6 +389,7 @@ EVAL_POSITIONS: dict[type, tuple[int, Optional[int]]] = {
     Match: (0, 1),          # the scrutinee
     Seq: (0, 1),            # the head only
     SomeLit: (0, 1),        # the wrapped value
+    Frame: (0, 1),          # the body
 }
 
 # The same table with each class's shape attached, so that a step down the
@@ -459,7 +459,7 @@ def _step_let(s: State, w: ExternalWorld, e: Let,
               values: list[Expr]) -> tuple[Expr, str]:
     if e.name == "_":
         return e.body, "LETV"
-    return subst(e.body, e.name, values[0]), "LETV"
+    return subst(e.body, {e.name: values[0]}), "LETV"
 
 
 def _step_cond(s: State, w: ExternalWorld, e: Cond,
@@ -487,7 +487,7 @@ def _step_repeat(s: State, w: ExternalWorld, e: Repeat,
 
 def _step_var(s: State, w: ExternalWorld, e: Var,
               values: list[Expr]) -> tuple[Expr, str]:
-    block = s.omega.get(e.name)
+    block = s.stack[-1].get(e.name) if s.stack else None
     if block is not None:
         v = s.theta.load(block, 0)
         if v is None:
@@ -587,33 +587,34 @@ def _step_app(s: State, w: ExternalWorld, e: App,
     return w.call(name, values, s, e.ty), "EAPP"
 
 
-def _apply_fun(s: State, fd: FunDecl, values: list[Expr]) -> Expr:
+def _apply_fun(s: State, fd: FunDecl, values: list[Expr]) -> Frame:
+    """The frame of a call of fd: a block for each parameter, holding its
+    argument, and for each local; the body is fd's own."""
     if len(values) != len(fd.args):
         _stuck(f"arity mismatch calling {fd.name!r}")
-    # Rename parameters and locals apart so nested calls cannot collide in
-    # the shared variable environment.
-    fresh = {}
+    env = {}
     for (x, ty), v in zip(fd.args, values):
-        fresh[x] = s.fresh_name(x)
-        bid = s.theta.alloc(ty)
+        env[x] = bid = s.theta.alloc(ty)
         s.theta.store(bid, 0, v)
-        s.omega[fresh[x]] = bid
     for (y, ty) in fd.vars:
-        fresh[y] = s.fresh_name(y)
-        bid = s.theta.alloc(ty)
-        s.omega[fresh[y]] = bid
-        # Struct locals receive their storage at call time, like C locals;
-        # the fields stay unwritten until initialization, and a field read
-        # before that is stuck.
-        if isinstance(ty, RefTy) and isinstance(ty.target, StructTy):
-            sb = s.theta.alloc(ty.target)
-            s.theta.store(bid, 0, Loc(sb, 0))
-    return rename_var(fd.body, fresh)
+        # A local is a struct reference, and receives its storage at call
+        # time, like a C local; the fields stay unwritten until
+        # initialization, and a field read before that is stuck.
+        env[y] = bid = s.theta.alloc(ty)
+        s.theta.store(bid, 0, Loc(s.theta.alloc(ty.target), 0))
+    s.stack.append(env)
+    return Frame(fd.name, env, fd.body, ty=fd.rt)
+
+
+def _step_return(s: State, w: ExternalWorld, e: Frame,
+                 values: list[Expr]) -> tuple[Expr, str]:
+    s.stack.pop()
+    return values[0], "RET"
 
 
 def _step_struct_init(s: State, w: ExternalWorld, e: StructInit,
                       values: list[Expr]) -> tuple[Expr, str]:
-    var_block = s.omega.get(e.name)
+    var_block = s.stack[-1].get(e.name) if s.stack else None
     if var_block is None:
         _stuck(f"struct variable {e.name!r} is not allocated")
     var_ty = s.sigma.get(var_block)
@@ -681,7 +682,7 @@ def _step_match(s: State, w: ExternalWorld, e: Match,
             _stuck("no arm matches some")
         p, body = arm
         if isinstance(p, Psome):
-            return subst(body, p.binder, sv.value), "MSOME"
+            return subst(body, {p.binder: sv.value}), "MSOME"
         return body, "MSOME"
     if type(sv) is BytesView:
         arm = next((a for a in e.arms if isinstance(a[0], Pbytes)), None)
@@ -697,7 +698,7 @@ def _step_match(s: State, w: ExternalWorld, e: Match,
             return fallback[1], "MBYTESF"
         subs = {y: bindings[y] for y, _ in p.fields if y in bindings}
         subs[p.binder] = vx
-        return _replace_free(body, subs, False), "MBYTES"
+        return subst(body, subs), "MBYTES"
     _stuck("match scrutinee is neither an option nor bytes")
 
 
@@ -707,6 +708,7 @@ _REDEX_RULES = {
     Var: _step_var, Prim: _step_prim, Let: _step_let, Cond: _step_cond,
     App: _step_app, StructInit: _step_struct_init, Field: _step_field,
     For: _step_for, Match: _step_match, Seq: _step_seq, Repeat: _step_repeat,
+    Frame: _step_return,
 }
 
 
@@ -773,7 +775,7 @@ def eval_multi(s: State, w: ExternalWorld, e: Expr,
 # ---------------------------------------------------------------------------
 
 def init_state(tp: TypedProgram, w: ExternalWorld) -> State:
-    s = State(GrowOnly(), GrowOnly(), Memory(), dict(tp.composites))
+    s = State(GrowOnly(), Memory(), dict(tp.composites))
     for d in tp.program.decls:
         if isinstance(d, FunDecl):
             s.delta[d.name] = d
@@ -867,40 +869,24 @@ def run_program(tp: TypedProgram, w: Optional[ExternalWorld] = None,
 _CELL_CLASS = {IntTy: ConstInt, LongTy: ConstLong, BoolTy: ConstBool}
 
 
-def well_formed(gamma: dict[str, Ty], s: State,
-                names: Optional[Sequence[str]] = None,
-                blocks: Optional[Iterable[int]] = None
-                ) -> tuple[bool, list[str]]:
+def well_formed(s: State, blocks: Optional[Iterable[int]] = None
+               ) -> tuple[bool, list[str]]:
     """Checks the state-consistency contract; returns violated clauses.
-    The clauses on variables cover ``names`` of gamma (all of omega and of
-    gamma by default) and the domain clause the blocks ``blocks`` (all of
-    memory by default), so that the audit checks only what a step added.
-    Only the cells of the blocks in ``theta.written`` are checked against
-    their blocks' types: the audit empties it after each step."""
+    With ``blocks`` None it checks every global and all of memory; given
+    the blocks a step allocated, it checks only those, since a run binds no
+    global once it has started.  Only the cells of the blocks in
+    ``theta.written`` are checked against their blocks' types: the audit
+    empties it after each step."""
     bad: list[str] = []
-    sigma, omega, delta = s.sigma, s.omega, s.delta
-    memory = s.theta.blocks
-    if any(x in omega and x in delta
-           for x in (omega if names is None else names)):
-        bad.append("omega and delta domains overlap")
-    if names is None:
-        names = gamma
-    for x in names:
-        block = omega.get(x)
-        if block is not None:
-            if block not in sigma:
-                bad.append(f"variable {x!r} block lacks store typing")
-            elif s.theta.load(block, 0) is None:
-                bad.append(f"variable {x!r} is uninitialized")
-        else:
-            binding = delta.get(x)
-            if not isinstance(binding, GlobalBinding):
-                bad.append(f"variable {x!r} resolves nowhere")
-            elif binding.block not in sigma:
-                bad.append(f"global {x!r} block lacks store typing")
-            elif s.theta.load(binding.block, 0) is None and \
-                    memory.get(binding.block, Block()).raw is None:
-                bad.append(f"global {x!r} is uninitialized")
+    sigma, memory = s.sigma, s.theta.blocks
+    for x, d in (s.delta.items() if blocks is None else ()):
+        if type(d) is not GlobalBinding:
+            continue
+        if d.block not in sigma:
+            bad.append(f"global {x!r} block lacks store typing")
+        elif s.theta.load(d.block, 0) is None and \
+                memory.get(d.block, Block()).raw is None:
+            bad.append(f"global {x!r} is uninitialized")
     # Both maps gain a block only through Memory.alloc, so when they hold
     # as many blocks and each new one is in both, they hold the same.
     if (sigma.keys() != memory.keys() if blocks is None else
@@ -916,20 +902,10 @@ def well_formed(gamma: dict[str, Ty], s: State,
             if cls is not None and cell is not None and type(cell) is not cls:
                 bad.append(f"block {block} of type {ty} holds a "
                            f"{type(cell).__name__}")
-    for x in names:
-        ty = gamma[x]
-        if isinstance(ty, RefTy):
-            ty = ty.target
-        if isinstance(ty, StructTy) and ty.sid not in s.composites:
-            bad.append(f"struct {ty.sid!r} of variable {x!r} is undeclared")
     return not bad, bad
 
 
 def runtime_gamma(s: State) -> dict[str, Ty]:
-    """Typing environment induced by the live variable bindings."""
-    sigma = s.sigma
-    gamma = {x: sigma[b] for x, b in s.omega.items()}
-    for name, d in s.delta.items():
-        if isinstance(d, GlobalBinding):
-            gamma[name] = sigma[d.block]
-    return gamma
+    """The globals' types: each global's block type in sigma."""
+    return {name: s.sigma[d.block] for name, d in s.delta.items()
+            if isinstance(d, GlobalBinding)}

@@ -21,10 +21,10 @@ from .core import (
     ALLOC, App, ArrayTy, Assign, BOOL, Bop, BopKind, BYTES, BytesTy,
     BytesView, COMPARE_BOPS, Cast, Composite, Cond, ConstBool, ConstInt,
     ConstLong, Deref, EMPTY_EFFECT, Effect, Expr, ExtDecl, Field, For,
-    FunDecl, GlobDecl, HOST_TAKEN, I8, INT, IO, IntTy, LOGIC_BOPS, LONG, Let,
-    Loc, LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Program, Prim,
-    Psome, Pwild, READ, RefOp, RefTy, Repeat, SHAPES, Seq, SomeLit, Span,
-    StructInit, StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE,
+    Frame, FunDecl, GlobDecl, HOST_TAKEN, I8, INT, IO, IntTy, LOGIC_BOPS,
+    LONG, Let, Loc, LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Program,
+    Prim, Psome, Pwild, READ, RefOp, RefTy, Repeat, SHAPES, Seq, SomeLit,
+    Span, StructInit, StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE,
     effect_concat, effect_subset, entry_arg_given, expr_children, fvar,
     int_fits, is_basic, is_pointer, is_prim, kernel_object, struct_layout,
 )
@@ -125,16 +125,23 @@ class JudgmentMemo:
         Only nodes with a recorded type are judged and compared: they sit
         under no binder of the term, so the key of each is its identity
         alone, and none is a literal, which ``_coerce_pair`` treats apart.
-        A contractum without one is judged by its parent's rule, at the type
-        its position expects.  A rule that fails is left to the walk from
-        the root, which reports the failure as full inference does."""
+        The nodes below a frame are judged in its function's context.  A
+        contractum without a recorded type is judged by its parent's rule,
+        at the type its position expects.  A rule that fails is left to the
+        walk from the root, which reports the failure as full inference
+        does."""
         judgments = self.judgments
+        ctxs = []
+        for _, new in path:
+            ctxs.append(ctx)
+            if type(new) is Frame and new.name in ctx.funs:
+                ctx = ctx.funs[new.name][1]
         for i in range(len(path) - 1, -1, -1):
             old, new = path[i]
             if getattr(new, "ty", None) is None:
                 continue
             try:
-                ty, eff, _ = infer_elab(ctx, new)
+                ty, eff, _ = infer_elab(ctxs[i], new)
             except TypeCheckError:
                 return
             was = judgments.get((id(old), None)) \
@@ -172,6 +179,10 @@ class TypingContext:
     memo: Optional[JudgmentMemo] = None
     # The binders that ``extended`` added on top of gamma; they shadow it.
     local: Optional[dict[str, Ty]] = None
+    # Set by the per-step audit only: each function's declaration and the
+    # context its body is judged in (``fun_context``), for its frames.
+    funs: dict[str, tuple[FunDecl, "TypingContext"]] = field(
+        default_factory=dict)
 
     def extended(self, **bindings: Ty) -> "TypingContext":
         struct_vars = self.struct_vars
@@ -179,7 +190,7 @@ class TypingContext:
             struct_vars = struct_vars - frozenset(bindings)
         return TypingContext(self.gamma, self.sigma, self.pi, self.psi,
                              self.consts, struct_vars, self.memo,
-                             {**(self.local or {}), **bindings})
+                             {**(self.local or {}), **bindings}, self.funs)
 
     def lookup(self, name: str) -> Optional[Ty]:
         """The type of variable ``name``, or None if it is unbound."""
@@ -227,6 +238,35 @@ def infer_elab(ctx: TypingContext, e: Expr,
     if entry is None:
         entry = memo.judgments[key] = (e, rule(ctx, e, recorded or expected))
     return entry[1]
+
+
+def fun_context(ctx: TypingContext, fd: FunDecl) -> TypingContext:
+    """The context fd's body is judged in: ctx's gamma (the globals) with
+    fd's parameters and locals added, and fd's locals as the struct
+    variables.  It holds no binder of an enclosing term."""
+    return TypingContext({**ctx.gamma, **dict(fd.args), **dict(fd.vars)},
+                         ctx.sigma, ctx.pi, ctx.psi, ctx.consts,
+                         frozenset(y for y, _ in fd.vars), ctx.memo,
+                         None, ctx.funs)
+
+
+def _infer_frame(ctx: TypingContext, e: Frame, expected: Optional[Ty]):
+    # A call in progress is typed by its function's declaration: each of
+    # its blocks at its variable's declared type, the body in the
+    # function's own context at the declared result type.
+    fd, inner = ctx.funs.get(e.name, (None, None))
+    declared = fd.args + fd.vars if fd else ()
+    if fd is None or len(e.env) != len(declared) or any(
+            ctx.sigma.get(e.env.get(x)) != ty for x, ty in declared):
+        _err("FrameMismatch", f"a call of {e.name!r} does not bind each of "
+             "its variables to a block of its declared type", e.span,
+             "TFRAME")
+    bty, beff, belab = infer_elab(inner, e.body, fd.rt)
+    if bty != fd.rt:
+        _err("ReturnTypeMismatch",
+             f"body of {e.name!r} has type {bty}, declared {fd.rt}",
+             e.span, "TFRAME")
+    return fd.rt, beff, Frame(e.name, e.env, belab, span=e.span, ty=fd.rt)
 
 
 def _infer_unsupported(ctx: TypingContext, e: Expr, expected: Optional[Ty]):
@@ -673,7 +713,7 @@ def _infer_match_bytes(ctx, e: Match, seff, selab, expected):
             _err("UnknownStruct", f"struct {pat.target.sid!r} is not declared",
                  e.span, "TMATCHB")
         for _, fty in co.fields:
-            if is_pointer(fty):
+            if isinstance(fty, BytesTy):
                 _err("PointerFieldInBytes",
                      "bytes patterns target pointer-free structs",
                      e.span, "TMATCHB")
@@ -729,6 +769,7 @@ _TYPING_RULES = {
     Match: _infer_match,            # TMATCHO, TMATCHB
     Seq: _infer_seq,
     Repeat: _infer_repeat,
+    Frame: _infer_frame,            # TFRAME
 }
 
 
@@ -788,11 +829,7 @@ def check_fun_decl(ctx: TypingContext, fd: FunDecl,
                  f"local {y!r} must be a struct reference "
                  "(locals exist to back struct initialization)",
                  fd.span, "TFDECL")
-    bindings = dict(fd.args)
-    bindings.update(fd.vars)
-    inner = ctx.extended(**bindings)
-    inner.struct_vars = frozenset(y for y, _ in fd.vars)
-    bty, beff, belab = infer_elab(inner, fd.body, fd.rt)
+    bty, beff, belab = infer_elab(fun_context(ctx, fd), fd.body, fd.rt)
     if bty != fd.rt:
         _err("ReturnTypeMismatch",
              f"body of {fd.name!r} has type {bty}, declared {fd.rt}",
@@ -854,10 +891,11 @@ def check_program(p: Program) -> TypedProgram:
         _check_c_name("struct", co.sid, co.span)
         for fname, fty in co.fields:
             _check_c_name("field", fname, co.span)
-            if not (is_prim(fty) or isinstance(fty, (ArrayTy, BytesTy))):
+            # Only the kernel contexts hold a packet's pointer pair.
+            if not (is_prim(fty) or isinstance(fty, ArrayTy)):
                 _err("BadFieldType",
                      f"field {fname!r} of struct {co.sid!r} must be a "
-                     "primitive, array or bytes type", co.span, "TPROG")
+                     "primitive or array type", co.span, "TPROG")
         struct_layout(co, pi)  # resolves sizes early
 
     psi = dict(HELPERS)

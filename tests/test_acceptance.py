@@ -107,7 +107,7 @@ def test_criterion_3_bounds_exhaustion():
     for sid, size in sizes.items():
         assert sizeof(StructTy(sid), BOUNDS_COMPOSITES) == size
         for length in range(0, 2 * size + 1):
-            s = State({}, {}, Memory(), dict(BOUNDS_COMPOSITES))
+            s = State({}, Memory(), dict(BOUNDS_COMPOSITES))
             b = s.theta.alloc(BYTES, raw=bytes(length))
             v = VBytes(b, 0, length)
             try:

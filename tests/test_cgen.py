@@ -9,8 +9,8 @@ from beepl.cgen import (
 )
 from beepl.core import (
     ArrayTy, BOOL, BYTES, FunDecl, INT, LONG, Let, Match, OptionTy, Pbytes,
-    Program, Psome, RefTy, StructTy, U16, U8, UNIT, VInt, expr_children,
-    rename_var, with_children,
+    Program, Psome, RefTy, StructTy, U16, U8, UNIT, VInt, Var,
+    expr_children, subst, with_children,
 )
 from beepl.driver import build_host, find_cc, load_corpus
 from beepl.gen import GenConfig, generate_well_typed
@@ -331,12 +331,12 @@ def _rename_binders(e, new):
     e = with_children(e, [_rename_binders(c, new) for c in expr_children(e)])
     if isinstance(e, Let) and e.name in new:
         return Let(new[e.name], e.declared, e.bound,
-                   rename_var(e.body, {e.name: new[e.name]}))
+                   subst(e.body, {e.name: Var(new[e.name])}))
     if isinstance(e, Match):
         arms = []
         for p, body in e.arms:
             if isinstance(p, (Psome, Pbytes)) and p.binder in new:
-                body = rename_var(body, {p.binder: new[p.binder]})
+                body = subst(body, {p.binder: Var(new[p.binder])})
                 p = Psome(new[p.binder]) if isinstance(p, Psome) else \
                     Pbytes(new[p.binder], p.target, p.fields)
             arms.append((p, body))
@@ -357,8 +357,8 @@ def _with_hostile_names(p: Program, tp) -> Program:
     decls = []
     for d in p.decls:
         if isinstance(d, FunDecl):
-            body = rename_var(_rename_binders(d.body, new), {
-                x: new[x] for x in [x for x, _ in d.args]
+            body = subst(_rename_binders(d.body, new), {
+                x: Var(new[x]) for x in [x for x, _ in d.args]
                 + [f.name for f in funs] if x in new})
             d = FunDecl(new.get(d.name, d.name), d.rt,
                         tuple((new[x], ty) for x, ty in d.args), body,

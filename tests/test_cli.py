@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import beepl
 from beepl.cli import main
+from beepl.core import Loc, Span
 from beepl.driver import corpus_path, find_cc
 from beepl.frontend import KEYWORDS, MAX_EXPR_DEPTH, PUNCT, parse_program
 from beepl.interp import run_program
-from beepl.typecheck import check_program
+from beepl.typecheck import (
+    TypeCheckError, TypingContext, check_program, infer_expr,
+)
 from test_driver import _stuck_on_unsafe_operands
 from test_frontend import NESTED, NESTED_VALUE, nested_program
 
@@ -89,6 +92,56 @@ def test_check_points_at_a_string_initializer(tmp_path, capsys):
         "has type i8[3], declared int" in err
 
 
+# One row per checker code that no other test names: a minimal program, its
+# code and its line:column.  A row with a built term instead of a program
+# is for a code that only runtime terms reach.
+DIAGNOSTICS = [
+    ("AssignThroughOption", "fun main() : int {\n"
+     "  let p : option(int*) = none in\n  let _ = p := 1 in 0 }", "3:13"),
+    ("AssignTypeMismatch", "fun main() : int {\n"
+     "  let p : int* = ref(1) in\n  let _ = p := true in 0 }", "3:13"),
+    ("CannotInferOption", "fun main() : int {\n"
+     "  match none with | pnone => 0 | psome p => 1 }", "2:9"),
+    ("FieldMismatch", "struct pt { x : int }\n"
+     "fun main() : int vars (struct pt* p) {\n  let _ = p { y = 1 } in 0 }",
+     "3:11"),
+    ("FieldOfNonStruct", "fun main() : int {\n  let a : int = 1 in a.x }",
+     "2:24"),
+    ("ForBoundsType", "fun main() : int {\n"
+     "  let _ = for (true ... false, Up) { () } in 0 }", "2:11"),
+    ("MatchBytesShape", "fun main(option(struct xdp_md*) c) : int {\n"
+     "  match c.data with | _ => 1 }", "2:3"),
+    ("MatchScrutineeType", "fun main() : int {\n  match 1 with | _ => 1 }",
+     "2:3"),
+    ("NotAFunction", "fun main() : int {\n  1(2) }", "2:4"),
+    ("NotFirstClassFunction", "fun f() : int { 1 }\n"
+     "fun main() : int {\n  let g : int = f in g }", "3:17"),
+    ("PointerFieldInBytes", "fun main(option(struct xdp_md*) c) : int {\n"
+     "  match c.data with | x, struct xdp_md => 1 | _ => 3 }", "2:3"),
+    ("UnknownLocation", Loc(7, 0, span=Span(4, 2)), "4:2"),
+    ("UopTypeMismatch", "fun main() : int {\n  let b : bool = not 1 in 0 }",
+     "2:18"),
+    ("VarNotStructRef", "fun main() : int vars (int* p) {\n  0 }", "1:1"),
+]
+
+
+@pytest.mark.parametrize("code, program, where", DIAGNOSTICS,
+                         ids=[row[0] for row in DIAGNOSTICS])
+def test_each_diagnostic_is_raised_and_placed(tmp_path, capsys, code,
+                                              program, where):
+    if isinstance(program, Loc):
+        with pytest.raises(TypeCheckError) as err:
+            infer_expr(TypingContext(), program)
+        assert (err.value.code, f"{err.value.span.line}:"
+                f"{err.value.span.col}") == (code, where)
+        return
+    f = tmp_path / "p.bpl"
+    f.write_text(program + "\n")
+    rc, out, err = run_cli(capsys, "check", str(f))
+    assert rc == 1
+    assert err.startswith(f"{f}:{where}: error[{code}]: "), err
+
+
 def test_check_points_at_the_struct_a_diagnostic_is_about(tmp_path, capsys):
     # A struct's diagnostics point at its name: the second one for a
     # redefinition, the struct's own for a field, which has no span.
@@ -96,7 +149,7 @@ def test_check_points_at_the_struct_a_diagnostic_is_about(tmp_path, capsys):
     main_fun = "fun main() : int { 1 }\n"
     for structs, where, diagnostic in (
             ("struct s { a : int[4]* }\n", "2:8", "BadFieldType]: field 'a' "
-             "of struct 's' must be a primitive, array or bytes type"),
+             "of struct 's' must be a primitive or array type"),
             ("struct s { a : int }\n  struct s { a : int }\n", "3:10",
              "DuplicateName]: struct 's' redefined"),
             ("struct xdp_md { a : int }\n", "2:8",
@@ -205,8 +258,9 @@ def test_run_trace_keeps_its_plain_format(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", str(f), "--trace")
     assert (code, out) == (0, "2\n")
     assert err.splitlines() == [
-        "APP3       Let          blocks=0", "REFV       Let          blocks=1",
-        "LETV       Prim         blocks=1", "DREFV      ConstInt     blocks=1"]
+        "APP3       Frame        blocks=0", "REFV       Frame        blocks=1",
+        "LETV       Frame        blocks=1", "DREFV      Frame        blocks=1",
+        "RET        ConstInt     blocks=1"]
 
 
 def test_run_trace_json_writes_a_line_per_step(capsys):
@@ -217,10 +271,13 @@ def test_run_trace_json_writes_a_line_per_step(capsys):
     steps = run_program(check_program(parse_program(path.read_text())))
     assert len(lines) == steps.steps
     assert lines[0] == {"rule": "APP3", "redex": "bprog3(some(<loc 5+0>))",
-                        "depth": 0, "size": 22, "blocks": 6}
+                        "depth": 0, "size": 23, "blocks": 6}
     assert lines[3] == {"rule": "EAPP", "redex": "bpf_get_current_uid_gid()",
-                        "depth": 3, "size": 18, "blocks": 7}
-    assert [line["rule"] for line in lines][-2:] == ["LETV", "MNONE"]
+                        "depth": 4, "size": 19, "blocks": 7}
+    assert [line["rule"] for line in lines][-3:] == ["LETV", "MNONE", "RET"]
+    # A frame prints with its variables' blocks.
+    assert lines[-1] == {"rule": "RET", "redex": "<frame bprog3 ctx=6 { -1 }>",
+                         "depth": 0, "size": 1, "blocks": 7}
 
 
 def test_run_trace_json_gives_the_stuck_step(tmp_path, capsys):
@@ -232,14 +289,14 @@ def test_run_trace_json_gives_the_stuck_step(tmp_path, capsys):
     *steps, stuck, error = err.splitlines()
     assert [json.loads(line)["rule"] for line in steps] == ["APP3", "LVAR"]
     assert json.loads(stuck) == {
-        "rule": None, "redex": "<loc 2+0>.x", "depth": 0, "size": 2,
+        "rule": None, "redex": "<loc 2+0>.x", "depth": 1, "size": 3,
         "blocks": 2, "stuck": "read of uninitialized field 'x'"}
     assert error == "error: read of uninitialized field 'x'"
 
 
 def test_run_trace_json_on_a_term_deeper_than_any_source(tmp_path, capsys):
-    # Each function nests its callee's call at the nesting limit, and a call
-    # inlines its body at the call's depth, so the term grows about three
+    # Each function nests its callee's call at the nesting limit, and a
+    # call's frame holds its body at the call's depth, so the term grows about three
     # limits deep: a recursive walk of it would pass Python's stack limit.
     n = MAX_EXPR_DEPTH
     chain = [("f2", "1"), ("f1", "f2()"), ("f0", "f1()")]

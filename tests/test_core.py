@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from beepl.core import (
     ALLOC, BOOL, BytesView, Composite, ConstBool, ConstInt, ConstLong,
-    CoreError, Effect, EffectAtom, Expr, For, Direction, FunDecl, I8, INT,
+    CoreError, Effect, EffectAtom, Expr, For, Frame, Direction, FunDecl, I8,
+    INT,
     IntTy, LEAVES, LONG, Let, Loc, LongTy, Match, NoneLit, OptionTy, Prim,
     Program, READ, RefTy, Repeat, SHAPES, Seq, Sign, SomeLit, StructTy, U16,
     U8, UNIT, UnitLit, UnknownStruct, Var, Assign, ArrayTy, Bop, BopKind,
     Deref, Pbytes, RefOp, WRITE, effect_concat, effect_subset, expr_children,
-    fvar, is_value, rename_var, sizeof, subst,
+    fvar, is_value, sizeof, subst,
     struct_layout, with_children, UopKind,
 )
 from beepl import interp, typecheck
@@ -105,15 +106,19 @@ def test_fvar_match_binders():
 
 def test_subst_examples():
     five = ConstInt(5)
-    assert subst(Var("x"), "x", five) == five
+    assert subst(Var("x"), {"x": five}) == five
     shadowed = parse_expr("let x : int = 1 in x")
-    assert subst(shadowed, "x", five) == shadowed
-    assert subst(parse_expr("x + y"), "x", ConstInt(2)) == parse_expr("2 + y")
+    assert subst(shadowed, {"x": five}) == shadowed
+    assert subst(parse_expr("x + y"), {"x": ConstInt(2)}) == \
+        parse_expr("2 + y")
+    # Several names at once; a variable as a value renames.
+    assert subst(parse_expr("x + y"), {"x": Var("y"), "y": five}) == \
+        parse_expr("y + 5")
 
 
 def test_subst_struct_init_target_shadows():
     e = parse_expr("s { f = x }")
-    got = subst(e, "s", ConstInt(1))
+    got = subst(e, {"s": ConstInt(1)})
     assert got == e  # the initialized variable shadows the substitution
 
 
@@ -149,34 +154,7 @@ def _names(e):
 def test_fvar_after_subst_closed_value(v, seed):
     for e in _fun_bodies(seed):
         for x in sorted(_names(e) | {"x"}):
-            assert fvar(subst(e, x, ConstInt(v))) == fvar(e) - {x}
-
-
-@settings(deadline=None)
-@given(st.integers(0, 199))
-def test_rename_var_renames_exactly_the_free_occurrences(seed):
-    for e in _fun_bodies(seed):
-        names = sorted(_names(e))
-        for x in names:
-            renamed = rename_var(e, {x: "fresh#1"})
-            if x in fvar(e):
-                assert fvar(renamed) == fvar(e) - {x} | {"fresh#1"}
-            else:
-                assert renamed == e
-            assert rename_var(renamed, {"fresh#1": x}) == e
-        # Renaming every name in one walk renames them one after another.
-        fresh = {x: f"{x}#{i}" for i, x in enumerate(names)}
-        one_by_one = e
-        for x in names:
-            one_by_one = rename_var(one_by_one, {x: fresh[x]})
-        assert rename_var(e, fresh) == one_by_one
-
-
-def test_rename_var_renames_struct_init_targets():
-    e = parse_expr("s { f = s2 }")
-    assert rename_var(e, {"s": "t"}) == parse_expr("t { f = s2 }")
-    assert fvar(rename_var(e, {"s2": "s"})) == {"s"}
-    assert rename_var(e, {"s": "t", "s2": "t2"}) == parse_expr("t { f = t2 }")
+            assert fvar(subst(e, {x: ConstInt(v)})) == fvar(e) - {x}
 
 
 def _corpus_bodies():
@@ -195,15 +173,14 @@ def _assert_shared(old, new, x):
             _assert_shared(o, n, x)
 
 
-def test_subst_and_rename_var_share_every_untouched_subterm():
+def test_subst_shares_every_untouched_subterm():
     bodies = _corpus_bodies()
     for seed in range(60):
         bodies += _fun_bodies(seed)
     bodies.append(parse_expr("s { f = s + 1, g = y } + s"))
     for e in bodies:
         for x in sorted(_names(e) | {"x", "s"}):
-            _assert_shared(e, subst(e, x, ConstInt(0)), x)
-            _assert_shared(e, rename_var(e, {x: "fresh#1"}), x)
+            _assert_shared(e, subst(e, {x: ConstInt(0)}), x)
 
 
 def _rebuilt(e):
@@ -213,7 +190,7 @@ def _rebuilt(e):
 
 def test_sharing_changes_no_run(monkeypatch):
     # Runs with substitution that shares against runs where every
-    # substitution and renaming returns a fresh copy.
+    # substitution returns a fresh copy.
     programs = [load_corpus(name) for name in
                 ("bprog1.bpl", "bprog3.bpl", "bprog4.bpl", "shift64.bpl")]
     programs += [generate_well_typed(GenConfig(seed=seed, bytes_match=True,
@@ -231,9 +208,7 @@ def test_sharing_changes_no_run(monkeypatch):
 
     shared = outcomes()
     monkeypatch.setattr(interp, "subst",
-                        lambda e, x, v: _rebuilt(subst(e, x, v)))
-    monkeypatch.setattr(interp, "rename_var",
-                        lambda e, names: _rebuilt(rename_var(e, names)))
+                        lambda e, subs: _rebuilt(subst(e, subs)))
     assert outcomes() == shared
     assert all(a_violations == [] for *_, a_violations in shared)
 
@@ -274,7 +249,8 @@ def test_with_children_rebuilds_every_subterm():
         bodies += [d.body for d in generate_well_typed(cfg).decls
                    if isinstance(d, FunDecl)]
     # Neither source has the internal nodes, nor a struct initialization.
-    bodies += [Seq((Repeat(Loc(1, 4), 2), BytesView(1, 0, 14), UnitLit())),
+    bodies += [Seq((Repeat(Loc(1, 4), 2), BytesView(1, 0, 14), UnitLit(),
+                    Frame("g", {"a": 1}, Var("a")))),
                parse_expr("s { f = x, g = 1 }")]
     seen = set()
     for body in bodies:

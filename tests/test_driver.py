@@ -3,7 +3,7 @@ import copy
 import pytest
 
 from beepl import driver, interp, typecheck
-from beepl.core import Bop, ConstInt, ConstLong, INT, LONG, Let, Prim
+from beepl.core import App, Bop, ConstInt, ConstLong, INT, LONG, Let, Prim
 from beepl.driver import (
     evaluate_with_audit, find_cc, load_corpus, run_cve_corpus,
     run_differential, run_property_suite, world_for_seed,
@@ -147,8 +147,8 @@ def test_audit_stops_at_the_fuel_limit():
 
 
 def test_audit_of_a_thousand_iteration_loop_is_clean():
-    # The second loop allocates a block and binds a parameter each
-    # iteration, so the store typing and omega grow at every one.
+    # The second loop allocates a block and calls g each iteration, so the
+    # store typing grows at every one, and each call's frame returns.
     for src in ("fun main() : int { let x : int* = ref(2) in "
                 "let _ = for (1 ... 1000, Up) { x := !x * 3 + 1 } in !x }",
                 "fun g(int a) : int { a + 1 } "
@@ -160,7 +160,7 @@ def test_audit_of_a_thousand_iteration_loop_is_clean():
         plain = run_program(tp)
         assert audit.violations == [], src
         assert (audit.value, audit.steps) == (plain.value, plain.steps), src
-    assert len(plain.state.sigma) > 400 and len(plain.state.omega) == 200
+    assert len(plain.state.sigma) > 400 and plain.state.stack == []
 
 
 CALL_LOOP = ("fun g(int a) : int { a + 1 } "
@@ -170,7 +170,7 @@ CALL_LOOP = ("fun g(int a) : int { a + 1 } "
 
 
 def _audit_cost_per_step(n, monkeypatch):
-    """Typing-rule runs, and the names, blocks and cells the state check
+    """Typing-rule runs, and the globals, blocks and cells the state check
     visits, per audited step of the call loop at n iterations."""
     runs = visits = 0
 
@@ -181,12 +181,12 @@ def _audit_cost_per_step(n, monkeypatch):
             return rule(ctx, e, expected)
         return run
 
-    def counted_check(gamma, s, names=None, blocks=None):
+    def counted_check(s, blocks=None):
         nonlocal visits
-        visits += len(s.theta.written) + \
-            len(gamma if names is None else names) + \
-            len(s.theta.blocks if blocks is None else blocks)
-        return well_formed(gamma, s, names, blocks)
+        visits += len(s.theta.written) + (
+            len(s.delta) + len(s.theta.blocks) if blocks is None else
+            len(blocks))
+        return well_formed(s, blocks)
 
     well_formed = driver.well_formed
     with monkeypatch.context() as m:
@@ -200,8 +200,8 @@ def _audit_cost_per_step(n, monkeypatch):
 
 
 def test_audit_cost_per_step_does_not_grow_with_the_run(monkeypatch):
-    # Each iteration adds a parameter name and two blocks that stay, so a
-    # check of every binding at every step would grow with the run.
+    # Each iteration adds two blocks that stay, so a check of every block
+    # at every step would grow with the run.
     short = _audit_cost_per_step(250, monkeypatch)
     long = _audit_cost_per_step(1000, monkeypatch)
     for a, b in zip(short, long):
@@ -343,8 +343,9 @@ def test_audit_catches_an_operator_rule_of_the_wrong_type(monkeypatch):
                       "if x > 2 then x * 7 else 0 }")
     result, no_memo, incremental, full = \
         _audit_both_ways(tp, world_for_seed(0), monkeypatch)
-    assert result.violations == \
-        ["step 5 changed type int -> long (BOPV)"]
+    assert result.violations == [
+        "step 5 untypeable (BOPV): ReturnTypeMismatch: body of 'main' has "
+        "type long, declared int"]
     assert _outcome(result) == _outcome(no_memo)
     assert incremental == full
     caught = 0
@@ -397,13 +398,15 @@ def test_audit_empties_its_memo_when_a_rule_retypes_a_block(monkeypatch):
                       "let _ = p := 2 in !p + 1 }")
     result, no_memo, incremental, full = \
         _audit_both_ways(tp, world_for_seed(0), monkeypatch)
-    assert result.violations[0].startswith("step 5 changed type")
+    assert result.violations[0] == (
+        "step 5 untypeable (LETV): ReturnTypeMismatch: body of 'main' has "
+        "type long, declared int")
     assert _outcome(result) == _outcome(no_memo)
     assert incremental == full
     # With the rewrite check broken, the memo hides the retyped block.
     monkeypatch.setattr(driver, "_rewritten", lambda s: False)
     stale = evaluate_with_audit(tp, world_for_seed(0))
-    assert not any("changed type" in v for v in stale.violations)
+    assert not any("type long" in v for v in stale.violations)
 
 
 def test_audit_catches_a_let_rule_that_forgets_to_substitute(monkeypatch):
@@ -416,6 +419,45 @@ def test_audit_catches_a_let_rule_that_forgets_to_substitute(monkeypatch):
         _audit_both_ways(tp, world_for_seed(0), monkeypatch)
     assert result.violations == [
         "step 2 untypeable (LETV): UnknownVariable: unbound variable 'x'"]
+    assert _outcome(result) == _outcome(no_memo)
+    assert incremental == full
+
+
+def test_every_call_shares_its_function_body():
+    # A call renames nothing: each frame of g holds g's elaborated body
+    # itself, and each returns before the next call.
+    tp = check_source(CALL_LOOP % 50)
+    body = tp.program.fun_decls()["g"].body
+    frames = []
+
+    def on_event(ev):
+        if ev.rule == "APP3" and ev.path[-1][1].name == "g":
+            frames.append(ev.path[-1][1])
+    r = run_program(tp, on_event=on_event)
+    assert r.value == ConstInt(100) and r.state.stack == []
+    assert len(frames) == 50 and all(f.body is body for f in frames)
+
+
+def test_audit_catches_a_call_that_binds_a_parameter_at_the_wrong_type(
+        monkeypatch):
+    # The call rule gives g's int parameter a long block: the frame's own
+    # typing rule reports it at the call, before the body reads it.
+    def long_parameter(s, w, e, values):
+        out, rule = app_rule(s, w, e, values)
+        if out.name == "g":
+            out.env["a"] = s.theta.alloc(LONG)
+            s.theta.store(out.env["a"], 0, ConstLong(values[0].value))
+        return out, rule
+
+    app_rule = interp._REDEX_RULES[App]
+    monkeypatch.setitem(interp._REDEX_RULES, App, long_parameter)
+    tp = check_source("fun g(int a) : int { a + 1 } "
+                      "fun main() : int { let x : int = 2 in g(x) * 3 }")
+    result, no_memo, incremental, full = \
+        _audit_both_ways(tp, world_for_seed(0), monkeypatch)
+    assert result.violations == [
+        "step 3 untypeable (APP3): FrameMismatch: a call of 'g' does not "
+        "bind each of its variables to a block of its declared type"]
     assert _outcome(result) == _outcome(no_memo)
     assert incremental == full
 

@@ -9,10 +9,10 @@ from beepl import frontend
 from beepl.cgen import emit_program
 from beepl.core import (
     App, Assign, Bop, BopKind, BOOL, BytesView, Cast, Cond, ConstBool,
-    ConstInt, ConstLong, Deref, Direction, EffectAtom, Expr, For, FunDecl,
-    GlobDecl, INT, Let, LONG, Loc, Match, NoneLit, OptionTy, Pbytes, Pnone,
-    Prim, Psome, Program, Pwild, RefOp, RefTy, Repeat, Seq, SomeLit, Span,
-    StructTy, U16, UNIT, UnitLit, Uop, UopKind, Var, expr_children,
+    ConstInt, ConstLong, Deref, Direction, EffectAtom, Expr, For, Frame,
+    FunDecl, GlobDecl, INT, Let, LONG, Loc, Match, NoneLit, OptionTy, Pbytes,
+    Pnone, Prim, Psome, Program, Pwild, RefOp, RefTy, Repeat, Seq, SomeLit,
+    Span, StructTy, U16, UNIT, UnitLit, Uop, UopKind, Var, expr_children,
 )
 from beepl.driver import CORPUS_DIR, corpus_path, evaluate_with_audit
 from beepl.frontend import (
@@ -411,6 +411,8 @@ def test_print_internal_node_raises():
         print_expr(Loc(1, 0))
     with pytest.raises(UnprintableInternalNode):
         print_expr(Seq((ConstInt(1),)))
+    with pytest.raises(UnprintableInternalNode, match="no surface syntax"):
+        print_expr(Frame("g", {"a": 1}, ConstInt(1)))
 
 
 def test_print_parse_preserves_precedence():

@@ -510,3 +510,27 @@ def test_memo_keys_on_expected_type_and_free_local_binders():
         "UnknownVariable" and answers[8][0] == (INT, Effect())
     # Only successful judgments were kept.
     assert all(type(judged) is tuple for _, judged in memo.judgments.values())
+
+
+def test_only_kernel_contexts_hold_a_packet():
+    # A bytes field is a pair of packet pointers that only the kernel
+    # contexts carry: a declared struct may not have one, and a bytes
+    # pattern may not decode one, since neither backend can honour it.
+    for src, code, where in (
+            ("fun main(option(struct xdp_md*) c) : int {\n"
+             "  match c.data with\n"
+             "  | x, struct xdp_md => (match x.data with | y, u8 => y"
+             " | _ => 7)\n  | _ => 3 }", "PointerFieldInBytes", (2, 3)),
+            ("struct h { a : u8, d : bytes }\n"
+             "fun main(option(struct xdp_md*) c) : int {\n"
+             "  match c.data with | x, struct h => 1 | _ => 3 }",
+             "BadFieldType", (1, 8)),
+            ("struct h { a : u8, d : bytes }\n"
+             "fun main(option(struct xdp_md*) c) : int vars (struct h* p) {\n"
+             "  let q : struct h* = p { a = 5, d = c.data } in\n"
+             "  match q.d with | y, u8 => q.a | _ => 5 }",
+             "BadFieldType", (1, 8))):
+        with pytest.raises(TypeCheckError) as err:
+            check_source(src)
+        assert err.value.code == code, src
+        assert (err.value.span.line, err.value.span.col) == where, src

@@ -23,7 +23,11 @@ edge both ways; and the logical operators.
     python3 tools/compare_steps.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N]
                                    [--mutants N]
 
-Exits 0 when the results are identical and 1 otherwise.
+For each set it prints two counts: the runs whose outcome differs (the
+checker's verdict, the value or stuck message, the step count or the final
+memory), and the runs whose step digests alone differ, as when a change
+adds steps to the trace or changes the terms it shows but no outcome.  It
+exits 0 when the results are identical and 1 otherwise.
 """
 
 import argparse
@@ -226,17 +230,22 @@ print(json.dumps({"runs": runs, "mutants": mutants, "loops": loops,
 """
 
 
+def outcome(r: dict) -> list:
+    """A run's outcome: all of it but its step digests."""
+    return [r.get(k) for k in ("rejected", "hooked", "plain")]
+
+
 def first_difference(a: dict, b: dict) -> str:
-    """Where two runs part: the checker, a step, or an outcome."""
+    """Where two runs part: the checker, an outcome, or a step."""
     if "rejected" in a or "rejected" in b:
         return f"checker: {a.get('rejected')} / {b.get('rejected')}"
+    if outcome(a) != outcome(b):
+        key = "hooked" if a["hooked"] != b["hooked"] else "plain"
+        return f"{key} outcome: {str(a[key])[:1000]} / {str(b[key])[:1000]}"
     for i, (x, y) in enumerate(zip(a["steps"], b["steps"])):
         if x != y:
             return f"step {i + 1}: {x} / {y}"
-    if len(a["steps"]) != len(b["steps"]):
-        return f"{len(a['steps'])} / {len(b['steps'])} hooked steps"
-    key = "hooked" if a["hooked"] != b["hooked"] else "plain"
-    return f"{key} outcome: {str(a[key])[:1000]} / {str(b[key])[:1000]}"
+    return f"{len(a['steps'])} / {len(b['steps'])} hooked steps"
 
 
 def main() -> int:
@@ -252,17 +261,21 @@ def main() -> int:
     ok = True
     for key in ("runs", "mutants", "loops", "edges"):
         pairs = list(zip(old[key], new[key]))
-        differ = [(a, b) for a, b in pairs if a != b]
+        differ = [(a, b) for a, b in pairs if outcome(a) != outcome(b)]
+        traces = [(a, b) for a, b in pairs
+                  if outcome(a) == outcome(b) and a != b]
         ran = [r for r in new[key] if "rejected" not in r]
         outcomes: dict[str, int] = {}
         for r in ran:
             outcomes[r["plain"][0]] = outcomes.get(r["plain"][0], 0) + 1
         print(f"{key}: {len(new[key])}, "
               f"{sum(len(r['steps']) for r in ran)} hooked steps, outcomes "
-              f"{json.dumps(outcomes, sort_keys=True)}; {len(differ)} differ")
-        for a, b in differ[:5]:
+              f"{json.dumps(outcomes, sort_keys=True)}; {len(differ)} differ "
+              f"in outcome, {len(traces)} in step digests alone")
+        for a, b in (differ[:5] or traces[:5]):
             print(f"  {a['id']}: {first_difference(a, b)}")
-        ok = ok and not differ and len(old[key]) == len(new[key])
+        ok = ok and not differ and not traces \
+            and len(old[key]) == len(new[key])
     print(f"time {old['seconds']:.2f} s -> {new['seconds']:.2f} s")
     return 0 if ok else 1
 
