@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    App, ArrayTy, Assign, BOOL, BoolTy, Bop, BopKind, BYTES, BytesTy,
-    C_TAKEN, Cast, COMPARE_BOPS, Cond, ConstBool, ConstInt, ConstLong, Deref,
-    Direction, Expr, ExtDecl, Field, For, FunDecl, GlobDecl, HOST_TAKEN, INT,
-    IntTy, Let, LOGIC_BOPS, LONG, LongTy, Match, NoneLit, OptionTy, Pnone,
-    Prim, Psome, RefOp, RefTy, Sign, SomeLit, StructInit, StructTy, Ty, UNIT,
-    UnitTy, UnitLit, Uop, UopKind, Var, entry_arg_given, kernel_object,
-    select_arm,
+    App, ArrayTy, Assign, BOOL, BoolTy, Bop, BopKind, BYTES, BytesTy, C_TAKEN,
+    Cast, COMPARE_BOPS, Cond, ConstBool, ConstInt, ConstLong, Deref, Direction,
+    Expr, ExtDecl, Field, For, FunDecl, GlobDecl, HELPERS, HOST_TAKEN, INT,
+    IntTy, KERNEL_STRUCTS, Let, LOGIC_BOPS, LONG, LongTy, Match, NoneLit,
+    OptionTy, Pnone, Prim, Psome, RefOp, RefTy, Sign, Signature, SomeLit,
+    StructInit, StructTy, Ty, UNIT, UnitTy, UnitLit, Uop, UopKind, Var,
+    entry_arg_given, kernel_object, select_arm,
 )
 from .typecheck import TypedProgram, lane_type
 
@@ -55,31 +55,7 @@ typedef unsigned char bpl_bool;
 #define BPL_INT_MIN (-2147483647 - 1)
 #define BPL_LONG_MIN (-9223372036854775807LL - 1LL)
 typedef struct { unsigned char *start; unsigned char *end; } bytes_t;
-struct bpf_map;
-struct xdp_md { u32 data; u32 data_end; u32 data_meta;
-                u32 ingress_ifindex; u32 rx_queue_index; u32 egress_ifindex; };
-struct __sk_buff { u32 data; u32 data_end; };
-"""
-
-EBPF_HELPERS = """\
-#define SEC(name) __attribute__((section(name), used))
-static i64 *(*bpf_map_lookup_elem)(struct bpf_map *, i64 *) = (void *) 1;
-static i64 (*bpf_get_current_uid_gid)(void) = (void *) 15;
-"""
-
-HOST_HELPERS = """\
-extern int printf(const char *, ...);
-struct bpf_map { int fd; };
-static i64 __bpl_world_uid_gid = 0x000003E8000003E8LL;
-static i64 bpf_get_current_uid_gid(void) { return __bpl_world_uid_gid; }
-static i64 __bpl_map_value;
-static int __bpl_map_seeded = 0;
-static i64 *bpf_map_lookup_elem(struct bpf_map *m, i64 *k) {
-    (void) m; (void) k;
-    return __bpl_map_seeded ? &__bpl_map_value : (i64 *) 0;
-}
-"""
-
+""" + "".join(co.c_decl + "\n" for co in KERNEL_STRUCTS.values())
 
 def ctype(ty: Ty) -> str:
     if isinstance(ty, BoolTy):
@@ -105,6 +81,34 @@ def cdecl(ty: Ty, name: str) -> str:
     if isinstance(ty, ArrayTy):
         return f"{ctype(ty.elem)} {name}[{ty.length}]"
     return f"{ctype(ty)} {name}"
+
+
+def emit_extern(name: str, sig: Signature, mode: str) -> str:
+    """A callable the program does not define: a host C stub that returns its
+    answer, or in eBPF C the helper it numbers or an extern."""
+    rt = ctype(sig.res_type)
+    if mode == "host":
+        args = ", ".join(f"{ctype(t)} __bpl_a{i}"
+                         for i, t in enumerate(sig.arg_types)) or "void"
+        body = "" if sig.res_type == UNIT else f" return {sig.answer};"
+        ignores = "".join(f" (void) __bpl_a{i};"
+                          for i in range(len(sig.arg_types)))
+        return f"static {rt} {name}({args}) {{{ignores}{body} }}"
+    args = ", ".join(ctype(t) for t in sig.arg_types) or "void"
+    if sig.number is None:
+        return f"extern {rt} {name}({args});"
+    star = "" if rt.endswith("*") else " "
+    return f"static {rt}{star}(*{name})({args}) = (void *) {sig.number};"
+
+
+# What each mode defines before the program: host C completes the map
+# struct, whose kernel objects it points at; then every helper.
+MODE_PRELUDE = {mode: "\n".join([text] + [
+    emit_extern(name, sig, mode) for name, sig in HELPERS.items()])
+    for mode, text in (
+        ("ebpf", "#define SEC(name) __attribute__((section(name), used))"),
+        ("host", "extern int printf(const char *, ...);\n"
+                 "struct bpf_map { int fd; };"))}
 
 
 def mangle(name: str, mode: str) -> str:
@@ -619,14 +623,12 @@ class ProgramEmitter:
 
     def emit(self) -> CUnit:
         parts = ["/* generated by beeplc; edits will be overwritten */",
-                 PRELUDE]
-        parts.append(EBPF_HELPERS if self.mode == "ebpf" else HOST_HELPERS)
+                 PRELUDE, MODE_PRELUDE[self.mode]]
         for co in self.tp.program.composites:
             fields = "".join(f"    {cdecl(t, f)};\n" for f, t in co.fields)
             parts.append(f"struct {co.sid} {{\n{fields}}};")
-        for d in self.tp.program.decls:
-            if isinstance(d, ExtDecl):
-                parts.append(self.emit_extern(d))
+        parts += [emit_extern(d.name, self.tp.psi[d.name], self.mode)
+                  for d in self.tp.program.decls if isinstance(d, ExtDecl)]
         for d in self.tp.program.decls:
             if isinstance(d, GlobDecl):
                 parts.append(self.emit_global(d))
@@ -637,18 +639,6 @@ class ProgramEmitter:
             parts.append(self.emit_main_shim())
         text = "\n\n".join(p.rstrip() for p in parts if p) + "\n"
         return CUnit(text, self.guarded_ops, self.const_safe_ops)
-
-    def emit_extern(self, d: ExtDecl) -> str:
-        if self.mode == "host":
-            args = ", ".join(f"{ctype(t)} __bpl_a{i}"
-                             for i, t in enumerate(d.arg_types)) or "void"
-            body = "" if isinstance(d.res_type, UnitTy) else " return 0;"
-            ignores = "".join(f" (void) __bpl_a{i};"
-                              for i in range(len(d.arg_types)))
-            return (f"static {ctype(d.res_type)} {d.name}({args}) "
-                    f"{{{ignores}{body} }}")
-        args = ", ".join(ctype(t) for t in d.arg_types) or "void"
-        return f"extern {ctype(d.res_type)} {d.name}({args});"
 
     def emit_global(self, d: GlobDecl) -> str:
         sec = f' SEC("{d.sec}")' if d.sec and self.mode == "ebpf" else ""

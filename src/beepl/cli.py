@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL)
     r.add_argument("--trace", action="store_true",
                    help="print per step the rule name, the class of the "
-                        "whole resulting term and the block count")
+                        "redex and the block count")
     r.add_argument("--json", action="store_true",
                    help="with --trace, write each step as a JSON object")
     r.add_argument("--packet", default=None,
@@ -151,7 +151,7 @@ def cmd_run(args) -> int:
 
     def on_event(ev) -> None:
         print(json.dumps(_trace_record(ev)) if args.json else
-              f"{ev.rule:10s} {type(ev.term).__name__:12s} "
+              f"{ev.rule:10s} {type(ev.redex).__name__:12s} "
               f"blocks={len(ev.state.theta.blocks)}", file=sys.stderr)
     try:
         result = run_program(tp, world, entry=args.entry, fuel=args.fuel,

@@ -246,6 +246,10 @@ class Composite:
     sid: str
     fields: tuple[tuple[str, Ty], ...]
     span: Optional[Span] = _aux_field()  # the struct's name
+    # A kernel struct's eBPF C declaration, and the section an entry point or
+    # global of its type needs (None: any).
+    c_decl: Optional[str] = _aux_field()
+    section: Optional[str] = _aux_field()
 
     def __post_init__(self):
         dup = _repeated(f for f, _ in self.fields)
@@ -719,6 +723,42 @@ class Program:
         return sections[0] if len(sections) == 1 else None
 
 
+@dataclass(frozen=True)
+class Signature:
+    """The signature of a kernel helper, an extern or a declared function.  A
+    helper has a number in the kernel's helper table, which eBPF C calls; a
+    helper or an extern has a host answer, which the default
+    ``interp.ExternalWorld`` and host C give (0: its type's zero, a null)."""
+
+    arg_types: tuple[Ty, ...]
+    eff: Effect
+    res_type: Ty
+    number: Optional[int] = None
+    answer: int = 0
+
+
+# The kernel helpers, preloaded into psi.
+_LONG_CELL = OptionTy(RefTy(LONG))
+HELPERS: dict[str, Signature] = {
+    "bpf_map_lookup_elem": Signature(
+        (OptionTy(RefTy(StructTy("bpf_map"))), _LONG_CELL),
+        effect_concat(READ, IO), _LONG_CELL, 1),
+    "bpf_get_current_uid_gid": Signature((), IO, LONG, 15, 0x000003E8000003E8),
+}
+# The kernel structs, preloaded into pi.
+KERNEL_STRUCTS: dict[str, Composite] = {co.sid: co for co in (
+    Composite("bpf_map", (), c_decl="struct bpf_map;"),
+    Composite("xdp_md", (("data", BYTES),), section="xdp", c_decl=(
+        "struct xdp_md { u32 data; u32 data_end; u32 data_meta;\n"
+        "                u32 ingress_ifindex; u32 rx_queue_index; "
+        "u32 egress_ifindex; };")),
+    Composite("__sk_buff", (("data", BYTES),), section="socket",
+              c_decl="struct __sk_buff { u32 data; u32 data_end; };"))}
+# The named constants, inlined as literals.
+CONSTANTS: dict[str, int] = {
+    "XDP_ABORTED": 0, "XDP_DROP": 1, "XDP_PASS": 2, "ETH_P_IPV6": 0x86DD,
+}
+
 # C names no BeePL name may take as it is: the C11 keywords and what the
 # emitted prelude and helper stubs define; in host mode also what the shim
 # does.  Extern, struct and field names are emitted as written, so the
@@ -728,7 +768,7 @@ C_TAKEN = frozenset("""
     float for goto if inline int long register restrict return short signed
     sizeof static struct switch typedef union unsigned void volatile while
     i8 i16 i32 i64 u8 u16 u32 u64 bpl_bool bytes_t NULL SEC BPL_INT_MIN
-    BPL_LONG_MIN bpf_map_lookup_elem bpf_get_current_uid_gid""".split())
+    BPL_LONG_MIN""".split()).union(HELPERS)
 HOST_TAKEN = C_TAKEN | {"main", "printf"}
 
 

@@ -19,13 +19,12 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     App, ArrayTy, Assign, BoolTy, Bop, BopKind, BYTES, BytesTy, BytesView,
-    Cast, COMPARE_BOPS, Composite, Cond, ConstBool, ConstInt, ConstLong,
-    Deref, Direction, Expr, Field, For, Frame, FunDecl, GlobDecl, IntTy, Let,
+    Cast, COMPARE_BOPS, Composite, Cond, ConstBool, ConstInt, ConstLong, Deref,
+    Direction, Expr, Field, For, Frame, FunDecl, GlobDecl, HELPERS, IntTy, Let,
     Loc, LONG, LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Prim, Psome,
-    Pwild, RefOp, RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy,
-    Ty, UnitLit, Uop, UopKind, Var, SHAPES, _VALUE_CLASSES, entry_arg_given,
-    is_prim, is_value, kernel_object, select_arm, sizeof, struct_layout,
-    subst,
+    Pwild, RefOp, RefTy, Repeat, Seq, Sign, SomeLit, StructInit, StructTy, Ty,
+    UnitLit, Uop, UopKind, Var, SHAPES, _VALUE_CLASSES, entry_arg_given,
+    is_prim, is_value, kernel_object, select_arm, sizeof, struct_layout, subst,
 )
 from .typecheck import TypedProgram
 
@@ -141,15 +140,12 @@ class State:
 # External world
 # ---------------------------------------------------------------------------
 
-DEFAULT_UID_GID = 0x000003E8000003E8
-
-
 @dataclass
 class ExternalWorld:
     """Deterministic mock of the kernel-side environment."""
 
     maps: dict[str, dict[int, int]] = dc_field(default_factory=dict)
-    uid_gid: int = DEFAULT_UID_GID
+    uid_gid: int = HELPERS["bpf_get_current_uid_gid"].answer
     packet: bytes = b""
     io_log: list[str] = dc_field(default_factory=list)
     map_blocks: dict[int, str] = dc_field(default_factory=dict)
@@ -157,13 +153,10 @@ class ExternalWorld:
     def call(self, name: str, args: list[Expr], state: State,
              res_type: Ty) -> Expr:
         self.io_log.append(name)
-        if name == "bpf_get_current_uid_gid":
-            return ConstLong(wrap(self.uid_gid, 64))
-        if name == "bpf_map_lookup_elem":
-            return self._map_lookup(args, state) or zero_value(res_type)
-        # Unknown externals answer with the zero value of their result type,
-        # keeping evaluation total and deterministic.
-        return zero_value(res_type)
+        # An extern, and a helper whose meaning gives None, answer with the
+        # zero value of the result type, keeping evaluation total.
+        meaning = _HELPER_SEM.get(name)
+        return meaning and meaning(self, args, state) or zero_value(res_type)
 
     def _map_lookup(self, args: list[Expr], state: State) -> Optional[Expr]:
         """The found value's location, or None for a miss."""
@@ -180,6 +173,13 @@ class ExternalWorld:
         bid = state.theta.alloc(LONG)
         state.theta.store(bid, 0, ConstLong(wrap(stored, 64)))
         return SomeLit(Loc(bid, 0))
+
+
+# Each helper's meaning by its name in core.HELPERS: an answer, or None.
+_HELPER_SEM = {
+    "bpf_get_current_uid_gid": lambda w, *_: ConstLong(wrap(w.uid_gid, 64)),
+    "bpf_map_lookup_elem": ExternalWorld._map_lookup,
+}
 
 
 # The one unit value that rules give: no code mutates a value node, and the

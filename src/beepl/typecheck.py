@@ -7,7 +7,7 @@ elaborated program: named constants are inlined, htons is folded, and each
 integer literal is typed by its position and put in that type's lane.
 
 psi is the one signature map: it holds every callable, the kernel helpers
-(``HELPERS``), the program's externs and, once each is checked, its
+(``core.HELPERS``), the program's externs and, once each is checked, its
 functions.  A function's signature joins psi only after its body is
 checked, so a body calls only functions declared before it.
 """
@@ -18,15 +18,16 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .core import (
-    ALLOC, App, ArrayTy, Assign, BOOL, Bop, BopKind, BYTES, BytesTy,
-    BytesView, COMPARE_BOPS, Cast, Composite, Cond, ConstBool, ConstInt,
-    ConstLong, Deref, EMPTY_EFFECT, Effect, Expr, ExtDecl, Field, For,
-    Frame, FunDecl, GlobDecl, HOST_TAKEN, I8, INT, IO, IntTy, LOGIC_BOPS,
-    LONG, Let, Loc, LongTy, Match, NoneLit, OptionTy, Pbytes, Pnone, Program,
-    Prim, Psome, Pwild, READ, RefOp, RefTy, Repeat, SHAPES, Seq, SomeLit,
-    Span, StructInit, StructTy, Ty, UNIT, UnitLit, Uop, UopKind, Var, WRITE,
-    effect_concat, effect_subset, entry_arg_given, expr_children, fvar,
-    int_fits, is_basic, is_pointer, is_prim, kernel_object, struct_layout,
+    ALLOC, App, ArrayTy, Assign, BOOL, Bop, BopKind, BYTES, BytesTy, BytesView,
+    COMPARE_BOPS, CONSTANTS, Cast, Composite, Cond, ConstBool, ConstInt,
+    ConstLong, Deref, EMPTY_EFFECT, Effect, Expr, ExtDecl, Field, For, Frame,
+    FunDecl, GlobDecl, HELPERS, HOST_TAKEN, I8, INT, IntTy, KERNEL_STRUCTS,
+    LOGIC_BOPS, LONG, Let, Loc, LongTy, Match, NoneLit, OptionTy, Pbytes,
+    Pnone, Program, Prim, Psome, Pwild, READ, RefOp, RefTy, Repeat, SHAPES,
+    Seq, Signature, SomeLit, Span, StructInit, StructTy, Ty, UNIT, UnitLit,
+    Uop, UopKind, Var, WRITE, effect_concat, effect_subset, entry_arg_given,
+    expr_children, fvar, int_fits, is_basic, is_pointer, is_prim,
+    kernel_object, struct_layout,
 )
 from .frontend import Diagnostic
 
@@ -43,37 +44,6 @@ class TypeCheckError(Exception):
     def diagnostic(self, filename: str = "<input>") -> Diagnostic:
         return Diagnostic("error", self.code, self.message, self.span,
                           note=self.rule, filename=filename)
-
-
-@dataclass(frozen=True)
-class Signature:
-    """The signature of a declared function or an external helper."""
-
-    arg_types: tuple[Ty, ...]
-    eff: Effect
-    res_type: Ty
-
-
-# The kernel helpers, preloaded into psi.
-HELPERS: dict[str, Signature] = {
-    "bpf_map_lookup_elem": Signature(
-        (OptionTy(RefTy(StructTy("bpf_map"))), OptionTy(RefTy(LONG))),
-        effect_concat(READ, IO),
-        OptionTy(RefTy(LONG))),
-    "bpf_get_current_uid_gid": Signature((), IO, LONG),
-}
-
-# The named constants, inlined as literals.
-CONSTANTS: dict[str, int] = {
-    "XDP_ABORTED": 0, "XDP_DROP": 1, "XDP_PASS": 2, "ETH_P_IPV6": 0x86DD,
-}
-
-# The kernel structs, preloaded into pi.
-KERNEL_STRUCTS: tuple[Composite, ...] = (
-    Composite("bpf_map", ()),
-    Composite("xdp_md", (("data", BYTES),)),
-    Composite("__sk_buff", (("data", BYTES),)),
-)
 
 
 class JudgmentMemo:
@@ -453,7 +423,7 @@ def _infer_prim(ctx: TypingContext, e: Prim, expected: Optional[Ty]):
         rty, reff, relab = infer_elab(ctx, e.operands[1], lty.target)
         if rty != lty.target:
             _err("AssignTypeMismatch",
-                 f"assigning {rty} into a {lty.target} cell",
+                 f"cannot assign {rty} to a cell of type {lty.target}",
                  e.span, "TMASSGN")
         return UNIT, effect_concat(leff, reff, WRITE), \
             Prim(op, (lelab, relab), span=e.span, ty=UNIT)
@@ -781,9 +751,9 @@ def section_ok(ty: Ty, sec: Optional[str]) -> bool:
     """Argument-type / section-attribute compatibility."""
     if sec is None:
         return True
-    required = {"xdp_md": "xdp", "__sk_buff": "socket"}
     target = kernel_object(ty)
-    return target is None or required.get(target.sid, sec) == sec
+    co = KERNEL_STRUCTS.get(target.sid) if target else None
+    return co is None or co.section in (None, sec)
 
 
 @dataclass(frozen=True)
@@ -881,8 +851,8 @@ def _check_c_name(what: str, name: str, span: Optional[Span]) -> None:
 
 
 def check_program(p: Program) -> TypedProgram:
-    pi: dict[str, Composite] = {}
-    for co in KERNEL_STRUCTS + p.composites:
+    pi = dict(KERNEL_STRUCTS)
+    for co in p.composites:
         if co.sid in pi:
             _err("DuplicateName", f"struct {co.sid!r} redefined", co.span,
                  "TPROG")

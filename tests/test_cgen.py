@@ -4,13 +4,11 @@ import subprocess
 import pytest
 
 from beepl import typecheck
-from beepl.cgen import (
-    C_TAKEN, HOST_TAKEN, audit_guards, cdecl, ctype, emit_program, mangle,
-)
+from beepl.cgen import audit_guards, cdecl, ctype, emit_program, mangle
 from beepl.core import (
-    ArrayTy, BOOL, BYTES, FunDecl, INT, LONG, Let, Match, OptionTy, Pbytes,
-    Program, Psome, RefTy, StructTy, U16, U8, UNIT, VInt, Var,
-    expr_children, subst, with_children,
+    ArrayTy, BOOL, BYTES, C_TAKEN, FunDecl, HOST_TAKEN, INT, LONG, Let, Match,
+    OptionTy, Pbytes, Program, Psome, RefTy, StructTy, U16, U8, UNIT, VInt,
+    Var, expr_children, subst, with_children,
 )
 from beepl.driver import build_host, find_cc, load_corpus
 from beepl.gen import GenConfig, generate_well_typed
@@ -285,6 +283,30 @@ def test_corpus_host_binaries_match_interpreter(tmp_path):
                              timeout=30)
         assert out.stdout.strip() == str(expected), name
         assert out.returncode == expected & 0xFF, name
+
+
+@needs_cc
+def test_host_helper_stubs_answer_as_the_default_world(tmp_path):
+    """A host stub returns its helper's host answer, which is what the
+    interpreter's default world answers: the uid/gid, and a map miss."""
+    cc = find_cc()
+    for i, src in enumerate((
+            "fun main() : long { bpf_get_current_uid_gid() }",
+            "global counter_table : option(struct bpf_map*) = none;\n"
+            "fun main() : long { let k : long* = ref(7) in "
+            "match bpf_map_lookup_elem(counter_table, k) with "
+            "| pnone => -1 | psome v => !v }")):
+        tp = check_source(src)
+        expected = run_program(tp, ExternalWorld()).value.value
+        cfile = tmp_path / f"helper{i}.c"
+        cfile.write_text(emit_program(tp, "host").text)
+        exe = tmp_path / f"helper{i}"
+        r = build_host(cc, cfile, exe)
+        assert r.returncode == 0, r.stderr
+        out = subprocess.run([str(exe)], capture_output=True, text=True,
+                             timeout=30)
+        assert out.stdout.strip() == str(expected), src
+        assert out.returncode == expected & 0xFF, src
 
 
 @needs_cc

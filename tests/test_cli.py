@@ -93,13 +93,15 @@ def test_check_points_at_a_string_initializer(tmp_path, capsys):
 
 
 # One row per checker code that no other test names: a minimal program, its
-# code and its line:column.  A row with a built term instead of a program
-# is for a code that only runtime terms reach.
+# code and its line:column, then the message where a row gives it.  A row
+# with a built term instead of a program is for a code that only runtime
+# terms reach.
 DIAGNOSTICS = [
     ("AssignThroughOption", "fun main() : int {\n"
      "  let p : option(int*) = none in\n  let _ = p := 1 in 0 }", "3:13"),
     ("AssignTypeMismatch", "fun main() : int {\n"
-     "  let p : int* = ref(1) in\n  let _ = p := true in 0 }", "3:13"),
+     "  let p : int* = ref(1) in\n  let _ = p := true in 0 }",
+     "3:13 cannot assign bool to a cell of type int"),
     ("CannotInferOption", "fun main() : int {\n"
      "  match none with | pnone => 0 | psome p => 1 }", "2:9"),
     ("FieldMismatch", "struct pt { x : int }\n"
@@ -129,6 +131,7 @@ DIAGNOSTICS = [
                          ids=[row[0] for row in DIAGNOSTICS])
 def test_each_diagnostic_is_raised_and_placed(tmp_path, capsys, code,
                                               program, where):
+    where, _, message = where.partition(" ")
     if isinstance(program, Loc):
         with pytest.raises(TypeCheckError) as err:
             infer_expr(TypingContext(), program)
@@ -139,7 +142,7 @@ def test_each_diagnostic_is_raised_and_placed(tmp_path, capsys, code,
     f.write_text(program + "\n")
     rc, out, err = run_cli(capsys, "check", str(f))
     assert rc == 1
-    assert err.startswith(f"{f}:{where}: error[{code}]: "), err
+    assert err.startswith(f"{f}:{where}: error[{code}]: {message}"), err
 
 
 def test_check_points_at_the_struct_a_diagnostic_is_about(tmp_path, capsys):
@@ -162,6 +165,21 @@ def test_check_points_at_the_struct_a_diagnostic_is_about(tmp_path, capsys):
         code, out, err = run_cli(capsys, "check", str(f))
         assert code == 1
         assert f"{f}:{where}: error[{diagnostic} (TPROG)" in err, err
+
+
+def test_check_a_section_takes_any_struct_but_a_kernel_one(tmp_path, capsys):
+    # Only a kernel struct's table entry names a section; a pointer to a
+    # program's own struct, or to one it does not declare, goes in any.
+    f = tmp_path / "sec.bpl"
+    for src in (
+            'struct pt { x : int }\n#section "xdp"\n'
+            "fun f(option(struct pt*) c) : int { 1 }",
+            'struct pt { x : int }\n#section "xdp"\n'
+            "global g : option(struct pt*) = none;\nfun main() : int { 1 }",
+            '#section "xdp"\nfun f(option(struct nope*) c) : int { 1 }'):
+        f.write_text(src + "\n")
+        code, out, err = run_cli(capsys, "check", str(f))
+        assert (code, err) == (0, ""), src
 
 
 def test_check_names_the_type_an_option_wraps(tmp_path, capsys):
@@ -258,9 +276,9 @@ def test_run_trace_keeps_its_plain_format(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", str(f), "--trace")
     assert (code, out) == (0, "2\n")
     assert err.splitlines() == [
-        "APP3       Frame        blocks=0", "REFV       Frame        blocks=1",
-        "LETV       Frame        blocks=1", "DREFV      Frame        blocks=1",
-        "RET        ConstInt     blocks=1"]
+        "APP3       App          blocks=0", "REFV       Prim         blocks=1",
+        "LETV       Let          blocks=1", "DREFV      Prim         blocks=1",
+        "RET        Frame        blocks=1"]
 
 
 def test_run_trace_json_writes_a_line_per_step(capsys):

@@ -1,24 +1,29 @@
+import re
+
 import pytest
 
 from beepl.core import (
-    ALLOC, App, Assign, BOOL, Bop, BopKind, BYTES, ConstBool, ConstInt,
-    ConstLong, Deref, Effect, EffectAtom, For, I8, INT, LONG, Let, Match,
-    IO, OptionTy, Prim, Program, READ, RefOp, RefTy, StructTy, U16, UNIT,
-    Var, WRITE, effect_concat, effect_subset, expr_children, fvar,
+    ALLOC, App, Assign, BOOL, Bop, BopKind, BYTES, C_TAKEN, CONSTANTS,
+    ConstBool, ConstInt, ConstLong, Deref, Effect, EffectAtom, For, HELPERS,
+    I8, INT, KERNEL_STRUCTS, LONG, Let, Match, IO, NoneLit, OptionTy, Prim,
+    Program, READ, RefOp, RefTy, StructTy, U16, UNIT, Var, VLong, WRITE,
+    effect_concat, effect_subset, expr_children, fvar,
 )
+from beepl.cgen import emit_program
 from beepl.frontend import parse_expr, parse_program, print_program
 from beepl.gen import GenConfig, generate_well_typed
-from beepl.interp import run_program
+from beepl.interp import (
+    _HELPER_SEM, ExternalWorld, init_state, run_program, zero_value,
+)
 from beepl.typecheck import (
-    CONSTANTS, HELPERS, JudgmentMemo, KERNEL_STRUCTS, TypeCheckError,
-    TypingContext, check_fun_decl, check_program, check_source, infer_elab,
-    infer_expr, section_ok,
+    JudgmentMemo, TypeCheckError, TypingContext, check_fun_decl,
+    check_program, check_source, infer_elab, infer_expr, section_ok,
 )
 
 
 def ctx_with(**gamma):
     return TypingContext(gamma=dict(gamma),
-                         pi={c.sid: c for c in KERNEL_STRUCTS},
+                         pi=dict(KERNEL_STRUCTS),
                          psi=dict(HELPERS), consts=CONSTANTS)
 
 
@@ -251,6 +256,8 @@ def test_section_ok_table():
     assert section_ok(skb, "socket")
     assert section_ok(xdp, None)  # no section, no constraint
     assert section_ok(INT, "xdp")  # other combinations default to allowed
+    # A struct the table does not hold, declared or not, takes any section.
+    assert section_ok(OptionTy(RefTy(StructTy("pt"))), "xdp")
 
 
 # --- check_program ----------------------------------------------------------------
@@ -334,6 +341,28 @@ def test_registry_constants():
     assert CONSTANTS["XDP_ABORTED"] == 0
     assert CONSTANTS["ETH_P_IPV6"] == 0x86DD
 
+
+@pytest.mark.parametrize("name", sorted(HELPERS))
+def test_each_helper_in_the_table_reaches_every_layer(name):
+    # The checker accepts a call; ExternalWorld answers it by the helper's
+    # meaning with its host answer; both C modes declare the helper, and C
+    # names keep clear of it.
+    sig = HELPERS[name]
+    params = ", ".join(f"{t} a{i}" for i, t in enumerate(sig.arg_types))
+    args = ", ".join(f"a{i}" for i in range(len(sig.arg_types)))
+    tp = check_source(f"fun f({params}) : int {{ "
+                      f"let r : {sig.res_type} = {name}({args}) in 0 }}")
+    assert tp.program.decls[0].body.bound.ty == sig.res_type
+    w = ExternalWorld()
+    answer = w.call(name, [zero_value(t) for t in sig.arg_types],
+                    init_state(tp, w), sig.res_type)
+    assert name in _HELPER_SEM and w.io_log == [name]
+    assert answer == (NoneLit() if isinstance(sig.res_type, OptionTy)
+                      else VLong(sig.answer))
+    assert f"(*{name})(" in emit_program(tp, "ebpf").text
+    assert re.search(rf"^static .* {name}\(.*\) {{.* return {sig.answer}; }}$",
+                     emit_program(tp, "host").text, re.M)
+    assert name in C_TAKEN
 
 
 def test_psi_holds_every_callable():

@@ -9,7 +9,11 @@ count and value).
 
     python3 tools/compare_audits.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N]
 
-Exits 0 when the results are identical and 1 otherwise.
+It prints two counts: the runs whose outcome differs (the checker's output,
+the violations or the value), and the runs whose audited step count alone
+differs, as when a change adds steps to a run but no outcome.  For the first
+few it prints the first field that differs.  It exits 0 when the results are
+identical and 1 otherwise.
 """
 
 import argparse
@@ -59,6 +63,24 @@ print(json.dumps({"runs": runs, "audit_s": audit_s}))
 """
 
 
+# The fields of an audited run; a rejected one holds the checker's message
+# in place of the violations and the rest.
+FIELDS = ("extras", "seed", "violations", "steps", "value", "checked")
+
+
+def outcome(r: list) -> list:
+    """A run's outcome: all of it but its audited step count."""
+    return r if r[2] == "rejected" else r[:3] + r[4:]
+
+
+def first_difference(a: list, b: list) -> str:
+    """The first field in which two runs differ, both values truncated."""
+    if "rejected" in (a[2], b[2]):
+        return f"checker: {str(a[2:])[:500]} / {str(b[2:])[:500]}"
+    name, x, y = next(f for f in zip(FIELDS, a, b) if f[1] != f[2])
+    return f"{name}: {str(x)[:500]} / {str(y)[:500]}"
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", type=Path)
@@ -67,7 +89,9 @@ def main() -> int:
     args = p.parse_args()
     old = dump(args.old, DUMP, args.seeds)
     new = dump(args.new, DUMP, args.seeds)
-    differ = [(a, b) for a, b in zip(old["runs"], new["runs"]) if a != b]
+    pairs = list(zip(old["runs"], new["runs"]))
+    differ = [(a, b) for a, b in pairs if outcome(a) != outcome(b)]
+    steps = [(a, b) for a, b in pairs if outcome(a) == outcome(b) and a != b]
     audited = [r for r in new["runs"] if r[2] != "rejected"]
     print(f"{len(new['runs'])} runs, {len(audited)} audited, "
           f"{sum(len(r[5]) for r in audited)} functions checked, "
@@ -75,10 +99,12 @@ def main() -> int:
           f"elaborated nodes, {sum(r[3] for r in audited)} steps, "
           f"{sum(bool(r[2]) for r in audited)} with violations; "
           f"audit time {old['audit_s']:.2f} s -> {new['audit_s']:.2f} s; "
-          f"{len(differ)} differ")
-    for a, b in differ[:5]:
-        print(f"  old {str(a)[:2000]}\n  new {str(b)[:2000]}")
-    return 0 if not differ and len(old["runs"]) == len(new["runs"]) else 1
+          f"{len(differ)} differ in outcome, {len(steps)} in step count "
+          "alone")
+    for a, b in (differ[:5] or steps[:5]):
+        print(f"  {a[:2]}: {first_difference(a, b)}")
+    return 0 if not differ and not steps \
+        and len(old["runs"]) == len(new["runs"]) else 1
 
 
 if __name__ == "__main__":

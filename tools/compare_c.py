@@ -10,8 +10,9 @@ one the backend cannot emit, is compared by its error.
 
     python3 tools/compare_c.py OLD_CHECKOUT NEW_CHECKOUT [--seeds N]
 
-Prints the first difference as a unified diff and exits 0 when the results
-are identical and 1 otherwise.
+Prints how many units differ in each mode (and how many checker verdicts
+differ), then the first difference as a unified diff, and exits 0 when the
+results are identical and 1 otherwise.
 """
 
 import argparse
@@ -92,12 +93,15 @@ def main() -> int:
     new = dump(args.new, DUMP, args.seeds)
     differ = [(a, b) for a, b in zip(old["units"], new["units"]) if a != b]
     emitted = [u for u in new["units"] if "text" in u]
+    ebpf = sum(a["id"].endswith(" ebpf") for a, _ in differ)
+    host = sum(a["id"].endswith(" host") for a, _ in differ)
     print(f"{len(new['units'])} units, {len(emitted)} emitted, "
           f"{sum(len(u['text']) for u in emitted)} bytes of C, "
           f"{sum(u['guarded_ops'] for u in emitted)} guarded and "
           f"{sum(u['const_safe_ops'] for u in emitted)} const-safe ops; "
           f"emit time {old['emit_s']:.2f} s -> {new['emit_s']:.2f} s; "
-          f"{len(differ)} differ")
+          f"differ: {ebpf} eBPF, {host} host, "
+          f"{len(differ) - ebpf - host} checker verdicts")
     if differ:
         print(first_difference(*differ[0]))
     same_count = len(old["units"]) == len(new["units"])
