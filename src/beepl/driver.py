@@ -18,11 +18,11 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .cgen import emit_program
 from .core import ConstInt, ConstLong, EffectAtom, Expr, Program
-from .frontend import parse_program, print_program
+from .frontend import parse_program, print_expr, print_program
 from .gen import GenConfig, generate_well_typed, shrink_program
 from .interp import (
     DEFAULT_FUEL, ExternalWorld, FuelExhausted, NoEntryPoint, State,
@@ -360,104 +360,59 @@ def _normalize_c(text: str) -> str:
     return re.sub(r"\s+", " ", text)
 
 
-NULL_GUARD = re.compile(r"\b(\w+) == (NULL|\(long \*\) 0)\b")
-ZERO_DIV_GUARD = re.compile(r"\(?\s*(\w+)\s*==\s*0\s*\?\s*0\s*:")
-BOUNDS_GUARD = re.compile(
-    r"(\w+)\.start \+ sizeof\(struct ethhdr\) > (\w+)\.end")
+# A corpus file states what it expects in "// expect: KEY ARG" lines: one
+# "reject CODE" (the checker's code) or "value V" (the entry's value as
+# print_expr prints it), "packet HEX" for the world's packet, and any number
+# of "c REGEX" that its eBPF C, whitespace collapsed, must match.
+EXPECT_LINE = re.compile(r"^// expect: (\S+) ?(.*?)\s*$", re.M)
 
 
 def run_cve_corpus() -> SuiteSummary:
     t0 = time.monotonic()
-    checks: list[tuple[str, Callable[[], Optional[str]]]] = [
-        ("fig4-rejected-deref-of-option", _check_bprog2),
-        ("fig5-accepted-null-guard", _check_bprog3),
-        ("fig2-guarded-div-mod", _check_bprog1),
-        ("fig10-bounds-check", _check_bprog4),
-        ("oversized-shift-zero", _check_shift),
-    ]
-    summary = SuiteSummary("cve-corpus", len(checks), 0)
-    for name, fn in checks:
+    paths = sorted(CORPUS_DIR.glob("*.bpl"))
+    summary = SuiteSummary("cve-corpus", len(paths), 0)
+    for path in paths:
         t1 = time.monotonic()
         try:
-            failure = fn()
+            failure = _corpus_failure(path)
         except Exception as exc:
             failure = f"raised {type(exc).__name__}: {exc}"
         if failure is None:
             summary.passed += 1
-            summary.reports.append(RunReport(name, 0, "value",
+            summary.reports.append(RunReport(path.name, 0, "value",
                                              elapsed=time.monotonic() - t1))
         else:
-            summary.reports.append(RunReport(name, 0, "violation",
+            summary.reports.append(RunReport(path.name, 0, "violation",
                                              violations=[failure]))
     summary.elapsed = time.monotonic() - t0
     return summary
 
 
-def _check_bprog2() -> Optional[str]:
+def _corpus_failure(path: Path) -> Optional[str]:
+    """How the file at path departs from its expect lines, or None."""
+    text = path.read_text()
+    expect: dict[str, list[str]] = {"reject": [], "value": [], "packet": [],
+                                    "c": []}
+    for key, arg in EXPECT_LINE.findall(text):
+        if key not in expect:
+            return f"unknown expect key {key!r}"
+        expect[key].append(arg)
+    verdict = expect["reject"] + expect["value"]
+    if len(verdict) != 1:
+        return f"{len(verdict)} 'reject' or 'value' lines, expected one"
+    want = f"{'reject' if expect['reject'] else 'value'} {verdict[0]}"
     try:
-        check_program(load_corpus("bprog2.bpl"))
+        tp = check_program(parse_program(text, str(path)))
     except TypeCheckError as exc:
-        if exc.code == "DerefOfOption":
-            return None
-        return f"rejected with {exc.code}, expected DerefOfOption"
-    return "bprog2 was accepted; it must be rejected"
-
-
-def _check_bprog3() -> Optional[str]:
-    tp = check_program(load_corpus("bprog3.bpl"))
-    text = _normalize_c(emit_program(tp, "ebpf").text)
-    if not NULL_GUARD.search(text):
-        return "emitted C lacks a NULL guard on the looked-up pointer"
-    r = run_program(tp)
-    if r.value != ConstInt(-1):
-        return f"lookup miss returned {r.value}, expected -1"
-    return None
-
-
-FIG2_ANALOG_EXPR = """
-let r0 : long = 0x100000000 in
-let w0 : int = (int)r0 in
-let w1 : int = 3 in
-if r0 != 0 then w1 % w0 else w1
-"""
-
-
-def _check_bprog1() -> Optional[str]:
-    tp = check_program(load_corpus("bprog1.bpl"))
-    r = run_program(tp)
-    if r.value != ConstInt(2):
-        return f"bprog1 returned {r.value}, expected XDP_PASS (2)"
-    # The mod itself: truncation makes the divisor zero, the guard yields 0.
-    from .typecheck import check_source
-    probe = check_source("fun main() : int { %s }" % FIG2_ANALOG_EXPR)
-    r2 = run_program(probe)
-    if r2.value != ConstInt(0):
-        return f"w1 % w0 evaluated to {r2.value}, expected 0"
-    text = _normalize_c(emit_program(tp, "ebpf").text)
-    if not ZERO_DIV_GUARD.search(text):
-        return "emitted C lacks the zero-divisor guard"
-    return None
-
-
-def _check_bprog4() -> Optional[str]:
-    tp = check_program(load_corpus("bprog4.bpl"))
-    text = _normalize_c(emit_program(tp, "ebpf").text)
-    m = BOUNDS_GUARD.search(text)
-    if not m:
-        return "emitted C lacks the sizeof(struct ethhdr) bounds check"
-    field_read = text.find("->h_proto")
-    if field_read != -1 and field_read < m.start():
-        return "field access appears before the bounds check"
-    r = run_program(tp, ExternalWorld(
-        packet=bytes(12) + bytes([0x86, 0xDD]) + bytes(4)))
-    if r.value != ConstInt(1):
-        return f"IPv6 packet gave {r.value}, expected XDP_DROP (1)"
-    return None
-
-
-def _check_shift() -> Optional[str]:
-    tp = check_program(load_corpus("shift64.bpl"))
-    r = run_program(tp)
-    if r.value != ConstLong(0):
-        return f"oversized shift gave {r.value}, expected 0"
-    return None
+        return None if expect["reject"] == [exc.code] else \
+            f"rejected with {exc.code}, expected {want}"
+    if expect["reject"]:
+        return f"accepted, expected {want}"
+    c = _normalize_c(emit_program(tp, "ebpf").text)
+    for pattern in expect["c"]:
+        if not re.search(pattern, c):
+            return f"eBPF C does not match {pattern!r}"
+    world = ExternalWorld(packet=bytes.fromhex("".join(expect["packet"])))
+    value = print_expr(run_program(tp, world).value)
+    return None if value == verdict[0] else \
+        f"entry returned {value}, expected {want}"

@@ -77,13 +77,25 @@ class Diagnostic:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+PRIM_TYPE_NAMES = {
+    "bool": BOOL,
+    "int": INT,
+    "long": LONG,
+    "ulong": ULONG,
+    "char": I8,
+    "i8": I8, "int8": I8,
+    "i16": I16, "int16": I16,
+    "i32": INT, "int32": INT,
+    "u8": U8, "uint8": U8,
+    "u16": U16, "uint16": U16,
+    "u32": U32, "uint32": U32,
+}
+
 KEYWORDS = {
     "fun", "let", "in", "if", "then", "else", "match", "with", "for",
     "Up", "Down", "ref", "true", "false", "none", "some", "pnone", "psome",
-    "struct", "extern", "global", "vars", "option", "not", "char",
-    "bool", "int", "long", "ulong", "unit", "bytes",
-    "i8", "i16", "i32", "u8", "u16", "u32",
-    "int8", "int16", "int32", "uint8", "uint16", "uint32",
+    "struct", "extern", "global", "vars", "option", "not", "unit", "bytes",
+    *PRIM_TYPE_NAMES,
 }
 
 PUNCT = [
@@ -238,20 +250,6 @@ def tokenize(source: str, filename: str = "<input>") -> list[Token]:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-PRIM_TYPE_NAMES = {
-    "bool": BOOL,
-    "int": INT,
-    "long": LONG,
-    "ulong": ULONG,
-    "char": I8,
-    "i8": I8, "int8": I8,
-    "i16": I16, "int16": I16,
-    "i32": INT, "int32": INT,
-    "u8": U8, "uint8": U8,
-    "u16": U16, "uint16": U16,
-    "u32": U32, "uint32": U32,
-}
 
 INT_MAX = (1 << 31) - 1
 LONG_MAX = (1 << 63) - 1

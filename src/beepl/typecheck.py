@@ -841,7 +841,7 @@ def check_glob_decl(gd: GlobDecl) -> GlobDecl:
     return gd if init is gd.init else replace(gd, init=init)
 
 
-def _check_c_name(what: str, name: str, span: Optional[Span]) -> None:
+def _require_c_name(what: str, name: str, span: Optional[Span]) -> None:
     """Extern, struct and field names are emitted as written (an extern's
     names a C function), so each must be a C name the emitted C leaves
     free."""
@@ -858,9 +858,9 @@ def check_program(p: Program) -> TypedProgram:
                  "TPROG")
         pi[co.sid] = co
     for co in p.composites:
-        _check_c_name("struct", co.sid, co.span)
+        _require_c_name("struct", co.sid, co.span)
         for fname, fty in co.fields:
-            _check_c_name("field", fname, co.span)
+            _require_c_name("field", fname, co.span)
             # Only the kernel contexts hold a packet's pointer pair.
             if not (is_prim(fty) or isinstance(fty, ArrayTy)):
                 _err("BadFieldType",
@@ -878,7 +878,7 @@ def check_program(p: Program) -> TypedProgram:
                  d.span, "TPROG")
         names.add(d.name)
         if isinstance(d, ExtDecl):
-            _check_c_name("extern", d.name, d.span)
+            _require_c_name("extern", d.name, d.span)
             for ty in d.arg_types:
                 if _bad_param(ty):
                     _err("BadExternType", f"extern {d.name!r} cannot take "

@@ -7,8 +7,8 @@ from beepl import typecheck
 from beepl.cgen import audit_guards, cdecl, ctype, emit_program, mangle
 from beepl.core import (
     ArrayTy, BOOL, BYTES, C_TAKEN, FunDecl, HOST_TAKEN, INT, LONG, Let, Match,
-    OptionTy, Pbytes, Program, Psome, RefTy, StructTy, U16, U8, UNIT, VInt,
-    Var, expr_children, subst, with_children,
+    OptionTy, Pbytes, Program, Psome, RefTy, U8, VInt, Var, expr_children,
+    subst, with_children,
 )
 from beepl.driver import build_host, find_cc, load_corpus
 from beepl.gen import GenConfig, generate_well_typed

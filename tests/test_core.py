@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from beepl.core import (
     ALLOC, BOOL, BytesView, Composite, ConstBool, ConstInt, ConstLong,
-    CoreError, Effect, EffectAtom, Expr, For, Frame, Direction, FunDecl, I8,
-    INT,
+    CoreError, Effect, EffectAtom, Expr, Frame, Direction, FunDecl, I8, INT,
     IntTy, LEAVES, LONG, Let, Loc, LongTy, Match, NoneLit, OptionTy, Prim,
     Program, READ, RefTy, Repeat, SHAPES, Seq, Sign, SomeLit, StructTy, U16,
-    U8, UNIT, UnitLit, UnknownStruct, Var, Assign, ArrayTy, Bop, BopKind,
-    Deref, Pbytes, RefOp, WRITE, effect_concat, effect_subset, expr_children,
-    fvar, is_value, sizeof, subst,
-    struct_layout, with_children, UopKind,
+    U8, UnitLit, UnknownStruct, Var, ArrayTy, Bop, BopKind, Pbytes, RefOp,
+    WRITE, effect_concat, effect_subset, expr_children, fvar, is_value, sizeof,
+    subst, struct_layout, with_children, UopKind,
 )
 from beepl import interp, typecheck
 from beepl.cgen import emit_program

@@ -1,8 +1,10 @@
 import copy
+import re
 
 import pytest
 
 from beepl import driver, interp, typecheck
+from beepl.cgen import emit_program
 from beepl.core import App, Bop, ConstInt, ConstLong, INT, LONG, Let, Prim
 from beepl.driver import (
     evaluate_with_audit, find_cc, load_corpus, run_cve_corpus,
@@ -486,16 +488,57 @@ def test_audit_catches_a_rule_value_outside_its_lane(monkeypatch):
 
 # --- corpus -----------------------------------------------------------------------
 
-def test_corpus_files_parse():
-    for name in ["bprog1.bpl", "bprog2.bpl", "bprog3.bpl", "bprog4.bpl",
-                 "shift64.bpl"]:
-        load_corpus(name)
-
-
 def test_cve_corpus_all_pass():
     s = run_cve_corpus()
     assert s.ok(), [(r.program_id, r.violations) for r in s.failures]
     assert s.total == 5
+
+
+SEVEN = "fun main() : int { 7 }\n"
+
+# Corpus files, each departing from its expect lines in one way, and the
+# violation each is reported with.
+BAD_CORPUS = {
+    "wrong-value.bpl": ("// expect: value 8\n" + SEVEN,
+                        "entry returned 7, expected value 8"),
+    "no-verdict.bpl": ("// expect: c return 7;\n" + SEVEN,
+                       "0 'reject' or 'value' lines, expected one"),
+    "unknown-key.bpl": ("// expect: value 7\n// expect: vaule 7\n" + SEVEN,
+                        "unknown expect key 'vaule'"),
+    "c-mismatch.bpl": ("// expect: value 7\n// expect: c return 8;\n" + SEVEN,
+                       "eBPF C does not match 'return 8;'"),
+    "accepted.bpl": ("// expect: reject DerefOfOption\n" + SEVEN,
+                     "accepted, expected reject DerefOfOption"),
+    "wrong-code.bpl": ("// expect: reject DerefOfOption\n"
+                       "fun main() : int { true }\n",
+                       "rejected with ReturnTypeMismatch, expected reject "
+                       "DerefOfOption"),
+}
+
+
+def test_corpus_files_fail_their_own_expect_lines(tmp_path, monkeypatch):
+    (tmp_path / "good.bpl").write_text(
+        "// A comment above the header.\n// expect: value 7\n"
+        "// expect: c return 7;\n" + SEVEN)
+    for name, (text, _) in BAD_CORPUS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(driver, "CORPUS_DIR", tmp_path)
+    s = run_cve_corpus()
+    assert (s.total, s.passed) == (len(BAD_CORPUS) + 1, 1)
+    assert {r.program_id: r.violations for r in s.failures} == \
+        {name: [why] for name, (_, why) in BAD_CORPUS.items()}
+
+
+def test_bprog4_pattern_fails_on_a_field_read_before_the_bounds_check():
+    text = driver.corpus_path("bprog4.bpl").read_text()
+    [pattern] = [arg for key, arg in driver.EXPECT_LINE.findall(text)
+                 if key == "c"]
+    c = driver._normalize_c(emit_program(
+        check_program(parse_program(text)), "ebpf").text)
+    assert re.search(pattern, c)
+    check = re.search(r"\w+\.start \+ sizeof\(struct ethhdr\)", c).start()
+    spliced = c[:check] + "(void) eth->h_proto; " + c[check:]
+    assert not re.search(pattern, spliced)
 
 
 # --- differential -------------------------------------------------------------------

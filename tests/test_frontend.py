@@ -8,15 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 from beepl import frontend
 from beepl.cgen import emit_program
 from beepl.core import (
-    App, Assign, Bop, BopKind, BOOL, BytesView, Cast, Cond, ConstBool,
-    ConstInt, ConstLong, Deref, Direction, EffectAtom, Expr, For, Frame,
-    FunDecl, GlobDecl, INT, Let, LONG, Loc, Match, NoneLit, OptionTy, Pbytes,
-    Pnone, Prim, Psome, Program, Pwild, RefOp, RefTy, Repeat, Seq, SomeLit,
-    Span, StructTy, U16, UNIT, UnitLit, Uop, UopKind, Var, expr_children,
+    App, Assign, Bop, BopKind, BytesView, Cast, Cond, ConstBool, ConstInt,
+    ConstLong, Deref, Direction, EffectAtom, Expr, For, Frame, FunDecl,
+    GlobDecl, INT, Let, LONG, Loc, Match, NoneLit, OptionTy, Pbytes, Pnone,
+    Prim, Psome, Program, Pwild, RefOp, RefTy, Repeat, Seq, SomeLit, Span,
+    StructTy, U16, UnitLit, Uop, UopKind, Var, expr_children,
 )
 from beepl.driver import CORPUS_DIR, corpus_path, evaluate_with_audit
 from beepl.frontend import (
-    MAX_EXPR_DEPTH, PRIM_TYPE_NAMES, Diagnostic, LexError, ParseError, Parser,
+    MAX_EXPR_DEPTH, PRIM_TYPE_NAMES, Diagnostic, LexError, ParseError,
     UnprintableInternalNode, parse_expr, parse_program, print_expr,
     print_program, tokenize,
 )

@@ -18,7 +18,7 @@ from beepl.core import (
 from beepl.driver import (
     CORPUS_DIR, evaluate_with_audit, load_corpus, world_for_seed,
 )
-from beepl.frontend import parse_expr, parse_program
+from beepl.frontend import parse_expr
 from beepl.interp import (
     Block, ExternalWorld, FuelExhausted, InterpError, Memory, NoEntryPoint,
     State, StuckState, TooShort,

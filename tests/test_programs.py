@@ -148,12 +148,11 @@ def test_array_reference_globals_lets_and_externs_rejected():
 
 
 def test_corpus_print_parse_round_trip():
-    from beepl.driver import load_corpus
+    from beepl.driver import CORPUS_DIR, load_corpus
     from beepl.frontend import parse_program, print_program
-    for name in ["bprog1.bpl", "bprog2.bpl", "bprog3.bpl", "bprog4.bpl",
-                 "shift64.bpl"]:
-        p = load_corpus(name)
-        assert parse_program(print_program(p)) == p, name
+    for path in sorted(CORPUS_DIR.glob("*.bpl")):
+        p = load_corpus(path.name)
+        assert parse_program(print_program(p)) == p, path.name
 
 
 def test_io_log_records_external_calls_in_order():

@@ -3,11 +3,10 @@ import re
 import pytest
 
 from beepl.core import (
-    ALLOC, App, Assign, BOOL, Bop, BopKind, BYTES, C_TAKEN, CONSTANTS,
-    ConstBool, ConstInt, ConstLong, Deref, Effect, EffectAtom, For, HELPERS,
-    I8, INT, KERNEL_STRUCTS, LONG, Let, Match, IO, NoneLit, OptionTy, Prim,
-    Program, READ, RefOp, RefTy, StructTy, U16, UNIT, Var, VLong, WRITE,
-    effect_concat, effect_subset, expr_children, fvar,
+    ALLOC, BOOL, BYTES, C_TAKEN, CONSTANTS, ConstBool, ConstInt, ConstLong,
+    Deref, Effect, EffectAtom, For, HELPERS, I8, INT, KERNEL_STRUCTS, LONG,
+    Let, Match, IO, NoneLit, OptionTy, Prim, Program, READ, RefTy, StructTy,
+    U16, UNIT, VLong, WRITE, effect_concat, expr_children, fvar,
 )
 from beepl.cgen import emit_program
 from beepl.frontend import parse_expr, parse_program, print_program
@@ -16,8 +15,8 @@ from beepl.interp import (
     _HELPER_SEM, ExternalWorld, init_state, run_program, zero_value,
 )
 from beepl.typecheck import (
-    JudgmentMemo, TypeCheckError, TypingContext, check_fun_decl,
-    check_program, check_source, infer_elab, infer_expr, section_ok,
+    JudgmentMemo, TypeCheckError, TypingContext, check_program, check_source,
+    infer_elab, infer_expr, section_ok,
 )
 
 
@@ -469,8 +468,6 @@ def test_accepted_for_loops_have_disjoint_bounds():
 
 def test_rule_audit_recomputes_conclusions():
     """Re-checking immediate subexpressions reconstructs each conclusion."""
-    from beepl.core import Cond
-
     ctx = ctx_with(b=BOOL, p=RefTy(INT))
     cases = [
         ("ref(2)", lambda sub: (RefTy(sub[0][0]),

@@ -48,10 +48,7 @@ for extras in (False, True):
         except TypeCheckError as exc:
             runs.append([extras, seed, "rejected", str(exc)])
             continue
-        # Older checkouts keep each function's effect in tp.funs.
-        effects = tp.effects if hasattr(tp, "effects") else \
-            {name: tf.inferred for name, tf in tp.funs.items()}
-        checked = {name: [sorted({a.value for a in effects[name]}),
+        checked = {name: [sorted({a.value for a in tp.effects[name]}),
                           list(nodes(fd.body))]
                    for name, fd in tp.program.fun_decls().items()}
         t0 = time.perf_counter()

@@ -38,7 +38,7 @@ from pathlib import Path
 from checkout import dump
 
 DUMP = r"""
-import dataclasses, hashlib, inspect, json, random, sys, time
+import dataclasses, hashlib, json, random, sys, time
 from beepl.core import FunDecl, Program, expr_children, with_children
 from beepl.driver import world_for_seed
 from beepl.frontend import parse_program
@@ -57,28 +57,17 @@ def tys(e):
 
 
 def memory(s):
-    # s.sigma is the store typing, whether State holds it or reads it from
-    # the memory.
     return [[bid, repr(s.sigma.get(bid)),
              b.raw.hex() if b.raw else None,
              sorted([off, repr(v)] for off, v in b.cells.items())]
             for bid, b in sorted(s.theta.blocks.items())]
 
 
-# Older checkouts hand the hook the state, the term and the rule, newer ones
-# a step event.  Either hook is called by the step loop itself, so that a
-# term too deep to print fails at the same depth of the stack.
-EVENTS = "on_event" in inspect.signature(run_program).parameters
-
-
 def run(tp, seed, fuel):
     # The hooked run gives the steps, the run without a hook the outcome.
+    # The hook is called by the step loop itself, so that a term too deep
+    # to print fails at the same depth of the stack.
     digests = []
-
-    def hook(s, e, rule):
-        record = json.dumps([rule, repr(e), tys(e)])
-        digests.append(rule + ":" + hashlib.sha256(
-            record.encode()).hexdigest()[:16])
 
     def on_event(ev):
         record = json.dumps([ev.rule, repr(ev.term), tys(ev.term)])
@@ -86,8 +75,7 @@ def run(tp, seed, fuel):
             record.encode()).hexdigest()[:16])
 
     out = {}
-    hooked = {"on_event": on_event} if EVENTS else {"on_step": hook}
-    for key, hooks in (("hooked", hooked), ("plain", {})):
+    for key, hooks in (("hooked", {"on_event": on_event}), ("plain", {})):
         try:
             r = run_program(tp, world_for_seed(seed), fuel=fuel, **hooks)
             out[key] = ["value", repr(r.value), r.steps, memory(r.state)]
